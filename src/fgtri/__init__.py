@@ -2,13 +2,12 @@
 randomized reduction pipelines, and product reductions, all seeded and
 exactly verifiable at desk scale."""
 
-from .instances import (ColoredValuedGraph, IntMatrix, ListingParams,
-                        MINUS_INF, PLUS_INF, SetFamilyInstance,
-                        TripartiteWeightedGraph, UNBOUNDED)
+from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
+                        SetFamilyInstance, TripartiteWeightedGraph)
 from .rng import RngStream
 from .generators import (balanced_split, generate_colored, generate_matrix,
                          generate_set_family, generate_sparse_tripartite,
-                         generate_tripartite, random_three_coloring)
+                         generate_tripartite)
 from .textio import ParseError, parse, parse_documents, serialize
 from .oracles import (DISJOINTNESS, EXISTS_DOM, EXISTS_EQ, INTERSECTION,
                       MAX_LE, MAX_MIN, MIN_EQ, MIN_LE, MIN_WITNESS, MONO_EQ,
@@ -24,7 +23,7 @@ from .zero_triangle import (ClaimStatistics, RandomizationData, RangeSplit,
                             claim_statistics, default_degree_cap,
                             default_global_cap, default_per_edge_cap,
                             default_trials, draw_randomization,
-                            enumerate_zero_triples, exact_to_zero, is_prime,
+                            enumerate_zero_triples, is_prime,
                             pick_prime, randomize_weights, reduce_mod_p,
                             split_ranges, zero_triangle_via_global_listing,
                             zero_triangle_via_listing)

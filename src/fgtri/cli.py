@@ -8,7 +8,7 @@ reported result can be replayed. Reports are JSON lines with sorted keys
 and no timestamps: same seed, same bytes.
 
 Exit codes: 0 success, 1 check mismatch, 2 usage error, 3 I/O or parse
-error.
+error (an unreadable input or an unwritable output path).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import secrets
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 from . import generators, oracles, products, setfam, textio, witness_listing
@@ -57,16 +56,8 @@ def _resolve_seed(args) -> int:
 
 
 def _read_documents(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return textio.parse_documents(handle.read())
-    except OSError as exc:
-        raise SystemExit(_fail_io(f"cannot read {path}: {exc}"))
-
-
-def _fail_io(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_IO
+    with open(path, "r", encoding="utf-8") as handle:
+        return textio.parse_documents(handle.read())
 
 
 def _write_text(path, text: str) -> None:
@@ -261,12 +252,7 @@ def _detect_lister(graph, cap):
     # No edge has more triangles than its common C-neighborhood, so capping
     # there is lossless; the subsampling lister's round count grows with
     # cap^2, and pipeline caps are far beyond what sparse subinstances hold.
-    mask_a = [0] * graph.part_sizes[0]
-    mask_b = [0] * graph.part_sizes[1]
-    for c, a, _w in graph.edges_ca:
-        mask_a[a] |= 1 << c
-    for b, c, _w in graph.edges_bc:
-        mask_b[b] |= 1 << c
+    mask_a, mask_b = oracles._c_masks(graph)
     widest = max((bin(mask_a[a] & mask_b[b]).count("1")
                   for a, b, _w in graph.edges_ab), default=0)
     effective = min(cap, widest)
@@ -341,32 +327,10 @@ def _run_zero_pipeline(args, g, rng, sink) -> tuple[bool, object]:
     if args.pipeline == "zero-via-listing":
         if args.inner not in _LISTERS:
             raise UsageFailure(f"unknown inner lister {args.inner!r}")
-        runner = partial(zt.zero_triangle_via_listing, g, args.s,
-                         _LISTERS[args.inner], rng=rng,
-                         report_sink=sink)
-    else:
-        runner = partial(zt.zero_triangle_via_global_listing, g, args.s,
-                         _bf_global_lister, rng=rng, report_sink=sink)
-    if args.jobs <= 1 or trials <= 1:
-        return runner(trials=trials)
-    # Fan trials across workers in fixed-size chunks; the verdict is the
-    # earliest trial's witness, identical to the sequential scan.
-    chunk = max(1, trials // (args.jobs * 4))
-    starts = list(range(0, trials, chunk))
-    results = {}
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {
-            pool.submit(runner, trials=min(chunk, trials - start),
-                        first_trial=start): start
-            for start in starts
-        }
-        for future, start in futures.items():
-            results[start] = future.result()
-    for start in sorted(results):
-        found, witness = results[start]
-        if found:
-            return True, witness
-    return False, None
+        return zt.zero_triangle_via_listing(
+            g, args.s, _LISTERS[args.inner], trials, rng, report_sink=sink)
+    return zt.zero_triangle_via_global_listing(
+        g, args.s, _bf_global_lister, trials, rng, report_sink=sink)
 
 
 def cmd_reduce(args) -> int:
@@ -525,7 +489,7 @@ def cmd_reduce(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _multiplicity_suite(host_size: int, runs: int, rng: RngStream, jobs: int):
+def _multiplicity_suite(host_size: int, runs: int, rng: RngStream):
     """Fraction of seeded packings whose observed multiplicity stays within
     the label budget on the first permutation draw."""
     def one(run: int) -> bool:
@@ -543,12 +507,7 @@ def _multiplicity_suite(host_size: int, runs: int, rng: RngStream, jobs: int):
             return False
         return combined.observed_max_label <= combined.max_label
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, range(runs)))
-    else:
-        outcomes = [one(run) for run in range(runs)]
-    return sum(outcomes) / runs
+    return sum(one(run) for run in range(runs)) / runs
 
 
 def cmd_verify(args) -> int:
@@ -556,29 +515,10 @@ def cmd_verify(args) -> int:
     rng = RngStream(seed, ("verify",))
     graph, planted = generators.generate_tripartite(
         args.n, args.weight_bound, True, rng.child("instance"))
-
-    if args.jobs > 1 and args.trials > 1:
-        chunk = max(1, args.trials // (args.jobs * 4))
-        starts = list(range(0, args.trials, chunk))
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            partials = list(pool.map(
-                lambda start: zt.claim_statistics(
-                    graph, planted, args.s,
-                    min(chunk, args.trials - start), rng.child("claims"),
-                    first_trial=start),
-                starts))
-        hits1 = sum(round(p.f1 * p.trials) for p in partials)
-        hits2 = sum(round(p.f2 * p.trials) for p in partials)
-        hits3 = sum(round(p.f3 * p.trials) for p in partials)
-        stats = zt.ClaimStatistics(
-            args.trials, hits1 / args.trials, hits2 / args.trials,
-            hits3 / args.trials, partials[0].per_edge_bound,
-            partials[0].global_bound)
-    else:
-        stats = zt.claim_statistics(graph, planted, args.s, args.trials,
-                                    rng.child("claims"))
+    stats = zt.claim_statistics(graph, planted, args.s, args.trials,
+                                rng.child("claims"))
     mult_ok = _multiplicity_suite(3 * args.n, args.mult_runs,
-                                  rng.child("suite"), args.jobs)
+                                  rng.child("suite"))
 
     checks = [
         ("f1_planted_survives", stats.f1, args.f1_min),
@@ -647,6 +587,14 @@ def cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _positive_int(text: str) -> int:
+    """A repetition count: non-positive values are usage errors."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgtri",
@@ -686,7 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-validate against the brute oracle")
     solve.add_argument("--target", type=int, default=0)
     solve.add_argument("--delta", type=int, default=-1,
-                       help="sparse degree threshold; -1 = default/inf")
+                       help="sparse degree threshold; -1 = infinity, i.e. "
+                            "pure enumeration (not the solver's sqrt(m) "
+                            "default)")
     solve.add_argument("--degree-threshold", type=int, default=4)
     solve.add_argument("--per-edge-cap", type=int, default=-1)
     solve.add_argument("--global-cap", type=int, default=-1)
@@ -712,7 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--degree-threshold", type=int, default=2)
     reduce_p.add_argument("--size-threshold", type=int, default=-2,
                           help="-1 = inf; -2 = instance part-size default")
-    reduce_p.add_argument("--jobs", type=int, default=1)
     reduce_p.add_argument("--tile", default=None, metavar="A,B,C",
                           help="run the zero pipelines per part-block "
                                "triple of these sizes")
@@ -723,22 +672,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(verify)
     verify.add_argument("--n", type=int, default=48)
     verify.add_argument("--s", type=int, default=4)
-    verify.add_argument("--trials", type=int, default=2000)
+    verify.add_argument("--trials", type=_positive_int, default=2000)
     verify.add_argument("--weight-bound", type=int, default=60)
     verify.add_argument("--f1-min", type=float, default=0.90)
     verify.add_argument("--f2-min", type=float, default=0.95)
     verify.add_argument("--f3-min", type=float, default=0.95)
     verify.add_argument("--mult-min", type=float, default=0.99)
-    verify.add_argument("--mult-runs", type=int, default=200)
+    verify.add_argument("--mult-runs", type=_positive_int, default=200)
     verify.add_argument("--report", default=None)
-    verify.add_argument("--jobs", type=int, default=1)
     verify.set_defaults(func=cmd_verify)
 
     bench = sub.add_parser("bench", help="timing table over a size sweep")
     add_common(bench)
     bench.add_argument("--sizes", default="")
     bench.add_argument("--solvers", default="")
-    bench.add_argument("--reps", type=int, default=3)
+    bench.add_argument("--reps", type=_positive_int, default=3)
     bench.set_defaults(func=cmd_bench)
     return parser
 
@@ -756,6 +704,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK
     except textio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

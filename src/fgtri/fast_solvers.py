@@ -141,17 +141,14 @@ def _color_subgraphs(g: ColoredValuedGraph):
 def ae_mono_triangle_fast(
     g: ColoredValuedGraph,
     degree_threshold,
-    size_threshold: int = 0,
 ) -> dict[tuple[str, int, int], bool]:
     """Per-color low-degree cascade plus Boolean matmul on the residue.
 
     Within each color class, vertices of degree <= degree_threshold get
     their neighbor pairs enumerated and are then deleted (repeatedly, since
     deletions lower other degrees); Boolean matrix products resolve the
-    leftover dense subgraph. ``size_threshold`` is a crossover knob only:
-    residues whose largest part is below it are finished by per-vertex
-    enumeration instead of the matmul kernel. Answers equal the brute
-    oracle's for every threshold choice.
+    leftover dense subgraph. Answers equal the brute oracle's for every
+    threshold choice.
     """
     answers: dict[tuple[str, int, int], bool] = {}
     for pair in ("IJ", "JK", "IK"):
@@ -223,17 +220,6 @@ def ae_mono_triangle_fast(
             continue
 
         ni, nj, nk = g.part_sizes
-        residue_span = max(len({i for i, _ in res_ij} | {i for i, _ in res_ik}),
-                           len({j for _, j in res_ij} | {j for j, _ in res_jk}),
-                           len({k for _, k in res_jk} | {k for _, k in res_ik}))
-        if residue_span < size_threshold:
-            # Tiny residue: pair enumeration via the same adjacency sets.
-            for (i, j) in res_ij:
-                for (ii, k) in res_ik:
-                    if ii == i and (j, k) in present["JK"]:
-                        mark(i, j, k)
-            continue
-
         x_ik = BitMatrix.from_entries(ni, nk, res_ik)
         x_ij = BitMatrix.from_entries(ni, nj, res_ij)
         y_jk = BitMatrix.from_entries(nj, nk, res_jk)

@@ -92,17 +92,6 @@ def generate_sparse_tripartite(
                                    draw(nc, na))
 
 
-def random_three_coloring(vertices: int, rng: RngStream) -> tuple[int, ...]:
-    """Assign each vertex independently and uniformly to one of three parts.
-
-    Callers repeat this O(log n) times: any fixed triangle lands with one
-    vertex in each part ("rainbow") in some repetition with high
-    probability. Labels 0/1/2 map to parts A/B/C by identity.
-    """
-    stream = rng.child("coloring")
-    return tuple(stream.randrange(3) for _ in range(vertices))
-
-
 def generate_colored(
     sizes: tuple[int, int, int],
     num_colors: int,

@@ -9,7 +9,6 @@ within each part; triangles are always reported in part order (A, B, C) or
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 # Extreme values standing in for +/- infinity in integer matrices. A quarter
@@ -18,22 +17,13 @@ from typing import Optional
 PLUS_INF = (1 << 63) // 4
 MINUS_INF = -PLUS_INF
 
-UNBOUNDED = None
-
-# Canonical part-pair names. Weighted graphs use AB/BC/CA; colored graphs
-# use IJ/JK/IK. Edge tuples are keyed (first-part index, second-part index).
-WEIGHTED_PAIRS = ("AB", "BC", "CA")
-COLORED_PAIRS = ("IJ", "JK", "IK")
-
 # Endpoint parts (by position 0/1/2 in part_sizes) for each pair name.
+# Weighted graphs use AB/BC/CA; colored graphs use IJ/JK/IK. Edge tuples
+# are keyed (first-part index, second-part index).
 _PAIR_PARTS = {
     "AB": (0, 1), "BC": (1, 2), "CA": (2, 0),
     "IJ": (0, 1), "JK": (1, 2), "IK": (0, 2),
 }
-
-
-def pair_parts(pair: str) -> tuple[int, int]:
-    return _PAIR_PARTS[pair]
 
 
 def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
@@ -191,56 +181,6 @@ class IntMatrix:
     def negate(self) -> "IntMatrix":
         # Sentinels swap roles under negation.
         return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
-
-
-@dataclass(frozen=True)
-class ListingParams:
-    """Size/density/cap parameters for the parameterized listing problems.
-
-    ``degree_fraction`` is the density knob: in a conforming instance every
-    vertex sees at most ceil(degree_fraction * |other part|) neighbors in
-    each other part. Caps of ``None`` mean unbounded.
-    """
-
-    size_a: int
-    size_b: int
-    size_c: int
-    degree_fraction: Fraction
-    per_edge_cap: Optional[int] = UNBOUNDED
-    global_cap: Optional[int] = UNBOUNDED
-
-    def __post_init__(self):
-        if min(self.size_a, self.size_b, self.size_c) < 0:
-            raise ValueError("part sizes must be non-negative")
-        frac = Fraction(self.degree_fraction)
-        if not 0 < frac <= 1:
-            raise ValueError("degree_fraction must lie in (0, 1]")
-        object.__setattr__(self, "degree_fraction", frac)
-        for cap in (self.per_edge_cap, self.global_cap):
-            if cap is not None and cap < 0:
-                raise ValueError("caps must be >= 0 or UNBOUNDED")
-
-    def degree_bound(self, toward_size: int) -> int:
-        frac = self.degree_fraction * toward_size
-        return -(-frac.numerator // frac.denominator)  # ceil
-
-    def admits(self, g: TripartiteWeightedGraph) -> bool:
-        """Whether every cross-part degree of g obeys the density bound."""
-        if g.part_sizes != (self.size_a, self.size_b, self.size_c):
-            return False
-        bounds = tuple(self.degree_bound(s) for s in g.part_sizes)
-        for pair in WEIGHTED_PAIRS:
-            pu, pv = pair_parts(pair)
-            deg_u: dict = {}
-            deg_v: dict = {}
-            for u, v, _w in g.edges(pair):
-                deg_u[u] = deg_u.get(u, 0) + 1
-                deg_v[v] = deg_v.get(v, 0) + 1
-            if deg_u and max(deg_u.values()) > bounds[pv]:
-                return False
-            if deg_v and max(deg_v.values()) > bounds[pu]:
-                return False
-        return True
 
 
 @dataclass(frozen=True)

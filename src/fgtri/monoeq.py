@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import isinf
 from typing import Callable, Optional
 
-from .fast_solvers import BitMatrix, bool_matmul
+from .fast_solvers import BitMatrix, _color_subgraphs, bool_matmul
 from .instances import ColoredValuedGraph
 from .rng import RngStream
 from .zero_triangle import ceil_log2
@@ -292,15 +292,6 @@ def solve_combined(
     return combined.decode(answers)
 
 
-def _color_split(g: ColoredValuedGraph):
-    by_color: dict = {}
-    for pair in ("IJ", "JK", "IK"):
-        for u, v, color, _val in g.edges(pair):
-            by_color.setdefault(color, {"IJ": [], "JK": [], "IK": []})
-            by_color[color][pair].append((u, v))
-    return by_color
-
-
 def _ae_mono_on_expansion(
     g: ColoredValuedGraph,
     blown: int,
@@ -324,10 +315,10 @@ def _ae_mono_on_expansion(
     combine_sources: list[ColoredValuedGraph] = []
     combine_edge_maps: list[dict] = []
 
-    split = _color_split(g)
+    split = _color_subgraphs(g)
     for color in sorted(split):
         edges = split[color]
-        live = {p: set(edges[p]) for p in ("IJ", "JK", "IK")}
+        live = dict(edges)
 
         # Adjacency of blown-part vertices within this color.
         nbrs: dict[int, dict[str, list[int]]] = {}

@@ -43,11 +43,6 @@ def _joint_ranks(*value_iters):
     return {v: r for r, v in enumerate(values)}, values
 
 
-def _emit(instrument: Instrument, event: dict) -> None:
-    if instrument is not None:
-        instrument(event)
-
-
 def _snapshot(grid):
     return [row[:] for row in grid]
 
@@ -64,9 +59,10 @@ def _search_case_a(a_vals, b_vals, t, mode, monoeq_solver, instrument, op):
     inner = len(b_vals)
     n_cols = len(b_vals[0]) if inner else 0
     est = [[0] * n_cols for _ in range(n_rows)]
-    _emit(instrument, {"kind": "start", "op": op, "mode": mode,
-                       "a_tag": _snapshot(a_vals), "b_tag": _snapshot(b_vals),
-                       "pre_tag": None, "b_val": _snapshot(b_vals)})
+    if instrument is not None:
+        instrument({"kind": "start", "op": op, "mode": mode,
+                    "a_tag": _snapshot(a_vals), "b_tag": _snapshot(b_vals),
+                    "pre_tag": None, "b_val": _snapshot(b_vals)})
     all_edges = [(i, j) for i in range(n_rows) for j in range(n_cols)]
     for level in range(t - 1, -1, -1):
         edges_ij = []
@@ -91,9 +87,10 @@ def _search_case_a(a_vals, b_vals, t, mode, monoeq_solver, instrument, op):
             else:
                 if positive:
                     est[i][j] += 1 << level
-        _emit(instrument, {"kind": "level", "op": op, "level": level,
-                           "estimates": _snapshot(est),
-                           "active": [[True] * n_cols for _ in range(n_rows)]})
+        if instrument is not None:
+            instrument({"kind": "level", "op": op, "level": level,
+                        "estimates": _snapshot(est),
+                        "active": [[True] * n_cols for _ in range(n_rows)]})
     return est
 
 
@@ -178,10 +175,11 @@ def _search_fixed_tags(a_cut, b_cut, prefix, b_tags, levels, est, active,
     n_rows = len(a_cut)
     inner = len(b_cut)
     n_cols = len(b_cut[0]) if inner else 0
-    _emit(instrument, {"kind": "start", "op": op, "mode": mode,
-                       "a_tag": _snapshot(a_cut), "b_tag": _snapshot(b_cut),
-                       "pre_tag": _snapshot(prefix),
-                       "b_val": _snapshot(b_tags)})
+    if instrument is not None:
+        instrument({"kind": "start", "op": op, "mode": mode,
+                    "a_tag": _snapshot(a_cut), "b_tag": _snapshot(b_cut),
+                    "pre_tag": _snapshot(prefix),
+                    "b_val": _snapshot(b_tags)})
     for level in range(levels - 1, -1, -1):
         edges_ij = []
         for i in range(n_rows):
@@ -211,9 +209,10 @@ def _search_fixed_tags(a_cut, b_cut, prefix, b_tags, levels, est, active,
                 else:
                     if positive:
                         est[i][j] += 1 << level
-        _emit(instrument, {"kind": "level", "op": op, "level": level,
-                           "estimates": _snapshot(est),
-                           "active": _snapshot(active)})
+        if instrument is not None:
+            instrument({"kind": "level", "op": op, "level": level,
+                        "estimates": _snapshot(est),
+                        "active": _snapshot(active)})
     return est
 
 
@@ -360,8 +359,9 @@ def mono_min_eq_via_mono_eq(
     base = mono_eq_solver(rank_graph)
     active = {(u, v): bool(base.get((u, v), False)) for u, v, _c, _ in ij_edges}
     est = {edge: 0 for edge, alive in active.items() if alive}
-    _emit(instrument, {"kind": "start", "op": "mono_min_eq",
-                       "rank_graph": rank_graph})
+    if instrument is not None:
+        instrument({"kind": "start", "op": "mono_min_eq",
+                    "rank_graph": rank_graph})
 
     for level in range(t - 1, -1, -1):
         edges_ij = tuple(
@@ -379,9 +379,10 @@ def mono_min_eq_via_mono_eq(
         for edge in est:
             if not answers.get(edge, False):
                 est[edge] += 1 << level
-        _emit(instrument, {"kind": "level", "op": "mono_min_eq",
-                           "level": level, "estimates": dict(est),
-                           "active": dict(active)})
+        if instrument is not None:
+            instrument({"kind": "level", "op": "mono_min_eq",
+                        "level": level, "estimates": dict(est),
+                        "active": dict(active)})
 
     return {edge: (unrank[est[edge]] if alive else PLUS_INF)
             for edge, alive in active.items()}
@@ -443,12 +444,13 @@ def mono_min_le_via_monoeq(
                 max_tag = max(max_tag, prefix[e])
         bound = max_tag + 3  # room for the +2 filler shift
 
-        _emit(instrument, {"kind": "start", "op": "mono_min_le_inner",
-                           "ij": [(u, v, c) for u, v, c, _ in ij_edges],
-                           "ik": [(u, v, c, cut_a[(u, v)]) for u, v, c, _ in ik_edges],
-                           "jk": [(u, v, c, cut_b[(u, v)], b_tag[(u, v)])
-                                  for u, v, c, _ in jk_edges],
-                           "prefix": dict(prefix)})
+        if instrument is not None:
+            instrument({"kind": "start", "op": "mono_min_le_inner",
+                        "ij": [(u, v, c) for u, v, c, _ in ij_edges],
+                        "ik": [(u, v, c, cut_a[(u, v)]) for u, v, c, _ in ik_edges],
+                        "jk": [(u, v, c, cut_b[(u, v)], b_tag[(u, v)])
+                               for u, v, c, _ in jk_edges],
+                        "prefix": dict(prefix)})
         for level in range(bit, -1, -1):
             edges_ij = tuple(
                 (u, v, composite_color(c, prefix[(u, v)] + 2, bound),
@@ -468,9 +470,10 @@ def mono_min_le_via_monoeq(
             for e in est:
                 if not answers.get(("IJ",) + e, False):
                     est[e] += 1 << level
-            _emit(instrument, {"kind": "level", "op": "mono_min_le_inner",
-                               "level": level, "estimates": dict(est),
-                               "active": dict(active)})
+            if instrument is not None:
+                instrument({"kind": "level", "op": "mono_min_le_inner",
+                            "level": level, "estimates": dict(est),
+                            "active": dict(active)})
         for e, alive in active.items():
             if not alive:
                 continue

@@ -9,21 +9,16 @@ comment. Formats:
     IMX rows cols                then  one line of entries per row
                                  (entries decimal, sentinels: inf / -inf)
     SFI |U| |F| q [CAP T]        then  S i : e1 e2 ...  and  Q i j
-    LPR a b c num/den t T        (t, T decimal or - for unbounded)
-    RNG seed : label ...         (labels i:<int> or s:<percent-escaped>)
 
 ``parse(serialize(x))`` is structurally the identity for every instance.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
-from .instances import (ColoredValuedGraph, IntMatrix, ListingParams,
-                        MINUS_INF, PLUS_INF, SetFamilyInstance,
-                        TripartiteWeightedGraph)
-from .rng import RngStream
+from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
+                        SetFamilyInstance, TripartiteWeightedGraph)
 
 
 class ParseError(ValueError):
@@ -41,29 +36,6 @@ def _fmt_entry(v: int) -> str:
     if v == MINUS_INF:
         return "-inf"
     return str(v)
-
-
-def _escape_label(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch.isalnum() or ch in "_-":
-            out.append(ch)
-        else:
-            out.append("%" + format(ord(ch), "04x"))
-    return "".join(out)
-
-
-def _unescape_label(s: str) -> str:
-    out = []
-    i = 0
-    while i < len(s):
-        if s[i] == "%":
-            out.append(chr(int(s[i + 1:i + 5], 16)))
-            i += 5
-        else:
-            out.append(s[i])
-            i += 1
-    return "".join(out)
 
 
 def serialize(instance) -> str:
@@ -102,17 +74,6 @@ def serialize(instance) -> str:
             lines.append(f"S {i} : " + " ".join(str(e) for e in members))
         for a, b in instance.queries:
             lines.append(f"Q {a} {b}")
-    elif isinstance(instance, ListingParams):
-        frac = instance.degree_fraction
-        t = "-" if instance.per_edge_cap is None else str(instance.per_edge_cap)
-        tt = "-" if instance.global_cap is None else str(instance.global_cap)
-        lines.append(f"LPR {instance.size_a} {instance.size_b} {instance.size_c} "
-                     f"{frac.numerator}/{frac.denominator} {t} {tt}")
-    elif isinstance(instance, RngStream):
-        labels = " ".join(
-            f"i:{lab}" if isinstance(lab, int) else f"s:{_escape_label(lab)}"
-            for lab in instance.stream_path)
-        lines.append(f"RNG {instance.master_seed} :" + (" " + labels if labels else ""))
     else:
         raise TypeError(f"cannot serialize {type(instance).__name__}")
     return "\n".join(lines) + "\n"
@@ -145,7 +106,7 @@ def parse_documents(text: str) -> list:
     out = []
     pending: list[tuple[int, list[str]]] = []
     for line_no, toks in _numbered_lines(text):
-        if toks[0] in ("TWG", "CVG", "IMX", "SFI", "LPR", "RNG") and pending:
+        if toks[0] in ("TWG", "CVG", "IMX", "SFI") and pending:
             out.append(_parse_block(pending))
             pending = []
         pending.append((line_no, toks))
@@ -176,10 +137,6 @@ def _parse_block(lines: list[tuple[int, list[str]]]):
             return _parse_imx(lines)
         if kind == "SFI":
             return _parse_sfi(lines)
-        if kind == "LPR":
-            return _parse_lpr(line_no, toks, lines)
-        if kind == "RNG":
-            return _parse_rng(line_no, toks, lines)
     except ParseError:
         raise
     except ValueError as exc:
@@ -287,30 +244,3 @@ def _parse_sfi(lines) -> SetFamilyInstance:
                          f"header promises {n_queries} queries, found {len(queries)}")
     return SetFamilyInstance(universe, filled, tuple(queries), cap)
 
-
-def _parse_lpr(line_no, toks, lines) -> ListingParams:
-    if len(lines) != 1 or len(toks) != 7:
-        raise ParseError(line_no, "LPR is a single line with 6 fields")
-    a, b, c = (_int(t, line_no, "size") for t in toks[1:4])
-    if "/" not in toks[4]:
-        raise ParseError(line_no, "degree fraction must look like num/den")
-    num, den = toks[4].split("/", 1)
-    frac = Fraction(_int(num, line_no, "fraction"), _int(den, line_no, "fraction"))
-    t = None if toks[5] == "-" else _int(toks[5], line_no, "per-edge cap")
-    tt = None if toks[6] == "-" else _int(toks[6], line_no, "global cap")
-    return ListingParams(a, b, c, frac, t, tt)
-
-
-def _parse_rng(line_no, toks, lines) -> RngStream:
-    if len(lines) != 1 or len(toks) < 3 or toks[2] != ":":
-        raise ParseError(line_no, "RNG line must look like 'RNG seed : labels...'")
-    seed = _int(toks[1], line_no, "seed")
-    labels: list = []
-    for tok in toks[3:]:
-        if tok.startswith("i:"):
-            labels.append(_int(tok[2:], line_no, "label"))
-        elif tok.startswith("s:"):
-            labels.append(_unescape_label(tok[2:]))
-        else:
-            raise ParseError(line_no, f"bad label token {tok!r}")
-    return RngStream(seed, tuple(labels))

@@ -82,7 +82,6 @@ def listing_via_unique(
     per_edge_cap: int,
     unique_solver: UniqueSolver,
     rng: RngStream,
-    c_iter: int = 4,
 ) -> dict[tuple[int, int], list[Triangle]]:
     """Recover up to ``per_edge_cap`` triangles per A x B edge by random
     C-subsampling.
@@ -91,7 +90,7 @@ def listing_via_unique(
     triangle count sits near 2^l, a kept subset often isolates exactly one
     not-yet-found triangle, which the unique solver then reports. Stage
     count is ceil(3 log2(|C|+2)); each stage runs
-    c_iter * cap^2 * ceil(log2(n+2)) iterations. Found triangles are
+    4 * cap^2 * ceil(log2(n+2)) iterations. Found triangles are
     verified against g before being kept, and each edge's list is returned
     sorted and truncated to the cap.
     """
@@ -103,7 +102,7 @@ def listing_via_unique(
     nc = g.part_sizes[2]
     n = sum(g.part_sizes)
     stages = ceil_log2((nc + 2) ** 3)  # = ceil(3 log2(nc + 2))
-    iterations = c_iter * per_edge_cap * per_edge_cap * ceil_log2(n + 2)
+    iterations = 4 * per_edge_cap * per_edge_cap * ceil_log2(n + 2)
     has_bc = {(b, c) for b, c, _w in g.edges_bc}
     has_ca = {(c, a) for c, a, _w in g.edges_ca}
 
@@ -143,10 +142,9 @@ def listing_via_detection(
     per_edge_cap: int,
     detection_solver: DetectionSolver,
     rng: RngStream,
-    c_iter: int = 4,
 ) -> dict[tuple[int, int], list[Triangle]]:
     """Composition: listing through unique-listing through detection."""
     def unique(sub: TripartiteWeightedGraph):
         return unique_listing_via_detection(sub, detection_solver)
 
-    return listing_via_unique(g, per_edge_cap, unique, rng, c_iter=c_iter)
+    return listing_via_unique(g, per_edge_cap, unique, rng)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph
-from .oracles import Triangle
+from .oracles import Triangle, _weight_maps
 from .rng import RngStream
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -27,7 +27,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for anything this package draws."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n == small:
             return True
         if n % small == 0:
@@ -110,24 +110,11 @@ class RangeSplit:
 
 @dataclass(frozen=True)
 class SubinstanceReport:
-    """One range triple's subinstance: its graph, what pruning removed, and
-    (once a listing solver ran) what was listed and which hits verified."""
+    """One range triple's subinstance: its graph and what pruning removed."""
 
     triple: tuple[int, int, int]
     graph: TripartiteWeightedGraph
     pruned: tuple[tuple[str, int], ...]
-    listed: tuple[Triangle, ...] = ()
-    hits: tuple[Triangle, ...] = ()
-
-
-def exact_to_zero(g: TripartiteWeightedGraph, target: int) -> TripartiteWeightedGraph:
-    """Shift every A x B weight down by the target: T-triangles become
-    zero triangles, bijectively."""
-    mod = g.weight_modulus
-    shifted = tuple(
-        (a, b, (w - target) % mod if mod is not None else w - target)
-        for a, b, w in g.edges_ab)
-    return replace(g, edges_ab=shifted)
 
 
 def pick_prime(max_abs_weight: int, rng: RngStream) -> int:
@@ -344,12 +331,6 @@ ListingSolver = Callable[[TripartiteWeightedGraph, int],
 GlobalListingSolver = Callable[[TripartiteWeightedGraph, int], list[Triangle]]
 
 
-def _original_weight_maps(g: TripartiteWeightedGraph):
-    return ({(u, v): w for u, v, w in g.edges_ab},
-            {(u, v): w for u, v, w in g.edges_bc},
-            {(u, v): w for u, v, w in g.edges_ca})
-
-
 def _verified_hit(tri: Triangle, maps) -> bool:
     w_ab, w_bc, w_ca = maps
     a, b, c = tri
@@ -358,30 +339,38 @@ def _verified_hit(tri: Triangle, maps) -> bool:
     return w_ab[(a, b)] + w_bc[(b, c)] + w_ca[(c, a)] == 0
 
 
-def _run_trials(g, s, trials, rng, per_subinstance, first_trial=0):
-    """Shared trial loop: randomize, split, enumerate, visit subinstances.
-
-    ``first_trial`` shifts the trial indices (and hence the derived
-    streams), so disjoint chunks run by different workers reproduce the
-    sequential run exactly.
-    """
-    if min(g.part_sizes) == 0 or trials <= 0:
-        return False, None
+def _randomized_trials(g, s, trials, rng):
+    """Per trial: its index, the prime, the sheared mod-p graph and the
+    range split of F_p."""
     w_bound = max(1, g.max_abs_weight())
-    maps = _original_weight_maps(g)
-    for trial in range(first_trial, first_trial + trials):
+    for trial in range(trials):
         stream = rng.child("trial", trial)
         p = pick_prime(w_bound, stream.child("prime"))
         if s > p:
             raise ValueError(f"range count {s} exceeds prime {p}")
         gp = reduce_mod_p(g, p)
         rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
-        sheared = randomize_weights(gp, rd)
-        rs = split_ranges(p, s)
+        yield trial, p, randomize_weights(gp, rd), split_ranges(p, s)
+
+
+def _run_trials(g, s, lister, cap, trials, rng, report_sink):
+    """Shared trial loop: list every range triple's subinstance, re-verify
+    the listed triangles against g's weights, stop at the first hit."""
+    if min(g.part_sizes) == 0 or trials <= 0:
+        return False, None
+    maps = _weight_maps(g)
+    for trial, _p, sheared, rs in _randomized_trials(g, s, trials, rng):
         for triple in enumerate_zero_triples(rs):
-            hit = per_subinstance(trial, sheared, rs, triple, maps)
-            if hit is not None:
-                return True, hit
+            report = build_subinstance(sheared, rs, triple)
+            listed = lister(report.graph, cap)
+            hits = [tri for tri in listed if _verified_hit(tri, maps)]
+            if report_sink is not None:
+                report_sink({"trial": trial, "triple": list(triple),
+                             "edges_kept": report.graph.edge_count,
+                             "pruned": len(report.pruned),
+                             "listed": len(listed), "hits": len(hits)})
+            if hits:
+                return True, hits[0]
     return False, None
 
 
@@ -393,7 +382,6 @@ def zero_triangle_via_listing(
     rng: RngStream,
     per_edge_cap: Optional[int] = None,
     report_sink: Optional[Callable[[dict], None]] = None,
-    first_trial: int = 0,
 ) -> tuple[bool, Optional[Triangle]]:
     """Decide Zero Triangle through an all-edges listing solver.
 
@@ -405,21 +393,11 @@ def zero_triangle_via_listing(
     cap = per_edge_cap if per_edge_cap is not None \
         else default_per_edge_cap(g.part_sizes[2], s)
 
-    def visit(trial, sheared, rs, triple, maps):
-        report = build_subinstance(sheared, rs, triple)
-        lists = listing_solver(report.graph, cap)
-        listed = tuple(tri for edge in sorted(lists) for tri in lists[edge])
-        hits = tuple(tri for tri in listed if _verified_hit(tri, maps))
-        report = replace(report, listed=listed, hits=hits)
-        if report_sink is not None:
-            report_sink({"trial": trial, "triple": list(triple),
-                         "edges_kept": report.graph.edge_count,
-                         "pruned": len(report.pruned),
-                         "listed": len(report.listed),
-                         "hits": len(report.hits)})
-        return report.hits[0] if report.hits else None
+    def flat(graph, edge_cap):
+        lists = listing_solver(graph, edge_cap)
+        return [tri for edge in sorted(lists) for tri in lists[edge]]
 
-    return _run_trials(g, s, trials, rng, visit, first_trial=first_trial)
+    return _run_trials(g, s, flat, cap, trials, rng, report_sink)
 
 
 def zero_triangle_via_global_listing(
@@ -430,26 +408,12 @@ def zero_triangle_via_global_listing(
     rng: RngStream,
     global_cap: Optional[int] = None,
     report_sink: Optional[Callable[[dict], None]] = None,
-    first_trial: int = 0,
 ) -> tuple[bool, Optional[Triangle]]:
     """Same pipeline against a globally-capped listing solver."""
     cap = global_cap if global_cap is not None \
         else default_global_cap(g.part_sizes, s)
-
-    def visit(trial, sheared, rs, triple, maps):
-        report = build_subinstance(sheared, rs, triple)
-        listed = tuple(global_listing_solver(report.graph, cap))
-        hits = tuple(tri for tri in listed if _verified_hit(tri, maps))
-        report = replace(report, listed=listed, hits=hits)
-        if report_sink is not None:
-            report_sink({"trial": trial, "triple": list(triple),
-                         "edges_kept": report.graph.edge_count,
-                         "pruned": len(report.pruned),
-                         "listed": len(report.listed),
-                         "hits": len(report.hits)})
-        return report.hits[0] if report.hits else None
-
-    return _run_trials(g, s, trials, rng, visit, first_trial=first_trial)
+    return _run_trials(g, s, global_listing_solver, cap, trials, rng,
+                       report_sink)
 
 
 @dataclass(frozen=True)
@@ -474,33 +438,20 @@ def claim_statistics(
     s: int,
     trials: int,
     rng: RngStream,
-    first_trial: int = 0,
 ) -> ClaimStatistics:
     """Measure, over independent randomizations, how often the planted zero
     triangle's subinstance behaves as the analysis promises."""
-    maps = _original_weight_maps(g)
+    maps = _weight_maps(g)
     if not _verified_hit(planted, maps):
         raise ValueError("planted triple is not a zero triangle of g")
     pa, pb, pc = planted
     na, nb, nc = g.part_sizes
-    w_bound = max(1, g.max_abs_weight())
     per_edge_bound = 900 * nc // (s * s)
     global_bound = 8100 * na * nb * nc // (s ** 3)
 
     ok1 = ok2 = ok3 = 0
-    for trial in range(first_trial, first_trial + trials):
-        stream = rng.child("trial", trial)
-        p = pick_prime(w_bound, stream.child("prime"))
-        if s > p:
-            raise ValueError(f"range count {s} exceeds prime {p}")
-        gp = reduce_mod_p(g, p)
-        rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
-        sheared = randomize_weights(gp, rd)
-        rs = split_ranges(p, s)
-
-        w2_ab = {(u, v): w for u, v, w in sheared.edges_ab}
-        w2_bc = {(u, v): w for u, v, w in sheared.edges_bc}
-        w2_ca = {(u, v): w for u, v, w in sheared.edges_ca}
+    for _trial, p, sheared, rs in _randomized_trials(g, s, trials, rng):
+        w2_ab, w2_bc, w2_ca = _weight_maps(sheared)
         i = rs.index_of(w2_ca[(pc, pa)])
         j = rs.index_of(w2_bc[(pb, pc)])
         k = rs.index_of(w2_ab[(pa, pb)])

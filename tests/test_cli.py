@@ -3,6 +3,7 @@
 import json
 import os
 
+import pytest
 
 from fgtri.cli import main
 
@@ -157,20 +158,6 @@ def test_reduce_tiled_iteration_finds_planted_triangle(tmp_path, capsys):
     assert triangle_weight_sum(g, (a, b, c)) == 0
 
 
-def test_reduce_jobs_fanout_matches_sequential(tmp_path):
-    twg = tmp_path / "p.twg"
-    main(["gen", "--type", "zero-triangle", "--n", "21", "--plant",
-          "--seed", "31", "--out", str(twg)])
-    outputs = []
-    for jobs in ("1", "3"):
-        out = tmp_path / f"v{jobs}"
-        assert main(["reduce", "--pipeline", "zero-via-listing", "--s", "2",
-                     "--trials", "8", "--seed", "6", "--jobs", jobs,
-                     "--in", str(twg), "--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-
-
 def test_reduce_monoeq_pipeline_check(tmp_path):
     cvg = tmp_path / "c.cvg"
     main(["gen", "--type", "colored", "--n", "9", "--value-sides", "all",
@@ -255,16 +242,6 @@ def test_verify_single_range_f1_is_one(tmp_path):
     assert records["f1_planted_survives"]["value"] == 1.0
 
 
-def test_verify_jobs_chunking_matches_sequential(tmp_path):
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    for path, jobs in ((seq, "1"), (par, "3")):
-        assert main(["verify", "--n", "24", "--s", "2", "--trials", "40",
-                     "--mult-runs", "8", "--seed", "17", "--jobs", jobs,
-                     "--out", str(path)]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_bench_table_shape(tmp_path):
     out = tmp_path / "bench.json"
     assert main(["bench", "--sizes", "16,9", "--solvers",
@@ -293,3 +270,36 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
         assert main(["gen", "--type", "zero-triangle", "--n", "12",
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unwritable_out_exits_3(tmp_path):
+    missing = tmp_path / "no-such-dir" / "x"
+    assert main(["gen", "--type", "colored", "--seed", "1",
+                 "--out", str(missing)]) == 3
+
+
+def test_unwritable_report_exits_3(tmp_path):
+    twg = tmp_path / "g.twg"
+    main(["gen", "--type", "zero-triangle", "--n", "9", "--seed", "1",
+          "--out", str(twg)])
+    assert main(["reduce", "--pipeline", "sparse-to-disjointness",
+                 "--in", str(twg), "--out", os.devnull,
+                 "--report", str(tmp_path / "no-such-dir" / "r")]) == 3
+
+
+def test_missing_input_returns_3(tmp_path):
+    assert main(["solve", "--solver", "zero-bf",
+                 "--in", str(tmp_path / "absent.twg")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "0"],
+    ["verify", "--mult-runs", "0"],
+    ["bench", "--reps", "0"],
+])
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "Traceback" not in err

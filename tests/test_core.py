@@ -1,17 +1,14 @@
 """Domain types, generators, and the text round trip."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgtri import (ColoredValuedGraph, IntMatrix, ListingParams, MINUS_INF,
-                   PLUS_INF, RngStream, SetFamilyInstance,
-                   TripartiteWeightedGraph, balanced_split, generate_colored,
-                   generate_matrix, generate_set_family,
-                   generate_sparse_tripartite, generate_tripartite, parse,
-                   parse_documents, random_three_coloring, serialize,
+from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
+                   RngStream, SetFamilyInstance, TripartiteWeightedGraph,
+                   balanced_split, generate_colored, generate_matrix,
+                   generate_set_family, generate_sparse_tripartite,
+                   generate_tripartite, parse, parse_documents, serialize,
                    triangle_weight_sum, zero_triangle_bf)
 from fgtri.textio import ParseError
 
@@ -63,16 +60,6 @@ def test_sentinel_sums_fit_in_64_bits():
     assert MINUS_INF + MINUS_INF > -(2 ** 63)
 
 
-def test_listing_params_degree_check():
-    params = ListingParams(2, 2, 4, Fraction(1, 2), per_edge_cap=1)
-    ok = TripartiteWeightedGraph((2, 2, 4), edges_bc=((0, 0, 1), (0, 1, 1)))
-    too_dense = TripartiteWeightedGraph(
-        (2, 2, 4), edges_bc=((0, 0, 1), (0, 1, 1), (0, 2, 1)))
-    assert params.admits(ok)
-    assert not params.admits(too_dense)
-    assert params.degree_bound(4) == 2
-
-
 def test_set_family_validation():
     with pytest.raises(ValueError):
         SetFamilyInstance(2, ((0, 2),), ())
@@ -122,27 +109,6 @@ def test_generator_determinism():
     d = generate_colored((3, 3, 3), 2, 50, 4, frozenset({"IK", "JK"}),
                          RngStream(7))
     assert c == d
-
-
-def test_coloring_uniform_and_deterministic():
-    counts = [0, 0, 0]
-    for seed in range(10000):
-        counts[random_three_coloring(1, RngStream(seed))[0]] += 1
-    for c in counts:
-        assert abs(c / 10000 - 1 / 3) < 0.05
-    assert random_three_coloring(6, RngStream(3)) == \
-        random_three_coloring(6, RngStream(3))
-
-
-def test_triangle_goes_rainbow_within_100_colorings():
-    # Analytically 1 - (1 - 6/27)^100 ~ 1 - 1e-11 per batch; 200 batches.
-    base = RngStream(99)
-    for batch in range(200):
-        stream = base.child("batch", batch)
-        assert any(
-            len(set(random_three_coloring(3, stream.child(i)))) == 3
-            for i in range(100)
-        )
 
 
 # ------------------------------------------------------------ round trips
@@ -198,14 +164,6 @@ def test_round_trip_matrices(rows, cols, seed):
 def test_round_trip_set_family(seed):
     s = generate_set_family(12, 5, 6, 8, RngStream(seed), output_cap=3)
     assert parse(serialize(s)) == s
-
-
-def test_round_trip_listing_params_and_stream():
-    p = ListingParams(4, 5, 6, Fraction(2, 3), 7, None)
-    assert parse(serialize(p)) == p
-    r = RngStream(555, ("trial", 3, "odd label!"))
-    back = parse(serialize(r))
-    assert (back.master_seed, back.stream_path) == (r.master_seed, r.stream_path)
 
 
 def test_round_trip_modulus_graph():

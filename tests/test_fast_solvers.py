@@ -119,10 +119,3 @@ def test_mono_fast_battery_mixed_colors():
                              RngStream(3000 + seed))
         d = 1 + seed % 4
         assert ae_mono_triangle_fast(g, d) == ae_mono_triangle_bf(g)
-
-
-def test_mono_fast_size_threshold_crossover_is_semantics_free():
-    g = generate_colored((6, 6, 6), 2, 60, 1, frozenset(), RngStream(4))
-    want = ae_mono_triangle_bf(g)
-    for size_threshold in (0, 3, 100):
-        assert ae_mono_triangle_fast(g, 1, size_threshold) == want

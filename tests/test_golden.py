@@ -11,8 +11,11 @@ Regenerate the corpus (only when a change is meant to alter the bytes) with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -48,10 +51,6 @@ def test_golden_run(case, tmp_path, capsys):
 
 
 def _regenerate() -> None:
-    import contextlib
-    import io
-    import tempfile
-
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             buf = io.StringIO()
