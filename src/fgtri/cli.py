@@ -8,7 +8,7 @@ reported result can be replayed. Reports are JSON lines with sorted keys
 and no timestamps: same seed, same bytes.
 
 Exit codes: 0 success, 1 check mismatch, 2 usage error, 3 I/O or parse
-error (an unreadable input or an unwritable output path).
+error (an unreadable or non-UTF-8 input, or an unwritable output path).
 """
 
 from __future__ import annotations
@@ -655,8 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="JSON-lines per-subinstance report path")
     reduce_p.add_argument("--s", type=int, default=4,
                           help="range count for the field split")
-    reduce_p.add_argument("--trials", type=int, default=None)
-    reduce_p.add_argument("--trial-multiplier", type=int, default=100)
+    reduce_p.add_argument("--trials", type=_positive_int, default=None)
+    reduce_p.add_argument("--trial-multiplier", type=_positive_int,
+                          default=100)
     reduce_p.add_argument("--cap", type=int, default=3)
     reduce_p.add_argument("--global-cap", type=int, default=-1)
     reduce_p.add_argument("--degree-threshold", type=int, default=2)
@@ -705,7 +706,7 @@ def main(argv=None) -> int:
     except textio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -101,11 +101,21 @@ class RangeSplit:
         """1-based id of the range containing the residue."""
         if not 0 <= residue < self.prime:
             raise ValueError(f"residue {residue} outside [0, {self.prime})")
-        base, extra = divmod(self.prime, len(self.ranges))
-        head = extra * (base + 1)
+        return _range_locator(self.prime, len(self.ranges))(residue) + 1
+
+
+def _range_locator(prime: int, s: int) -> Callable[[int], int]:
+    """Map a residue in [0, prime) to the 0-based position of its range,
+    the first prime mod s of the s ranges being one longer than the rest."""
+    base, extra = divmod(prime, s)
+    head = extra * (base + 1)
+
+    def locate(residue: int) -> int:
         if residue < head:
-            return residue // (base + 1) + 1
-        return extra + (residue - head) // base + 1
+            return residue // (base + 1)
+        return extra + (residue - head) // base
+
+    return locate
 
 
 @dataclass(frozen=True)
@@ -250,6 +260,48 @@ def default_trials(total_vertices: int, multiplier: int = 100) -> int:
     return multiplier * ceil_log2(total_vertices + 2)
 
 
+@dataclass(frozen=True)
+class _PairBuckets:
+    """One pair's edges split by the range of their mod-p weight.
+
+    Entry r of each tuple belongs to the 0-based range r: the edges in input
+    order, and the degree of every first-part (deg_u) and second-part
+    (deg_v) vertex counted over those edges alone.
+    """
+
+    edges: tuple[tuple[tuple[int, int, int], ...], ...]
+    deg_u: tuple[list[int], ...]
+    deg_v: tuple[list[int], ...]
+
+
+def _bucket_pair(edges, n_u: int, n_v: int, locate, s: int) -> _PairBuckets:
+    buckets = [[] for _ in range(s)]
+    deg_u = tuple([0] * n_u for _ in range(s))
+    deg_v = tuple([0] * n_v for _ in range(s))
+    for edge in edges:
+        r = locate(edge[2])
+        buckets[r].append(edge)
+        deg_u[r][edge[0]] += 1
+        deg_v[r][edge[1]] += 1
+    return _PairBuckets(tuple(map(tuple, buckets)), deg_u, deg_v)
+
+
+def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit,
+                 ) -> tuple[_PairBuckets, _PairBuckets, _PairBuckets]:
+    """gp's AB, BC and CA buckets under rs, built in one pass and cached on
+    gp for the last split it was asked about."""
+    cached = gp.__dict__.get("_range_index")
+    if cached is not None and cached[0] == rs:
+        return cached[1]
+    locate = _range_locator(rs.prime, rs.count)
+    na, nb, nc = gp.part_sizes
+    index = (_bucket_pair(gp.edges_ab, na, nb, locate, rs.count),
+             _bucket_pair(gp.edges_bc, nb, nc, locate, rs.count),
+             _bucket_pair(gp.edges_ca, nc, na, locate, rs.count))
+    object.__setattr__(gp, "_range_index", (rs, index))
+    return index
+
+
 def build_subinstance(
     gp: TripartiteWeightedGraph,
     rs: RangeSplit,
@@ -265,7 +317,12 @@ def build_subinstance(
     Default caps follow the pipeline constants: toward part P the cap is
     100|P|/s + 200. An explicit pair cap overrides both directions of that
     pair. Part sizes and vertex indices are preserved; deletion means
-    dropping incident edges.
+    dropping incident edges, and the kept edges stay in input order.
+
+    Cost: the first call for a (gp, rs) pair buckets gp's edges by range
+    and counts per-range degrees in O(m); every call then takes O(n + kept
+    edges) to read the three buckets, compare degrees with the caps and
+    build the subinstance.
     """
     if gp.weight_modulus != rs.prime:
         raise ValueError("subinstance selection needs mod-p weights")
@@ -274,44 +331,25 @@ def build_subinstance(
     for idx in (i, j, k):
         if not 1 <= idx <= s:
             raise ValueError(f"range id {idx} outside 1..{s}")
-    lo_i, hi_i = rs.ranges[i - 1]
-    lo_j, hi_j = rs.ranges[j - 1]
-    lo_k, hi_k = rs.ranges[k - 1]
+    ab, bc, ca = _range_index(gp, rs)
+    sel_ab, sel_bc, sel_ca = ab.edges[k - 1], bc.edges[j - 1], ca.edges[i - 1]
 
-    sel_ca = [(c, a, w) for c, a, w in gp.edges_ca if lo_i <= w <= hi_i]
-    sel_bc = [(b, c, w) for b, c, w in gp.edges_bc if lo_j <= w <= hi_j]
-    sel_ab = [(a, b, w) for a, b, w in gp.edges_ab if lo_k <= w <= hi_k]
+    def cap(explicit, dest_size):
+        # A vertex without edges in the subinstance is never deleted.
+        return max(0, explicit if explicit is not None
+                   else default_degree_cap(dest_size, s))
 
     na, nb, nc = gp.part_sizes
-    caps = {
-        ("A", "B"): degree_cap_ab if degree_cap_ab is not None else default_degree_cap(nb, s),
-        ("B", "A"): degree_cap_ab if degree_cap_ab is not None else default_degree_cap(na, s),
-        ("A", "C"): degree_cap_ca if degree_cap_ca is not None else default_degree_cap(nc, s),
-        ("C", "A"): degree_cap_ca if degree_cap_ca is not None else default_degree_cap(na, s),
-        ("B", "C"): degree_cap_bc if degree_cap_bc is not None else default_degree_cap(nc, s),
-        ("C", "B"): degree_cap_bc if degree_cap_bc is not None else default_degree_cap(nb, s),
-    }
-
-    deg: dict[tuple[str, int, str], int] = {}
-
-    def bump(part, idx, toward):
-        key = (part, idx, toward)
-        deg[key] = deg.get(key, 0) + 1
-
-    for a, b, _w in sel_ab:
-        bump("A", a, "B")
-        bump("B", b, "A")
-    for b, c, _w in sel_bc:
-        bump("B", b, "C")
-        bump("C", c, "B")
-    for c, a, _w in sel_ca:
-        bump("C", c, "A")
-        bump("A", a, "C")
-
     doomed: set[tuple[str, int]] = set()
-    for (part, idx, toward), count in deg.items():
-        if count > caps[(part, toward)]:
-            doomed.add((part, idx))
+    for part, degs, limit in (
+            ("A", ab.deg_u[k - 1], cap(degree_cap_ab, nb)),
+            ("B", ab.deg_v[k - 1], cap(degree_cap_ab, na)),
+            ("B", bc.deg_u[j - 1], cap(degree_cap_bc, nc)),
+            ("C", bc.deg_v[j - 1], cap(degree_cap_bc, nb)),
+            ("C", ca.deg_u[i - 1], cap(degree_cap_ca, na)),
+            ("A", ca.deg_v[i - 1], cap(degree_cap_ca, nc))):
+        if max(degs, default=0) > limit:
+            doomed.update((part, v) for v, d in enumerate(degs) if d > limit)
 
     if doomed:
         sel_ab = [(a, b, w) for a, b, w in sel_ab
@@ -321,8 +359,8 @@ def build_subinstance(
         sel_ca = [(c, a, w) for c, a, w in sel_ca
                   if ("C", c) not in doomed and ("A", a) not in doomed]
 
-    graph = replace(gp, edges_ab=tuple(sel_ab), edges_bc=tuple(sel_bc),
-                    edges_ca=tuple(sel_ca))
+    graph = TripartiteWeightedGraph(gp.part_sizes, sel_ab, sel_bc, sel_ca,
+                                    weight_modulus=gp.weight_modulus)
     return SubinstanceReport(triple, graph, tuple(sorted(doomed)))
 
 
@@ -441,6 +479,8 @@ def claim_statistics(
 ) -> ClaimStatistics:
     """Measure, over independent randomizations, how often the planted zero
     triangle's subinstance behaves as the analysis promises."""
+    if trials < 1:
+        raise ValueError(f"claim statistics need trials >= 1, got {trials}")
     maps = _weight_maps(g)
     if not _verified_hit(planted, maps):
         raise ValueError("planted triple is not a zero triangle of g")
@@ -457,25 +497,15 @@ def claim_statistics(
         k = rs.index_of(w2_ab[(pa, pb)])
         lo_i, hi_i = rs.ranges[i - 1]
         lo_j, hi_j = rs.ranges[j - 1]
-        lo_k, hi_k = rs.ranges[k - 1]
-
-        in_i = lambda w: lo_i <= w <= hi_i
-        in_j = lambda w: lo_j <= w <= hi_j
-        in_k = lambda w: lo_k <= w <= hi_k
+        ab, bc, ca = _range_index(sheared, rs)
 
         # f1: the six degree checks for the planted vertices.
-        deg_a_b = sum(1 for (a, b), w in w2_ab.items() if a == pa and in_k(w))
-        deg_b_a = sum(1 for (a, b), w in w2_ab.items() if b == pb and in_k(w))
-        deg_a_c = sum(1 for (c, a), w in w2_ca.items() if a == pa and in_i(w))
-        deg_c_a = sum(1 for (c, a), w in w2_ca.items() if c == pc and in_i(w))
-        deg_b_c = sum(1 for (b, c), w in w2_bc.items() if b == pb and in_j(w))
-        deg_c_b = sum(1 for (b, c), w in w2_bc.items() if c == pc and in_j(w))
-        survives = (deg_a_b <= default_degree_cap(nb, s)
-                    and deg_a_c <= default_degree_cap(nc, s)
-                    and deg_b_a <= default_degree_cap(na, s)
-                    and deg_b_c <= default_degree_cap(nc, s)
-                    and deg_c_a <= default_degree_cap(na, s)
-                    and deg_c_b <= default_degree_cap(nb, s))
+        survives = (ab.deg_u[k - 1][pa] <= default_degree_cap(nb, s)
+                    and ca.deg_v[i - 1][pa] <= default_degree_cap(nc, s)
+                    and ab.deg_v[k - 1][pb] <= default_degree_cap(na, s)
+                    and bc.deg_u[j - 1][pb] <= default_degree_cap(nc, s)
+                    and ca.deg_u[i - 1][pc] <= default_degree_cap(na, s)
+                    and bc.deg_v[j - 1][pc] <= default_degree_cap(nb, s))
         ok1 += survives
 
         # f2: false positives on the planted edge within the per-edge bound.
@@ -486,7 +516,8 @@ def claim_statistics(
                 continue
             wca = w2_ca.get((c2, pa))
             wbc = w2_bc.get((pb, c2))
-            if wca is None or wbc is None or not (in_i(wca) and in_j(wbc)):
+            if wca is None or wbc is None \
+                    or not (lo_i <= wca <= hi_i and lo_j <= wbc <= hi_j):
                 continue
             orig = w_ab[(pa, pb)] + w_bc[(pb, c2)] + w_ca[(c2, pa)]
             if orig % p != 0:
@@ -496,16 +527,12 @@ def claim_statistics(
         # f3: nonzero triangles in the whole subinstance within the bound.
         mask_a = [0] * na
         mask_b = [0] * nb
-        for (c2, a), w in w2_ca.items():
-            if in_i(w):
-                mask_a[a] |= 1 << c2
-        for (b, c2), w in w2_bc.items():
-            if in_j(w):
-                mask_b[b] |= 1 << c2
+        for c2, a, _w in ca.edges[i - 1]:
+            mask_a[a] |= 1 << c2
+        for b, c2, _w in bc.edges[j - 1]:
+            mask_b[b] |= 1 << c2
         nonzero = 0
-        for (a, b), w in w2_ab.items():
-            if not in_k(w):
-                continue
+        for a, b, _w in ab.edges[k - 1]:
             common = mask_a[a] & mask_b[b]
             while common:
                 c2 = (common & -common).bit_length() - 1

@@ -303,3 +303,25 @@ def test_non_positive_counts_are_usage_errors(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least 1" in err and "Traceback" not in err
+
+
+def test_non_utf8_input_exits_3(tmp_path, capsys):
+    bad = tmp_path / "bad.twg"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main(["solve", "--solver", "zero-bf", "--in", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--trial-multiplier"])
+def test_reduce_zero_trials_is_usage_error(flag, tmp_path, capsys):
+    twg = tmp_path / "p.twg"
+    main(["gen", "--type", "zero-triangle", "--n", "12", "--plant",
+          "--seed", "3", "--out", str(twg)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reduce", "--pipeline", "zero-via-listing", "--check",
+              flag, "0", "--seed", "1", "--in", str(twg)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "Traceback" not in err

@@ -282,6 +282,64 @@ def test_subinstance_default_caps_match_formula():
         assert count <= default_degree_cap(sizes[toward], 2)
 
 
+def reference_subinstance(gp, rs, triple, caps):
+    """A plain rescan of every edge, as build_subinstance once did it."""
+    i, j, k = triple
+    (lo_i, hi_i), (lo_j, hi_j), (lo_k, hi_k) = (rs.ranges[i - 1],
+                                                rs.ranges[j - 1],
+                                                rs.ranges[k - 1])
+    sel_ab = [e for e in gp.edges_ab if lo_k <= e[2] <= hi_k]
+    sel_bc = [e for e in gp.edges_bc if lo_j <= e[2] <= hi_j]
+    sel_ca = [e for e in gp.edges_ca if lo_i <= e[2] <= hi_i]
+    sizes = dict(zip("ABC", gp.part_sizes))
+    pair_cap = {frozenset("AB"): caps[0], frozenset("CA"): caps[1],
+                frozenset("BC"): caps[2]}
+    deg = {}
+    for pair, edges in (("AB", sel_ab), ("BC", sel_bc), ("CA", sel_ca)):
+        for u, v, _w in edges:
+            for part, idx, toward in ((pair[0], u, pair[1]),
+                                      (pair[1], v, pair[0])):
+                deg[(part, idx, toward)] = deg.get((part, idx, toward), 0) + 1
+    doomed = set()
+    for (part, idx, toward), count in deg.items():
+        cap = pair_cap[frozenset(part + toward)]
+        if cap is None:
+            cap = default_degree_cap(sizes[toward], rs.count)
+        if count > cap:
+            doomed.add((part, idx))
+    keep = lambda edges, pu, pv: tuple(
+        e for e in edges if (pu, e[0]) not in doomed and (pv, e[1]) not in doomed)
+    return ((keep(sel_ab, "A", "B"), keep(sel_bc, "B", "C"),
+             keep(sel_ca, "C", "A")), tuple(sorted(doomed)))
+
+
+def test_subinstance_matches_reference_scan_across_splits():
+    # The per-range index is cached on the graph; alternating two splits
+    # call by call must never serve one split's buckets to the other.
+    cap_sets = [(None, None, None), (2, 1, 3), (-1, 0, 2)]
+    pruned_somewhere = False
+    for seed in range(6):
+        _g, sheared, p = sheared_instance(200 + seed, sizes=(6, 7, 8))
+        calls = {s: [(rs, t) for rs in [split_ranges(p, s)]
+                     for t in enumerate_zero_triples(rs)] for s in (2, 3)}
+        longest = max(len(c) for c in calls.values())
+        for n in range(longest):
+            for s in (2, 3):
+                if n >= len(calls[s]):
+                    continue
+                rs, triple = calls[s][n]
+                for caps in cap_sets:
+                    rep = build_subinstance(sheared, rs, triple, *caps)
+                    edges, pruned = reference_subinstance(sheared, rs,
+                                                          triple, caps)
+                    assert (rep.graph.edges_ab, rep.graph.edges_bc,
+                            rep.graph.edges_ca) == edges
+                    assert rep.pruned == pruned
+                    assert rep.graph.part_sizes == sheared.part_sizes
+                    pruned_somewhere |= bool(pruned)
+    assert pruned_somewhere
+
+
 # ------------------------------------------------------------ pipelines
 
 def test_pipeline_degenerate_parameters_match_brute_force():
@@ -360,3 +418,10 @@ def test_claim_statistics_reports_bounds():
     assert stats.global_bound == 8100 * 16 ** 3 // 64
     assert 0.0 <= min(stats.f1, stats.f2, stats.f3)
     assert max(stats.f1, stats.f2, stats.f3) <= 1.0
+
+
+def test_claim_statistics_rejects_non_positive_trials():
+    g, planted = generate_tripartite(9, 25, True, RngStream(16))
+    for trials in (0, -1):
+        with pytest.raises(ValueError):
+            claim_statistics(g, planted, 2, trials, RngStream(17))
