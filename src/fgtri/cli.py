@@ -21,6 +21,7 @@ import secrets
 import sys
 import time
 from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from . import generators, oracles, products, setfam, textio, witness_listing
 from . import monoeq as monoeq_mod
@@ -36,11 +37,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class CheckFailure(Exception):
-    pass
-
-
-class UsageFailure(Exception):
+class UsageFailure(ValueError):
     pass
 
 
@@ -86,13 +83,11 @@ _VALUE_SIDES = {
 def cmd_gen(args) -> int:
     seed = _resolve_seed(args)
     rng = RngStream(seed, ("gen", args.type))
-    lines = []
+    planted = None
     if args.type == "zero-triangle":
         graph, planted = generators.generate_tripartite(
             args.n, args.weight_bound, args.plant, rng)
         text = textio.serialize(graph)
-        if planted is not None:
-            lines.append(f"PLANTED {planted[0]} {planted[1]} {planted[2]}")
     elif args.type == "colored":
         sizes = generators.balanced_split(args.n)
         graph = generators.generate_colored(
@@ -106,20 +101,18 @@ def cmd_gen(args) -> int:
         a = generators.generate_matrix(args.n, args.n, lo, hi, rng.child("a"))
         b = generators.generate_matrix(args.n, args.n, lo, hi, rng.child("b"))
         text = textio.serialize(a) + textio.serialize(b)
-    elif args.type == "sets":
+    else:  # sets; argparse restricts the choices
         inst = generators.generate_set_family(
             args.universe, args.family, args.max_set, args.queries, rng,
             args.cap)
         text = textio.serialize(inst)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageFailure(f"unknown instance type {args.type}")
     _write_text(args.out, text)
-    for line in lines:
-        print(line)
+    if planted is not None:
+        print(f"PLANTED {planted[0]} {planted[1]} {planted[2]}")
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- solve
+# ---------------------------------------------------------------- tables
 
 def _format_sparse_answers(answers) -> str:
     return "".join(f"EDGE {a} {b} {int(val)}\n"
@@ -129,6 +122,11 @@ def _format_sparse_answers(answers) -> str:
 def _format_mono_answers(answers) -> str:
     return "".join(f"{pair} {u} {v} {int(val)}\n"
                    for (pair, u, v), val in sorted(answers.items()))
+
+
+def _format_entries(answers) -> str:
+    return "".join(f"ENTRY {u} {v} {'inf' if val == PLUS_INF else int(val)}\n"
+                   for (u, v), val in sorted(answers.items()))
 
 
 def _format_lists(lists) -> str:
@@ -143,98 +141,74 @@ def _format_witness(witness) -> str:
     return f"WITNESS {witness[0]} {witness[1]} {witness[2]}\n"
 
 
-def _expect(instance, cls, what: str):
-    if not isinstance(instance, cls):
-        raise UsageFailure(f"{what} needs a {cls.__name__} input")
-    return instance
+# An input type is the class of each document its file must hold.
+_TWG = (TripartiteWeightedGraph,)
+_CVG = (ColoredValuedGraph,)
+_PAIR = (IntMatrix, IntMatrix)
 
 
-_PRODUCT_KIND_FLAGS = {
-    "min-eq": oracles.MIN_EQ, "min-le": oracles.MIN_LE,
-    "max-le": oracles.MAX_LE, "max-min": oracles.MAX_MIN,
-    "min-witness": oracles.MIN_WITNESS, "exists-eq": oracles.EXISTS_EQ,
-    "exists-dom": oracles.EXISTS_DOM,
+class _Solver(NamedTuple):
+    input: tuple
+    run: Callable       # (args, kind, *documents) -> answers
+    format: Callable    # answers -> output text
+    oracle: Optional[Callable] = None  # *documents -> what --check expects
+    kinds: dict = {}    # --kind value -> product flag; the first is the default
+
+
+class _Pipeline(NamedTuple):
+    input: tuple
+    inners: dict        # --inner value -> solver; the first is the default
+    run: Callable       # (args, inner, rng, sink, *documents) -> (text, check)
+
+
+def _plain(fn):
+    """A solver run that needs neither the options nor a kind."""
+    return lambda _args, _kind, *docs: fn(*docs)
+
+
+def _kind_names(flags) -> dict:
+    """--kind values: each oracle flag in lower case with dashes, in order."""
+    return {flag.lower().replace("_", "-"): flag for flag in flags}
+
+
+def _sets_bf(args, _kind, s: SetFamilyInstance) -> str:
+    if args.mode == "disjointness":
+        answers = oracles.set_queries_bf(s, oracles.DISJOINTNESS)
+        return "".join(f"Q {i} {j} {int(val)}\n"
+                       for (i, j), val in zip(s.queries, answers))
+    lists = oracles.set_queries_bf(s, oracles.INTERSECTION)
+    return "".join(f"Q {i} {j} : " + " ".join(map(str, elems)) + "\n"
+                   for (i, j), elems in zip(s.queries, lists))
+
+
+_SOLVERS = {
+    "zero-bf": _Solver(_TWG, _plain(oracles.zero_triangle_bf), _format_witness),
+    "exact-bf": _Solver(
+        _TWG, lambda args, _k, g: oracles.exact_triangle_bf(g, args.target),
+        _format_witness),
+    "ae-sparse-bf": _Solver(_TWG, _plain(oracles.ae_sparse_triangle_bf),
+                            _format_sparse_answers),
+    "ae-sparse-fast": _Solver(
+        _TWG, lambda args, _k, g: ae_sparse_triangle_fast(g, args.delta),
+        _format_sparse_answers, oracles.ae_sparse_triangle_bf),
+    "ae-mono-bf": _Solver(_CVG, _plain(oracles.ae_mono_triangle_bf),
+                          _format_mono_answers),
+    "ae-mono-fast": _Solver(
+        _CVG, lambda args, _k, g: ae_mono_triangle_fast(g, args.degree_threshold),
+        _format_mono_answers, oracles.ae_mono_triangle_bf),
+    "ae-monoeq-bf": _Solver(_CVG, _plain(oracles.ae_monoeq_triangle_bf),
+                            _format_mono_answers),
+    "list-bf": _Solver(
+        _TWG, lambda args, _k, g: oracles.triangle_list_bf(
+            g, args.per_edge_cap, args.global_cap), _format_lists),
+    "product-bf": _Solver(
+        _PAIR, lambda _args, kind, a, b: oracles.product_bf(a, b, kind),
+        textio.serialize, kinds=_kind_names(oracles.PRODUCT_KINDS)),
+    "mono-product-bf": _Solver(
+        _CVG, lambda _args, kind, g: oracles.mono_product_bf(g, kind),
+        _format_entries, kinds=_kind_names(oracles.MONO_KINDS)),
+    "sets-bf": _Solver((SetFamilyInstance,), _sets_bf, str),
 }
-_MONO_KIND_FLAGS = {
-    "mono-eq": oracles.MONO_EQ, "mono-min-eq": oracles.MONO_MIN_EQ,
-    "mono-min-le": oracles.MONO_MIN_LE,
-}
-
-
-def cmd_solve(args) -> int:
-    docs = _read_documents(args.input)
-    instance = docs[0]
-    name = args.solver
-    out: str
-    if name == "zero-bf":
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        out = _format_witness(oracles.zero_triangle_bf(g))
-    elif name == "exact-bf":
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        out = _format_witness(oracles.exact_triangle_bf(g, args.target))
-    elif name in ("ae-sparse-bf", "ae-sparse-fast"):
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        if name == "ae-sparse-bf":
-            answers = oracles.ae_sparse_triangle_bf(g)
-        else:
-            delta = math.inf if args.delta == -1 else args.delta
-            answers = ae_sparse_triangle_fast(g, delta)
-            if args.check and answers != oracles.ae_sparse_triangle_bf(g):
-                raise CheckFailure("fast sparse solver disagrees with oracle")
-        out = _format_sparse_answers(answers)
-    elif name in ("ae-mono-bf", "ae-mono-fast"):
-        g = _expect(instance, ColoredValuedGraph, name)
-        if name == "ae-mono-bf":
-            answers = oracles.ae_mono_triangle_bf(g)
-        else:
-            d = math.inf if args.degree_threshold == -1 else args.degree_threshold
-            answers = ae_mono_triangle_fast(g, d)
-            if args.check and answers != oracles.ae_mono_triangle_bf(g):
-                raise CheckFailure("fast mono solver disagrees with oracle")
-        out = _format_mono_answers(answers)
-    elif name == "ae-monoeq-bf":
-        g = _expect(instance, ColoredValuedGraph, name)
-        out = _format_mono_answers(oracles.ae_monoeq_triangle_bf(g))
-    elif name == "list-bf":
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        per_edge = None if args.per_edge_cap == -1 else args.per_edge_cap
-        global_cap = None if args.global_cap == -1 else args.global_cap
-        out = _format_lists(oracles.triangle_list_bf(g, per_edge, global_cap))
-    elif name == "product-bf":
-        if len(docs) != 2:
-            raise UsageFailure("product-bf needs a file with two matrices")
-        a = _expect(docs[0], IntMatrix, name)
-        b = _expect(docs[1], IntMatrix, name)
-        out = textio.serialize(oracles.product_bf(a, b,
-                                                  _PRODUCT_KIND_FLAGS[args.kind]))
-    elif name == "mono-product-bf":
-        g = _expect(instance, ColoredValuedGraph, name)
-        answers = oracles.mono_product_bf(g, _MONO_KIND_FLAGS[args.kind])
-        out = "".join(
-            f"ENTRY {u} {v} {'inf' if val == PLUS_INF else val}\n"
-            if not isinstance(val, bool) else f"ENTRY {u} {v} {int(val)}\n"
-            for (u, v), val in sorted(answers.items()))
-    elif name == "sets-bf":
-        s = _expect(instance, SetFamilyInstance, name)
-        if args.mode == "disjointness":
-            answers = oracles.set_queries_bf(s, oracles.DISJOINTNESS)
-            out = "".join(f"Q {i} {j} {int(val)}\n"
-                          for (i, j), val in zip(s.queries, answers))
-        else:
-            lists = oracles.set_queries_bf(s, oracles.INTERSECTION)
-            out = "".join(
-                f"Q {i} {j} : " + " ".join(map(str, elems)) + "\n"
-                for (i, j), elems in zip(s.queries, lists))
-    else:
-        raise UsageFailure(f"unknown solver {name!r}")
-    _write_text(args.out, out)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------- reduce
-
-def _bf_lister(graph, cap):
-    return oracles.triangle_list_bf(graph, per_edge_cap=cap)
 
 
 def _bf_global_lister(graph, cap):
@@ -262,58 +236,35 @@ def _detect_lister(graph, cap):
         graph, effective, ae_sparse_triangle_fast, rng)
 
 
-_LISTERS = {"bf-lister": _bf_lister, "detect-lister": _detect_lister}
-_DETECTORS = {"sparse-bf": oracles.ae_sparse_triangle_bf,
-              "sparse-fast": ae_sparse_triangle_fast}
-_MONO_SOLVERS = {
-    "mono-bf": oracles.ae_mono_triangle_bf,
-    "mono-fast": lambda g: ae_mono_triangle_fast(g, degree_threshold=4),
-}
-_MONOEQ_SOLVERS = {"monoeq-bf": oracles.ae_monoeq_triangle_bf}
-
-
-def _ij_only(answers):
-    return {(u, v): val for (pair, u, v), val in answers.items()
-            if pair == "IJ"}
-
-
 def _tiles(total: int, width: int):
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)] \
-        or [(0, 0)]
+    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
 
 
 def _tile_graph(g: TripartiteWeightedGraph, spans):
     """Induced subgraph on one (A, B, C) block triple, reindexed to the
     block origins."""
-    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = spans
+    def cut(edges, p, q):
+        (p_lo, p_hi), (q_lo, q_hi) = spans[p], spans[q]
+        return tuple((u - p_lo, v - q_lo, w) for u, v, w in edges
+                     if p_lo <= u < p_hi and q_lo <= v < q_hi)
     return TripartiteWeightedGraph(
-        (a_hi - a_lo, b_hi - b_lo, c_hi - c_lo),
-        tuple((a - a_lo, b - b_lo, w) for a, b, w in g.edges_ab
-              if a_lo <= a < a_hi and b_lo <= b < b_hi),
-        tuple((b - b_lo, c - c_lo, w) for b, c, w in g.edges_bc
-              if b_lo <= b < b_hi and c_lo <= c < c_hi),
-        tuple((c - c_lo, a - a_lo, w) for c, a, w in g.edges_ca
-              if c_lo <= c < c_hi and a_lo <= a < a_hi),
-        g.weight_modulus,
-    )
+        tuple(hi - lo for lo, hi in spans), cut(g.edges_ab, 0, 1),
+        cut(g.edges_bc, 1, 2), cut(g.edges_ca, 2, 0), g.weight_modulus)
 
 
-def _iterate_tiles(args, g, rng, sink):
+def _iterate_tiles(tile: str, g, rng, once):
     """Split the parts into blocks of the requested tile sizes and run the
     pipeline once per block triple; a triangle lives in exactly one triple,
     so the verdict is the OR with early exit."""
-    ta, tb, tc = (int(tok) for tok in args.tile.split(","))
+    ta, tb, tc = (int(tok) for tok in tile.split(","))
     if min(ta, tb, tc) < 1:
         raise UsageFailure("tile sizes must be positive")
     na, nb, nc = g.part_sizes
     for ia, a_span in enumerate(_tiles(na, ta)):
         for ib, b_span in enumerate(_tiles(nb, tb)):
             for ic, c_span in enumerate(_tiles(nc, tc)):
-                tile = _tile_graph(g, (a_span, b_span, c_span))
-                if min(tile.part_sizes) == 0:
-                    continue
-                found, witness = _run_zero_pipeline(
-                    args, tile, rng.child("tile", ia, ib, ic), sink)
+                found, witness = once(_tile_graph(g, (a_span, b_span, c_span)),
+                                      rng.child("tile", ia, ib, ic))
                 if found:
                     a, b, c = witness
                     return True, (a + a_span[0], b + b_span[0],
@@ -321,170 +272,193 @@ def _iterate_tiles(args, g, rng, sink):
     return False, None
 
 
-def _run_zero_pipeline(args, g, rng, sink) -> tuple[bool, object]:
-    trials = args.trials if args.trials is not None \
-        else zt.default_trials(sum(g.part_sizes), args.trial_multiplier)
-    if args.pipeline == "zero-via-listing":
-        if args.inner not in _LISTERS:
-            raise UsageFailure(f"unknown inner lister {args.inner!r}")
-        return zt.zero_triangle_via_listing(
-            g, args.s, _LISTERS[args.inner], trials, rng, report_sink=sink)
-    return zt.zero_triangle_via_global_listing(
-        g, args.s, _bf_global_lister, trials, rng, report_sink=sink)
+def _run_zero(reduction, args, lister, rng, sink, g):
+    def once(graph, stream):
+        trials = args.trials if args.trials is not None \
+            else zt.default_trials(sum(graph.part_sizes), args.trial_multiplier)
+        return reduction(graph, args.s, lister, trials, stream,
+                         report_sink=sink)
+
+    if args.tile is None:
+        found, witness = once(g, rng)
+    else:
+        found, witness = _iterate_tiles(args.tile, g, rng, once)
+    # Hits are re-verified, so only a missed triangle can fail the check.
+    return (_format_witness(witness if found else None),
+            lambda: found == (oracles.zero_triangle_bf(g) is not None))
+
+
+def _run_listing(args, detector, rng, sink, g):
+    lists = witness_listing.listing_via_detection(g, args.cap, detector, rng)
+    sink({"pipeline": args.pipeline, "edges": len(lists),
+          "triangles": sum(len(v) for v in lists.values())})
+
+    def check():
+        for edge, tris in oracles.triangle_list_bf(g).items():
+            got = lists.get(edge, [])
+            if len(got) != min(args.cap, len(tris)) or not set(got) <= set(tris):
+                return False
+        return True
+    return _format_lists(lists), check
+
+
+def _run_monoeq(args, mono_solver, rng, sink, g):
+    size = max(g.part_sizes) if args.size_threshold == -2 \
+        else args.size_threshold
+    answers = monoeq_mod.solve_ae_monoeq(
+        g, args.degree_threshold, size, mono_solver, rng)
+    sink({"pipeline": args.pipeline, "edges": len(answers),
+          "positive": sum(answers.values())})
+    return _format_sparse_answers(answers), lambda: answers == {
+        (u, v): val for (pair, u, v), val
+        in oracles.ae_monoeq_triangle_bf(g).items() if pair == "IJ"}
+
+
+def _product(kind, chain):
+    """A product pipeline: chain(a, b, monoeq solver) is the kind product."""
+    def run(args, monoeq_solver, _rng, sink, a, b):
+        result = chain(a, b, monoeq_solver)
+        sink({"pipeline": args.pipeline, "rows": result.rows,
+              "cols": result.cols})
+        return (textio.serialize(result),
+                lambda: result == oracles.product_bf(a, b, kind))
+    return _Pipeline(_PAIR, _MONOEQ_BF, run)
+
+
+def _min_le(solver):
+    return partial(products.min_le_via_monoeq, monoeq_solver=solver)
+
+
+def _mono(kind, solve):
+    """A monochromatic product pipeline: solve(g, mono-eq solver) for kind."""
+    def run(args, mono_eq_solver, _rng, sink, g):
+        answers = solve(g, mono_eq_solver)
+        sink({"pipeline": args.pipeline, "edges": len(answers)})
+        return (_format_entries(answers),
+                lambda: answers == oracles.mono_product_bf(g, kind))
+    return _Pipeline(_CVG, _MONO_EQ_BF, run)
+
+
+def _run_disjointness(args, set_solver, _rng, sink, g):
+    inst, decode = setfam.sparse_triangle_to_set_disjointness(g)
+    answers = decode.decode_disjointness(
+        set_solver(inst, oracles.DISJOINTNESS))
+    sink({"pipeline": args.pipeline, "queries": len(inst.queries)})
+    return (_format_sparse_answers(answers),
+            lambda: answers == oracles.ae_sparse_triangle_bf(g))
+
+
+def _run_intersection(args, set_solver, _rng, sink, g):
+    inst, decode = setfam.listing_to_set_intersection(g, args.global_cap)
+    lists = decode.decode_intersection(set_solver(inst, oracles.INTERSECTION))
+    sink({"pipeline": args.pipeline, "queries": len(inst.queries)})
+    return _format_lists(lists), lambda: lists == oracles.triangle_list_bf(
+        g, global_cap=args.global_cap)
+
+
+# Inner solvers shared by several pipelines.
+_mono_fast = partial(ae_mono_triangle_fast, degree_threshold=4)
+_MONOEQ_BF = {"monoeq-bf": oracles.ae_monoeq_triangle_bf}
+_MONO_EQ_BF = {"mono-eq-bf": partial(oracles.mono_product_bf,
+                                     kind=oracles.MONO_EQ)}
+_SETS_BF = {"sets-bf": oracles.set_queries_bf}
+
+_PIPELINES = {
+    "zero-via-listing": _Pipeline(
+        _TWG, {"bf-lister": oracles.triangle_list_bf,
+               "detect-lister": _detect_lister},
+        partial(_run_zero, zt.zero_triangle_via_listing)),
+    "zero-via-global-listing": _Pipeline(
+        _TWG, {"bf-lister": _bf_global_lister},
+        partial(_run_zero, zt.zero_triangle_via_global_listing)),
+    "listing-via-detection": _Pipeline(
+        _TWG, {"sparse-bf": oracles.ae_sparse_triangle_bf,
+               "sparse-fast": ae_sparse_triangle_fast}, _run_listing),
+    "monoeq": _Pipeline(
+        _CVG, {"mono-bf": oracles.ae_mono_triangle_bf,
+               "mono-fast": _mono_fast}, _run_monoeq),
+    "min-eq-via-monoeq": _product(oracles.MIN_EQ, products.min_eq_via_monoeq),
+    "min-le-via-monoeq": _product(oracles.MIN_LE, products.min_le_via_monoeq),
+    "max-le-via-monoeq": _product(oracles.MAX_LE, products.max_le_via_monoeq),
+    "max-min": _product(oracles.MAX_MIN, lambda a, b, s: products.max_min_product(
+        a, b, _min_le(s))),
+    "min-witness": _product(
+        oracles.MIN_WITNESS, lambda a, b, s: products.min_witness_via_max_min(
+            a, b, partial(products.max_min_product, min_le_solver=_min_le(s)))),
+    "exists-eq": _product(
+        oracles.EXISTS_EQ, lambda a, b, s: products.exists_eq_via_min_eq(
+            a, b, partial(products.min_eq_via_monoeq, monoeq_solver=s))),
+    "exists-dom": _product(
+        oracles.EXISTS_DOM, lambda a, b, s: products.exists_dom_via_min_le(
+            a, b, _min_le(s))),
+    "mono-min-eq": _mono(oracles.MONO_MIN_EQ, products.mono_min_eq_via_mono_eq),
+    "mono-eq": _mono(oracles.MONO_EQ, lambda g, s: products.mono_eq_via_mono_min_eq(
+        g, partial(products.mono_min_eq_via_mono_eq, mono_eq_solver=s))),
+    "mono-min-le": _mono(
+        oracles.MONO_MIN_LE, lambda g, s: products.mono_min_le_via_monoeq(
+            g, oracles.ae_monoeq_triangle_bf, s)),
+    "sparse-to-disjointness": _Pipeline(_TWG, _SETS_BF, _run_disjointness),
+    "listing-to-intersection": _Pipeline(_TWG, _SETS_BF, _run_intersection),
+}
+
+
+# ---------------------------------------------------------------- solve, reduce
+
+def _entry(table: dict, what: str, name: str, docs: list):
+    """name's table entry, once docs are known to be its input."""
+    if name not in table:
+        raise UsageFailure(f"unknown {what} {name!r}; valid: {', '.join(table)}")
+    entry = table[name]
+    if tuple(map(type, docs)) != entry.input:
+        raise UsageFailure(f"{name} needs an input file holding exactly "
+                           + " + ".join(c.__name__ for c in entry.input))
+    return entry
+
+
+def _choose(name: str, flag: str, given, choices: dict):
+    """The value flag names among name's choices; the first when absent."""
+    if given is None:
+        return next(iter(choices.values()), None)
+    if given not in choices:
+        raise UsageFailure(f"unknown {flag} {given!r} for {name}; valid: "
+                           f"{', '.join(choices) or 'none'}")
+    return choices[given]
+
+
+def _finish(args, text: str, check, report=None) -> int:
+    """Write the output and the report, then run check() under --check."""
+    _write_text(args.out, text)
+    if report is not None and args.report is not None:
+        _write_text(args.report, report)
+    if not (check and args.check):
+        return EXIT_OK
+    if not check():
+        print("check: MISMATCH against brute oracle", file=sys.stderr)
+        return EXIT_CHECK
+    print("check: ok", file=sys.stderr)
+    return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    docs = _read_documents(args.input)
+    solver = _entry(_SOLVERS, "solver", args.solver, docs)
+    kind = _choose(args.solver, "--kind", args.kind, solver.kinds)
+    answers = solver.run(args, kind, *docs)
+    check = solver.oracle and (lambda: answers == solver.oracle(*docs))
+    return _finish(args, solver.format(answers), check)
 
 
 def cmd_reduce(args) -> int:
     seed = _resolve_seed(args)
     rng = RngStream(seed, ("reduce", args.pipeline))
     docs = _read_documents(args.input)
-    instance = docs[0]
-    report_lines: list[str] = []
-
-    def sink(record: dict) -> None:
-        report_lines.append(_json_line(record))
-
-    verdict_text = ""
-    failed_check = False
-    name = args.pipeline
-
-    if name in ("zero-via-listing", "zero-via-global-listing"):
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        if args.tile is not None:
-            found, witness = _iterate_tiles(args, g, rng, sink)
-        else:
-            found, witness = _run_zero_pipeline(args, g, rng, sink)
-        verdict_text = _format_witness(witness if found else None)
-        if args.check:
-            truth = oracles.zero_triangle_bf(g) is not None
-            if found and not truth:
-                failed_check = True  # unreachable: hits are verified
-            if truth and not found:
-                failed_check = True
-    elif name == "listing-via-detection":
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        if args.inner not in _DETECTORS:
-            raise UsageFailure(f"unknown inner detector {args.inner!r}")
-        lists = witness_listing.listing_via_detection(
-            g, args.cap, _DETECTORS[args.inner], rng)
-        verdict_text = _format_lists(lists)
-        if args.check:
-            truth = oracles.triangle_list_bf(g)
-            for edge, tris in truth.items():
-                got = lists.get(edge, [])
-                want = min(args.cap, len(tris))
-                if len(got) != want or not set(got) <= set(tris):
-                    failed_check = True
-                    break
-        sink({"pipeline": name, "edges": len(lists),
-              "triangles": sum(len(v) for v in lists.values())})
-    elif name == "monoeq":
-        g = _expect(instance, ColoredValuedGraph, name)
-        if args.inner not in _MONO_SOLVERS:
-            raise UsageFailure(f"unknown inner mono solver {args.inner!r}")
-        threshold = math.inf if args.degree_threshold == -1 \
-            else args.degree_threshold
-        if args.size_threshold == -1:
-            size_threshold = math.inf
-        elif args.size_threshold == -2:
-            size_threshold = max(g.part_sizes)
-        else:
-            size_threshold = args.size_threshold
-        answers = monoeq_mod.solve_ae_monoeq(
-            g, threshold, size_threshold, _MONO_SOLVERS[args.inner], rng)
-        verdict_text = "".join(f"EDGE {u} {v} {int(val)}\n"
-                               for (u, v), val in sorted(answers.items()))
-        if args.check:
-            failed_check = answers != _ij_only(oracles.ae_monoeq_triangle_bf(g))
-        sink({"pipeline": name, "edges": len(answers),
-              "positive": sum(answers.values())})
-    elif name in ("min-eq-via-monoeq", "min-le-via-monoeq",
-                  "max-le-via-monoeq", "max-min", "min-witness",
-                  "exists-eq", "exists-dom"):
-        if len(docs) != 2:
-            raise UsageFailure(f"{name} needs a file with two matrices")
-        a = _expect(docs[0], IntMatrix, name)
-        b = _expect(docs[1], IntMatrix, name)
-        if args.inner not in _MONOEQ_SOLVERS:
-            raise UsageFailure(f"unknown inner monoeq solver {args.inner!r}")
-        solver = _MONOEQ_SOLVERS[args.inner]
-        min_le = partial(products.min_le_via_monoeq, monoeq_solver=solver)
-        chains = {
-            "min-eq-via-monoeq": (oracles.MIN_EQ, partial(
-                products.min_eq_via_monoeq, monoeq_solver=solver)),
-            "min-le-via-monoeq": (oracles.MIN_LE, min_le),
-            "max-le-via-monoeq": (oracles.MAX_LE, partial(
-                products.max_le_via_monoeq, monoeq_solver=solver)),
-            "max-min": (oracles.MAX_MIN, partial(
-                products.max_min_product, min_le_solver=min_le)),
-            "min-witness": (oracles.MIN_WITNESS, partial(
-                products.min_witness_via_max_min,
-                max_min_solver=partial(products.max_min_product,
-                                       min_le_solver=min_le))),
-            "exists-eq": (oracles.EXISTS_EQ, partial(
-                products.exists_eq_via_min_eq,
-                min_eq_solver=partial(products.min_eq_via_monoeq,
-                                      monoeq_solver=solver))),
-            "exists-dom": (oracles.EXISTS_DOM, partial(
-                products.exists_dom_via_min_le, min_le_solver=min_le)),
-        }
-        kind, chain = chains[name]
-        result = chain(a, b)
-        verdict_text = textio.serialize(result)
-        if args.check:
-            failed_check = result != oracles.product_bf(a, b, kind)
-        sink({"pipeline": name, "rows": result.rows, "cols": result.cols})
-    elif name in ("mono-min-eq", "mono-eq", "mono-min-le"):
-        g = _expect(instance, ColoredValuedGraph, name)
-        mono_eq_solver = lambda h: oracles.mono_product_bf(h, oracles.MONO_EQ)
-        if name == "mono-min-eq":
-            answers = products.mono_min_eq_via_mono_eq(g, mono_eq_solver)
-            truth = oracles.mono_product_bf(g, oracles.MONO_MIN_EQ)
-        elif name == "mono-eq":
-            answers = products.mono_eq_via_mono_min_eq(
-                g, partial(products.mono_min_eq_via_mono_eq,
-                           mono_eq_solver=mono_eq_solver))
-            truth = oracles.mono_product_bf(g, oracles.MONO_EQ)
-        else:
-            answers = products.mono_min_le_via_monoeq(
-                g, oracles.ae_monoeq_triangle_bf, mono_eq_solver)
-            truth = oracles.mono_product_bf(g, oracles.MONO_MIN_LE)
-        verdict_text = "".join(
-            f"ENTRY {u} {v} {'inf' if val == PLUS_INF else int(val)}\n"
-            for (u, v), val in sorted(answers.items()))
-        if args.check:
-            failed_check = answers != truth
-        sink({"pipeline": name, "edges": len(answers)})
-    elif name in ("sparse-to-disjointness", "listing-to-intersection"):
-        g = _expect(instance, TripartiteWeightedGraph, name)
-        if name == "sparse-to-disjointness":
-            inst, decode = setfam.sparse_triangle_to_set_disjointness(g)
-            answers = decode.decode_disjointness(
-                oracles.set_queries_bf(inst, oracles.DISJOINTNESS))
-            verdict_text = _format_sparse_answers(answers)
-            if args.check:
-                failed_check = answers != oracles.ae_sparse_triangle_bf(g)
-        else:
-            cap = None if args.global_cap == -1 else args.global_cap
-            inst, decode = setfam.listing_to_set_intersection(g, cap)
-            lists = decode.decode_intersection(
-                oracles.set_queries_bf(inst, oracles.INTERSECTION))
-            verdict_text = _format_lists(lists)
-            if args.check:
-                failed_check = lists != oracles.triangle_list_bf(
-                    g, global_cap=cap)
-        sink({"pipeline": name, "queries": len(inst.queries)})
-    else:
-        raise UsageFailure(f"unknown pipeline {name!r}")
-
-    _write_text(args.out, verdict_text)
-    if args.report is not None:
-        _write_text(args.report, "".join(report_lines))
-    if args.check and failed_check:
-        print("check: MISMATCH against brute oracle", file=sys.stderr)
-        return EXIT_CHECK
-    if args.check:
-        print("check: ok", file=sys.stderr)
-    return EXIT_OK
+    pipeline = _entry(_PIPELINES, "pipeline", args.pipeline, docs)
+    inner = _choose(args.pipeline, "--inner", args.inner, pipeline.inners)
+    report: list[str] = []
+    text, check = pipeline.run(
+        args, inner, rng, lambda record: report.append(_json_line(record)),
+        *docs)
+    return _finish(args, text, check, "".join(report))
 
 
 # ---------------------------------------------------------------- verify
@@ -537,13 +511,20 @@ def cmd_verify(args) -> int:
             "seed": seed,
         }))
     text = "".join(lines)
-    _write_text(args.out, text)
-    if args.report is not None:
-        _write_text(args.report, text)
+    _finish(args, text, None, text)
     return EXIT_OK if all_pass else EXIT_CHECK
 
 
 # ---------------------------------------------------------------- bench
+
+_BENCH_SOLVERS = {  # name -> (solver, whether it takes the colored instance)
+    "ae-sparse-bf": (oracles.ae_sparse_triangle_bf, False),
+    "ae-sparse-fast": (ae_sparse_triangle_fast, False),
+    "ae-mono-bf": (oracles.ae_mono_triangle_bf, True),
+    "ae-mono-fast": (_mono_fast, True),
+    "zero-bf": (oracles.zero_triangle_bf, False),
+}
+
 
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
@@ -564,19 +545,12 @@ def cmd_bench(args) -> int:
             generators.balanced_split(n), 4, 60, 8,
             frozenset(), rng.child("colored", n))
         for solver in solvers:
-            if solver == "ae-sparse-bf":
-                fn = lambda: oracles.ae_sparse_triangle_bf(graph)
-            elif solver == "ae-sparse-fast":
-                fn = lambda: ae_sparse_triangle_fast(graph)
-            elif solver == "ae-mono-bf":
-                fn = lambda: oracles.ae_mono_triangle_bf(colored)
-            elif solver == "ae-mono-fast":
-                fn = lambda: ae_mono_triangle_fast(colored, degree_threshold=4)
-            elif solver == "zero-bf":
-                fn = lambda: oracles.zero_triangle_bf(graph)
-            else:
+            if solver not in _BENCH_SOLVERS:
                 raise UsageFailure(f"unknown bench solver {solver!r}")
-            samples = sorted(time_once(fn) for _ in range(args.reps))
+            fn, on_colored = _BENCH_SOLVERS[solver]
+            inst = colored if on_colored else graph
+            samples = sorted(time_once(lambda: fn(inst))
+                             for _ in range(args.reps))
             rows.append({"solver": solver, "n": n,
                          "median_ms": round(samples[len(samples) // 2], 3),
                          "reps": args.reps})
@@ -588,11 +562,21 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def _positive_int(text: str) -> int:
-    """A repetition count: non-positive values are usage errors."""
+    """A count: non-positive values are usage errors."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _or_inf(text: str):
+    """A threshold where -1 means infinity."""
+    return math.inf if int(text) == -1 else int(text)
+
+
+def _or_none(text: str):
+    """A cap where -1 means no cap."""
+    return None if int(text) == -1 else int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="edge keep percentage")
     gen.add_argument("--value-range", type=int, default=8)
     gen.add_argument("--value-sides", choices=sorted(_VALUE_SIDES), default="a")
-    gen.add_argument("--kind", choices=sorted(_PRODUCT_KIND_FLAGS), default="min-eq")
+    gen.add_argument("--kind", choices=sorted(_SOLVERS["product-bf"].kinds),
+                     default="min-eq")
     gen.add_argument("--universe", type=int, default=16)
     gen.add_argument("--family", type=int, default=8)
     gen.add_argument("--max-set", type=int, default=6)
@@ -633,14 +618,16 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--check", action="store_true",
                        help="cross-validate against the brute oracle")
     solve.add_argument("--target", type=int, default=0)
-    solve.add_argument("--delta", type=int, default=-1,
+    solve.add_argument("--delta", type=_or_inf, default=math.inf,
                        help="sparse degree threshold; -1 = infinity, i.e. "
                             "pure enumeration (not the solver's sqrt(m) "
                             "default)")
-    solve.add_argument("--degree-threshold", type=int, default=4)
-    solve.add_argument("--per-edge-cap", type=int, default=-1)
-    solve.add_argument("--global-cap", type=int, default=-1)
-    solve.add_argument("--kind", default="min-eq")
+    solve.add_argument("--degree-threshold", type=_or_inf, default=4)
+    solve.add_argument("--per-edge-cap", type=_or_none, default=None)
+    solve.add_argument("--global-cap", type=_or_none, default=None)
+    solve.add_argument("--kind", default=None,
+                       help="product kind of product-bf or mono-product-bf; "
+                            "default: the solver's first kind")
     solve.add_argument("--mode", choices=("disjointness", "intersection"),
                        default="disjointness")
     solve.set_defaults(func=cmd_solve)
@@ -649,19 +636,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(reduce_p)
     reduce_p.add_argument("--pipeline", required=True)
     reduce_p.add_argument("--in", dest="input", required=True)
-    reduce_p.add_argument("--inner", default="bf-lister")
+    reduce_p.add_argument("--inner", default=None,
+                          help="inner solver; default: the pipeline's first")
     reduce_p.add_argument("--check", action="store_true")
     reduce_p.add_argument("--report", default=None,
                           help="JSON-lines per-subinstance report path")
-    reduce_p.add_argument("--s", type=int, default=4,
+    reduce_p.add_argument("--s", type=_positive_int, default=4,
                           help="range count for the field split")
     reduce_p.add_argument("--trials", type=_positive_int, default=None)
     reduce_p.add_argument("--trial-multiplier", type=_positive_int,
                           default=100)
     reduce_p.add_argument("--cap", type=int, default=3)
-    reduce_p.add_argument("--global-cap", type=int, default=-1)
-    reduce_p.add_argument("--degree-threshold", type=int, default=2)
-    reduce_p.add_argument("--size-threshold", type=int, default=-2,
+    reduce_p.add_argument("--global-cap", type=_or_none, default=None)
+    reduce_p.add_argument("--degree-threshold", type=_or_inf, default=2)
+    reduce_p.add_argument("--size-threshold", type=_or_inf, default=-2,
                           help="-1 = inf; -2 = instance part-size default")
     reduce_p.add_argument("--tile", default=None, metavar="A,B,C",
                           help="run the zero pipelines per part-block "
@@ -672,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="statistical verification of the pipeline claims")
     add_common(verify)
     verify.add_argument("--n", type=int, default=48)
-    verify.add_argument("--s", type=int, default=4)
+    verify.add_argument("--s", type=_positive_int, default=4)
     verify.add_argument("--trials", type=_positive_int, default=2000)
     verify.add_argument("--weight-bound", type=int, default=60)
     verify.add_argument("--f1-min", type=float, default=0.90)
@@ -697,19 +685,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageFailure as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
     except textio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (OSError, UnicodeDecodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # UsageFailure included
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

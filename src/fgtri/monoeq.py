@@ -241,47 +241,36 @@ def combine_sparse_into_mono(
         raise RuntimeError(
             f"multiplicity exceeded {max_label} in {max_retries} attempts")
 
+    # One pass over the placed edges in host-pair order labels them, records
+    # the I x J queries and buckets both orientations of each edge by label;
+    # every label-triple instance then reads three buckets.
     parallel = []
-    labeled: dict[tuple[int, int], list] = {}
+    query_maps: list[dict] = [{} for _ in instances]
+    by_label: list[list] = [[] for _ in range(mult + 1)]
     for key in sorted(placed):
         edges = tuple((lab + 1, q, pair, u, v)
                       for lab, (q, pair, u, v) in enumerate(sorted(placed[key])))
-        labeled[key] = edges
         parallel.append((key, edges))
-
-    query_maps: list[dict] = [{} for _ in instances]
-    for key, edges in labeled.items():
         for label, q, pair, u, v in edges:
+            by_label[label] += [(key[0], key[1], q, None),
+                                (key[1], key[0], q, None)]
             if pair == "IJ":
                 inst = instances[q]
                 x = perms[q][_flatten_vertex(inst.part_sizes, 0, u)]
                 y = perms[q][_flatten_vertex(inst.part_sizes, 1, v)]
                 query_maps[q][(u, v)] = (label, x, y)
 
+    buckets = [tuple(edges) for edges in by_label]
     built = []
-    observed = mult
-    for li in range(1, observed + 1):
-        for lj in range(1, observed + 1):
-            for lk in range(1, observed + 1):
-                edges_ij, edges_jk, edges_ik = [], [], []
-                for (x, y), edges in labeled.items():
-                    for label, q, _pair, _u, _v in edges:
-                        if label == li:
-                            edges_ij.append((x, y, q, None))
-                            edges_ij.append((y, x, q, None))
-                        if label == lj:
-                            edges_jk.append((x, y, q, None))
-                            edges_jk.append((y, x, q, None))
-                        if label == lk:
-                            edges_ik.append((x, y, q, None))
-                            edges_ik.append((y, x, q, None))
+    for li in range(1, mult + 1):
+        for lj in range(1, mult + 1):
+            for lk in range(1, mult + 1):
                 built.append(((li, lj, lk), ColoredValuedGraph(
                     (host_size, host_size, host_size),
-                    tuple(edges_ij), tuple(edges_jk), tuple(edges_ik),
-                    frozenset())))
+                    buckets[li], buckets[lj], buckets[lk], frozenset())))
 
     return CombinedMonoInstance(
-        host_size, max_label, observed, tuple(perms), tuple(parallel),
+        host_size, max_label, mult, tuple(perms), tuple(parallel),
         tuple(built), tuple(query_maps))
 
 
@@ -345,7 +334,9 @@ def _ae_mono_on_expansion(
             return (members[0], members[1])
 
         # Low-degree pass over blown-part vertices (one pass suffices: blown
-        # vertices are never adjacent to each other).
+        # vertices are never adjacent to each other). Degrees come from nbrs,
+        # so the pass deletes its vertices only once it is done.
+        dropped = set()
         for x in sorted(nbrs):
             around = nbrs[x]
             if sum(len(v) for v in around.values()) > degree_threshold:
@@ -356,10 +347,10 @@ def _ae_mono_on_expansion(
                         qe = query_edge(x, u1, u2)
                         if qe in answers:
                             answers[qe] = True
-            # Delete x with its incident edges.
-            for pair in touching:
-                slot = pair_slot[pair].index(blown)
-                live[pair] = {e for e in live[pair] if e[slot] != x}
+            dropped.add(x)
+        for pair in touching:
+            slot = pair_slot[pair].index(blown)
+            live[pair] = {e for e in live[pair] if e[slot] not in dropped}
 
         remaining_blown = set()
         for pair in touching:

@@ -391,6 +391,12 @@ def _randomized_trials(g, s, trials, rng):
         yield trial, p, randomize_weights(gp, rd), split_ranges(p, s)
 
 
+def _check_range_count(s: int) -> None:
+    # The default caps and bounds divide by s^2 and s^3.
+    if s < 1:
+        raise ValueError(f"range count s must be at least 1, got {s}")
+
+
 def _run_trials(g, s, lister, cap, trials, rng, report_sink):
     """Shared trial loop: list every range triple's subinstance, re-verify
     the listed triangles against g's weights, stop at the first hit."""
@@ -428,6 +434,7 @@ def zero_triangle_via_listing(
     with overwhelming empirical probability over the given number of
     independent trials when a zero triangle exists.
     """
+    _check_range_count(s)
     cap = per_edge_cap if per_edge_cap is not None \
         else default_per_edge_cap(g.part_sizes[2], s)
 
@@ -448,6 +455,7 @@ def zero_triangle_via_global_listing(
     report_sink: Optional[Callable[[dict], None]] = None,
 ) -> tuple[bool, Optional[Triangle]]:
     """Same pipeline against a globally-capped listing solver."""
+    _check_range_count(s)
     cap = global_cap if global_cap is not None \
         else default_global_cap(g.part_sizes, s)
     return _run_trials(g, s, global_listing_solver, cap, trials, rng,
@@ -481,6 +489,7 @@ def claim_statistics(
     triangle's subinstance behaves as the analysis promises."""
     if trials < 1:
         raise ValueError(f"claim statistics need trials >= 1, got {trials}")
+    _check_range_count(s)
     maps = _weight_maps(g)
     if not _verified_hit(planted, maps):
         raise ValueError("planted triple is not a zero triangle of g")

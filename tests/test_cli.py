@@ -325,3 +325,87 @@ def test_reduce_zero_trials_is_usage_error(flag, tmp_path, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least 1" in err and "Traceback" not in err
+
+
+# The gen argv of a tiny seeded instance for each pipeline's input type.
+_TINY = {
+    "twg": ["--type", "zero-triangle", "--n", "12", "--plant", "--seed", "3"],
+    "cvg": ["--type", "colored", "--n", "9", "--value-sides", "a",
+            "--value-range", "4", "--seed", "4"],
+    "pair": ["--type", "product", "--kind", "min-witness", "--n", "4",
+             "--seed", "5"],
+}
+_PIPELINE_INPUTS = {
+    "zero-via-listing": "twg", "zero-via-global-listing": "twg",
+    "listing-via-detection": "twg", "sparse-to-disjointness": "twg",
+    "listing-to-intersection": "twg", "monoeq": "cvg", "mono-min-eq": "cvg",
+    "mono-eq": "cvg", "mono-min-le": "cvg", "min-eq-via-monoeq": "pair",
+    "min-le-via-monoeq": "pair", "max-le-via-monoeq": "pair",
+    "max-min": "pair", "min-witness": "pair", "exists-eq": "pair",
+    "exists-dom": "pair",
+}
+_FIXED_INNER = ("zero-via-global-listing", "mono-min-eq", "mono-eq",
+                "mono-min-le", "sparse-to-disjointness",
+                "listing-to-intersection")
+
+
+def _tiny(tmp_path, kind: str) -> str:
+    path = tmp_path / f"{kind}.txt"
+    assert main(["gen", *_TINY[kind], "--out", str(path)]) == 0
+    return str(path)
+
+
+def test_pipeline_inputs_name_every_pipeline():
+    from fgtri.cli import _PIPELINES
+    assert set(_PIPELINE_INPUTS) == set(_PIPELINES)
+    assert set(_FIXED_INNER) <= set(_PIPELINES)
+
+
+@pytest.mark.parametrize("pipeline", sorted(_PIPELINE_INPUTS))
+def test_every_pipeline_runs_on_its_default_inner(pipeline, tmp_path, capsys):
+    inst = _tiny(tmp_path, _PIPELINE_INPUTS[pipeline])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", pipeline, "--check", "--seed", "1",
+                 "--in", inst, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == "check: ok\n"
+
+
+@pytest.mark.parametrize("pipeline", _FIXED_INNER)
+def test_fixed_inner_pipeline_rejects_a_foreign_inner(pipeline, tmp_path,
+                                                      capsys):
+    inst = _tiny(tmp_path, _PIPELINE_INPUTS[pipeline])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", pipeline, "--inner", "no-such",
+                 "--seed", "1", "--in", inst, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown --inner 'no-such'")
+    assert "Traceback" not in err
+
+
+def test_mono_product_bf_kind_defaults_and_rejects_unknown(tmp_path, capsys):
+    inst = _tiny(tmp_path, "cvg")
+    capsys.readouterr()
+    assert main(["solve", "--solver", "mono-product-bf", "--in", inst]) == 0
+    default = capsys.readouterr().out
+    assert main(["solve", "--solver", "mono-product-bf", "--kind", "mono-eq",
+                 "--in", inst]) == 0
+    assert capsys.readouterr().out == default and default.startswith("ENTRY ")
+    assert main(["solve", "--solver", "mono-product-bf", "--kind", "bogus",
+                 "--in", inst]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown --kind 'bogus'")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_range_count_zero_is_usage_error(command, tmp_path, capsys):
+    argv = [command, "--s", "0", "--seed", "1"]
+    if command == "reduce":
+        argv += ["--pipeline", "zero-via-listing", "--in",
+                 _tiny(tmp_path, "twg")]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 1" in err and "Traceback" not in err

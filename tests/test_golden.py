@@ -50,6 +50,17 @@ def test_golden_run(case, tmp_path, capsys):
         assert data == want, f"{case['name']}.{kind} differs from the corpus"
 
 
+def test_every_solver_and_pipeline_is_pinned():
+    from fgtri.cli import _PIPELINES, _SOLVERS
+    pinned = {"--solver": set(), "--pipeline": set()}
+    for case in CASES:
+        for flag, value in zip(case["argv"], case["argv"][1:]):
+            if flag in pinned:
+                pinned[flag].add(value)
+    assert set(_SOLVERS) - pinned["--solver"] == set()
+    assert set(_PIPELINES) - pinned["--pipeline"] == set()
+
+
 def _regenerate() -> None:
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:

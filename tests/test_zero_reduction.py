@@ -425,3 +425,15 @@ def test_claim_statistics_rejects_non_positive_trials():
     for trials in (0, -1):
         with pytest.raises(ValueError):
             claim_statistics(g, planted, 2, trials, RngStream(17))
+
+
+@pytest.mark.parametrize("s", [0, -1])
+def test_range_count_below_one_is_a_value_error(s):
+    g, planted = generate_tripartite(9, 25, True, RngStream(18))
+    with pytest.raises(ValueError, match="range count"):
+        zero_triangle_via_listing(g, s, bf_lister, 3, RngStream(19))
+    with pytest.raises(ValueError, match="range count"):
+        zero_triangle_via_global_listing(g, s, bf_global_lister, 3,
+                                         RngStream(19))
+    with pytest.raises(ValueError, match="range count"):
+        claim_statistics(g, planted, s, 3, RngStream(19))
