@@ -402,6 +402,10 @@ _PIPELINES = {
 }
 
 
+# The pipelines that run through _run_zero, the only reader of --tile.
+_TILED = ("zero-via-listing", "zero-via-global-listing")
+
+
 # ---------------------------------------------------------------- solve, reduce
 
 def _entry(table: dict, what: str, name: str, docs: list):
@@ -453,6 +457,9 @@ def cmd_reduce(args) -> int:
     rng = RngStream(seed, ("reduce", args.pipeline))
     docs = _read_documents(args.input)
     pipeline = _entry(_PIPELINES, "pipeline", args.pipeline, docs)
+    if args.tile is not None and args.pipeline not in _TILED:
+        raise UsageFailure(f"--tile is read only by {' and '.join(_TILED)}, "
+                           f"not by {args.pipeline}")
     inner = _choose(args.pipeline, "--inner", args.inner, pipeline.inners)
     report: list[str] = []
     text, check = pipeline.run(
@@ -569,6 +576,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """A cap: negative values are usage errors."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _or_inf(text: str):
     """A threshold where -1 means infinity."""
     return math.inf if int(text) == -1 else int(text)
@@ -646,7 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--trials", type=_positive_int, default=None)
     reduce_p.add_argument("--trial-multiplier", type=_positive_int,
                           default=100)
-    reduce_p.add_argument("--cap", type=int, default=3)
+    reduce_p.add_argument("--cap", type=_non_negative_int, default=3,
+                          help="per-edge triangle cap of "
+                               "listing-via-detection")
     reduce_p.add_argument("--global-cap", type=_or_none, default=None)
     reduce_p.add_argument("--degree-threshold", type=_or_inf, default=2)
     reduce_p.add_argument("--size-threshold", type=_or_inf, default=-2,

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 
 from .instances import ColoredValuedGraph, TripartiteWeightedGraph
+
+_endpoints = itemgetter(0, 1)  # (u, v, ...) edge -> (u, v)
 
 # Degree thresholds are ints, except math.inf meaning "everything is low
 # degree"; None picks a solver-specific default where one exists.
@@ -88,43 +91,54 @@ def ae_sparse_triangle_fast(
     their neighbor pairs; the heavy rest goes through one Boolean matrix
     product restricted to heavy columns. Threshold defaults to
     ceil(sqrt(m)); math.inf forces pure enumeration and 0 pure matmul.
+
+    Both halves work on packed rows: hits[a] collects the B-vertices b for
+    which some C-vertex closes a-b into a triangle. A light c adds
+    ab_bits[a] & b_bits[c] for each of its A-neighbors a, which enumerates
+    its neighbor pairs a word at a time; the matmul rows add the heavy ones.
     """
     na, nb, nc = g.part_sizes
     m = g.edge_count
     if degree_threshold is None:
         degree_threshold = isqrt(max(m - 1, 0)) + 1 if m else 1
 
-    nbrs_a = [[] for _ in range(nc)]  # per c: adjacent a's (via CA)
-    nbrs_b = [[] for _ in range(nc)]  # per c: adjacent b's (via BC)
-    for c, a, _w in g.edges_ca:
-        nbrs_a[c].append(a)
+    b_bits = [0] * nc  # per c: adjacent b's (via BC)
+    degree = [0] * nc
     for b, c, _w in g.edges_bc:
-        nbrs_b[c].append(b)
+        b_bits[c] |= 1 << b
+        degree[c] += 1
+    for c, _a, _w in g.edges_ca:
+        degree[c] += 1
+    ab_bits = [0] * na  # per a: adjacent b's (via AB)
+    for a, b, _w in g.edges_ab:
+        ab_bits[a] |= 1 << b
 
-    ab_present = set((a, b) for a, b, _w in g.edges_ab)
-    answers = {edge: False for edge in ab_present}
-
-    heavy = []
-    for c in range(nc):
-        if len(nbrs_a[c]) + len(nbrs_b[c]) <= degree_threshold:
-            for a in nbrs_a[c]:
-                for b in nbrs_b[c]:
-                    if (a, b) in ab_present:
-                        answers[(a, b)] = True
+    heavy = [c for c in range(nc) if degree[c] > degree_threshold]
+    column = [-1] * nc  # heavy c -> its matmul column; -1 for light c
+    for h, c in enumerate(heavy):
+        column[c] = h
+    hits = [0] * na
+    x_rows = [0] * na
+    for c, a, _w in g.edges_ca:
+        h = column[c]
+        if h < 0:
+            hits[a] |= ab_bits[a] & b_bits[c]
         else:
-            heavy.append(c)
+            x_rows[a] |= 1 << h
 
     if heavy:
-        x = BitMatrix.from_entries(
-            na, len(heavy),
-            ((a, h) for h, c in enumerate(heavy) for a in nbrs_a[c]))
-        y = BitMatrix.from_entries(
-            len(heavy), nb,
-            ((h, b) for h, c in enumerate(heavy) for b in nbrs_b[c]))
-        paths = bool_matmul(x, y)
-        for (a, b) in ab_present:
-            if paths.get(a, b):
-                answers[(a, b)] = True
+        y_rows = [b_bits[c] for c in heavy]
+        paths = bool_matmul(BitMatrix(na, len(heavy), x_rows),
+                            BitMatrix(len(heavy), nb, y_rows))
+        for a, row in enumerate(paths.row_words):
+            hits[a] |= row & ab_bits[a]
+    # Keys in edges_ab order; hits[a] only holds b's of AB edges.
+    answers = dict.fromkeys(map(_endpoints, g.edges_ab), False)
+    for a, row in enumerate(hits):
+        while row:
+            low = row & -row
+            answers[(a, low.bit_length() - 1)] = True
+            row ^= low
     return answers
 
 

@@ -1,9 +1,12 @@
 """Domain types shared by every solver and reduction.
 
-All types are frozen dataclasses validated on construction, so a value that
-exists is a value that satisfies its invariants. Vertex indices are 0-based
-within each part; triangles are always reported in part order (A, B, C) or
-(I, J, K).
+All types are frozen dataclasses. Values are validated at the boundary:
+``textio.parse``, the generators and the public constructors check every
+invariant, so a value built there satisfies them. Internal derivations of an
+already validated graph (restricted, reduced or re-weighted copies) go through
+the trusted ``TripartiteWeightedGraph._trusted`` path, which skips the checks.
+Vertex indices are 0-based within each part; triangles are always reported in
+part order (A, B, C) or (I, J, K).
 """
 
 from __future__ import annotations
@@ -74,6 +77,22 @@ class TripartiteWeightedGraph:
                     if not 0 <= w < self.weight_modulus:
                         raise ValueError(
                             f"weight {w} outside [0, {self.weight_modulus})")
+
+    @classmethod
+    def _trusted(cls, part_sizes, edges_ab, edges_bc, edges_ca,
+                 weight_modulus=None) -> "TripartiteWeightedGraph":
+        """Build without validation; for graphs derived from a validated one.
+
+        The caller guarantees what ``__post_init__`` would check: part_sizes
+        is a tuple of three counts, each edge list is a tuple of (u, v, w)
+        tuples with in-range, distinct endpoints, and every weight is a
+        residue in [0, weight_modulus) when the modulus is set.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(part_sizes=part_sizes, edges_ab=edges_ab,
+                          edges_bc=edges_bc, edges_ca=edges_ca,
+                          weight_modulus=weight_modulus)
+        return g
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int], ...]:
         return {"AB": self.edges_ab, "BC": self.edges_bc, "CA": self.edges_ca}[pair]

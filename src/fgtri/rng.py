@@ -14,6 +14,7 @@ so sequences are identical across platforms and Python builds.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 _MASK64 = (1 << 64) - 1
@@ -35,6 +36,8 @@ def _fnv1a(data: bytes, h: int = _FNV_OFFSET) -> int:
     return h
 
 
+# Typed, so that True is not served the cached hash of 1 and still raises.
+@lru_cache(maxsize=4096, typed=True)
 def _label_hash(label: "int | str") -> int:
     if isinstance(label, bool):
         raise TypeError("bool labels are ambiguous; use int or str")
@@ -82,6 +85,25 @@ class RngStream:
             value = self.next_u64() & mask
             if value < n:
                 return value
+
+    def sample_mask(self, count: int, bits: int) -> int:
+        """Bit i set, for i in range(count), when the i-th of count draws of
+        ``randrange(1 << bits)`` is 0: each bit is kept with probability
+        2^-bits.
+
+        Takes the same draws as that scalar loop, one ``next_u64`` per bit,
+        so the stream continues exactly where the loop would leave it.
+        """
+        if bits < 1:
+            raise ValueError("sample_mask() requires bits >= 1")
+        # randrange(2^bits) masks each draw to its low bits and never rejects.
+        low = (1 << bits) - 1
+        draw = self.next_u64
+        mask = 0
+        for i in range(count):
+            if not draw() & low:
+                mask |= 1 << i
+        return mask
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""

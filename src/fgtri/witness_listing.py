@@ -14,7 +14,7 @@ reindex vertices.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph
@@ -29,11 +29,19 @@ UniqueSolver = Callable[[TripartiteWeightedGraph],
 
 def _restrict_c(g: TripartiteWeightedGraph, keep_mask: int) -> TripartiteWeightedGraph:
     """Drop BC and CA edges whose C endpoint is not in the mask."""
-    return replace(
-        g,
-        edges_bc=tuple(e for e in g.edges_bc if (keep_mask >> e[1]) & 1),
-        edges_ca=tuple(e for e in g.edges_ca if (keep_mask >> e[0]) & 1),
-    )
+    # A subset of g's edges keeps g's invariants, so no re-validation.
+    return TripartiteWeightedGraph._trusted(
+        g.part_sizes, g.edges_ab,
+        tuple(e for e in g.edges_bc if (keep_mask >> e[1]) & 1),
+        tuple(e for e in g.edges_ca if (keep_mask >> e[0]) & 1),
+        g.weight_modulus)
+
+
+@lru_cache(maxsize=256)
+def _bit_masks(nc: int) -> tuple[int, ...]:
+    """Per bit position, the mask of C-indices in range(nc) with that bit set."""
+    return tuple(sum(1 << c for c in range(nc) if (c >> bit) & 1)
+                 for bit in range((nc - 1).bit_length()))
 
 
 def unique_listing_via_detection(
@@ -52,18 +60,12 @@ def unique_listing_via_detection(
     ab_edges = [(a, b) for a, b, _w in g.edges_ab]
     if nc == 0:
         return {edge: None for edge in ab_edges}
-    bits = (nc - 1).bit_length()
 
-    candidate = {edge: 0 for edge in ab_edges}
-    for bit in range(bits):
-        mask = 0
-        for c in range(nc):
-            if (c >> bit) & 1:
-                mask |= 1 << c
+    candidate = dict.fromkeys(ab_edges, 0)
+    for bit, mask in enumerate(_bit_masks(nc)):
         answers = detection_solver(_restrict_c(g, mask))
-        for edge in ab_edges:
-            if answers.get(edge, False):
-                candidate[edge] |= 1 << bit
+        for edge in filter(answers.get, candidate):
+            candidate[edge] |= 1 << bit
 
     has_bc = {(b, c) for b, c, _w in g.edges_bc}
     has_ca = {(c, a) for c, a, _w in g.edges_ca}
@@ -108,15 +110,10 @@ def listing_via_unique(
 
     unsaturated = len(ab_edges)
     for stage in range(1, stages + 1):
-        denom = 1 << stage
         for it in range(iterations):
             if unsaturated == 0:
                 break
-            stream = rng.child("stage", stage, "iter", it)
-            mask = 0
-            for c in range(nc):
-                if stream.randrange(denom) == 0:
-                    mask |= 1 << c
+            mask = rng.child("stage", stage, "iter", it).sample_mask(nc, stage)
             if mask == 0:
                 continue
             result = unique_solver(_restrict_c(g, mask))

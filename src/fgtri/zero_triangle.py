@@ -13,7 +13,7 @@ Range indices are 1-based (ranges L_1..L_s); vertex indices stay 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph
@@ -145,12 +145,15 @@ def pick_prime(max_abs_weight: int, rng: RngStream) -> int:
 
 def reduce_mod_p(g: TripartiteWeightedGraph, p: int) -> TripartiteWeightedGraph:
     """View all weights as residues in F_p."""
-    return TripartiteWeightedGraph(
+    if p < 1:
+        raise ValueError("weight_modulus must be positive")
+    # Same endpoints as the validated g, and w % p lies in [0, p).
+    return TripartiteWeightedGraph._trusted(
         g.part_sizes,
         tuple((u, v, w % p) for u, v, w in g.edges_ab),
         tuple((u, v, w % p) for u, v, w in g.edges_bc),
         tuple((u, v, w % p) for u, v, w in g.edges_ca),
-        weight_modulus=p,
+        p,
     )
 
 
@@ -185,7 +188,8 @@ def randomize_weights(
     edges_ab = tuple((a, b, (x * w - yb[b] + ya[a]) % p) for a, b, w in g.edges_ab)
     edges_bc = tuple((b, c, (x * w - yc[c] + yb[b]) % p) for b, c, w in g.edges_bc)
     edges_ca = tuple((c, a, (x * w - ya[a] + yc[c]) % p) for c, a, w in g.edges_ca)
-    return replace(g, edges_ab=edges_ab, edges_bc=edges_bc, edges_ca=edges_ca)
+    return TripartiteWeightedGraph._trusted(g.part_sizes, edges_ab, edges_bc,
+                                            edges_ca, p)
 
 
 def split_ranges(p: int, s: int) -> RangeSplit:
@@ -359,8 +363,10 @@ def build_subinstance(
         sel_ca = [(c, a, w) for c, a, w in sel_ca
                   if ("C", c) not in doomed and ("A", a) not in doomed]
 
-    graph = TripartiteWeightedGraph(gp.part_sizes, sel_ab, sel_bc, sel_ca,
-                                    weight_modulus=gp.weight_modulus)
+    # A subset of gp's edges keeps gp's invariants, so no re-validation.
+    graph = TripartiteWeightedGraph._trusted(
+        gp.part_sizes, tuple(sel_ab), tuple(sel_bc), tuple(sel_ca),
+        gp.weight_modulus)
     return SubinstanceReport(triple, graph, tuple(sorted(doomed)))
 
 

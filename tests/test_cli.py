@@ -409,3 +409,29 @@ def test_range_count_zero_is_usage_error(command, tmp_path, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "must be at least 1" in err and "Traceback" not in err
+
+
+def test_reduce_negative_cap_is_usage_error(tmp_path, capsys):
+    inst = _tiny(tmp_path, "twg")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reduce", "--pipeline", "listing-via-detection", "--cap", "-1",
+              "--check", "--seed", "1", "--in", inst])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be at least 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pipeline", sorted(
+    set(_PIPELINE_INPUTS) - {"zero-via-listing", "zero-via-global-listing"}))
+def test_tile_on_a_pipeline_that_ignores_it_is_usage_error(pipeline, tmp_path,
+                                                          capsys):
+    inst = _tiny(tmp_path, _PIPELINE_INPUTS[pipeline])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", pipeline, "--tile", "1,1,1",
+                 "--check", "--seed", "1", "--in", inst,
+                 "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --tile is read only by "
+                          "zero-via-listing and zero-via-global-listing")
+    assert "Traceback" not in err

@@ -90,6 +90,26 @@ def test_sparse_fast_battery_default_threshold():
         assert ae_sparse_triangle_fast(g) == ae_sparse_triangle_bf(g)
 
 
+def test_sparse_fast_battery_mixes_light_and_heavy_c_vertices():
+    # At the default threshold ceil(sqrt(m)), these shapes put some
+    # C-vertices on each side, so the light rows and the matmul rows both
+    # feed one answer.
+    mixed = 0
+    for seed in range(60):
+        g = generate_sparse_tripartite((10, 10, 6), 50 + (seed * 7) % 40, 4,
+                                       RngStream(4000 + seed))
+        threshold = math.isqrt(g.edge_count - 1) + 1
+        degree = [0] * 6
+        for _b, c, _w in g.edges_bc:
+            degree[c] += 1
+        for c, _a, _w in g.edges_ca:
+            degree[c] += 1
+        heavy = sum(d > threshold for d in degree)
+        mixed += 0 < heavy < 6
+        assert ae_sparse_triangle_fast(g) == ae_sparse_triangle_bf(g)
+    assert mixed >= 40
+
+
 def test_mono_fast_single_color_matches_sparse_semantics():
     # One color class: "in a monochromatic triangle" degenerates to plain
     # all-edges triangle detection on that class.

@@ -77,3 +77,53 @@ def test_sample_distinct():
 def test_bernoulli_validation():
     with pytest.raises(ValueError):
         RngStream(1).bernoulli(3, 2)
+
+
+def _scalar_mask(stream, count, bits):
+    mask = 0
+    for i in range(count):
+        if stream.randrange(1 << bits) == 0:
+            mask |= 1 << i
+    return mask
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_sample_mask_equals_scalar_loop(bits):
+    for count in range(41):
+        path = ("mask", bits, count)
+        assert RngStream(11, path).sample_mask(count, bits) \
+            == _scalar_mask(RngStream(11, path), count, bits)
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_sample_mask_leaves_stream_where_scalar_loop_does(bits):
+    for count in range(41):
+        batched, scalar = RngStream(12, ("m", count)), RngStream(12, ("m", count))
+        batched.sample_mask(count, bits)
+        _scalar_mask(scalar, count, bits)
+        assert batched.next_u64() == scalar.next_u64()
+
+
+def test_sample_mask_draws_through_next_u64(monkeypatch):
+    # Draw counters wrap next_u64, so the batched draw must go through it.
+    calls = []
+    original = RngStream.next_u64
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(RngStream, "next_u64", counted)
+    RngStream(3).sample_mask(17, 2)
+    assert len(calls) == 17
+    with pytest.raises(ValueError):
+        RngStream(3).sample_mask(4, 0)
+
+
+def test_bool_label_raises_after_int_label_is_cached():
+    from fgtri.rng import _label_hash
+    _label_hash(1)
+    with pytest.raises(TypeError):
+        _label_hash(True)
+    with pytest.raises(TypeError):
+        RngStream(1, (True,))

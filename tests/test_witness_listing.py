@@ -3,8 +3,9 @@
 from fgtri import (RngStream, TripartiteWeightedGraph,
                    ae_sparse_triangle_bf, ae_sparse_triangle_fast,
                    generate_sparse_tripartite, listing_via_detection,
-                   listing_via_unique, triangle_list_bf,
+                   listing_via_unique, reduce_mod_p, triangle_list_bf,
                    unique_listing_via_detection)
+from fgtri.witness_listing import _restrict_c
 
 
 def k222():
@@ -120,3 +121,25 @@ def test_listing_via_detection_battery():
                 ok = False
         agree += ok
     assert agree / total >= 0.95
+
+
+def test_restrict_c_equals_the_validated_graph_of_its_fields():
+    for seed in range(12):
+        rng = RngStream(seed, ("restrict",))
+        g = generate_sparse_tripartite((5 + seed % 3, 6, 7 + seed % 4),
+                                       40 + 5 * seed, 9, rng.child("g"))
+        if seed % 2:
+            g = reduce_mod_p(g, 5)
+        nc = g.part_sizes[2]
+        for trial in range(10):
+            mask = rng.child("mask", trial).randrange(1 << nc)
+            sub = _restrict_c(g, mask)
+            want = TripartiteWeightedGraph(
+                g.part_sizes, g.edges_ab,
+                [e for e in g.edges_bc if (mask >> e[1]) & 1],
+                [e for e in g.edges_ca if (mask >> e[0]) & 1],
+                g.weight_modulus)
+            assert sub == want
+            assert TripartiteWeightedGraph(
+                sub.part_sizes, sub.edges_ab, sub.edges_bc, sub.edges_ca,
+                sub.weight_modulus) == sub

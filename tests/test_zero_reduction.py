@@ -340,6 +340,39 @@ def test_subinstance_matches_reference_scan_across_splits():
     assert pruned_somewhere
 
 
+def _validated_copy(g):
+    return TripartiteWeightedGraph(g.part_sizes, g.edges_ab, g.edges_bc,
+                                   g.edges_ca, g.weight_modulus)
+
+
+def test_derived_graphs_equal_the_validated_graph_of_their_fields():
+    # reduce_mod_p, randomize_weights and build_subinstance skip validation;
+    # the validating constructor must accept what they build, unchanged.
+    pruned_somewhere = False
+    for seed in range(8):
+        g, _tri = generate_tripartite(9, 50, seed % 2 == 0, RngStream(seed))
+        p = pick_prime(g.max_abs_weight(), RngStream(seed).child("p"))
+        gp = reduce_mod_p(g, p)
+        assert gp == _validated_copy(gp) and gp.weight_modulus == p
+        rd = draw_randomization(g.part_sizes, p, RngStream(seed).child("rd"))
+        sheared = randomize_weights(gp, rd)
+        assert sheared == _validated_copy(sheared)
+        rs = split_ranges(p, 3)
+        for triple in enumerate_zero_triples(rs):
+            for caps in ((None, None, None), (2, 1, 3)):
+                rep = build_subinstance(sheared, rs, triple, *caps)
+                assert rep.graph == _validated_copy(rep.graph)
+                pruned_somewhere |= bool(rep.pruned)
+    assert pruned_somewhere
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_reduce_mod_p_rejects_a_non_positive_modulus(p):
+    g, _tri = generate_tripartite(6, 20, True, RngStream(1))
+    with pytest.raises(ValueError):
+        reduce_mod_p(g, p)
+
+
 # ------------------------------------------------------------ pipelines
 
 def test_pipeline_degenerate_parameters_match_brute_force():
