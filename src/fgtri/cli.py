@@ -402,8 +402,15 @@ _PIPELINES = {
 }
 
 
-# The pipelines that run through _run_zero, the only reader of --tile.
-_TILED = ("zero-via-listing", "zero-via-global-listing")
+# Each pipeline-specific reduce flag (by dest) and the pipelines that read
+# it; any other pipeline rejects the flag when it is set off its default.
+_ZERO = ("zero-via-listing", "zero-via-global-listing")
+_FLAG_READERS = {
+    "s": _ZERO, "trials": _ZERO, "trial_multiplier": _ZERO, "tile": _ZERO,
+    "cap": ("listing-via-detection",),
+    "global_cap": ("listing-to-intersection",),
+    "degree_threshold": ("monoeq",), "size_threshold": ("monoeq",),
+}
 
 
 # ---------------------------------------------------------------- solve, reduce
@@ -457,9 +464,12 @@ def cmd_reduce(args) -> int:
     rng = RngStream(seed, ("reduce", args.pipeline))
     docs = _read_documents(args.input)
     pipeline = _entry(_PIPELINES, "pipeline", args.pipeline, docs)
-    if args.tile is not None and args.pipeline not in _TILED:
-        raise UsageFailure(f"--tile is read only by {' and '.join(_TILED)}, "
-                           f"not by {args.pipeline}")
+    for dest, readers in _FLAG_READERS.items():
+        if args.pipeline not in readers \
+                and getattr(args, dest) != args.flag_defaults[dest]:
+            raise UsageFailure(
+                f"--{dest.replace('_', '-')} is read only by "
+                f"{' and '.join(readers)}, not by {args.pipeline}")
     inner = _choose(args.pipeline, "--inner", args.inner, pipeline.inners)
     report: list[str] = []
     text, check = pipeline.run(
@@ -544,6 +554,9 @@ def cmd_bench(args) -> int:
         fn()
         return (time.perf_counter() - start) * 1000.0
 
+    unknown = [name for name in solvers if name not in _BENCH_SOLVERS]
+    if unknown:
+        raise UsageFailure(f"unknown bench solver {unknown[0]!r}")
     rows = []
     for n in sorted(sizes):
         graph, _ = generators.generate_tripartite(
@@ -552,8 +565,6 @@ def cmd_bench(args) -> int:
             generators.balanced_split(n), 4, 60, 8,
             frozenset(), rng.child("colored", n))
         for solver in solvers:
-            if solver not in _BENCH_SOLVERS:
-                raise UsageFailure(f"unknown bench solver {solver!r}")
             fn, on_colored = _BENCH_SOLVERS[solver]
             inst = colored if on_colored else graph
             samples = sorted(time_once(lambda: fn(inst))
@@ -671,7 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--tile", default=None, metavar="A,B,C",
                           help="run the zero pipelines per part-block "
                                "triple of these sizes")
-    reduce_p.set_defaults(func=cmd_reduce)
+    reduce_p.set_defaults(func=cmd_reduce, flag_defaults={
+        dest: reduce_p.get_default(dest) for dest in _FLAG_READERS})
 
     verify = sub.add_parser(
         "verify", help="statistical verification of the pipeline claims")

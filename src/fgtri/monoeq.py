@@ -19,7 +19,7 @@ from math import isinf
 from typing import Callable, Optional
 
 from .fast_solvers import BitMatrix, _color_subgraphs, bool_matmul
-from .instances import ColoredValuedGraph
+from .instances import _PAIR_PARTS, ColoredValuedGraph
 from .rng import RngStream
 from .zero_triangle import ceil_log2
 
@@ -103,10 +103,9 @@ def expand_values(g: ColoredValuedGraph, tag: Optional[str] = None) -> ExpandedC
     valued_pairs = CASE_VALUE_SIDES[tag]
 
     # Position of the blown part inside each valued pair's (u, v) key.
-    pair_slot = {"IJ": (0, 1), "JK": (1, 2), "IK": (0, 2)}
     copies = set()
     for pair in valued_pairs:
-        slot = pair_slot[pair].index(blown)
+        slot = _PAIR_PARTS[pair].index(blown)
         for e in g.edges(pair):
             copies.add((e[slot], e[3]))
     vertex_map = {kv: idx for idx, kv in enumerate(sorted(copies))}
@@ -118,7 +117,7 @@ def expand_values(g: ColoredValuedGraph, tag: Optional[str] = None) -> ExpandedC
         edges = g.edges(pair)
         if pair not in valued_pairs:
             return tuple((u, v, c, None) for u, v, c, _ in edges)
-        slot = pair_slot[pair].index(blown)
+        slot = _PAIR_PARTS[pair].index(blown)
         out = []
         for e in edges:
             u, v, c, val = e
@@ -149,7 +148,6 @@ class CombinedMonoInstance:
     """Many sparse per-edge-query graphs packed into one host of
     ``host_size`` vertices per part.
 
-    ``permutations`` holds each source's flattened-vertex-to-host map;
     ``parallel`` lists, per host pair, its parallel edges as
     (label, source, pair, u, v); ``instances`` are the label-triple
     monochromatic instances; ``query_maps`` give, per source, each query
@@ -158,7 +156,6 @@ class CombinedMonoInstance:
     host_size: int
     max_label: int
     observed_max_label: int
-    permutations: tuple[tuple[int, ...], ...]
     parallel: tuple[tuple[tuple[int, int], tuple[tuple[int, int, str, int, int], ...]], ...]
     instances: tuple[tuple[tuple[int, int, int], ColoredValuedGraph], ...]
     query_maps: tuple[dict, ...]
@@ -220,15 +217,14 @@ def combine_sparse_into_mono(
                 f"source with {sum(inst.part_sizes)} vertices exceeds host "
                 f"size {host_size}")
 
-    pair_parts = {"IJ": (0, 1), "JK": (1, 2), "IK": (0, 2)}
     for attempt in range(max_retries):
         perms = []
         placed: dict[tuple[int, int], list] = {}
         for q, inst in enumerate(instances):
             perm = rng.child("perm", attempt, q).permutation(host_size)
-            perms.append(tuple(perm))
+            perms.append(perm)
             for pair in ("IJ", "JK", "IK"):
-                pu, pv = pair_parts[pair]
+                pu, pv = _PAIR_PARTS[pair]
                 for u, v, _c, _val in inst.edges(pair):
                     x = perm[_flatten_vertex(inst.part_sizes, pu, u)]
                     y = perm[_flatten_vertex(inst.part_sizes, pv, v)]
@@ -270,7 +266,7 @@ def combine_sparse_into_mono(
                     buckets[li], buckets[lj], buckets[lk], frozenset())))
 
     return CombinedMonoInstance(
-        host_size, max_label, mult, tuple(perms), tuple(parallel),
+        host_size, max_label, mult, tuple(parallel),
         tuple(built), tuple(query_maps))
 
 
@@ -297,9 +293,8 @@ def _ae_mono_on_expansion(
     ni, nj, nk = g.part_sizes
 
     # Which pairs touch the blown part, and the blown slot in their keys.
-    pair_slot = {"IJ": (0, 1), "JK": (1, 2), "IK": (0, 2)}
-    touching = [p for p in ("IJ", "JK", "IK") if blown in pair_slot[p]]
-    third_pair = next(p for p in ("IJ", "JK", "IK") if blown not in pair_slot[p])
+    touching = [p for p in ("IJ", "JK", "IK") if blown in _PAIR_PARTS[p]]
+    third_pair = next(p for p in ("IJ", "JK", "IK") if p not in touching)
 
     combine_sources: list[ColoredValuedGraph] = []
     combine_edge_maps: list[dict] = []
@@ -312,15 +307,15 @@ def _ae_mono_on_expansion(
         # Adjacency of blown-part vertices within this color.
         nbrs: dict[int, dict[str, list[int]]] = {}
         for pair in touching:
-            slot = pair_slot[pair].index(blown)
+            slot = _PAIR_PARTS[pair].index(blown)
             for e in edges[pair]:
                 x = e[slot]
                 other = e[1 - slot]
                 nbrs.setdefault(x, {p: [] for p in touching})[pair].append(other)
 
         p1, p2 = touching
-        part1 = pair_slot[p1][1 - pair_slot[p1].index(blown)]
-        part2 = pair_slot[p2][1 - pair_slot[p2].index(blown)]
+        part1 = _PAIR_PARTS[p1][1 - _PAIR_PARTS[p1].index(blown)]
+        part2 = _PAIR_PARTS[p2][1 - _PAIR_PARTS[p2].index(blown)]
         third = set(live[third_pair])
 
         def third_key(u1, u2):
@@ -349,12 +344,12 @@ def _ae_mono_on_expansion(
                             answers[qe] = True
             dropped.add(x)
         for pair in touching:
-            slot = pair_slot[pair].index(blown)
+            slot = _PAIR_PARTS[pair].index(blown)
             live[pair] = {e for e in live[pair] if e[slot] not in dropped}
 
         remaining_blown = set()
         for pair in touching:
-            slot = pair_slot[pair].index(blown)
+            slot = _PAIR_PARTS[pair].index(blown)
             remaining_blown.update(e[slot] for e in live[pair])
         if not remaining_blown or not live[third_pair]:
             continue

@@ -3,11 +3,13 @@ to monochromatic-equality triangle queries.
 
 Every reduction first rank-compresses the participating values (order- and
 equality-preserving, so comparisons transfer), then narrows each output
-entry level by level: a level-l estimate is a multiple of 2^l bracketing
-the true answer in [estimate, estimate + 2^l), and one solver call per
-level decides which half survives. The <=-style products split further by
-the highest differing bit of the compared pair, using filler tags -1/-2
-that can never match.
+entry level by level in one skeleton, ``_bisect``: a level-l estimate is a
+multiple of 2^l bracketing the true answer in [estimate, estimate + 2^l),
+and one solver call per level decides which half survives. Each search
+hands it a ``probe(level)`` that builds that level's instance. The
+(min, =)/(max, =) matrix searches share ``_eq_product``; the <=-style
+products split further by the highest differing bit of the compared pair
+(``_by_highest_bit``), using filler tags -1/-2 that can never match.
 
 Strictness without value shifts: rank r of the left matrix becomes 2r and
 rank r of the right becomes 2r + 1, so "left <= right" is exactly "left
@@ -15,8 +17,10 @@ tag < right tag" and no sentinel ever needs incrementing.
 
 Passing an ``instrument`` callable exposes the searches for verification:
 a "start" event describes the discretized search space and a "level" event
-per round carries the current estimates (test mode asserts the bracketing
-invariant against brute force).
+per round carries the current estimates and active flags, as grids for the
+matrix searches and as dicts keyed by I x J edge for the monochromatic ones
+(test mode asserts the bracketing invariant against brute force). A start
+event hands over the search's own grids, so an instrument only reads them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .zero_triangle import ceil_log2
 MonoeqSolver = Callable[[ColoredValuedGraph], dict]      # AE-MonoEq triangle
 MonoEqProductSolver = Callable[[ColoredValuedGraph], dict]  # MonoEq product
 Instrument = Optional[Callable[[dict], None]]
+
+_CASE_A = frozenset({"IK", "JK"})   # values on I x K and J x K
+_CASE_B = frozenset({"IJ", "JK"})   # values on I x J and J x K
 
 
 def composite_color(base: int, tag: int, tag_bound: int) -> int:
@@ -43,55 +50,87 @@ def _joint_ranks(*value_iters):
     return {v: r for r, v in enumerate(values)}, values
 
 
-def _snapshot(grid):
-    return [row[:] for row in grid]
+def _bisect(est, levels, mode, probe, solver, key, on_level):
+    """The one binary-search level loop, shared by every search here.
 
-
-def _search_case_a(a_vals, b_vals, t, mode, monoeq_solver, instrument, op):
-    """Per (i, j), the min/max of {b_vals[k][j] : a_vals[i][k] == b_vals[k][j]}
-    over nonnegative grids, by t levels of case-A equality queries.
-
-    The level-l graph colors edge (i, k) with a>>l, (j, k) with b>>l and
-    (i, j) with the half being probed; values are the full numbers, so a
-    positive answer means a full match inside that half.
+    ``est`` maps each live entry to a multiple of 2^levels at or below its
+    answer. At each level the solver answers ``probe(level)``, keyed by
+    ``key + entry``: whether the lower half of the entry's bracket holds a
+    match (mode "min") or its upper half does (mode "max"). A min search
+    that misses, or a max search that hits, moves into the upper half.
     """
-    n_rows = len(a_vals)
-    inner = len(b_vals)
-    n_cols = len(b_vals[0]) if inner else 0
-    est = [[0] * n_cols for _ in range(n_rows)]
-    if instrument is not None:
-        instrument({"kind": "start", "op": op, "mode": mode,
-                    "a_tag": _snapshot(a_vals), "b_tag": _snapshot(b_vals),
-                    "pre_tag": None, "b_val": _snapshot(b_vals)})
-    all_edges = [(i, j) for i in range(n_rows) for j in range(n_cols)]
-    for level in range(t - 1, -1, -1):
-        edges_ij = []
-        for (i, j) in all_edges:
-            probe = est[i][j] >> level
-            if mode == "max":
-                probe |= 1
-            edges_ij.append((i, j, probe, None))
-        edges_ik = tuple((i, k, a_vals[i][k] >> level, a_vals[i][k])
-                         for i in range(n_rows) for k in range(inner))
-        edges_jk = tuple((j, k, b_vals[k][j] >> level, b_vals[k][j])
-                         for j in range(n_cols) for k in range(inner))
-        graph = ColoredValuedGraph((n_rows, n_cols, inner), tuple(edges_ij),
-                                   edges_jk, edges_ik,
-                                   frozenset({"IK", "JK"}))
-        answers = monoeq_solver(graph)
-        for (i, j) in all_edges:
-            positive = answers.get(("IJ", i, j), False)
-            if mode == "min":
-                if not positive:
-                    est[i][j] += 1 << level
-            else:
-                if positive:
-                    est[i][j] += 1 << level
-        if instrument is not None:
-            instrument({"kind": "level", "op": op, "level": level,
-                        "estimates": _snapshot(est),
-                        "active": [[True] * n_cols for _ in range(n_rows)]})
+    moves_on_miss = mode == "min"
+    for level in range(levels - 1, -1, -1):
+        answers = solver(probe(level))
+        for entry in est:
+            if (not answers.get(key + entry, False)) == moves_on_miss:
+                est[entry] += 1 << level
+        if on_level is not None:
+            on_level(level)
     return est
+
+
+def _grid_levels(instrument, op, est, n_rows, n_cols):
+    """Level events of a matrix search: estimates (0 where inactive) and
+    active flags as n_rows x n_cols grids."""
+    if instrument is None:
+        return None
+    return lambda level: instrument({
+        "kind": "level", "op": op, "level": level,
+        "estimates": [[est.get((i, j), 0) for j in range(n_cols)]
+                      for i in range(n_rows)],
+        "active": [[(i, j) in est for j in range(n_cols)]
+                   for i in range(n_rows)]})
+
+
+def _dict_levels(instrument, op, est, active):
+    """Level events of a monochromatic search, keyed by I x J edge."""
+    if instrument is None:
+        return None
+    return lambda level: instrument({
+        "kind": "level", "op": op, "level": level,
+        "estimates": dict(est), "active": dict(active)})
+
+
+def _eq_product(a_grid, b_grid, mode, solver, instrument):
+    """(min, =) or (max, =)-product of integer grids; None marks no match.
+    ``b_grid`` has at least one row.
+
+    Values become ranks (shifted up by one for max) and a padding column of
+    A and row of B carry ``pad``, which matches everything: one rank beyond
+    all values for min, zero (the floor) for max. An entry whose search
+    lands on ``pad`` has no real match. The level-l instance colors edge
+    (i, k) with a>>l, (j, k) with b>>l and (i, j) with the half being
+    probed; values are the full numbers, so a positive answer means a full
+    match inside that half.
+    """
+    rank, unrank = _joint_ranks(*a_grid, *b_grid)
+    upper = int(mode == "max")
+    pad = 0 if upper else len(unrank)
+    a_vals = [[rank[v] + upper for v in row] + [pad] for row in a_grid]
+    b_vals = [[rank[v] + upper for v in row] for row in b_grid]
+    n_rows, inner, n_cols = len(a_vals), len(b_vals) + 1, len(b_vals[0])
+    b_vals.append([pad] * n_cols)
+    ik = [(i, k, v) for i, row in enumerate(a_vals) for k, v in enumerate(row)]
+    jk = [(j, k, b_vals[k][j]) for j in range(n_cols) for k in range(inner)]
+    est = {(i, j): 0 for i in range(n_rows) for j in range(n_cols)}
+    op = f"{mode}_eq"
+    if instrument is not None:
+        instrument({"kind": "start", "op": op, "mode": mode, "a_tag": a_vals,
+                    "b_tag": b_vals, "pre_tag": None, "b_val": b_vals})
+
+    def probe(level):
+        return ColoredValuedGraph(
+            (n_rows, n_cols, inner),
+            tuple((i, j, (e >> level) | upper, None)
+                  for (i, j), e in est.items()),
+            tuple((j, k, v >> level, v) for j, k, v in jk),
+            tuple((i, k, v >> level, v) for i, k, v in ik), _CASE_A)
+
+    _bisect(est, ceil_log2(len(unrank) + 1), mode, probe, solver, ("IJ",),
+            _grid_levels(instrument, op, est, n_rows, n_cols))
+    return [[None if est[(i, j)] == pad else unrank[est[(i, j)] - upper]
+             for j in range(n_cols)] for i in range(n_rows)]
 
 
 def min_eq_via_monoeq(
@@ -107,113 +146,39 @@ def min_eq_via_monoeq(
     """
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    rank, unrank = _joint_ranks(a.entries, b.entries)
-    pad = len(unrank)  # one rank beyond everything: the always-match column
-    a_vals = [[rank[a.at(i, k)] for k in range(a.cols)] + [pad]
-              for i in range(a.rows)]
-    b_vals = [[rank[b.at(k, j)] for j in range(b.cols)] for k in range(b.rows)]
-    b_vals.append([pad] * b.cols)
-    t = ceil_log2(max(2, pad + 1))
-    est = _search_case_a(a_vals, b_vals, t, "min", monoeq_solver, instrument,
-                         "min_eq")
-    entries = tuple(PLUS_INF if est[i][j] == pad else unrank[est[i][j]]
-                    for i in range(a.rows) for j in range(b.cols))
-    return IntMatrix(a.rows, b.cols, entries)
+    if a.cols == 0:
+        return IntMatrix(a.rows, b.cols, (PLUS_INF,) * (a.rows * b.cols))
+    found = _eq_product(a.to_rows(), b.to_rows(), "min", monoeq_solver,
+                        instrument)
+    return IntMatrix(a.rows, b.cols, tuple(
+        PLUS_INF if v is None else v for row in found for v in row))
 
 
-def _max_eq_via_monoeq(a_vals, b_vals, monoeq_solver, instrument):
-    """(max, =)-product on integer grids; None marks no match.
+def _by_highest_bit(a_vals, b_vals, mode, search):
+    """The <=-products' outer loop over the highest differing bit.
 
-    Mirror of the min search. Rank compression first (so filler tags stay
-    unequal and arbitrary integers become small nonnegative ones), then a
-    shift up by one with a zero-valued padding column as the floor: a
-    result of zero decodes to "no real match"."""
-    n_rows = len(a_vals)
-    n_cols = len(b_vals[0]) if b_vals else 0
-    rank, unrank = _joint_ranks((v for row in a_vals for v in row),
-                                (v for row in b_vals for v in row))
-    shifted_a = [[rank[v] + 1 for v in row] + [0] for row in a_vals]
-    shifted_b = [[rank[v] + 1 for v in row] for row in b_vals]
-    shifted_b.append([0] * n_cols)
-    t = ceil_log2(max(2, len(unrank) + 1))
-    est = _search_case_a(shifted_a, shifted_b, t, "max", monoeq_solver,
-                         instrument, "max_eq")
-    return [[unrank[est[i][j] - 1] if est[i][j] > 0 else None
-             for j in range(n_cols)] for i in range(n_rows)]
-
-
-def _parity_tags(a: IntMatrix, b: IntMatrix):
-    """Joint ranks with the strictness parity trick: left entries map to
-    2r, right entries to 2r + 1, so left <= right iff tag(left) < tag(right)."""
-    rank, unrank = _joint_ranks(a.entries, b.entries)
-    a_tags = [[2 * rank[a.at(i, k)] for k in range(a.cols)]
-              for i in range(a.rows)]
-    b_tags = [[2 * rank[b.at(k, j)] + 1 for j in range(b.cols)]
-              for k in range(b.rows)]
-    t = ceil_log2(max(2, 2 * len(unrank)))
-    return a_tags, b_tags, unrank, t
-
-
-def _split_by_bit(a_tags, b_tags, bit):
-    """Filler -1/-2 for entries whose bit disagrees with a<b at this bit."""
-    a_cut = [[(v >> (bit + 1)) if not (v >> bit) & 1 else -1 for v in row]
-             for row in a_tags]
-    b_cut = [[(v >> (bit + 1)) if (v >> bit) & 1 else -2 for v in row]
-             for row in b_tags]
-    return a_cut, b_cut
-
-
-def _search_fixed_tags(a_cut, b_cut, prefix, b_tags, levels, est, active,
-                       mode, monoeq_solver, instrument, op):
-    """Narrow est within [prefix<<levels, (prefix+1)<<levels) to the min/max
-    b_tags entry whose cut tags match the prefix.
-
-    Colors stay fixed (the cut tags and the per-entry prefix); each level
-    puts the probed half on the I x J values and the shifted b tags on the
-    J x K values, case-B style.
+    Ranks get parity tags (left 2r, right 2r + 1), and left tag < right tag
+    exactly when the left tag has a 0 and the right tag a 1 at their
+    highest differing bit. Each bit handles the pairs that first differ
+    there: tags are cut to the bits above it, and entries whose own bit is
+    wrong get the fillers -1 (left) and -2 (right), which match nothing.
+    ``search(bit, a_cut, b_cut, b_tags)``, on flat lists aligned with
+    ``a_vals`` and ``b_vals``, returns for each entry with such a pair its
+    best (odd) right tag. Returns entry -> the best value over all bits.
     """
-    n_rows = len(a_cut)
-    inner = len(b_cut)
-    n_cols = len(b_cut[0]) if inner else 0
-    if instrument is not None:
-        instrument({"kind": "start", "op": op, "mode": mode,
-                    "a_tag": _snapshot(a_cut), "b_tag": _snapshot(b_cut),
-                    "pre_tag": _snapshot(prefix),
-                    "b_val": _snapshot(b_tags)})
-    for level in range(levels - 1, -1, -1):
-        edges_ij = []
-        for i in range(n_rows):
-            for j in range(n_cols):
-                if not active[i][j]:
-                    continue
-                probe = est[i][j] >> level
-                if mode == "max":
-                    probe |= 1
-                edges_ij.append((i, j, prefix[i][j], probe))
-        edges_ik = tuple((i, k, a_cut[i][k], None)
-                         for i in range(n_rows) for k in range(inner))
-        edges_jk = tuple((j, k, b_cut[k][j], b_tags[k][j] >> level)
-                         for j in range(n_cols) for k in range(inner))
-        graph = ColoredValuedGraph((n_rows, n_cols, inner), tuple(edges_ij),
-                                   edges_jk, edges_ik,
-                                   frozenset({"IJ", "JK"}))
-        answers = monoeq_solver(graph)
-        for i in range(n_rows):
-            for j in range(n_cols):
-                if not active[i][j]:
-                    continue
-                positive = answers.get(("IJ", i, j), False)
-                if mode == "min":
-                    if not positive:
-                        est[i][j] += 1 << level
-                else:
-                    if positive:
-                        est[i][j] += 1 << level
-        if instrument is not None:
-            instrument({"kind": "level", "op": op, "level": level,
-                        "estimates": _snapshot(est),
-                        "active": _snapshot(active)})
-    return est
+    rank, unrank = _joint_ranks(a_vals, b_vals)
+    a_tags = [2 * rank[v] for v in a_vals]
+    b_tags = [2 * rank[v] + 1 for v in b_vals]
+    best: dict = {}
+    for bit in range(ceil_log2(max(1, 2 * len(unrank)))):
+        a_cut = [v >> (bit + 1) if not (v >> bit) & 1 else -1 for v in a_tags]
+        b_cut = [v >> (bit + 1) if (v >> bit) & 1 else -2 for v in b_tags]
+        for entry, tag in search(bit, a_cut, b_cut, b_tags).items():
+            r = (tag - 1) // 2
+            cur = best.get(entry)
+            if cur is None or (r < cur if mode == "min" else r > cur):
+                best[entry] = r
+    return {entry: unrank[r] for entry, r in best.items()}
 
 
 def _le_product(a, b, mode, monoeq_solver, instrument):
@@ -224,47 +189,51 @@ def _le_product(a, b, mode, monoeq_solver, instrument):
     empty = PLUS_INF if mode == "min" else MINUS_INF
     if inner == 0 or n_rows == 0 or n_cols == 0:
         return IntMatrix(n_rows, n_cols, (empty,) * (n_rows * n_cols))
-    a_tags, b_tags, unrank, t = _parity_tags(a, b)
+    op = f"{mode}_le_inner"
+    upper = int(mode == "max")
 
-    best: list[list[Optional[int]]] = [[None] * n_cols for _ in range(n_rows)]
-    for bit in range(t):
-        a_cut, b_cut = _split_by_bit(a_tags, b_tags, bit)
-        if mode == "min":
-            prefix_mat = min_eq_via_monoeq(
-                IntMatrix.from_rows(a_cut),
-                IntMatrix.from_rows(b_cut), monoeq_solver, instrument)
-            prefix = [[None if prefix_mat.at(i, j) == PLUS_INF
-                       else prefix_mat.at(i, j) for j in range(n_cols)]
-                      for i in range(n_rows)]
-        else:
-            prefix = _max_eq_via_monoeq(a_cut, b_cut, monoeq_solver,
-                                        instrument)
-        active = [[prefix[i][j] is not None for j in range(n_cols)]
-                  for i in range(n_rows)]
-        if not any(any(row) for row in active):
-            continue
-        est = [[(prefix[i][j] << (bit + 1)) if active[i][j] else 0
-                for j in range(n_cols)] for i in range(n_rows)]
-        est = _search_fixed_tags(a_cut, b_cut, prefix, b_tags, bit + 1, est,
-                                 active, mode, monoeq_solver, instrument,
-                                 f"{'min' if mode == 'min' else 'max'}_le_inner")
-        for i in range(n_rows):
-            for j in range(n_cols):
-                if not active[i][j]:
-                    continue
-                rank = (est[i][j] - 1) // 2  # est is an odd right-side tag
-                cur = best[i][j]
-                if cur is None or (rank < cur if mode == "min" else rank > cur):
-                    best[i][j] = rank
-    entries = tuple(
-        empty if best[i][j] is None else unrank[best[i][j]]
-        for i in range(n_rows) for j in range(n_cols))
-    return IntMatrix(n_rows, n_cols, entries)
+    def grid(flat, width):
+        return [flat[r:r + width] for r in range(0, len(flat), width)]
+
+    def search(bit, a_cut, b_cut, b_tags):
+        """Case-B search: colors stay fixed (the cut tags and each entry's
+        common prefix); each level puts the probed half on the I x J values
+        and the shifted b tags on the J x K values."""
+        a_grid, b_grid = grid(a_cut, inner), grid(b_cut, n_cols)
+        prefix = _eq_product(a_grid, b_grid, mode, monoeq_solver, instrument)
+        est = {(i, j): p << (bit + 1) for i, row in enumerate(prefix)
+               for j, p in enumerate(row) if p is not None}
+        if not est:
+            return est
+        if instrument is not None:
+            instrument({"kind": "start", "op": op, "mode": mode,
+                        "a_tag": a_grid, "b_tag": b_grid, "pre_tag": prefix,
+                        "b_val": grid(b_tags, n_cols)})
+        edges_ik = tuple((i, k, a_grid[i][k], None)
+                         for i in range(n_rows) for k in range(inner))
+        jk = [(j, k, b_grid[k][j], b_tags[k * n_cols + j])
+              for j in range(n_cols) for k in range(inner)]
+
+        def probe(level):
+            return ColoredValuedGraph(
+                (n_rows, n_cols, inner),
+                tuple((i, j, prefix[i][j], (e >> level) | upper)
+                      for (i, j), e in est.items()),
+                tuple((j, k, c, v >> level) for j, k, c, v in jk),
+                edges_ik, _CASE_B)
+
+        return _bisect(est, bit + 1, mode, probe, monoeq_solver, ("IJ",),
+                       _grid_levels(instrument, op, est, n_rows, n_cols))
+
+    found = _by_highest_bit(a.entries, b.entries, mode, search)
+    return IntMatrix(n_rows, n_cols, tuple(found.get((i, j), empty)
+                                           for i in range(n_rows)
+                                           for j in range(n_cols)))
 
 
 def min_le_via_monoeq(a, b, monoeq_solver, instrument: Instrument = None):
     """Exact (min, <=)-product: split by the highest differing bit, find the
-    common prefix with the (min, =) reduction, then binary-search the
+    common prefix with the (min, =) search, then binary-search the
     smallest qualifying right-side entry; combine by entry-wise min."""
     return _le_product(a, b, "min", monoeq_solver, instrument)
 
@@ -316,20 +285,22 @@ def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
     return IntMatrix(a.rows, b.cols, entries)
 
 
-def exists_eq_via_min_eq(a, b, min_eq_solver: MatrixSolver) -> IntMatrix:
-    product = min_eq_solver(a, b)
+def _finite(product: IntMatrix) -> IntMatrix:
+    """The Boolean projection: 1 where the entry is finite."""
     return IntMatrix(product.rows, product.cols,
                      tuple(0 if v == PLUS_INF else 1 for v in product.entries))
+
+
+def exists_eq_via_min_eq(a, b, min_eq_solver: MatrixSolver) -> IntMatrix:
+    return _finite(min_eq_solver(a, b))
 
 
 def exists_dom_via_min_le(a, b, min_le_solver: MatrixSolver) -> IntMatrix:
-    product = min_le_solver(a, b)
-    return IntMatrix(product.rows, product.cols,
-                     tuple(0 if v == PLUS_INF else 1 for v in product.entries))
+    return _finite(min_le_solver(a, b))
 
 
 def _case_a_data(g: ColoredValuedGraph):
-    if g.value_sides != frozenset({"IK", "JK"}):
+    if g.value_sides != _CASE_A:
         raise ValueError("expected a case-A instance (values on IK and JK)")
     return list(g.edges_ij), list(g.edges_ik), list(g.edges_jk)
 
@@ -346,16 +317,14 @@ def mono_min_eq_via_mono_eq(
     ij_edges, ik_edges, jk_edges = _case_a_data(g)
     rank, unrank = _joint_ranks(
         (e[3] for e in ik_edges), (e[3] for e in jk_edges))
-    universe = max(2, len(unrank))
-    t = ceil_log2(universe)
+    t = ceil_log2(max(2, len(unrank)))
     tag_bound = (1 << t) + 1
 
     rank_graph = ColoredValuedGraph(
         g.part_sizes,
         tuple((u, v, c, None) for u, v, c, _ in ij_edges),
         tuple((u, v, c, rank[val]) for u, v, c, val in jk_edges),
-        tuple((u, v, c, rank[val]) for u, v, c, val in ik_edges),
-        frozenset({"IK", "JK"}))
+        tuple((u, v, c, rank[val]) for u, v, c, val in ik_edges), _CASE_A)
     base = mono_eq_solver(rank_graph)
     active = {(u, v): bool(base.get((u, v), False)) for u, v, _c, _ in ij_edges}
     est = {edge: 0 for edge, alive in active.items() if alive}
@@ -363,27 +332,19 @@ def mono_min_eq_via_mono_eq(
         instrument({"kind": "start", "op": "mono_min_eq",
                     "rank_graph": rank_graph})
 
-    for level in range(t - 1, -1, -1):
-        edges_ij = tuple(
-            (u, v, composite_color(c, est[(u, v)] >> level, tag_bound), None)
-            for u, v, c, _ in ij_edges if active[(u, v)])
-        edges_ik = tuple(
-            (u, v, composite_color(c, rank[val] >> level, tag_bound), rank[val])
-            for u, v, c, val in ik_edges)
-        edges_jk = tuple(
-            (u, v, composite_color(c, rank[val] >> level, tag_bound), rank[val])
-            for u, v, c, val in jk_edges)
-        probe = ColoredValuedGraph(g.part_sizes, edges_ij, edges_jk, edges_ik,
-                                   frozenset({"IK", "JK"}))
-        answers = mono_eq_solver(probe)
-        for edge in est:
-            if not answers.get(edge, False):
-                est[edge] += 1 << level
-        if instrument is not None:
-            instrument({"kind": "level", "op": "mono_min_eq",
-                        "level": level, "estimates": dict(est),
-                        "active": dict(active)})
+    def probe(level):
+        def recolored(edges):
+            return tuple((u, v, composite_color(c, r >> level, tag_bound), r)
+                         for u, v, c, r in edges)
+        return ColoredValuedGraph(
+            g.part_sizes,
+            tuple((u, v, composite_color(c, est[(u, v)] >> level, tag_bound),
+                   None) for u, v, c, _ in ij_edges if active[(u, v)]),
+            recolored(rank_graph.edges_jk), recolored(rank_graph.edges_ik),
+            _CASE_A)
 
+    _bisect(est, t, "min", probe, mono_eq_solver, (),
+            _dict_levels(instrument, "mono_min_eq", est, active))
     return {edge: (unrank[est[edge]] if alive else PLUS_INF)
             for edge, alive in active.items()}
 
@@ -408,77 +369,46 @@ def mono_min_le_via_monoeq(
     and equality-triangle calls with values on I x J and J x K then
     binary-search the smallest qualifying J x K value."""
     ij_edges, ik_edges, jk_edges = _case_a_data(g)
-    rank, unrank = _joint_ranks(
-        (e[3] for e in ik_edges), (e[3] for e in jk_edges))
-    if not unrank:
-        return {(u, v): PLUS_INF for u, v, _c, _ in ij_edges}
-    a_tag = {(u, v): 2 * rank[val] for u, v, _c, val in ik_edges}
-    b_tag = {(u, v): 2 * rank[val] + 1 for u, v, _c, val in jk_edges}
-    t = ceil_log2(max(2, 2 * len(unrank)))
 
-    best: dict[tuple[int, int], Optional[int]] = {
-        (u, v): None for u, v, _c, _ in ij_edges}
-
-    for bit in range(t):
-        cut_a = {e: (v >> (bit + 1)) if not (v >> bit) & 1 else -1
-                 for e, v in a_tag.items()}
-        cut_b = {e: (v >> (bit + 1)) if (v >> bit) & 1 else -2
-                 for e, v in b_tag.items()}
-        prefix_instance = ColoredValuedGraph(
-            g.part_sizes,
-            tuple((u, v, c, None) for u, v, c, _ in ij_edges),
-            tuple((u, v, c, cut_b[(u, v)]) for u, v, c, _ in jk_edges),
-            tuple((u, v, c, cut_a[(u, v)]) for u, v, c, _ in ik_edges),
-            frozenset({"IK", "JK"}))
-        prefix = mono_min_eq_via_mono_eq(prefix_instance, mono_eq_solver,
-                                         instrument)
-        active = {e: prefix[e] != PLUS_INF for e in prefix}
-        if not any(active.values()):
-            continue
-        est = {e: prefix[e] << (bit + 1) for e, alive in active.items() if alive}
-
-        max_tag = max(max(cut_a.values(), default=0),
-                      max(cut_b.values(), default=0))
-        for e, alive in active.items():
-            if alive:
-                max_tag = max(max_tag, prefix[e])
-        bound = max_tag + 3  # room for the +2 filler shift
-
+    def search(bit, a_cut, b_cut, b_tags):
+        prefix = mono_min_eq_via_mono_eq(ColoredValuedGraph(
+            g.part_sizes, tuple((u, v, c, None) for u, v, c, _ in ij_edges),
+            tuple((u, v, c, t) for (u, v, c, _), t in zip(jk_edges, b_cut)),
+            tuple((u, v, c, t) for (u, v, c, _), t in zip(ik_edges, a_cut)),
+            _CASE_A), mono_eq_solver, instrument)
+        active = {e: p != PLUS_INF for e, p in prefix.items()}
+        est = {e: p << (bit + 1) for e, p in prefix.items() if active[e]}
+        if not est:
+            return est
+        # Room for the +2 filler shift above every tag and prefix.
+        bound = max(max(a_cut, default=0), max(b_cut, default=0),
+                    *(prefix[e] for e in est)) + 3
         if instrument is not None:
             instrument({"kind": "start", "op": "mono_min_le_inner",
                         "ij": [(u, v, c) for u, v, c, _ in ij_edges],
-                        "ik": [(u, v, c, cut_a[(u, v)]) for u, v, c, _ in ik_edges],
-                        "jk": [(u, v, c, cut_b[(u, v)], b_tag[(u, v)])
-                               for u, v, c, _ in jk_edges],
+                        "ik": [(u, v, c, t) for (u, v, c, _), t
+                               in zip(ik_edges, a_cut)],
+                        "jk": [(u, v, c, t, tag) for (u, v, c, _), t, tag
+                               in zip(jk_edges, b_cut, b_tags)],
                         "prefix": dict(prefix)})
-        for level in range(bit, -1, -1):
-            edges_ij = tuple(
-                (u, v, composite_color(c, prefix[(u, v)] + 2, bound),
-                 est[(u, v)] >> level)
-                for u, v, c, _ in ij_edges if active[(u, v)])
-            edges_ik = tuple(
-                (u, v, composite_color(c, cut_a[(u, v)] + 2, bound), None)
-                for u, v, c, _ in ik_edges)
-            edges_jk = tuple(
-                (u, v, composite_color(c, cut_b[(u, v)] + 2, bound),
-                 b_tag[(u, v)] >> level)
-                for u, v, c, _ in jk_edges)
-            probe = ColoredValuedGraph(
-                g.part_sizes, edges_ij, edges_jk, edges_ik,
-                frozenset({"IJ", "JK"}))
-            answers = monoeq_solver(probe)
-            for e in est:
-                if not answers.get(("IJ",) + e, False):
-                    est[e] += 1 << level
-            if instrument is not None:
-                instrument({"kind": "level", "op": "mono_min_le_inner",
-                            "level": level, "estimates": dict(est),
-                            "active": dict(active)})
-        for e, alive in active.items():
-            if not alive:
-                continue
-            rank_found = (est[e] - 1) // 2
-            if best[e] is None or rank_found < best[e]:
-                best[e] = rank_found
+        edges_ik = tuple((u, v, composite_color(c, t + 2, bound), None)
+                         for (u, v, c, _), t in zip(ik_edges, a_cut))
+        jk = [(u, v, composite_color(c, t + 2, bound), tag)
+              for (u, v, c, _), t, tag in zip(jk_edges, b_cut, b_tags)]
 
-    return {e: (PLUS_INF if r is None else unrank[r]) for e, r in best.items()}
+        def probe(level):
+            return ColoredValuedGraph(
+                g.part_sizes,
+                tuple((u, v, composite_color(c, prefix[(u, v)] + 2, bound),
+                       est[(u, v)] >> level)
+                      for u, v, c, _ in ij_edges if active[(u, v)]),
+                tuple((u, v, c, tag >> level) for u, v, c, tag in jk),
+                edges_ik, _CASE_B)
+
+        return _bisect(est, bit + 1, "min", probe, monoeq_solver, ("IJ",),
+                       _dict_levels(instrument, "mono_min_le_inner", est,
+                                    active))
+
+    found = _by_highest_bit([e[3] for e in ik_edges],
+                            [e[3] for e in jk_edges], "min", search)
+    return {(u, v): found.get((u, v), PLUS_INF) for u, v, _c, _ in ij_edges}

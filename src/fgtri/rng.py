@@ -117,11 +117,6 @@ class RngStream:
             raise ValueError("need 0 <= numer <= denom, denom >= 1")
         return self.randrange(denom) < numer
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() on empty sequence")
-        return seq[self.randrange(len(seq))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)

@@ -262,6 +262,16 @@ def test_bench_empty_sweep_ok(tmp_path):
     assert json.loads(out.read_text())["rows"] == []
 
 
+@pytest.mark.parametrize("sizes", ["", "9"])
+def test_bench_unknown_solver_is_usage_error(sizes, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--sizes", sizes, "--solvers", "ae-sparse-bf,nope",
+                 "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: unknown bench solver 'nope'\n"
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("FGT_SEED", "99")
     a = tmp_path / "a"
@@ -435,3 +445,44 @@ def test_tile_on_a_pipeline_that_ignores_it_is_usage_error(pipeline, tmp_path,
     assert err.startswith("usage error: --tile is read only by "
                           "zero-via-listing and zero-via-global-listing")
     assert "Traceback" not in err
+
+
+# One pipeline that does not read each flag, and a value off the default.
+_IGNORED_FLAGS = [
+    ("--s", "9", "listing-via-detection"),
+    ("--trials", "5", "listing-via-detection"),
+    ("--trial-multiplier", "7", "monoeq"),
+    ("--cap", "5", "zero-via-listing"),
+    ("--global-cap", "10", "listing-via-detection"),
+    ("--degree-threshold", "3", "mono-min-eq"),
+    ("--size-threshold", "5", "min-eq-via-monoeq"),
+]
+
+
+@pytest.mark.parametrize("flag,value,pipeline", _IGNORED_FLAGS)
+def test_flag_on_a_pipeline_that_ignores_it_is_usage_error(
+        flag, value, pipeline, tmp_path, capsys):
+    inst = _tiny(tmp_path, _PIPELINE_INPUTS[pipeline])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", pipeline, flag, value, "--check",
+                 "--seed", "1", "--in", inst, "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} is read only by ")
+    assert err.endswith(f", not by {pipeline}\n")
+
+
+@pytest.mark.parametrize("flag,value,pipeline", [
+    ("--s", "4", "listing-via-detection"),
+    ("--trial-multiplier", "100", "monoeq"),
+    ("--cap", "3", "zero-via-listing"),
+    ("--global-cap", "-1", "listing-via-detection"),
+    ("--degree-threshold", "2", "mono-min-eq"),
+    ("--size-threshold", "-2", "min-eq-via-monoeq"),
+])
+def test_flag_at_its_default_is_accepted_everywhere(flag, value, pipeline,
+                                                    tmp_path, capsys):
+    inst = _tiny(tmp_path, _PIPELINE_INPUTS[pipeline])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", pipeline, flag, value, "--check",
+                 "--seed", "1", "--in", inst, "--out", os.devnull]) == 0
+    assert capsys.readouterr().err == "check: ok\n"

@@ -292,3 +292,73 @@ def test_mono_search_bracketing_invariant():
         g = case_a(seed + 900, n=3)
         mono_min_eq_via_mono_eq(g, mono_eq_bf, instrument=instrument)
     assert violations == []
+
+
+# ------------------------------------------------------------ solver traffic
+
+def _traffic(reduction, instances):
+    """Number of inner-solver calls and total edges sent, summed over the
+    instances; reduction(x, count) runs one instance over the counting
+    solver wrapper count(inner)."""
+    tally = [0, 0]
+
+    def count(inner):
+        def run(g):
+            tally[0] += 1
+            tally[1] += g.edge_count
+            return inner(g)
+        return run
+
+    for x in instances:
+        reduction(x, count)
+    return tuple(tally)
+
+
+_PAIRS = [random_pair(seed + 1000, max_n=5, inf=seed % 2 == 0)
+          for seed in range(6)]
+_BOOL_PAIRS = [(generate_matrix(3, 4, 0, 1, RngStream(seed + 1100)),
+                generate_matrix(4, 3, 0, 1, RngStream(seed + 1200)))
+               for seed in range(3)]
+_MONO_GRAPHS = [case_a(seed + 1300, n=3, colors=1 + seed % 2,
+                       values=2 + seed) for seed in range(4)]
+
+
+def _min_le(a, b, count):
+    return min_le_via_monoeq(a, b, count(monoeq_bf))
+
+
+_REDUCTIONS = {
+    "min-eq": (_PAIRS, lambda ab, c: min_eq_via_monoeq(*ab, c(monoeq_bf))),
+    "min-le": (_PAIRS, lambda ab, c: _min_le(*ab, c)),
+    "max-le": (_PAIRS, lambda ab, c: max_le_via_monoeq(*ab, c(monoeq_bf))),
+    "max-min": (_PAIRS, lambda ab, c: max_min_product(
+        *ab, lambda a, b: _min_le(a, b, c))),
+    "min-witness": (_BOOL_PAIRS, lambda ab, c: min_witness_via_max_min(
+        *ab, lambda a, b: max_min_product(
+            a, b, lambda x, y: _min_le(x, y, c)))),
+    "exists-eq": (_PAIRS, lambda ab, c: exists_eq_via_min_eq(
+        *ab, lambda a, b: min_eq_via_monoeq(a, b, c(monoeq_bf)))),
+    "exists-dom": (_PAIRS, lambda ab, c: exists_dom_via_min_le(
+        *ab, lambda a, b: _min_le(a, b, c))),
+    "mono-min-eq": (_MONO_GRAPHS, lambda g, c: mono_min_eq_via_mono_eq(
+        g, c(mono_eq_bf))),
+    "mono-eq": (_MONO_GRAPHS, lambda g, c: mono_eq_via_mono_min_eq(
+        g, lambda h: mono_min_eq_via_mono_eq(h, c(mono_eq_bf)))),
+    "mono-min-le": (_MONO_GRAPHS, lambda g, c: mono_min_le_via_monoeq(
+        g, c(monoeq_bf), c(mono_eq_bf))),
+}
+
+
+def test_solver_traffic_is_pinned():
+    """Calls and edges each product reduction sends to its inner solvers
+    over a small seeded battery; the binary searches must not add, drop or
+    resize a solver call."""
+    got = {name: _traffic(run, instances)
+           for name, (instances, run) in _REDUCTIONS.items()}
+    assert got == {
+        "min-eq": (24, 844), "min-le": (157, 4950), "max-le": (157, 4950),
+        "max-min": (313, 9892), "min-witness": (92, 3281),
+        "exists-eq": (24, 844), "exists-dom": (157, 4950),
+        "mono-min-eq": (12, 207), "mono-eq": (12, 207),
+        "mono-min-le": (57, 931),
+    }
