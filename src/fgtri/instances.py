@@ -2,9 +2,16 @@
 
 All types are frozen dataclasses. Values are validated at the boundary:
 ``textio.parse``, the generators and the public constructors check every
-invariant, so a value built there satisfies them. Internal derivations of an
-already validated graph (restricted, reduced or re-weighted copies) go through
-the trusted ``TripartiteWeightedGraph._trusted`` path, which skips the checks.
+invariant, so a value built there satisfies them. Internal derivations of
+validated data skip the checks through ``_trusted``: tripartite copies that
+are restricted, reduced or re-weighted, and the colored graphs of the
+product searches and the monoeq combine step. A trusted colored graph may
+carry the dense (presence, colour, value) arrays per pair that the colored
+oracles read. The caller guarantees that they equal what the edges imply
+(colours and values are read on present cells only) and that each edge list
+runs row-major over its present cells. Equality, hashing, repr and text
+output see only the fields.
+
 Vertex indices are 0-based within each part; triangles are always reported in
 part order (A, B, C) or (I, J, K).
 """
@@ -145,6 +152,20 @@ class ColoredValuedGraph:
                 if not valued and val is not None:
                     raise ValueError(f"{pair} edge ({u},{v}) carries a value "
                                      "but the pair is not in value_sides")
+
+    @classmethod
+    def _trusted(cls, part_sizes, edges_ij, edges_jk, edges_ik, value_sides,
+                 arrays=None) -> "ColoredValuedGraph":
+        """Build without validation, like ``TripartiteWeightedGraph._trusted``;
+        ``arrays`` is the (presence, colour, value) triple of dicts keyed by
+        pair that ``oracles._colored_arrays`` would derive from the edges."""
+        g = object.__new__(cls)
+        g.__dict__.update(part_sizes=part_sizes, edges_ij=edges_ij,
+                          edges_jk=edges_jk, edges_ik=edges_ik,
+                          value_sides=value_sides)
+        if arrays is not None:
+            g.__dict__["_arrays"] = arrays
+        return g
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int, Optional[int]], ...]:
         return {"IJ": self.edges_ij, "JK": self.edges_jk, "IK": self.edges_ik}[pair]

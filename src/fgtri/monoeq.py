@@ -256,14 +256,19 @@ def combine_sparse_into_mono(
                 y = perms[q][_flatten_vertex(inst.part_sizes, 1, v)]
                 query_maps[q][(u, v)] = (label, x, y)
 
+    # The L^3 instances skip validation: endpoints are perm positions below
+    # host_size, distinct as they flatten vertices of distinct parts, and a
+    # bucket is duplicate-free because a host pair gives each of its edges a
+    # distinct label, so a bucket holds the pair at most once per direction.
     buckets = [tuple(edges) for edges in by_label]
+    sizes, no_values = (host_size, host_size, host_size), frozenset()
     built = []
     for li in range(1, mult + 1):
         for lj in range(1, mult + 1):
             for lk in range(1, mult + 1):
-                built.append(((li, lj, lk), ColoredValuedGraph(
-                    (host_size, host_size, host_size),
-                    buckets[li], buckets[lj], buckets[lk], frozenset())))
+                built.append(((li, lj, lk), ColoredValuedGraph._trusted(
+                    sizes, buckets[li], buckets[lj], buckets[lk],
+                    no_values)))
 
     return CombinedMonoInstance(
         host_size, max_label, mult, tuple(parallel),

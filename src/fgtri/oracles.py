@@ -13,6 +13,7 @@ keyed (a, b).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -135,27 +136,24 @@ def triangle_list_bf(
 
 
 def _colored_arrays(g: ColoredValuedGraph):
-    """Dense presence/color/value arrays per pair, shaped by endpoint parts."""
+    """Dense presence/color/value arrays per pair, shaped by endpoint parts:
+    the ones a trusted graph carries, else derived from the edges."""
+    attached = g.__dict__.get("_arrays")
+    if attached is not None:
+        return attached
     ni, nj, nk = g.part_sizes
-    shapes = {"IJ": (ni, nj), "JK": (nj, nk), "IK": (ni, nk)}
     pres, col, val = {}, {}, {}
-    for pair in ("IJ", "JK", "IK"):
-        shape = shapes[pair]
-        p = np.zeros(shape, dtype=bool)
-        c = np.zeros(shape, dtype=np.int64)
-        v = np.zeros(shape, dtype=np.int64)
+    for pair, shape in (("IJ", (ni, nj)), ("JK", (nj, nk)), ("IK", (ni, nk))):
+        p = pres[pair] = np.zeros(shape, dtype=bool)
+        c = col[pair] = np.zeros(shape, dtype=np.int64)
+        v = val[pair] = np.zeros(shape, dtype=np.int64)
         edges = g.edges(pair)
         if edges:
-            n_edges = len(edges)
-            us = np.fromiter((e[0] for e in edges), np.intp, count=n_edges)
-            ws = np.fromiter((e[1] for e in edges), np.intp, count=n_edges)
+            us, ws, colors, values = zip(*edges)
             p[us, ws] = True
-            c[us, ws] = np.fromiter((e[2] for e in edges), np.int64,
-                                    count=n_edges)
+            c[us, ws] = colors
             if pair in g.value_sides:
-                v[us, ws] = np.fromiter((e[3] for e in edges), np.int64,
-                                        count=n_edges)
-        pres[pair], col[pair], val[pair] = p, c, v
+                v[us, ws] = values
     return pres, col, val
 
 
@@ -168,17 +166,24 @@ def _mono_cube(pres, col) -> np.ndarray:
             & pres["JK"][None, :, :] & (c_ij == c_ik) & (c_ik == c_jk))
 
 
+def _at_edges(g: ColoredValuedGraph, pair: str, grid: np.ndarray):
+    """Endpoint lists of g's edges on ``pair`` and grid's Python scalars
+    there, in edge order: row-major over attached presence, if any."""
+    attached = g.__dict__.get("_arrays")
+    if attached is not None:
+        us, vs = np.nonzero(attached[0][pair])
+    else:
+        edges = g.edges(pair)
+        us = np.fromiter((e[0] for e in edges), np.intp, count=len(edges))
+        vs = np.fromiter((e[1] for e in edges), np.intp, count=len(edges))
+    return us.tolist(), vs.tolist(), grid[us, vs].tolist()
+
+
 def _per_edge_answers(g: ColoredValuedGraph, cube: np.ndarray):
-    ans_ij = cube.any(axis=2)
-    ans_ik = cube.any(axis=1)
-    ans_jk = cube.any(axis=0)
     out: dict[tuple[str, int, int], bool] = {}
-    for u, v, _c, _val in g.edges_ij:
-        out[("IJ", u, v)] = bool(ans_ij[u, v])
-    for u, v, _c, _val in g.edges_ik:
-        out[("IK", u, v)] = bool(ans_ik[u, v])
-    for u, v, _c, _val in g.edges_jk:
-        out[("JK", u, v)] = bool(ans_jk[u, v])
+    for pair, axis in (("IJ", 2), ("IK", 1), ("JK", 0)):
+        us, vs, hits = _at_edges(g, pair, cube.any(axis=axis))
+        out.update(zip(zip(repeat(pair), us, vs), hits))
     return out
 
 
@@ -229,16 +234,13 @@ def mono_product_bf(g: ColoredValuedGraph, kind: str):
     else:
         match = cube & (v_ik == v_jk)
         payload = v_ik
-    out: dict[tuple[int, int], object] = {}
     if kind == MONO_EQ:
-        any_match = match.any(axis=2)
-        for u, v, _c, _val in g.edges_ij:
-            out[(u, v)] = bool(any_match[u, v])
-        return out
-    best = np.where(match, payload, PLUS_INF).min(axis=2, initial=PLUS_INF)
-    for u, v, _c, _val in g.edges_ij:
-        out[(u, v)] = int(best[u, v])
-    return out
+        answer = match.any(axis=2)
+    else:
+        answer = np.where(match, payload, PLUS_INF).min(axis=2,
+                                                        initial=PLUS_INF)
+    us, vs, found = _at_edges(g, "IJ", answer)
+    return dict(zip(zip(us, vs), found))
 
 
 def product_bf(a: IntMatrix, b: IntMatrix, kind: str) -> IntMatrix:

@@ -21,11 +21,18 @@ per round carries the current estimates and active flags, as grids for the
 matrix searches and as dicts keyed by I x J edge for the monochromatic ones
 (test mode asserts the bracketing invariant against brute force). A start
 event hands over the search's own grids, so an instrument only reads them.
+
+Every instance is built through ``ColoredValuedGraph._trusted``. A matrix
+search makes its colour and value grids once, as numpy arrays; a level's
+probe shifts them right by the level and carries them into the oracle.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional
+
+import numpy as np
 
 from .instances import ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF
 from .zero_triangle import ceil_log2
@@ -60,14 +67,37 @@ def _bisect(est, levels, mode, probe, solver, key, on_level):
     that misses, or a max search that hits, moves into the upper half.
     """
     moves_on_miss = mode == "min"
+    keys = [key + entry for entry in est]
     for level in range(levels - 1, -1, -1):
         answers = solver(probe(level))
-        for entry in est:
-            if (not answers.get(key + entry, False)) == moves_on_miss:
+        for entry, hit in zip(est, map(answers.get, keys)):
+            if (not hit) == moves_on_miss:
                 est[entry] += 1 << level
         if on_level is not None:
             on_level(level)
     return est
+
+
+def _probe_graph(part_sizes, sides, grids):
+    """A trusted probe from (presence, colour, value) grids for IJ, JK and
+    IK, value None on an unvalued pair. Its edges are the present cells in
+    row-major order, and the grids ride along for the oracle."""
+    edges, arrays = [], ({}, {}, {})
+    for pair, (pres, col, val) in zip(("IJ", "JK", "IK"), grids):
+        us, vs = np.nonzero(pres)
+        vals = repeat(None) if val is None else val[us, vs].tolist()
+        edges.append(tuple(zip(us.tolist(), vs.tolist(),
+                               col[us, vs].tolist(), vals)))
+        for kind, grid in zip(arrays, (pres, col, val)):
+            kind[pair] = np.zeros_like(col) if grid is None else grid
+    return ColoredValuedGraph._trusted(part_sizes, *edges, sides, arrays)
+
+
+def _est_grid(est, live):
+    """The estimates as a grid, 0 off the live cells (est runs row-major)."""
+    grid = np.zeros(live.shape, np.int64)
+    grid[live] = np.fromiter(est.values(), np.int64, len(est))
+    return grid
 
 
 def _grid_levels(instrument, op, est, n_rows, n_cols):
@@ -111,21 +141,20 @@ def _eq_product(a_grid, b_grid, mode, solver, instrument):
     b_vals = [[rank[v] + upper for v in row] for row in b_grid]
     n_rows, inner, n_cols = len(a_vals), len(b_vals) + 1, len(b_vals[0])
     b_vals.append([pad] * n_cols)
-    ik = [(i, k, v) for i, row in enumerate(a_vals) for k, v in enumerate(row)]
-    jk = [(j, k, b_vals[k][j]) for j in range(n_cols) for k in range(inner)]
     est = {(i, j): 0 for i in range(n_rows) for j in range(n_cols)}
     op = f"{mode}_eq"
     if instrument is not None:
         instrument({"kind": "start", "op": op, "mode": mode, "a_tag": a_vals,
                     "b_tag": b_vals, "pre_tag": None, "b_val": b_vals})
+    ik = np.array(a_vals, np.int64).reshape(n_rows, inner)
+    jk = np.array(b_vals, np.int64).reshape(inner, n_cols).T
+    live = np.ones((n_rows, n_cols), bool)
 
     def probe(level):
-        return ColoredValuedGraph(
-            (n_rows, n_cols, inner),
-            tuple((i, j, (e >> level) | upper, None)
-                  for (i, j), e in est.items()),
-            tuple((j, k, v >> level, v) for j, k, v in jk),
-            tuple((i, k, v >> level, v) for i, k, v in ik), _CASE_A)
+        return _probe_graph((n_rows, n_cols, inner), _CASE_A, (
+            (live, (_est_grid(est, live) >> level) | upper, None),
+            (np.ones(jk.shape, bool), jk >> level, jk),
+            (np.ones(ik.shape, bool), ik >> level, ik)))
 
     _bisect(est, ceil_log2(len(unrank) + 1), mode, probe, solver, ("IJ",),
             _grid_levels(instrument, op, est, n_rows, n_cols))
@@ -192,35 +221,33 @@ def _le_product(a, b, mode, monoeq_solver, instrument):
     op = f"{mode}_le_inner"
     upper = int(mode == "max")
 
-    def grid(flat, width):
-        return [flat[r:r + width] for r in range(0, len(flat), width)]
-
     def search(bit, a_cut, b_cut, b_tags):
         """Case-B search: colors stay fixed (the cut tags and each entry's
         common prefix); each level puts the probed half on the I x J values
         and the shifted b tags on the J x K values."""
-        a_grid, b_grid = grid(a_cut, inner), grid(b_cut, n_cols)
+        a_cut = np.array(a_cut, np.int64).reshape(n_rows, inner)
+        b_cut = np.array(b_cut, np.int64).reshape(inner, n_cols)
+        a_grid, b_grid = a_cut.tolist(), b_cut.tolist()
         prefix = _eq_product(a_grid, b_grid, mode, monoeq_solver, instrument)
         est = {(i, j): p << (bit + 1) for i, row in enumerate(prefix)
                for j, p in enumerate(row) if p is not None}
         if not est:
             return est
+        b_tags = np.array(b_tags, np.int64).reshape(inner, n_cols)
         if instrument is not None:
             instrument({"kind": "start", "op": op, "mode": mode,
                         "a_tag": a_grid, "b_tag": b_grid, "pre_tag": prefix,
-                        "b_val": grid(b_tags, n_cols)})
-        edges_ik = tuple((i, k, a_grid[i][k], None)
-                         for i in range(n_rows) for k in range(inner))
-        jk = [(j, k, b_grid[k][j], b_tags[k * n_cols + j])
-              for j in range(n_cols) for k in range(inner)]
+                        "b_val": b_tags.tolist()})
+        live = np.array([[p is not None for p in row] for row in prefix])
+        ij_col = np.array([[0 if p is None else p for p in row]
+                           for row in prefix], np.int64)
+        ik = (np.ones(a_cut.shape, bool), a_cut, None)
 
         def probe(level):
-            return ColoredValuedGraph(
-                (n_rows, n_cols, inner),
-                tuple((i, j, prefix[i][j], (e >> level) | upper)
-                      for (i, j), e in est.items()),
-                tuple((j, k, c, v >> level) for j, k, c, v in jk),
-                edges_ik, _CASE_B)
+            return _probe_graph((n_rows, n_cols, inner), _CASE_B, (
+                (live, ij_col, (_est_grid(est, live) >> level) | upper),
+                (np.ones(b_cut.T.shape, bool), b_cut.T, b_tags.T >> level),
+                ik))
 
         return _bisect(est, bit + 1, mode, probe, monoeq_solver, ("IJ",),
                        _grid_levels(instrument, op, est, n_rows, n_cols))
@@ -320,7 +347,7 @@ def mono_min_eq_via_mono_eq(
     t = ceil_log2(max(2, len(unrank)))
     tag_bound = (1 << t) + 1
 
-    rank_graph = ColoredValuedGraph(
+    rank_graph = ColoredValuedGraph._trusted(
         g.part_sizes,
         tuple((u, v, c, None) for u, v, c, _ in ij_edges),
         tuple((u, v, c, rank[val]) for u, v, c, val in jk_edges),
@@ -336,7 +363,7 @@ def mono_min_eq_via_mono_eq(
         def recolored(edges):
             return tuple((u, v, composite_color(c, r >> level, tag_bound), r)
                          for u, v, c, r in edges)
-        return ColoredValuedGraph(
+        return ColoredValuedGraph._trusted(
             g.part_sizes,
             tuple((u, v, composite_color(c, est[(u, v)] >> level, tag_bound),
                    None) for u, v, c, _ in ij_edges if active[(u, v)]),
@@ -371,7 +398,7 @@ def mono_min_le_via_monoeq(
     ij_edges, ik_edges, jk_edges = _case_a_data(g)
 
     def search(bit, a_cut, b_cut, b_tags):
-        prefix = mono_min_eq_via_mono_eq(ColoredValuedGraph(
+        prefix = mono_min_eq_via_mono_eq(ColoredValuedGraph._trusted(
             g.part_sizes, tuple((u, v, c, None) for u, v, c, _ in ij_edges),
             tuple((u, v, c, t) for (u, v, c, _), t in zip(jk_edges, b_cut)),
             tuple((u, v, c, t) for (u, v, c, _), t in zip(ik_edges, a_cut)),
@@ -397,7 +424,7 @@ def mono_min_le_via_monoeq(
               for (u, v, c, _), t, tag in zip(jk_edges, b_cut, b_tags)]
 
         def probe(level):
-            return ColoredValuedGraph(
+            return ColoredValuedGraph._trusted(
                 g.part_sizes,
                 tuple((u, v, composite_color(c, prefix[(u, v)] + 2, bound),
                        est[(u, v)] >> level)

@@ -58,17 +58,21 @@ class RngStream:
 
     __slots__ = ("master_seed", "stream_path", "_key", "_counter")
 
-    def __init__(self, master_seed: int, stream_path: Sequence["int | str"] = ()):
+    def __init__(self, master_seed: int, stream_path: Sequence["int | str"] = (),
+                 _fold=None):
         self.master_seed = master_seed & _MASK64
         self.stream_path = tuple(stream_path)
-        key = _mix64(self.master_seed ^ _GOLDEN)
-        for label in self.stream_path:
+        # A left fold over the path; child passes (its key, new labels).
+        key, labels = _fold or (_mix64(self.master_seed ^ _GOLDEN),
+                                self.stream_path)
+        for label in labels:
             key = _mix64(key ^ _label_hash(label))
         self._key = key
         self._counter = 0
 
     def child(self, *labels: "int | str") -> "RngStream":
-        return RngStream(self.master_seed, self.stream_path + labels)
+        return RngStream(self.master_seed, self.stream_path + labels,
+                         (self._key, labels))
 
     def next_u64(self) -> int:
         self._counter += 1

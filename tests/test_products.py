@@ -1,9 +1,10 @@
 """Product reductions against the enumeration oracles, plus the bracketing
 instrumentation the binary searches expose."""
 
+import numpy as np
 import pytest
 
-from fgtri import (IntMatrix, MINUS_INF, PLUS_INF, RngStream,
+from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF, RngStream,
                    ae_monoeq_triangle_bf, composite_color,
                    exists_dom_via_min_le, exists_eq_via_min_eq,
                    generate_colored, generate_matrix, max_le_via_monoeq,
@@ -12,7 +13,7 @@ from fgtri import (IntMatrix, MINUS_INF, PLUS_INF, RngStream,
                    mono_min_eq_via_mono_eq, mono_min_le_via_monoeq,
                    mono_product_bf, product_bf)
 from fgtri.oracles import (MAX_LE, MAX_MIN, MIN_EQ, MIN_LE, MIN_WITNESS,
-                           MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE)
+                           MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE, _colored_arrays)
 
 monoeq_bf = ae_monoeq_triangle_bf
 
@@ -140,7 +141,6 @@ def case_a(seed, n=4, colors=2, values=3, density=70):
 
 
 def test_mono_min_eq_hand_cases():
-    from fgtri import ColoredValuedGraph
     g = ColoredValuedGraph(
         (1, 1, 1), ((0, 0, 1, None),), ((0, 0, 1, 4),), ((0, 0, 1, 4),),
         frozenset({"IK", "JK"}))
@@ -167,7 +167,6 @@ def test_mono_eq_projection():
 
 
 def test_mono_min_le_hand_cases():
-    from fgtri import ColoredValuedGraph
     le = ColoredValuedGraph(
         (1, 1, 1), ((0, 0, 1, None),), ((0, 0, 1, 5),), ((0, 0, 1, 3),),
         frozenset({"IK", "JK"}))
@@ -362,3 +361,102 @@ def test_solver_traffic_is_pinned():
         "mono-min-eq": (12, 207), "mono-eq": (12, 207),
         "mono-min-le": (57, 931),
     }
+
+
+# ------------------------------------------------------------ trusted probes
+
+_FIELDS = ("part_sizes", "edges_ij", "edges_jk", "edges_ik", "value_sides")
+
+
+def _checked(oracle, seen):
+    """``oracle``, checking first that each instance it gets equals its
+    rebuild through the validating constructor: equal fields, attached
+    arrays equal to the ones derived from the edges on every present cell
+    (whose row-major order the edges follow), and equal answers in equal
+    order, each a Python bool."""
+    def run(g):
+        rebuilt = ColoredValuedGraph(*(getattr(g, f) for f in _FIELDS))
+        assert [getattr(g, f) for f in _FIELDS] == \
+            [getattr(rebuilt, f) for f in _FIELDS]
+        attached = g.__dict__.get("_arrays")
+        if attached is not None:
+            seen["attached"] += 1
+            pres, col, val = _colored_arrays(rebuilt)
+            for pair in ("IJ", "JK", "IK"):
+                here = pres[pair]
+                assert np.array_equal(attached[0][pair], here)
+                assert attached[1][pair][here].tolist() == \
+                    col[pair][here].tolist()
+                if pair in g.value_sides:
+                    assert attached[2][pair][here].tolist() == \
+                        val[pair][here].tolist()
+                assert [e[:2] for e in g.edges(pair)] == \
+                    list(map(tuple, np.argwhere(here).tolist()))
+        got, want = oracle(g), oracle(rebuilt)
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is bool for v in got.values())
+        seen["checked"] += 1
+        return got
+    return run
+
+
+def _le_pairs():
+    return [random_pair(seed + 100, max_n=4, inf=seed % 3 == 0)
+            for seed in range(25)]
+
+
+def _bool_pairs():
+    out = []
+    for seed in range(20):
+        rng = RngStream(seed + 300)
+        r, m, c = (rng.randint(1, 4) for _ in range(3))
+        out.append((generate_matrix(r, m, 0, 1, rng.child("a")),
+                    generate_matrix(m, c, 0, 1, rng.child("b"))))
+    return out
+
+
+def _min_le_over(eq):
+    return lambda a, b: min_le_via_monoeq(a, b, eq)
+
+
+# name -> (battery, run(instance, checked monoeq, checked mono-eq), oracle)
+_BATTERIES = {
+    "min-eq": (lambda: [random_pair(seed, inf=seed % 2 == 0)
+                        for seed in range(40)],
+               lambda ab, eq, _mono: min_eq_via_monoeq(*ab, eq),
+               lambda ab: product_bf(*ab, MIN_EQ)),
+    "min-le": (_le_pairs, lambda ab, eq, _mono: min_le_via_monoeq(*ab, eq),
+               lambda ab: product_bf(*ab, MIN_LE)),
+    "max-le": (_le_pairs, lambda ab, eq, _mono: max_le_via_monoeq(*ab, eq),
+               lambda ab: product_bf(*ab, MAX_LE)),
+    "max-min": (lambda: [random_pair(seed + 200, max_n=4)
+                         for seed in range(20)],
+                lambda ab, eq, _mono: max_min_product(*ab, _min_le_over(eq)),
+                lambda ab: product_bf(*ab, MAX_MIN)),
+    "min-witness": (_bool_pairs, lambda ab, eq, _mono: min_witness_via_max_min(
+        *ab, lambda a, b: max_min_product(a, b, _min_le_over(eq))),
+        lambda ab: product_bf(*ab, MIN_WITNESS)),
+    "mono-min-eq": (lambda: [case_a(seed + 500) for seed in range(30)],
+                    lambda g, _eq, mono: mono_min_eq_via_mono_eq(g, mono),
+                    lambda g: mono_product_bf(g, MONO_MIN_EQ)),
+    "mono-min-le": (lambda: [case_a(seed + 700, n=3) for seed in range(25)],
+                    lambda g, eq, mono: mono_min_le_via_monoeq(g, eq, mono),
+                    lambda g: mono_product_bf(g, MONO_MIN_LE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATTERIES))
+def test_trusted_instances_equal_their_validated_rebuilds(name):
+    """Every instance a reduction sends its solver is built without
+    validation; rebuilt with it, it must be the same instance, and the
+    oracle must read the same graph from its attached arrays as from its
+    edges."""
+    battery, run, truth = _BATTERIES[name]
+    seen = {"checked": 0, "attached": 0}
+    eq = _checked(monoeq_bf, seen)
+    mono = _checked(mono_eq_bf, seen)
+    for x in battery():
+        assert run(x, eq, mono) == truth(x)
+    assert seen["checked"] > 0
+    if not name.startswith("mono"):  # the matrix searches attach grids
+        assert seen["attached"] > 0

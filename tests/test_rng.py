@@ -1,5 +1,7 @@
 """Stream determinism and splitting behavior."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,29 @@ def test_children_with_distinct_labels_differ():
         for label in ("a", "b", 0, 1, "0")
     }
     assert len(seqs) == 5
+
+
+def test_child_key_equals_the_full_path_fold():
+    # child folds only its new labels into the parent's key; the key and
+    # the draws must be those of the stream built from the whole path.
+    for seed in range(60):
+        pick = random.Random(seed)
+
+        def label():
+            if pick.random() < 0.5:
+                return pick.randrange(-(1 << 100), 1 << 100)
+            return "".join(pick.choice("ab0_\u00e9") for _ in
+                           range(pick.randrange(4)))
+
+        master = pick.getrandbits(70)
+        path = tuple(label() for _ in range(pick.randrange(4)))
+        a, b, c = label(), label(), label()
+        derived = RngStream(master, path).child(a).child(b, c)
+        direct = RngStream(master, path + (a, b, c))
+        assert derived.stream_path == direct.stream_path
+        assert derived._key == direct._key
+        assert [derived.next_u64() for _ in range(4)] == \
+            [direct.next_u64() for _ in range(4)]
 
 
 def test_label_types_are_distinguished():
