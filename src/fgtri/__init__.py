@@ -16,8 +16,7 @@ from .oracles import (DISJOINTNESS, EXISTS_DOM, EXISTS_EQ, INTERSECTION,
                       ae_sparse_triangle_bf, exact_triangle_bf,
                       mono_product_bf, product_bf, set_queries_bf,
                       triangle_list_bf, triangle_weight_sum, zero_triangle_bf)
-from .fast_solvers import (BitMatrix, ae_mono_triangle_fast,
-                           ae_sparse_triangle_fast, bool_matmul)
+from .fast_solvers import ae_mono_triangle_fast, ae_sparse_triangle_fast
 from .zero_triangle import (ClaimStatistics, RandomizationData, RangeSplit,
                             SubinstanceReport, build_subinstance, ceil_log2,
                             claim_statistics, default_degree_cap,

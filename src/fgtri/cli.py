@@ -8,7 +8,8 @@ reported result can be replayed. Reports are JSON lines with sorted keys
 and no timestamps: same seed, same bytes.
 
 Exit codes: 0 success, 1 check mismatch, 2 usage error, 3 I/O or parse
-error (an unreadable or non-UTF-8 input, or an unwritable output path).
+error (an unreadable or non-UTF-8 input, or an unwritable output path), 4
+internal error (such as a randomized step that ran out of retries).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class UsageFailure(ValueError):
@@ -188,14 +190,13 @@ _SOLVERS = {
         _format_witness),
     "ae-sparse-bf": _Solver(_TWG, _plain(oracles.ae_sparse_triangle_bf),
                             _format_sparse_answers),
-    "ae-sparse-fast": _Solver(
-        _TWG, lambda args, _k, g: ae_sparse_triangle_fast(g, args.delta),
-        _format_sparse_answers, oracles.ae_sparse_triangle_bf),
+    "ae-sparse-fast": _Solver(_TWG, _plain(ae_sparse_triangle_fast),
+                              _format_sparse_answers,
+                              oracles.ae_sparse_triangle_bf),
     "ae-mono-bf": _Solver(_CVG, _plain(oracles.ae_mono_triangle_bf),
                           _format_mono_answers),
-    "ae-mono-fast": _Solver(
-        _CVG, lambda args, _k, g: ae_mono_triangle_fast(g, args.degree_threshold),
-        _format_mono_answers, oracles.ae_mono_triangle_bf),
+    "ae-mono-fast": _Solver(_CVG, _plain(ae_mono_triangle_fast),
+                            _format_mono_answers, oracles.ae_mono_triangle_bf),
     "ae-monoeq-bf": _Solver(_CVG, _plain(oracles.ae_monoeq_triangle_bf),
                             _format_mono_answers),
     "list-bf": _Solver(
@@ -357,7 +358,6 @@ def _run_intersection(args, set_solver, _rng, sink, g):
 
 
 # Inner solvers shared by several pipelines.
-_mono_fast = partial(ae_mono_triangle_fast, degree_threshold=4)
 _MONOEQ_BF = {"monoeq-bf": oracles.ae_monoeq_triangle_bf}
 _MONO_EQ_BF = {"mono-eq-bf": partial(oracles.mono_product_bf,
                                      kind=oracles.MONO_EQ)}
@@ -376,7 +376,7 @@ _PIPELINES = {
                "sparse-fast": ae_sparse_triangle_fast}, _run_listing),
     "monoeq": _Pipeline(
         _CVG, {"mono-bf": oracles.ae_mono_triangle_bf,
-               "mono-fast": _mono_fast}, _run_monoeq),
+               "mono-fast": ae_mono_triangle_fast}, _run_monoeq),
     "min-eq-via-monoeq": _product(oracles.MIN_EQ, products.min_eq_via_monoeq),
     "min-le-via-monoeq": _product(oracles.MIN_LE, products.min_le_via_monoeq),
     "max-le-via-monoeq": _product(oracles.MAX_LE, products.max_le_via_monoeq),
@@ -538,7 +538,7 @@ _BENCH_SOLVERS = {  # name -> (solver, whether it takes the colored instance)
     "ae-sparse-bf": (oracles.ae_sparse_triangle_bf, False),
     "ae-sparse-fast": (ae_sparse_triangle_fast, False),
     "ae-mono-bf": (oracles.ae_mono_triangle_bf, True),
-    "ae-mono-fast": (_mono_fast, True),
+    "ae-mono-fast": (ae_mono_triangle_fast, True),
     "zero-bf": (oracles.zero_triangle_bf, False),
 }
 
@@ -645,10 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-validate against the brute oracle")
     solve.add_argument("--target", type=int, default=0)
     solve.add_argument("--delta", type=_or_inf, default=math.inf,
-                       help="sparse degree threshold; -1 = infinity, i.e. "
-                            "pure enumeration (not the solver's sqrt(m) "
-                            "default)")
-    solve.add_argument("--degree-threshold", type=_or_inf, default=4)
+                       help="accepted for old command lines; has no effect")
     solve.add_argument("--per-edge-cap", type=_or_none, default=None)
     solve.add_argument("--global-cap", type=_or_none, default=None)
     solve.add_argument("--kind", default=None,
@@ -723,6 +720,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # UsageFailure included
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

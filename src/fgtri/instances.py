@@ -5,12 +5,12 @@ All types are frozen dataclasses. Values are validated at the boundary:
 invariant, so a value built there satisfies them. Internal derivations of
 validated data skip the checks through ``_trusted``: tripartite copies that
 are restricted, reduced or re-weighted, and the colored graphs of the
-product searches and the monoeq combine step. A trusted colored graph may
-carry the dense (presence, colour, value) arrays per pair that the colored
-oracles read. The caller guarantees that they equal what the edges imply
-(colours and values are read on present cells only) and that each edge list
-runs row-major over its present cells. Equality, hashing, repr and text
-output see only the fields.
+product searches and of the monoeq case split, value expansion and combine
+step. A trusted colored graph may carry the dense (presence, colour, value)
+arrays per pair that the colored oracles read. The caller guarantees that
+they equal what the edges imply (colours and values are read on present
+cells only) and that each edge list runs row-major over its present cells.
+Equality, hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
 part order (A, B, C) or (I, J, K).

@@ -5,11 +5,14 @@ The route: split an all-valued instance into the three cases by which two
 part-pairs carry the equal values; rewrite each case as a colored-only
 instance by blowing up the shared part into (vertex, value) copies; then
 answer the blown-up instance per color class with a low-degree
-enumeration, a Boolean matrix product for colors whose blown part stays
-large, and one combined monochromatic-triangle instance for everything
-else. The combine step packs many sparse per-edge-query graphs into one
-host multigraph via random vertex permutations, separates parallel edges
-by labels, and expands label triples into ordinary instances.
+enumeration, packed K-masks for colors whose blown part stays large, and
+one combined monochromatic-triangle instance for everything else. The
+masks are the Boolean product over K on packed ints: one OR per I x K and
+J x K edge, one AND per query edge, where a bit-matrix product would build
+and validate the same packed rows and then OR them again. The combine
+step packs many sparse per-edge-query graphs into one host multigraph via
+random vertex permutations, separates parallel edges by labels, and
+expands label triples into ordinary instances.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from math import isinf
 from typing import Callable, Optional
 
-from .fast_solvers import BitMatrix, _color_subgraphs, bool_matmul
 from .instances import _PAIR_PARTS, ColoredValuedGraph
 from .rng import RngStream
 from .zero_triangle import ceil_log2
@@ -61,7 +63,8 @@ def split_cases(g: ColoredValuedGraph) -> dict[str, ColoredValuedGraph]:
             kwargs[attr] = tuple(
                 (u, v, c, val if keep else None)
                 for u, v, c, val in g.edges(pair))
-        out[tag] = ColoredValuedGraph(g.part_sizes, value_sides=sides, **kwargs)
+        out[tag] = ColoredValuedGraph._trusted(g.part_sizes, value_sides=sides,
+                                               **kwargs)
     return out
 
 
@@ -128,7 +131,7 @@ def expand_values(g: ColoredValuedGraph, tag: Optional[str] = None) -> ExpandedC
                 out.append((u, vertex_map[key], c, None))
         return tuple(out)
 
-    graph = ColoredValuedGraph(
+    graph = ColoredValuedGraph._trusted(
         tuple(sizes), rewritten("IJ"), rewritten("JK"), rewritten("IK"),
         frozenset())
 
@@ -282,6 +285,16 @@ def solve_combined(
     return combined.decode(answers)
 
 
+def _color_subgraphs(g: ColoredValuedGraph):
+    """color -> {pair -> set of (u, v)} for the three part-pairs."""
+    by_color: dict = {}
+    for pair in ("IJ", "JK", "IK"):
+        for u, v, color, _val in g.edges(pair):
+            by_color.setdefault(color, {"IJ": set(), "JK": set(), "IK": set()})
+            by_color[color][pair].add((u, v))
+    return by_color
+
+
 def _ae_mono_on_expansion(
     g: ColoredValuedGraph,
     blown: int,
@@ -291,8 +304,8 @@ def _ae_mono_on_expansion(
     rng: RngStream,
 ) -> dict[tuple[int, int], bool]:
     """Per-I x J-edge monochromatic triangle answers for a colored-only
-    expanded instance, splitting per color into low-degree enumeration, a
-    Boolean product when the blown part stays at least size_threshold, and
+    expanded instance, splitting per color into low-degree enumeration,
+    packed K-masks when the blown part stays at least size_threshold, and
     a single combined instance for the rest."""
     answers = {(u, v): False for u, v, _c, _val in g.edges_ij}
     ni, nj, nk = g.part_sizes
@@ -360,15 +373,16 @@ def _ae_mono_on_expansion(
             continue
 
         if len(remaining_blown) >= size_threshold:
-            # One Boolean product over the completing part K resolves the
-            # color: query (i, j) is in a triangle iff some k has both
-            # (i, k) and (j, k) alive, and (i, j) is alive.
-            x_ik = BitMatrix.from_entries(ni, nk, live["IK"])
-            y_kj = BitMatrix.from_entries(nk, nj,
-                                          ((k, j) for j, k in live["JK"]))
-            paths = bool_matmul(x_ik, y_kj)
+            # Packed K-masks resolve the color: query (i, j) is in a
+            # triangle iff (i, j) is alive and some k has both (i, k) and
+            # (j, k) alive.
+            k_of_i, k_of_j = [0] * ni, [0] * nj
+            for i, k in live["IK"]:
+                k_of_i[i] |= 1 << k
+            for j, k in live["JK"]:
+                k_of_j[j] |= 1 << k
             for (i, j) in live["IJ"]:
-                if paths.get(i, j) and (i, j) in answers:
+                if k_of_i[i] & k_of_j[j] and (i, j) in answers:
                     answers[(i, j)] = True
             continue
 
@@ -379,7 +393,7 @@ def _ae_mono_on_expansion(
         remap = [
             {orig: new for new, orig in enumerate(part)} for part in support
         ]
-        src = ColoredValuedGraph(
+        src = ColoredValuedGraph._trusted(
             (len(support[0]), len(support[1]), len(support[2])),
             tuple((remap[0][u], remap[1][v], 0, None) for u, v in sorted(live["IJ"])),
             tuple((remap[1][u], remap[2][v], 0, None) for u, v in sorted(live["JK"])),
@@ -421,7 +435,7 @@ def solve_ae_monoeq(
     Accepts an all-valued instance (split into the three cases, answers
     OR-ed) or a single two-sided case. ``degree_threshold`` bounds the
     neighbor-pair enumeration; blown parts of at least ``size_threshold``
-    go through the Boolean product, everything else through one combined
+    go through packed K-masks, everything else through one combined
     monochromatic instance handled by ``mono_solver``.
     """
     if g.value_sides == frozenset({"IJ", "JK", "IK"}):

@@ -486,3 +486,24 @@ def test_flag_at_its_default_is_accepted_everywhere(flag, value, pipeline,
     assert main(["reduce", "--pipeline", pipeline, flag, value, "--check",
                  "--seed", "1", "--in", inst, "--out", os.devnull]) == 0
     assert capsys.readouterr().err == "check: ok\n"
+
+
+def test_internal_error_exits_4_without_traceback(tmp_path, capsys,
+                                                  monkeypatch):
+    # A label budget of 0 makes every combine attempt fail, so the monoeq
+    # pipeline runs out of retries inside the library.
+    from functools import partial
+
+    from fgtri import monoeq
+    monkeypatch.setattr(monoeq, "combine_sparse_into_mono",
+                        partial(monoeq.combine_sparse_into_mono, max_label=0))
+    cvg = tmp_path / "c.cvg"
+    main(["gen", "--type", "colored", "--n", "9", "--value-sides", "all",
+          "--seed", "4", "--out", str(cvg)])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", "monoeq", "--inner", "mono-bf",
+                 "--size-threshold", "-1", "--degree-threshold", "1",
+                 "--seed", "6", "--in", str(cvg), "--out", os.devnull]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: multiplicity exceeded 0")
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -1,70 +1,13 @@
-"""Bit-packed matmul and the degree-split solvers against the oracles."""
+"""The packed sparse solver and the BLAS mono solver against the oracles."""
 
 import math
 
 import pytest
 
-from fgtri import (BitMatrix, RngStream, ae_mono_triangle_bf,
-                   ae_mono_triangle_fast, ae_sparse_triangle_bf,
-                   ae_sparse_triangle_fast, bool_matmul, generate_colored,
-                   generate_sparse_tripartite)
-
-
-def naive_matmul(x: BitMatrix, y: BitMatrix):
-    return [[any(x.get(i, k) and y.get(k, j) for k in range(x.cols))
-             for j in range(y.cols)] for i in range(x.rows)]
-
-
-def as_lists(m: BitMatrix):
-    return [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def random_bitmatrix(rows, cols, rng, density=50):
-    ones = [(i, j) for i in range(rows) for j in range(cols)
-            if rng.bernoulli(density, 100)]
-    return BitMatrix.from_entries(rows, cols, ones)
-
-
-def test_bitmatrix_rejects_padding_bits():
-    with pytest.raises(ValueError):
-        BitMatrix(1, 2, (4,))
-    with pytest.raises(ValueError):
-        BitMatrix(2, 2, (1,))
-
-
-def test_identity_is_neutral():
-    rng = RngStream(1)
-    m = random_bitmatrix(6, 9, rng)
-    assert bool_matmul(BitMatrix.identity(6), m) == m
-
-
-def test_hand_product():
-    x = BitMatrix.from_entries(1, 2, [(0, 0)])
-    y = BitMatrix.from_entries(2, 1, [(1, 0)])
-    assert bool_matmul(x, y) == BitMatrix.zeros(1, 1)
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        bool_matmul(BitMatrix.zeros(2, 3), BitMatrix.zeros(2, 3))
-
-
-def test_matmul_matches_naive_on_random_pairs():
-    for seed in range(10):
-        rng = RngStream(seed)
-        x = random_bitmatrix(50, 50, rng.child("x"), 20)
-        y = random_bitmatrix(50, 50, rng.child("y"), 20)
-        assert as_lists(bool_matmul(x, y)) == naive_matmul(x, y)
-
-
-def test_matmul_associative():
-    for seed in range(8):
-        rng = RngStream(50 + seed)
-        x = random_bitmatrix(7, 5, rng.child("x"))
-        y = random_bitmatrix(5, 8, rng.child("y"))
-        z = random_bitmatrix(8, 6, rng.child("z"))
-        assert bool_matmul(bool_matmul(x, y), z) == \
-            bool_matmul(x, bool_matmul(y, z))
+from fgtri import (ColoredValuedGraph, RngStream, TripartiteWeightedGraph,
+                   ae_mono_triangle_bf, ae_mono_triangle_fast,
+                   ae_sparse_triangle_bf, ae_sparse_triangle_fast,
+                   fast_solvers, generate_colored, generate_sparse_tripartite)
 
 
 @pytest.mark.parametrize("threshold", [0, 1, None, math.inf])
@@ -139,3 +82,51 @@ def test_mono_fast_battery_mixed_colors():
                              RngStream(3000 + seed))
         d = 1 + seed % 4
         assert ae_mono_triangle_fast(g, d) == ae_mono_triangle_bf(g)
+
+
+def _cvg(sizes, ij=(), jk=(), ik=()):
+    """Colored-only graph from (u, v, colour) triples per pair."""
+    def edges(triples):
+        return tuple((u, v, c, None) for u, v, c in triples)
+    return ColoredValuedGraph(sizes, edges(ij), edges(jk), edges(ik))
+
+
+_BIG = 1 << 40
+_EDGE_CASES = {
+    "sparse-empty-a-part": TripartiteWeightedGraph(
+        (0, 3, 2), edges_bc=((0, 1, 5), (2, 0, 1))),
+    "sparse-empty-c-part": TripartiteWeightedGraph(
+        (2, 3, 0), edges_ab=((0, 1, 5), (1, 2, 0))),
+    "sparse-edgeless": TripartiteWeightedGraph((3, 4, 2)),
+    "mono-empty-j-part": _cvg((3, 0, 2), ik=((0, 1, 4), (2, 0, 4))),
+    "mono-edgeless": _cvg((3, 4, 2)),
+    # Colour 1 closes (0, 0, 0); colour 2 sits on IJ and JK only, colour 3
+    # on IJ and JK with a colour-5 IK edge, so neither closes a triangle.
+    "mono-colour-on-one-or-two-pairs": _cvg(
+        (2, 2, 2), ij=((0, 0, 1), (0, 1, 2), (1, 1, 3)),
+        jk=((0, 0, 1), (1, 0, 2), (1, 1, 3)), ik=((0, 0, 1), (1, 1, 5))),
+    # Filler tags and composite colours: -1 and 2^40 close triangles;
+    # -1 against -2 and 2^40 against 2^40 + 1 must stay apart.
+    "mono-negative-and-huge-colours": _cvg(
+        (3, 3, 3), ij=((0, 0, -1), (1, 1, _BIG), (2, 2, -2), (0, 1, _BIG + 1)),
+        jk=((0, 0, -1), (1, 1, _BIG), (2, 2, -2)),
+        ik=((0, 0, -1), (1, 1, _BIG), (2, 2, -1), (0, 1, _BIG + 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CASES))
+def test_fast_solvers_match_oracles_on_edge_cases(name):
+    g = _EDGE_CASES[name]
+    if isinstance(g, TripartiteWeightedGraph):
+        assert ae_sparse_triangle_fast(g) == ae_sparse_triangle_bf(g)
+    else:
+        assert ae_mono_triangle_fast(g) == ae_mono_triangle_bf(g)
+
+
+def test_mono_fast_colour_batches_agree(monkeypatch):
+    # One colour per batch: the batches' hits must OR to the same answers.
+    monkeypatch.setattr(fast_solvers, "_BATCH_CELLS", 1)
+    for seed in range(10):
+        g = generate_colored((6, 5, 7), 6, 70, 1, frozenset(),
+                             RngStream(5000 + seed))
+        assert ae_mono_triangle_fast(g) == ae_mono_triangle_bf(g)

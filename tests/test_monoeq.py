@@ -214,3 +214,41 @@ def test_solver_rejects_single_valued_side():
     g = generate_colored((2, 2, 2), 1, 80, 2, frozenset({"IJ"}), RngStream(1))
     with pytest.raises(ValueError):
         solve_ae_monoeq(g, 1, 2, ae_mono_triangle_bf, RngStream(2))
+
+
+def test_internal_builds_equal_their_validated_rebuilds(monkeypatch):
+    # split_cases, expand_values and the combine sources skip validation;
+    # over a criterion-10-style battery each graph they build must be what
+    # the validating constructor makes of the same fields.
+    from fgtri import monoeq
+    built = {"split": [], "expand": [], "combine": []}
+
+    def recording(name, fn, pick):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            built[name].extend(pick(args, out))
+            return out
+        monkeypatch.setattr(monoeq, fn.__name__, wrapper)
+
+    recording("split", monoeq.split_cases, lambda _a, out: out.values())
+    recording("expand", monoeq.expand_values, lambda _a, out: [out.graph])
+    recording("combine", monoeq.combine_sparse_into_mono,
+              lambda args, _out: args[0])
+    for t, sides in enumerate(("A", "B", "C", "all")):
+        for i in range(40):
+            rng = RngStream(720_000 + i * 4 + t)
+            n = rng.randint(2, 10)
+            value_sides = CASE_VALUE_SIDES.get(
+                sides, frozenset({"IJ", "JK", "IK"}))
+            g = generate_colored((n, n, n), rng.randint(1, 3),
+                                 rng.randint(35, 80), rng.randint(1, 5),
+                                 value_sides, rng.child("g"))
+            got = solve_ae_monoeq(g, 1 + i % 3, n, ae_mono_triangle_bf,
+                                  rng.child("run"))
+            assert got == ij_only(ae_monoeq_triangle_bf(g))
+    for name, graphs in built.items():
+        assert graphs, f"the battery never reached {name}"
+        for h in graphs:
+            assert h == ColoredValuedGraph(h.part_sizes, h.edges_ij,
+                                           h.edges_jk, h.edges_ik,
+                                           h.value_sides)
