@@ -116,22 +116,22 @@ def triangle_list_bf(
     """
     mask_a, mask_b = _c_masks(g)
     out: dict[tuple[int, int], list[Triangle]] = {}
-    emitted = 0
-    for (a, b) in sorted((a, b) for a, b, _w in g.edges_ab):
+    # Without a cap an edge has at most |C| triangles, the graph |AB| |C|.
+    nc = g.part_sizes[2]
+    edge_room = nc if per_edge_cap is None else per_edge_cap
+    left = len(g.edges_ab) * nc if global_cap is None else global_cap
+    for a, b, _w in sorted(g.edges_ab):  # AB pairs are distinct
         found: list[Triangle] = []
         out[(a, b)] = found
-        if global_cap is not None and emitted >= global_cap:
-            continue
         common = mask_a[a] & mask_b[b]
-        while common:
-            if per_edge_cap is not None and len(found) >= per_edge_cap:
-                break
-            if global_cap is not None and emitted >= global_cap:
-                break
-            c = (common & -common).bit_length() - 1
-            common &= common - 1
-            found.append((a, b, c))
-            emitted += 1
+        if common:
+            room = edge_room if edge_room < left else left
+            while common and room > 0:
+                low = common & -common
+                common ^= low
+                found.append((a, b, low.bit_length() - 1))
+                room -= 1
+            left -= len(found)
     return out
 
 

@@ -14,6 +14,7 @@ Range indices are 1-based (ranges L_1..L_s); vertex indices stay 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph
@@ -82,7 +83,7 @@ class RangeSplit:
         s = len(self.ranges)
         if s == 0 or s > self.prime:
             raise ValueError("need 1 <= s <= p ranges")
-        base, extra = divmod(self.prime, s)
+        base = self.prime // s
         for lo, hi in self.ranges:
             if lo != expect or hi < lo:
                 raise ValueError("ranges must tile [0, p) contiguously")
@@ -91,7 +92,6 @@ class RangeSplit:
             expect = hi + 1
         if expect != self.prime:
             raise ValueError("ranges must cover [0, p)")
-        _ = extra
 
     @property
     def count(self) -> int:
@@ -211,32 +211,26 @@ def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
     """All (i, j, k) with some a in L_i, b in L_j, c in L_k summing to 0 mod p.
 
     Per (i, j) the candidate set -(L_i + L_j) mod p is a circular interval,
-    split into at most two plain intervals, so at most a handful of k match.
+    so the k that match, at most a handful, run from the range holding its
+    start to the one holding its end, unless it is the whole field.
     """
     p = rs.prime
     s = rs.count
+    locate = _range_locator(p, s)
     out = []
     for i in range(1, s + 1):
         lo_i, hi_i = rs.ranges[i - 1]
         for j in range(1, s + 1):
             lo_j, hi_j = rs.ranges[j - 1]
-            span = hi_i + hi_j - lo_i - lo_j + 1
-            ks: set[int] = set()
-            if span >= p:
-                ks.update(range(1, s + 1))
-            else:
-                start = (-(hi_i + hi_j)) % p
-                end = (-(lo_i + lo_j)) % p
-                if start <= end:
-                    pieces = [(start, end)]
-                else:
-                    pieces = [(start, p - 1), (0, end)]
-                for u, v in pieces:
-                    k = rs.index_of(u)
-                    while k <= s and rs.ranges[k - 1][0] <= v:
-                        ks.add(k)
-                        k += 1
-            out.extend((i, j, k) for k in sorted(ks))
+            start, end = -(hi_i + hi_j) % p, -(lo_i + lo_j) % p
+            if hi_i + hi_j - lo_i - lo_j + 1 >= p:
+                ks = range(s)
+            elif start <= end:
+                ks = range(locate(start), locate(end) + 1)
+            else:  # the interval wraps past p - 1
+                ks = sorted({*range(locate(start), s),
+                             *range(locate(end) + 1)})
+            out.extend((i, j, k + 1) for k in ks)
     return out
 
 
@@ -269,13 +263,16 @@ class _PairBuckets:
     """One pair's edges split by the range of their mod-p weight.
 
     Entry r of each tuple belongs to the 0-based range r: the edges in input
-    order, and the degree of every first-part (deg_u) and second-part
-    (deg_v) vertex counted over those edges alone.
+    order, the degree of every first-part (deg_u) and second-part (deg_v)
+    vertex counted over those edges alone, and the largest of those
+    degrees (top_u, top_v; 0 for an empty range).
     """
 
     edges: tuple[tuple[tuple[int, int, int], ...], ...]
     deg_u: tuple[list[int], ...]
     deg_v: tuple[list[int], ...]
+    top_u: tuple[int, ...]
+    top_v: tuple[int, ...]
 
 
 def _bucket_pair(edges, n_u: int, n_v: int, locate, s: int) -> _PairBuckets:
@@ -287,7 +284,9 @@ def _bucket_pair(edges, n_u: int, n_v: int, locate, s: int) -> _PairBuckets:
         buckets[r].append(edge)
         deg_u[r][edge[0]] += 1
         deg_v[r][edge[1]] += 1
-    return _PairBuckets(tuple(map(tuple, buckets)), deg_u, deg_v)
+    return _PairBuckets(tuple(map(tuple, buckets)), deg_u, deg_v,
+                        tuple(max(d, default=0) for d in deg_u),
+                        tuple(max(d, default=0) for d in deg_v))
 
 
 def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit,
@@ -304,6 +303,16 @@ def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit,
              _bucket_pair(gp.edges_ca, nc, na, locate, rs.count))
     object.__setattr__(gp, "_range_index", (rs, index))
     return index
+
+
+@lru_cache(maxsize=64)
+def _degree_limits(part_sizes, s, cap_ab, cap_bc, cap_ca) -> tuple[int, ...]:
+    """Degree caps of A and B toward each other, then B and C, then C and A;
+    none below 0, so a vertex without edges in a subinstance stays."""
+    na, nb, nc = part_sizes
+    return tuple(max(0, cap if cap is not None else default_degree_cap(n, s))
+                 for cap, n in ((cap_ab, nb), (cap_ab, na), (cap_bc, nc),
+                                (cap_bc, nb), (cap_ca, na), (cap_ca, nc)))
 
 
 def build_subinstance(
@@ -324,9 +333,10 @@ def build_subinstance(
     dropping incident edges, and the kept edges stay in input order.
 
     Cost: the first call for a (gp, rs) pair buckets gp's edges by range
-    and counts per-range degrees in O(m); every call then takes O(n + kept
-    edges) to read the three buckets, compare degrees with the caps and
-    build the subinstance.
+    and counts per-range degrees and their maxima in O(m + s n). Every call
+    then compares the six maxima of its ranges with the caps, which costs
+    O(1) when no degree exceeds its cap, scans a part's degrees in O(n)
+    only when one does, and builds the subinstance in O(kept edges).
     """
     if gp.weight_modulus != rs.prime:
         raise ValueError("subinstance selection needs mod-p weights")
@@ -337,22 +347,17 @@ def build_subinstance(
             raise ValueError(f"range id {idx} outside 1..{s}")
     ab, bc, ca = _range_index(gp, rs)
     sel_ab, sel_bc, sel_ca = ab.edges[k - 1], bc.edges[j - 1], ca.edges[i - 1]
-
-    def cap(explicit, dest_size):
-        # A vertex without edges in the subinstance is never deleted.
-        return max(0, explicit if explicit is not None
-                   else default_degree_cap(dest_size, s))
-
-    na, nb, nc = gp.part_sizes
+    limits = _degree_limits(gp.part_sizes, s, degree_cap_ab, degree_cap_bc,
+                            degree_cap_ca)
     doomed: set[tuple[str, int]] = set()
-    for part, degs, limit in (
-            ("A", ab.deg_u[k - 1], cap(degree_cap_ab, nb)),
-            ("B", ab.deg_v[k - 1], cap(degree_cap_ab, na)),
-            ("B", bc.deg_u[j - 1], cap(degree_cap_bc, nc)),
-            ("C", bc.deg_v[j - 1], cap(degree_cap_bc, nb)),
-            ("C", ca.deg_u[i - 1], cap(degree_cap_ca, na)),
-            ("A", ca.deg_v[i - 1], cap(degree_cap_ca, nc))):
-        if max(degs, default=0) > limit:
+    for part, top, degs, limit in zip(
+            "ABBCCA",
+            (ab.top_u[k - 1], ab.top_v[k - 1], bc.top_u[j - 1],
+             bc.top_v[j - 1], ca.top_u[i - 1], ca.top_v[i - 1]),
+            (ab.deg_u[k - 1], ab.deg_v[k - 1], bc.deg_u[j - 1],
+             bc.deg_v[j - 1], ca.deg_u[i - 1], ca.deg_v[i - 1]),
+            limits):
+        if top > limit:
             doomed.update((part, v) for v, d in enumerate(degs) if d > limit)
 
     if doomed:
@@ -375,12 +380,30 @@ ListingSolver = Callable[[TripartiteWeightedGraph, int],
 GlobalListingSolver = Callable[[TripartiteWeightedGraph, int], list[Triangle]]
 
 
-def _verified_hit(tri: Triangle, maps) -> bool:
-    w_ab, w_bc, w_ca = maps
-    a, b, c = tri
-    if (a, b) not in w_ab or (b, c) not in w_bc or (c, a) not in w_ca:
-        return False
-    return w_ab[(a, b)] + w_bc[(b, c)] + w_ca[(c, a)] == 0
+def _zero_filter(g: TripartiteWeightedGraph):
+    """A function keeping, in order, the listed triangles of g with weight
+    sum zero. The weights sit in one dict per vertex, built once and held in
+    a list per part, so every index is checked against its part first: a
+    list would read -1 as its last vertex and raise past its end."""
+    na, nb, nc = g.part_sizes
+    w_ab, w_bc, w_ca = rows = [[{} for _ in range(n)] for n in (na, nb, nc)]
+    for row, edges in zip(rows, (g.edges_ab, g.edges_bc, g.edges_ca)):
+        for u, v, w in edges:
+            row[u][v] = w
+
+    def zero_triangles(listed):
+        hits = []
+        for tri in listed:
+            a, b, c = tri
+            if 0 <= a < na and 0 <= b < nb and 0 <= c < nc:
+                try:
+                    if w_ab[a][b] + w_bc[b][c] + w_ca[c][a] == 0:
+                        hits.append(tri)
+                except KeyError:  # not a triangle of g
+                    pass
+        return hits
+
+    return zero_triangles
 
 
 def _randomized_trials(g, s, trials, rng):
@@ -408,12 +431,12 @@ def _run_trials(g, s, lister, cap, trials, rng, report_sink):
     the listed triangles against g's weights, stop at the first hit."""
     if min(g.part_sizes) == 0 or trials <= 0:
         return False, None
-    maps = _weight_maps(g)
+    zero_triangles = _zero_filter(g)
     for trial, _p, sheared, rs in _randomized_trials(g, s, trials, rng):
         for triple in enumerate_zero_triples(rs):
             report = build_subinstance(sheared, rs, triple)
             listed = lister(report.graph, cap)
-            hits = [tri for tri in listed if _verified_hit(tri, maps)]
+            hits = zero_triangles(listed)
             if report_sink is not None:
                 report_sink({"trial": trial, "triple": list(triple),
                              "edges_kept": report.graph.edge_count,
@@ -496,13 +519,14 @@ def claim_statistics(
     if trials < 1:
         raise ValueError(f"claim statistics need trials >= 1, got {trials}")
     _check_range_count(s)
-    maps = _weight_maps(g)
-    if not _verified_hit(planted, maps):
+    if not _zero_filter(g)([planted]):
         raise ValueError("planted triple is not a zero triangle of g")
     pa, pb, pc = planted
     na, nb, nc = g.part_sizes
     per_edge_bound = 900 * nc // (s * s)
     global_bound = 8100 * na * nb * nc // (s ** 3)
+    w_ab, w_bc, w_ca = _weight_maps(g)
+    limits = _degree_limits(g.part_sizes, s, None, None, None)
 
     ok1 = ok2 = ok3 = 0
     for _trial, p, sheared, rs in _randomized_trials(g, s, trials, rng):
@@ -515,16 +539,12 @@ def claim_statistics(
         ab, bc, ca = _range_index(sheared, rs)
 
         # f1: the six degree checks for the planted vertices.
-        survives = (ab.deg_u[k - 1][pa] <= default_degree_cap(nb, s)
-                    and ca.deg_v[i - 1][pa] <= default_degree_cap(nc, s)
-                    and ab.deg_v[k - 1][pb] <= default_degree_cap(na, s)
-                    and bc.deg_u[j - 1][pb] <= default_degree_cap(nc, s)
-                    and ca.deg_u[i - 1][pc] <= default_degree_cap(na, s)
-                    and bc.deg_v[j - 1][pc] <= default_degree_cap(nb, s))
-        ok1 += survives
+        degrees = (ab.deg_u[k - 1][pa], ab.deg_v[k - 1][pb],
+                   bc.deg_u[j - 1][pb], bc.deg_v[j - 1][pc],
+                   ca.deg_u[i - 1][pc], ca.deg_v[i - 1][pa])
+        ok1 += all(d <= cap for d, cap in zip(degrees, limits))
 
         # f2: false positives on the planted edge within the per-edge bound.
-        w_ab, w_bc, w_ca = maps
         false_pos = 0
         for c2 in range(nc):
             if c2 == pc:

@@ -125,6 +125,44 @@ def test_listing_global_cap_and_order():
     assert two[(1, 0)] == [] and two[(1, 1)] == []
 
 
+def capped_listing(g, per_edge_cap, global_cap):
+    """Nested-loop listing: AB edges ascending, c ascending, each cap
+    checked before every emission (a cap of 0 or below lists nothing)."""
+    bc = {(b, c) for b, c, _w in g.edges_bc}
+    ca = {(c, a) for c, a, _w in g.edges_ca}
+    out = {}
+    emitted = 0
+    for a, b in sorted((a, b) for a, b, _w in g.edges_ab):
+        found = out[(a, b)] = []
+        for c in range(g.part_sizes[2]):
+            if (b, c) not in bc or (c, a) not in ca:
+                continue
+            if per_edge_cap is not None and len(found) >= per_edge_cap:
+                break
+            if global_cap is not None and emitted >= global_cap:
+                break
+            found.append((a, b, c))
+            emitted += 1
+    return out
+
+
+def test_listing_caps_match_nested_loop_reference():
+    shapes = [((5, 6, 7), 60), ((7, 5, 6), 85), ((6, 6, 1), 90),
+              ((4, 0, 5), 70), ((8, 7, 9), 35)]
+    listed_somewhere = False
+    for seed in range(20):
+        sizes, keep = shapes[seed % len(shapes)]
+        g = generate_sparse_tripartite(sizes, keep, 4, RngStream(600 + seed))
+        for per_edge_cap in (None, 0, 1, 3, -1):
+            for global_cap in (None, 0, 2, 10, -1):
+                got = triangle_list_bf(g, per_edge_cap=per_edge_cap,
+                                       global_cap=global_cap)
+                want = capped_listing(g, per_edge_cap, global_cap)
+                assert list(got.items()) == list(want.items())
+                listed_somewhere |= any(got.values())
+    assert listed_somewhere
+
+
 # ------------------------------------------------------ mono / monoeq
 
 def test_mono_triangle_hand_cases():

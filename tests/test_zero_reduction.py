@@ -427,6 +427,151 @@ def test_pipeline_report_sink_records_subinstances():
                             "listed", "hits"}
 
 
+def _one_planted_zero(seed):
+    """A 3 x 3 x 3 tripartite graph without two of its AB edges whose only
+    zero triangle is the planted one, that triple, and the missing edges."""
+    while True:
+        seed += 1000
+        full, planted = generate_tripartite(9, 10**6, True, RngStream(seed))
+        drop = {(0, 0), (2, 1)} - {planted[:2]}
+        g = TripartiteWeightedGraph(
+            full.part_sizes,
+            tuple(e for e in full.edges_ab if e[:2] not in drop),
+            full.edges_bc, full.edges_ca)
+        zeros = [(a, b, c) for a, b, w in g.edges_ab
+                 for c in range(g.part_sizes[2])
+                 if triangle_weight_sum(g, (a, b, c)) == 0]
+        if zeros == [planted]:
+            return g, planted, drop
+
+
+def _lies(g, planted, drop):
+    """Triangles a broken lister might report, none of them a zero
+    triangle of g: the planted one shifted by a part size (negative
+    indices, which a Python list would wrap, and indices past the part),
+    triples through a missing AB edge, real triangles with a nonzero sum,
+    and duplicates."""
+    na, nb, nc = g.part_sizes
+    pa, pb, pc = planted
+    shifted = [(pa - na, pb, pc), (pa, pb - nb, pc), (pa, pb, pc - nc),
+               (pa - na, pb - nb, pc - nc), (-1, -1, -1),
+               (pa + na, pb, pc), (pa, pb + nb, pc), (pa, pb, pc + nc)]
+    non_edges = [(a, b, c) for a, b in sorted(drop) for c in range(nc)]
+    nonzero = [(a, b, c) for a, b, _w in g.edges_ab[:4] for c in range(2)
+               if (a, b, c) != planted]
+    return shifted + non_edges + nonzero + nonzero[:3] + shifted[:2]
+
+
+def test_pipelines_reject_what_a_lying_lister_reports():
+    for seed in range(6):
+        g, planted, drop = _one_planted_zero(seed)
+        lies = _lies(g, planted, drop)
+        for honest_tail in ([], [planted]):
+            told = lies + honest_tail
+            calls = []
+
+            def lister(_graph, _cap):
+                calls.append(1)
+                return {(0, n): [tri] for n, tri in enumerate(told)}
+
+            def global_lister(_graph, _cap):
+                calls.append(1)
+                return list(told)
+
+            for run in (
+                    lambda: zero_triangle_via_listing(
+                        g, 2, lister, 2, RngStream(seed)),
+                    lambda: zero_triangle_via_global_listing(
+                        g, 2, global_lister, 2, RngStream(seed))):
+                calls.clear()
+                found, witness = run()
+                assert calls
+                if honest_tail:
+                    assert found and witness == planted
+                    assert triangle_weight_sum(g, witness) == 0
+                else:
+                    assert found is False and witness is None
+        na = g.part_sizes[0]
+        with pytest.raises(ValueError):
+            claim_statistics(g, (planted[0] - na,) + planted[1:], 2, 1,
+                             RngStream(seed))
+
+
+def _pipeline_traffic(run):
+    """Lister calls, summed report fields and the verdict of one run."""
+    calls = []
+    sums = dict.fromkeys(("edges_kept", "pruned", "listed", "hits"), 0)
+
+    def sink(record):
+        for key in sums:
+            sums[key] += record[key]
+
+    def counted(lister):
+        def call(graph, cap):
+            calls.append(cap)
+            return lister(graph, cap)
+        return call
+
+    verdict = run(counted, sink)
+    return (len(calls),) + tuple(sums.values()) + verdict
+
+
+def test_zero_pipeline_traffic_is_pinned():
+    """Subinstances, listings and verdicts of both pipelines over a small
+    seeded battery, with default and with binding explicit listing caps;
+    the trial loop must not add, drop or resize a lister call."""
+    battery = [(generate_tripartite(10 + 2 * seed, 1000, seed % 3 != 2,
+                                    RngStream(700 + seed))[0], 2 + seed % 2)
+               for seed in range(6)]
+    # Sparse graphs split four ways, where some subinstances are empty.
+    battery += [(generate_sparse_tripartite((6, 7, 5), 35, 1000,
+                                            RngStream(710 + seed)), 4)
+                for seed in range(2)]
+    got = []
+    for seed, (g, s) in enumerate(battery):
+        for cap in (None, 1):
+            got.append(_pipeline_traffic(
+                lambda counted, sink: zero_triangle_via_listing(
+                    g, s, counted(bf_lister), 3, RngStream(seed),
+                    per_edge_cap=cap, report_sink=sink)))
+            got.append(_pipeline_traffic(
+                lambda counted, sink: zero_triangle_via_global_listing(
+                    g, s, counted(bf_global_lister), 3, RngStream(seed),
+                    global_cap=cap and 2, report_sink=sink)))
+    # Per run: lister calls, summed edges_kept, pruned, listed and hits,
+    # then the verdict and witness. For each graph the first two rows use
+    # the default caps and the next two cap per edge at 1 and globally at
+    # 2, which cuts the listed count wherever the run lasts long enough.
+    # Pruning needs a degree above 100|P|/s + 200, which exceeds |P| for
+    # s <= 100, so it never fires in a pipeline.
+    assert got == [
+        (1, 16, 0, 4, 1, True, (0, 1, 1)), (1, 16, 0, 4, 1, True, (0, 1, 1)),
+        (1, 16, 0, 4, 1, True, (0, 1, 1)), (1, 16, 0, 2, 1, True, (0, 1, 1)),
+        (16, 252, 0, 32, 1, True, (0, 1, 0)),
+        (16, 252, 0, 32, 1, True, (0, 1, 0)),
+        (16, 252, 0, 30, 1, True, (0, 1, 0)),
+        (16, 252, 0, 20, 1, True, (0, 1, 0)),
+        (24, 780, 0, 300, 0, False, None), (24, 780, 0, 300, 0, False, None),
+        (24, 780, 0, 215, 0, False, None), (24, 780, 0, 48, 0, False, None),
+        (8, 219, 0, 44, 1, True, (5, 4, 1)),
+        (8, 219, 0, 44, 1, True, (5, 4, 1)),
+        (8, 219, 0, 36, 1, True, (5, 4, 1)),
+        (57, 1610, 0, 110, 0, False, None),
+        (4, 228, 0, 126, 2, True, (0, 1, 5)),
+        (4, 228, 0, 126, 2, True, (0, 1, 5)),
+        (4, 228, 0, 57, 1, True, (4, 2, 0)),
+        (15, 809, 0, 30, 1, True, (0, 1, 5)),
+        (57, 2531, 0, 639, 0, False, None),
+        (57, 2531, 0, 639, 0, False, None),
+        (57, 2531, 0, 483, 0, False, None),
+        (57, 2531, 0, 114, 0, False, None),
+        (99, 787, 0, 13, 0, False, None), (99, 787, 0, 13, 0, False, None),
+        (99, 787, 0, 13, 0, False, None), (99, 787, 0, 13, 0, False, None),
+        (99, 743, 0, 3, 0, False, None), (99, 743, 0, 3, 0, False, None),
+        (99, 743, 0, 3, 0, False, None), (99, 743, 0, 3, 0, False, None),
+    ]
+
+
 # ------------------------------------------------------------ claims
 
 def test_claim_statistics_single_range_never_prunes():

@@ -1,0 +1,103 @@
+"""Compare two source trees on the perfbench workloads in alternating pairs.
+
+    python3 tools/bench_pairs.py --base ../parent --change . \\
+        --workload zero-bf --seed 7301977 --pairs 10 --seconds 25
+
+Each tree is a checkout holding ``src/fgtri``, ``perfbench/`` and
+``BENCHMARK.json``. A pair runs ``perfbench/run.py --trace 0`` once in each
+tree, the base first in even pairs and the change first in odd ones. For
+every end-to-end metric the script reports each side's median and
+quartiles, every run, and the number of pairs in which the change read
+better (ties count for neither side). With ``--trace`` it instead runs
+``perfbench/run.py --trace 1`` once per tree and reports both sides'
+per-layer metrics. The last line of standard output is one JSON object;
+``--out FILE`` also merges it into FILE under the workload's name.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"failed": result["failed"], "attempted": result["attempted"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") \
+        if len(values) > 1 else (values[0],) * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(args, spec) -> dict:
+    runs = {"base": [], "change": []}
+    for pair in range(args.pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(run_once(getattr(args, side), args.workload,
+                                       args.seed, args.seconds, 0))
+            print(f"# pair {pair} {side}: {runs[side][-1]}", flush=True)
+    out = {"failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
+           "attempted": {s: sum(r["attempted"] for r in runs[s])
+                         for s in runs},
+           "metrics": {}}
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        base = [r["metrics"][name] for r in runs["base"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        sign = 1 if m["better"] == "higher" else -1
+        out["metrics"][name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "base": summary(base), "change": summary(change),
+            "change_better_pairs": sum(sign * (c - b) > 0
+                                       for b, c in zip(base, change)),
+            "pairs": len(base)}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--trace", action="store_true")
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if args.trace:
+        result = {side: run_once(getattr(args, side), args.workload,
+                                 args.seed, args.seconds, 1)
+                  for side in ("base", "change")}
+    else:
+        result = compare(args, spec)
+    result["command"] = " ".join(["python3", "tools/bench_pairs.py"]
+                                 + (argv if argv is not None
+                                    else sys.argv[1:]))
+    if args.out is not None:
+        merged = json.loads(args.out.read_text()) if args.out.exists() else {}
+        key = f"{args.workload} seed={args.seed}" + (" trace" if args.trace
+                                                      else "")
+        merged[key] = result
+        args.out.write_text(json.dumps(merged, indent=1) + "\n")
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
