@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph
-from .oracles import Triangle, _weight_maps
+from .oracles import Triangle, _weight_maps, triangle_list_bf
 from .rng import RngStream
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -72,26 +72,20 @@ class RandomizationData:
 
 @dataclass(frozen=True)
 class RangeSplit:
-    """Contiguous intervals (inclusive lo, hi) partitioning [0, p)."""
+    """Contiguous intervals (inclusive lo, hi) partitioning [0, p): the s
+    ranges of ``split_ranges(p, s)``, the only layout ``index_of`` reads."""
 
     prime: int
     ranges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "ranges", tuple(map(tuple, self.ranges)))
-        expect = 0
         s = len(self.ranges)
         if s == 0 or s > self.prime:
             raise ValueError("need 1 <= s <= p ranges")
-        base = self.prime // s
-        for lo, hi in self.ranges:
-            if lo != expect or hi < lo:
-                raise ValueError("ranges must tile [0, p) contiguously")
-            if hi - lo + 1 not in (base, base + 1):
-                raise ValueError("range sizes must be floor(p/s) or ceil(p/s)")
-            expect = hi + 1
-        if expect != self.prime:
-            raise ValueError("ranges must cover [0, p)")
+        if self.ranges != _tiling(self.prime, s):
+            raise ValueError("ranges must tile [0, p) as split_ranges(p, s)"
+                             " does, the first p mod s one longer")
 
     @property
     def count(self) -> int:
@@ -104,9 +98,17 @@ class RangeSplit:
         return _range_locator(self.prime, len(self.ranges))(residue) + 1
 
 
+def _tiling(prime: int, s: int) -> tuple[tuple[int, int], ...]:
+    """The s contiguous ranges of [0, prime), the first prime mod s of them
+    one longer than the rest."""
+    base, extra = divmod(prime, s)
+    starts = [r * base + min(r, extra) for r in range(s + 1)]
+    return tuple((lo, nxt - 1) for lo, nxt in zip(starts, starts[1:]))
+
+
 def _range_locator(prime: int, s: int) -> Callable[[int], int]:
-    """Map a residue in [0, prime) to the 0-based position of its range,
-    the first prime mod s of the s ranges being one longer than the rest."""
+    """Map a residue in [0, prime) to the 0-based position of its range in
+    ``_tiling(prime, s)``."""
     base, extra = divmod(prime, s)
     head = extra * (base + 1)
 
@@ -197,14 +199,7 @@ def split_ranges(p: int, s: int) -> RangeSplit:
     longer than the rest."""
     if not 1 <= s <= p:
         raise ValueError("need 1 <= s <= p")
-    base, extra = divmod(p, s)
-    ranges = []
-    lo = 0
-    for idx in range(s):
-        size = base + 1 if idx < extra else base
-        ranges.append((lo, lo + size - 1))
-        lo += size
-    return RangeSplit(p, tuple(ranges))
+    return RangeSplit(p, _tiling(p, s))
 
 
 def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
@@ -407,8 +402,8 @@ def _zero_filter(g: TripartiteWeightedGraph):
 
 
 def _randomized_trials(g, s, trials, rng):
-    """Per trial: its index, the prime, the sheared mod-p graph and the
-    range split of F_p."""
+    """Per trial: its index, the sheared mod-p graph and the range split
+    of F_p."""
     w_bound = max(1, g.max_abs_weight())
     for trial in range(trials):
         stream = rng.child("trial", trial)
@@ -417,13 +412,18 @@ def _randomized_trials(g, s, trials, rng):
             raise ValueError(f"range count {s} exceeds prime {p}")
         gp = reduce_mod_p(g, p)
         rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
-        yield trial, p, randomize_weights(gp, rd), split_ranges(p, s)
+        yield trial, randomize_weights(gp, rd), split_ranges(p, s)
 
 
-def _check_range_count(s: int) -> None:
+def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:
     # The default caps and bounds divide by s^2 and s^3.
     if s < 1:
         raise ValueError(f"range count s must be at least 1, got {s}")
+    # Hits are re-verified as integer sums equal to 0, which is not what a
+    # zero triangle means under a modulus.
+    if g.weight_modulus is not None:
+        raise ValueError("the zero-triangle reduction needs integer weights,"
+                         f" not residues mod {g.weight_modulus}")
 
 
 def _run_trials(g, s, lister, cap, trials, rng, report_sink):
@@ -432,7 +432,7 @@ def _run_trials(g, s, lister, cap, trials, rng, report_sink):
     if min(g.part_sizes) == 0 or trials <= 0:
         return False, None
     zero_triangles = _zero_filter(g)
-    for trial, _p, sheared, rs in _randomized_trials(g, s, trials, rng):
+    for trial, sheared, rs in _randomized_trials(g, s, trials, rng):
         for triple in enumerate_zero_triples(rs):
             report = build_subinstance(sheared, rs, triple)
             listed = lister(report.graph, cap)
@@ -463,7 +463,7 @@ def zero_triangle_via_listing(
     with overwhelming empirical probability over the given number of
     independent trials when a zero triangle exists.
     """
-    _check_range_count(s)
+    _check_inputs(g, s)
     cap = per_edge_cap if per_edge_cap is not None \
         else default_per_edge_cap(g.part_sizes[2], s)
 
@@ -484,7 +484,7 @@ def zero_triangle_via_global_listing(
     report_sink: Optional[Callable[[dict], None]] = None,
 ) -> tuple[bool, Optional[Triangle]]:
     """Same pipeline against a globally-capped listing solver."""
-    _check_range_count(s)
+    _check_inputs(g, s)
     cap = global_cap if global_cap is not None \
         else default_global_cap(g.part_sizes, s)
     return _run_trials(g, s, global_listing_solver, cap, trials, rng,
@@ -497,7 +497,7 @@ class ClaimStatistics:
     bounds: the planted triangle's vertices all survive pruning (f1), its
     edge's false-positive count stays within the per-edge bound (f2), and
     the subinstance's nonzero-triangle count stays within the global bound
-    (f3)."""
+    (f3). The largest per-trial counts behind f2 and f3 come with them."""
 
     trials: int
     f1: float
@@ -505,6 +505,8 @@ class ClaimStatistics:
     f3: float
     per_edge_bound: int
     global_bound: int
+    max_false_positives: int
+    max_nonzero: int
 
 
 def claim_statistics(
@@ -515,67 +517,46 @@ def claim_statistics(
     rng: RngStream,
 ) -> ClaimStatistics:
     """Measure, over independent randomizations, how often the planted zero
-    triangle's subinstance behaves as the analysis promises."""
+    triangle's subinstance behaves as the analysis promises.
+
+    Each trial prunes the planted triangle's range triple with
+    ``build_subinstance`` and lists the unpruned triple's triangles with
+    ``triangle_list_bf``. Those the pipeline's re-verification drops are the
+    nonzero ones: p >= 100 max|w| exceeds every |sum|, so a sheared sum is
+    0 mod p exactly when the integer sum is 0.
+    """
     if trials < 1:
         raise ValueError(f"claim statistics need trials >= 1, got {trials}")
-    _check_range_count(s)
-    if not _zero_filter(g)([planted]):
+    _check_inputs(g, s)
+    zero_triangles = _zero_filter(g)
+    if not zero_triangles([planted]):
         raise ValueError("planted triple is not a zero triangle of g")
     pa, pb, pc = planted
-    na, nb, nc = g.part_sizes
-    per_edge_bound = 900 * nc // (s * s)
-    global_bound = 8100 * na * nb * nc // (s ** 3)
-    w_ab, w_bc, w_ca = _weight_maps(g)
-    limits = _degree_limits(g.part_sizes, s, None, None, None)
+    planted_vertices = {("A", pa), ("B", pb), ("C", pc)}
+    per_edge_bound = default_per_edge_cap(g.part_sizes[2], s) - 1
+    global_bound = default_global_cap(g.part_sizes, s) - 1
 
-    ok1 = ok2 = ok3 = 0
-    for _trial, p, sheared, rs in _randomized_trials(g, s, trials, rng):
+    ok1 = ok2 = ok3 = max_fp = max_nz = 0
+    for _trial, sheared, rs in _randomized_trials(g, s, trials, rng):
         w2_ab, w2_bc, w2_ca = _weight_maps(sheared)
         i = rs.index_of(w2_ca[(pc, pa)])
         j = rs.index_of(w2_bc[(pb, pc)])
         k = rs.index_of(w2_ab[(pa, pb)])
-        lo_i, hi_i = rs.ranges[i - 1]
-        lo_j, hi_j = rs.ranges[j - 1]
+        pruned = build_subinstance(sheared, rs, (i, j, k)).pruned
+        ok1 += planted_vertices.isdisjoint(pruned)
+
         ab, bc, ca = _range_index(sheared, rs)
-
-        # f1: the six degree checks for the planted vertices.
-        degrees = (ab.deg_u[k - 1][pa], ab.deg_v[k - 1][pb],
-                   bc.deg_u[j - 1][pb], bc.deg_v[j - 1][pc],
-                   ca.deg_u[i - 1][pc], ca.deg_v[i - 1][pa])
-        ok1 += all(d <= cap for d, cap in zip(degrees, limits))
-
-        # f2: false positives on the planted edge within the per-edge bound.
-        false_pos = 0
-        for c2 in range(nc):
-            if c2 == pc:
-                continue
-            wca = w2_ca.get((c2, pa))
-            wbc = w2_bc.get((pb, c2))
-            if wca is None or wbc is None \
-                    or not (lo_i <= wca <= hi_i and lo_j <= wbc <= hi_j):
-                continue
-            orig = w_ab[(pa, pb)] + w_bc[(pb, c2)] + w_ca[(c2, pa)]
-            if orig % p != 0:
-                false_pos += 1
+        lists = triangle_list_bf(TripartiteWeightedGraph._trusted(
+            g.part_sizes, ab.edges[k - 1], bc.edges[j - 1], ca.edges[i - 1],
+            rs.prime))
+        on_edge = lists[(pa, pb)]
+        false_pos = len(on_edge) - len(zero_triangles(on_edge))
+        listed = [tri for tris in lists.values() for tri in tris]
+        nonzero = len(listed) - len(zero_triangles(listed))
         ok2 += false_pos <= per_edge_bound
-
-        # f3: nonzero triangles in the whole subinstance within the bound.
-        mask_a = [0] * na
-        mask_b = [0] * nb
-        for c2, a, _w in ca.edges[i - 1]:
-            mask_a[a] |= 1 << c2
-        for b, c2, _w in bc.edges[j - 1]:
-            mask_b[b] |= 1 << c2
-        nonzero = 0
-        for a, b, _w in ab.edges[k - 1]:
-            common = mask_a[a] & mask_b[b]
-            while common:
-                c2 = (common & -common).bit_length() - 1
-                common &= common - 1
-                orig = w_ab[(a, b)] + w_bc[(b, c2)] + w_ca[(c2, a)]
-                if orig % p != 0:
-                    nonzero += 1
         ok3 += nonzero <= global_bound
+        max_fp = max(max_fp, false_pos)
+        max_nz = max(max_nz, nonzero)
 
     return ClaimStatistics(trials, ok1 / trials, ok2 / trials, ok3 / trials,
-                           per_edge_bound, global_bound)
+                           per_edge_bound, global_bound, max_fp, max_nz)

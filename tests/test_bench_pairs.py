@@ -1,0 +1,72 @@
+"""tools/bench_pairs.py: argument checks and failing benchmark runs."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tree(path: Path, run_py: str) -> Path:
+    """A checkout stand-in: the repo's BENCHMARK.json and a fake run.py."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(run_py)
+    (path / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    return path
+
+
+def _bench_pairs(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],
+        capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--pairs", "0"), ("--pairs", "-3"), ("--seconds", "0"),
+    ("--seconds", "-2.5"), ("--seconds", "nan")])
+def test_non_positive_pairs_and_seconds_are_rejected(flag, value, tmp_path):
+    tree = _tree(tmp_path, "raise SystemExit('must not run')\n")
+    done = _bench_pairs("--base", str(tree), "--change", str(tree),
+                        "--workload", "zero-bf", "--seed", "1", flag, value)
+    assert done.returncode == 2
+    assert f"argument {flag}: must be positive, got {value}" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""
+
+
+def test_failed_run_reports_tree_workload_and_child_stderr(tmp_path):
+    tree = _tree(tmp_path / "broken", (
+        "import sys\n"
+        "sys.stderr.write('perfbench: no such workload\\n')\n"
+        "sys.exit(3)\n"))
+    done = _bench_pairs("--base", str(tree), "--change", str(tree),
+                        "--workload", "listing-detect", "--seed", "1",
+                        "--pairs", "1", "--seconds", "0.5")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"perfbench/run.py failed in {tree} on workload listing-detect"
+        " (exit 3):",
+        "perfbench: no such workload"]
+
+
+def test_one_pair_summarises_each_metric(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 2.0} for m in spec["end_to_end"]}
+    tree = _tree(tmp_path, (
+        "import json\n"
+        f"print(json.dumps({{'failed': 0, 'attempted': 4,"
+        f" 'metrics': {metrics!r}}}))\n"))
+    done = _bench_pairs("--base", str(tree), "--change", str(tree),
+                        "--workload", "zero-bf", "--seed", "1",
+                        "--pairs", "1", "--seconds", "0.5")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["attempted"] == {"base": 4, "change": 4}
+    for name in metrics:
+        row = result["metrics"][name]
+        assert row["base"] == row["change"] == {
+            "median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0]}
+        assert row["change_better_pairs"] == 0 and row["pairs"] == 1

@@ -507,3 +507,21 @@ def test_internal_error_exits_4_without_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("internal error: multiplicity exceeded 0")
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pipeline", ["zero-via-listing",
+                                      "zero-via-global-listing"])
+@pytest.mark.parametrize("tile", [[], ["--tile", "1,1,1"]])
+def test_zero_pipelines_reject_modular_weights(pipeline, tile, tmp_path,
+                                               capsys):
+    twg = tmp_path / "mod5.twg"
+    # 1 + 2 + 2 is a zero triangle mod 5 and not one over the integers.
+    twg.write_text("TWG 1 1 1 MOD 5\nAB 0 0 1\nBC 0 0 2\nCA 0 0 2\n")
+    assert main(["solve", "--solver", "zero-bf", "--in", str(twg)]) == 0
+    assert capsys.readouterr().out == "WITNESS 0 0 0\n"
+    assert main(["reduce", "--pipeline", pipeline, "--check", "--seed", "1",
+                 *tile, "--in", str(twg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: the zero-triangle reduction needs"
+                            " integer weights, not residues mod 5\n")

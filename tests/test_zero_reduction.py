@@ -1,9 +1,13 @@
 """The randomized zero-triangle pipeline, piece by piece."""
 
 
+import itertools
+import random
+
 import pytest
 
-from fgtri import (RandomizationData, RngStream, TripartiteWeightedGraph,
+from fgtri import (RandomizationData, RangeSplit, RngStream,
+                   TripartiteWeightedGraph,
                    build_subinstance, claim_statistics, default_degree_cap,
                    draw_randomization, enumerate_zero_triples,
                    generate_sparse_tripartite,
@@ -615,3 +619,117 @@ def test_range_count_below_one_is_a_value_error(s):
                                          RngStream(19))
     with pytest.raises(ValueError, match="range count"):
         claim_statistics(g, planted, s, 3, RngStream(19))
+
+
+def _modular_zero_graph():
+    """Weights 1, 2, 2 sum to 0 mod 5, not as integers."""
+    return TripartiteWeightedGraph((1, 1, 1), ((0, 0, 1),), ((0, 0, 2),),
+                                   ((0, 0, 2),), weight_modulus=5)
+
+
+def test_modular_graphs_are_rejected_before_any_trial():
+    g = _modular_zero_graph()
+    assert zero_triangle_bf(g) == (0, 0, 0)
+
+    def lister(graph, cap):
+        raise AssertionError("no subinstance may be listed")
+
+    runs = (lambda: zero_triangle_via_listing(g, 1, lister, 3, RngStream(1)),
+            lambda: zero_triangle_via_global_listing(g, 1, lister, 3,
+                                                     RngStream(1)),
+            lambda: claim_statistics(g, (0, 0, 0), 1, 3, RngStream(1)))
+    for run in runs:
+        with pytest.raises(ValueError, match="integer weights"):
+            run()
+
+
+def _reference_claim_counts(g, planted, s, trials, rng):
+    """Largest per-trial false-positive and nonzero-triangle counts of the
+    planted triangle's range triple, by a scan of every vertex triple after
+    the public randomization steps."""
+    na, nb, nc = g.part_sizes
+    pa, pb, pc = planted
+    weight = [{(u, v): w for u, v, w in g.edges(pair)}
+              for pair in ("AB", "BC", "CA")]
+    max_fp = max_nz = 0
+    for trial in range(trials):
+        stream = rng.child("trial", trial)
+        p = pick_prime(max(1, g.max_abs_weight()), stream.child("prime"))
+        rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
+        gp = randomize_weights(reduce_mod_p(g, p), rd)
+        rs = split_ranges(p, s)
+        home = [{(u, v): rs.index_of(w) for u, v, w in gp.edges(pair)}
+                for pair in ("AB", "BC", "CA")]
+        triple = (home[0][(pa, pb)], home[1][(pb, pc)], home[2][(pc, pa)])
+        fp = nz = 0
+        for a in range(na):
+            for b in range(nb):
+                for c in range(nc):
+                    if (home[0].get((a, b)), home[1].get((b, c)),
+                            home[2].get((c, a))) != triple:
+                        continue
+                    if weight[0][(a, b)] + weight[1][(b, c)] \
+                            + weight[2][(c, a)] != 0:
+                        nz += 1
+                        fp += (a, b) == (pa, pb)
+        max_fp, max_nz = max(max_fp, fp), max(max_nz, nz)
+    return max_fp, max_nz
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_claim_counts_match_a_nested_loop_reference(bound):
+    seen = []
+    for seed in range(3):
+        rng = RngStream(7_000 + 10 * bound + seed)
+        complete, planted = generate_tripartite(15, bound, True,
+                                                rng.child("complete"))
+        sparse = generate_sparse_tripartite((5, 4, 6), 60, bound,
+                                            rng.child("sparse"))
+        for g, tri in ((complete, planted), (sparse, zero_triangle_bf(sparse))):
+            if tri is None:
+                continue
+            for s in (2, 3):
+                stats = claim_statistics(g, tri, s, 10, rng.child("claims"))
+                counts = (stats.max_false_positives, stats.max_nonzero)
+                assert counts == _reference_claim_counts(
+                    g, tri, s, 10, rng.child("claims"))
+                seen.append(counts)
+    assert len(seen) >= 12
+    assert all(nonzero > 0 for _fp, nonzero in seen)
+    assert any(fp > 0 for fp, _nonzero in seen)
+
+
+def _tilings(p, s):
+    """Every split of [0, p) into s contiguous nonempty ranges."""
+    for cuts in itertools.combinations(range(1, p), s - 1):
+        ends = (0, *cuts, p)
+        yield tuple((lo, nxt - 1) for lo, nxt in zip(ends, ends[1:]))
+
+
+def test_range_split_accepts_only_the_split_ranges_layout():
+    with pytest.raises(ValueError):
+        RangeSplit(7, ((0, 1), (2, 4), (5, 6)))  # index_of(2) would say 1
+    for bad in ((), ((0, 3), (3, 6)), ((0, 2), (4, 6)), ((0, 7),),
+                ((0, 0),) * 8):
+        with pytest.raises(ValueError):
+            RangeSplit(7, bad)
+    for p in range(1, 10):
+        for s in range(1, p + 1):
+            canonical = split_ranges(p, s).ranges
+            for ranges in _tilings(p, s):
+                if ranges == canonical:
+                    assert RangeSplit(p, ranges) == split_ranges(p, s)
+                else:
+                    with pytest.raises(ValueError):
+                        RangeSplit(p, ranges)
+
+
+def test_index_of_names_the_range_holding_each_residue():
+    draw = random.Random(2_026)
+    for _case in range(80):
+        p = draw.randint(1, 300)
+        s = draw.choice((1, 2, 3, p, draw.randint(1, p)))
+        rs = split_ranges(p, s)
+        for residue in range(p):
+            lo, hi = rs.ranges[rs.index_of(residue) - 1]
+            assert lo <= residue <= hi

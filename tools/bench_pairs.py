@@ -29,11 +29,24 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"perfbench/run.py failed in {root} on workload {workload}"
+                 f" (exit {done.returncode}):\n{done.stderr.rstrip()}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def positive(kind):
+    """An argparse type: a number of the given kind above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" name
+    return parse
 
 
 def summary(values: list[float]) -> dict:
@@ -74,8 +87,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=positive(int), default=10)
+    parser.add_argument("--seconds", type=positive(float), default=25.0)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
