@@ -9,17 +9,15 @@ again, so the split only ran one computation twice.
 The monochromatic solver takes the per-colour products of
 Vassilevska-Williams-Yuster as one batched float32 BLAS product per pair
 over one-hot colour-class stacks of the dense arrays the colored oracles
-read. Both agree exactly with the brute-force oracles.
+read, answering like them through ``GridAnswers``. Both match the oracles.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from .instances import ColoredValuedGraph, TripartiteWeightedGraph
-from .oracles import _at_edges, _colored_arrays
+from .oracles import GridAnswers, _colored_arrays
 
 # Cells per one-hot stack in one batch: inputs with many colours go through
 # several batches, so a batch's stacks and products stay within a few tens
@@ -49,7 +47,7 @@ def ae_sparse_triangle_fast(
 def ae_mono_triangle_fast(
     g: ColoredValuedGraph,
     degree_threshold=None,
-) -> dict[tuple[str, int, int], bool]:
+) -> GridAnswers:
     """Per edge, whether it lies in a triangle whose three colors agree.
 
     Only colours present on all three pairs can close a triangle. For those,
@@ -70,8 +68,4 @@ def ae_mono_triangle_fast(
         hit["IJ"] |= (ij * (ik @ jk.transpose(0, 2, 1))).any(axis=0)
         hit["IK"] |= (ik * (ij @ jk)).any(axis=0)
         hit["JK"] |= (jk * (ij.transpose(0, 2, 1) @ ik)).any(axis=0)
-    answers: dict[tuple[str, int, int], bool] = {}
-    for pair, grid in hit.items():
-        us, vs, hits = _at_edges(g, pair, grid)
-        answers.update(zip(zip(repeat(pair), us, vs), hits))
-    return answers
+    return GridAnswers(g, pres, hit)

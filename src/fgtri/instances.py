@@ -6,11 +6,11 @@ invariant, so a value built there satisfies them. Internal derivations of
 validated data skip the checks through ``_trusted``: tripartite copies that
 are restricted, reduced or re-weighted, and the colored graphs of the
 product searches and of the monoeq case split, value expansion and combine
-step. A trusted colored graph may carry the dense (presence, colour, value)
-arrays per pair that the colored oracles read. The caller guarantees that
-they equal what the edges imply (colours and values are read on present
-cells only) and that each edge list runs row-major over its present cells.
-Equality, hashing, repr and text output see only the fields.
+step. A trusted colored graph may instead be built from the dense
+(presence, colour, value) arrays per pair that the colored oracles read;
+its edge tuples are then derived on first read, row-major over the present
+cells, so a probe that only reaches an oracle never builds them. Equality,
+hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
 part order (A, B, C) or (I, J, K).
@@ -19,6 +19,7 @@ part order (A, B, C) or (I, J, K).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 # Extreme values standing in for +/- infinity in integer matrices. A quarter
@@ -116,6 +117,25 @@ class TripartiteWeightedGraph:
         return best
 
 
+class _LazyEdges:
+    """A colored edge field that a graph built from arrays derives on first
+    read and keeps in its ``__dict__``, which later reads find first."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.pair = name, name[-2:].upper()
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return ()  # the field's default
+        pres, col, val = (grids[self.pair] for grids in g.__dict__["_arrays"])
+        us, vs = pres.nonzero()
+        vals = (val[us, vs].tolist() if self.pair in g.value_sides
+                else repeat(None))
+        edges = g.__dict__[self.name] = tuple(zip(
+            us.tolist(), vs.tolist(), col[us, vs].tolist(), vals))
+        return edges
+
+
 @dataclass(frozen=True)
 class ColoredValuedGraph:
     """Tripartite graph with colored edges and values on designated pairs.
@@ -126,9 +146,9 @@ class ColoredValuedGraph:
     """
 
     part_sizes: tuple[int, int, int]
-    edges_ij: tuple[tuple[int, int, int, Optional[int]], ...] = ()
-    edges_jk: tuple[tuple[int, int, int, Optional[int]], ...] = ()
-    edges_ik: tuple[tuple[int, int, int, Optional[int]], ...] = ()
+    edges_ij: tuple[tuple[int, int, int, Optional[int]], ...] = _LazyEdges()
+    edges_jk: tuple[tuple[int, int, int, Optional[int]], ...] = _LazyEdges()
+    edges_ik: tuple[tuple[int, int, int, Optional[int]], ...] = _LazyEdges()
     value_sides: frozenset = frozenset()
 
     def __post_init__(self):
@@ -156,19 +176,21 @@ class ColoredValuedGraph:
     @classmethod
     def _trusted(cls, part_sizes, edges_ij, edges_jk, edges_ik, value_sides,
                  arrays=None) -> "ColoredValuedGraph":
-        """Build without validation, like ``TripartiteWeightedGraph._trusted``;
-        ``arrays`` is the (presence, colour, value) triple of dicts keyed by
-        pair that ``oracles._colored_arrays`` would derive from the edges."""
+        """Build without validation, like ``TripartiteWeightedGraph._trusted``,
+        from edge tuples, or from ``arrays`` (edges None): the (presence,
+        colour, value) grids by pair, as ``oracles._colored_arrays`` gives."""
         g = object.__new__(cls)
-        g.__dict__.update(part_sizes=part_sizes, edges_ij=edges_ij,
-                          edges_jk=edges_jk, edges_ik=edges_ik,
-                          value_sides=value_sides)
-        if arrays is not None:
+        g.__dict__.update(part_sizes=part_sizes, value_sides=value_sides)
+        if arrays is None:
+            g.__dict__.update(edges_ij=edges_ij, edges_jk=edges_jk,
+                              edges_ik=edges_ik)
+        else:
             g.__dict__["_arrays"] = arrays
         return g
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int, Optional[int]], ...]:
-        return {"IJ": self.edges_ij, "JK": self.edges_jk, "IK": self.edges_ik}[pair]
+        return getattr(self, {"IJ": "edges_ij", "JK": "edges_jk",
+                              "IK": "edges_ik"}[pair])
 
     @property
     def edge_count(self) -> int:

@@ -6,14 +6,15 @@ fast solvers and every reduction are tested against. All functions are
 pure and deterministic; listing order is lexicographic on (a, b, c) so
 capped listings are reproducible.
 
-Colored-graph oracles answer every edge of the instance, keyed
-(pair, u, v); the sparse-triangle oracle answers the queried A x B edges,
-keyed (a, b).
+Colored-graph oracles answer every edge through a ``GridAnswers``, a
+read-only mapping (pair, u, v) -> bool over one hit grid per pair; the
+sparse-triangle oracle answers the queried A x B edges, keyed (a, b).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections.abc import Mapping
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -166,34 +167,48 @@ def _mono_cube(pres, col) -> np.ndarray:
             & pres["JK"][None, :, :] & (c_ij == c_ik) & (c_ik == c_jk))
 
 
-def _at_edges(g: ColoredValuedGraph, pair: str, grid: np.ndarray):
-    """Endpoint lists of g's edges on ``pair`` and grid's Python scalars
-    there, in edge order: row-major over attached presence, if any."""
-    attached = g.__dict__.get("_arrays")
-    if attached is not None:
-        us, vs = np.nonzero(attached[0][pair])
-    else:
-        edges = g.edges(pair)
-        us = np.fromiter((e[0] for e in edges), np.intp, count=len(edges))
-        vs = np.fromiter((e[1] for e in edges), np.intp, count=len(edges))
-    return us.tolist(), vs.tolist(), grid[us, vs].tolist()
+class GridAnswers(Mapping):
+    """Per-edge answers of a colored solver: (pair, u, v) -> bool over g's
+    edges, IJ, IK then JK, each in edge order. ``pres`` and ``hits`` map
+    each pair to g's presence grid and to a Boolean grid of answers that is
+    False off the present cells."""
+
+    def __init__(self, g: ColoredValuedGraph, pres: dict, hits: dict):
+        self._g, self._pres, self.hits = g, pres, hits
+
+    def __getitem__(self, key):
+        try:  # index() keeps a bool a cell number, not a numpy mask
+            pair, u, v = key
+            grid, i, j = self.hits[pair], index(u), index(v)
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]
+                and self._pres[pair][i, j]):
+            return bool(grid[i, j])
+        raise KeyError(key)
+
+    def __iter__(self):
+        for pair in ("IJ", "IK", "JK"):
+            for e in self._g.edges(pair):
+                yield pair, e[0], e[1]
+
+    def __len__(self):
+        return sum(map(np.count_nonzero, self._pres.values()))
 
 
-def _per_edge_answers(g: ColoredValuedGraph, cube: np.ndarray):
-    out: dict[tuple[str, int, int], bool] = {}
-    for pair, axis in (("IJ", 2), ("IK", 1), ("JK", 0)):
-        us, vs, hits = _at_edges(g, pair, cube.any(axis=axis))
-        out.update(zip(zip(repeat(pair), us, vs), hits))
-    return out
+def _cube_answers(g, pres, cube: np.ndarray) -> GridAnswers:
+    return GridAnswers(g, pres, {"IJ": cube.any(axis=2),
+                                 "JK": cube.any(axis=0),
+                                 "IK": cube.any(axis=1)})
 
 
-def ae_mono_triangle_bf(g: ColoredValuedGraph) -> dict[tuple[str, int, int], bool]:
+def ae_mono_triangle_bf(g: ColoredValuedGraph) -> GridAnswers:
     """Per edge, whether it lies in a triangle whose three colors agree."""
     pres, col, _val = _colored_arrays(g)
-    return _per_edge_answers(g, _mono_cube(pres, col))
+    return _cube_answers(g, pres, _mono_cube(pres, col))
 
 
-def ae_monoeq_triangle_bf(g: ColoredValuedGraph) -> dict[tuple[str, int, int], bool]:
+def ae_monoeq_triangle_bf(g: ColoredValuedGraph) -> GridAnswers:
     """Per edge, whether it lies in a monochromatic triangle in which two
     valued edges carry equal values.
 
@@ -211,7 +226,7 @@ def ae_monoeq_triangle_bf(g: ColoredValuedGraph) -> dict[tuple[str, int, int], b
         eq |= val["IJ"][:, :, None] == val["JK"][None, :, :]
     if "IK" in sides and "JK" in sides:
         eq |= val["IK"][:, None, :] == val["JK"][None, :, :]
-    return _per_edge_answers(g, cube & eq)
+    return _cube_answers(g, pres, cube & eq)
 
 
 def mono_product_bf(g: ColoredValuedGraph, kind: str):
@@ -239,8 +254,7 @@ def mono_product_bf(g: ColoredValuedGraph, kind: str):
     else:
         answer = np.where(match, payload, PLUS_INF).min(axis=2,
                                                         initial=PLUS_INF)
-    us, vs, found = _at_edges(g, "IJ", answer)
-    return dict(zip(zip(us, vs), found))
+    return {(u, v): answer[u, v].item() for u, v, _c, _val in g.edges_ij}
 
 
 def product_bf(a: IntMatrix, b: IntMatrix, kind: str) -> IntMatrix:

@@ -24,17 +24,19 @@ event hands over the search's own grids, so an instrument only reads them.
 
 Every instance is built through ``ColoredValuedGraph._trusted``. A matrix
 search makes its colour and value grids once, as numpy arrays; a level's
-probe shifts them right by the level and carries them into the oracle.
+probe shifts them right by the level and hands only the grids to the
+oracle, which builds no edge tuple. Each level reads the hits at the live
+entries in one pass: one index into a ``GridAnswers``' I x J grid.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
 
 from .instances import ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF
+from .oracles import GridAnswers
 from .zero_triangle import ceil_log2
 
 MonoeqSolver = Callable[[ColoredValuedGraph], dict]      # AE-MonoEq triangle
@@ -57,69 +59,60 @@ def _joint_ranks(*value_iters):
     return {v: r for r, v in enumerate(values)}, values
 
 
-def _bisect(est, levels, mode, probe, solver, key, on_level):
+def _bisect(cells, est, levels, mode, probe, solver, key, on_level):
     """The one binary-search level loop, shared by every search here.
 
-    ``est`` maps each live entry to a multiple of 2^levels at or below its
-    answer. At each level the solver answers ``probe(level)``, keyed by
-    ``key + entry``: whether the lower half of the entry's bracket holds a
-    match (mode "min") or its upper half does (mode "max"). A min search
-    that misses, or a max search that hits, moves into the upper half.
+    The grid ``est`` holds, at each live entry of the index arrays
+    ``cells``, a multiple of 2^levels at or below its answer; the final
+    ones are returned keyed by entry. At each level the solver answers
+    ``probe(level)``, keyed by ``key + entry``: whether the lower half of
+    the entry's bracket holds a match (mode "min") or its upper half does
+    (mode "max"). A min search that misses, or a max search that hits,
+    moves into the upper half.
     """
-    moves_on_miss = mode == "min"
-    keys = [key + entry for entry in est]
     for level in range(levels - 1, -1, -1):
         answers = solver(probe(level))
-        for entry, hit in zip(est, map(answers.get, keys)):
-            if (not hit) == moves_on_miss:
-                est[entry] += 1 << level
+        if key and isinstance(answers, GridAnswers):
+            hits = answers.hits[key[0]][cells]
+        else:
+            hits = np.fromiter((answers.get(key + e) for e in zip(
+                *(c.tolist() for c in cells))), bool, cells[0].size)
+        est[tuple(c[hits != (mode == "min")] for c in cells)] += 1 << level
         if on_level is not None:
             on_level(level)
-    return est
+    return _at(cells, est)
+
+
+def _cells(entries):
+    """Row and column index arrays of a list of (row, column) entries."""
+    return tuple(np.array(entries, np.intp).reshape(-1, 2).T)
 
 
 def _probe_graph(part_sizes, sides, grids):
     """A trusted probe from (presence, colour, value) grids for IJ, JK and
-    IK, value None on an unvalued pair. Its edges are the present cells in
-    row-major order, and the grids ride along for the oracle."""
-    edges, arrays = [], ({}, {}, {})
+    IK, value None on an unvalued pair; edges are derived only if read."""
+    arrays = ({}, {}, {})
     for pair, (pres, col, val) in zip(("IJ", "JK", "IK"), grids):
-        us, vs = np.nonzero(pres)
-        vals = repeat(None) if val is None else val[us, vs].tolist()
-        edges.append(tuple(zip(us.tolist(), vs.tolist(),
-                               col[us, vs].tolist(), vals)))
         for kind, grid in zip(arrays, (pres, col, val)):
             kind[pair] = np.zeros_like(col) if grid is None else grid
-    return ColoredValuedGraph._trusted(part_sizes, *edges, sides, arrays)
+    return ColoredValuedGraph._trusted(part_sizes, None, None, None, sides,
+                                       arrays)
 
 
-def _est_grid(est, live):
-    """The estimates as a grid, 0 off the live cells (est runs row-major)."""
-    grid = np.zeros(live.shape, np.int64)
-    grid[live] = np.fromiter(est.values(), np.int64, len(est))
-    return grid
-
-
-def _grid_levels(instrument, op, est, n_rows, n_cols):
-    """Level events of a matrix search: estimates (0 where inactive) and
-    active flags as n_rows x n_cols grids."""
+def _levels(instrument, op, estimates, active):
+    """Level events carrying ``estimates()`` and ``active()``: grids (0
+    where inactive) for the matrix searches, dicts keyed by I x J edge for
+    the monochromatic ones."""
     if instrument is None:
         return None
     return lambda level: instrument({
         "kind": "level", "op": op, "level": level,
-        "estimates": [[est.get((i, j), 0) for j in range(n_cols)]
-                      for i in range(n_rows)],
-        "active": [[(i, j) in est for j in range(n_cols)]
-                   for i in range(n_rows)]})
+        "estimates": estimates(), "active": active()})
 
 
-def _dict_levels(instrument, op, est, active):
-    """Level events of a monochromatic search, keyed by I x J edge."""
-    if instrument is None:
-        return None
-    return lambda level: instrument({
-        "kind": "level", "op": op, "level": level,
-        "estimates": dict(est), "active": dict(active)})
+def _at(cells, est):
+    """The estimates at the live cells, keyed by (row, column)."""
+    return dict(zip(zip(*(c.tolist() for c in cells)), est[cells].tolist()))
 
 
 def _eq_product(a_grid, b_grid, mode, solver, instrument):
@@ -141,7 +134,6 @@ def _eq_product(a_grid, b_grid, mode, solver, instrument):
     b_vals = [[rank[v] + upper for v in row] for row in b_grid]
     n_rows, inner, n_cols = len(a_vals), len(b_vals) + 1, len(b_vals[0])
     b_vals.append([pad] * n_cols)
-    est = {(i, j): 0 for i in range(n_rows) for j in range(n_cols)}
     op = f"{mode}_eq"
     if instrument is not None:
         instrument({"kind": "start", "op": op, "mode": mode, "a_tag": a_vals,
@@ -149,17 +141,18 @@ def _eq_product(a_grid, b_grid, mode, solver, instrument):
     ik = np.array(a_vals, np.int64).reshape(n_rows, inner)
     jk = np.array(b_vals, np.int64).reshape(inner, n_cols).T
     live = np.ones((n_rows, n_cols), bool)
+    est = np.zeros(live.shape, np.int64)
 
     def probe(level):
         return _probe_graph((n_rows, n_cols, inner), _CASE_A, (
-            (live, (_est_grid(est, live) >> level) | upper, None),
+            (live, (est >> level) | upper, None),
             (np.ones(jk.shape, bool), jk >> level, jk),
             (np.ones(ik.shape, bool), ik >> level, ik)))
 
-    _bisect(est, ceil_log2(len(unrank) + 1), mode, probe, solver, ("IJ",),
-            _grid_levels(instrument, op, est, n_rows, n_cols))
-    return [[None if est[(i, j)] == pad else unrank[est[(i, j)] - upper]
-             for j in range(n_cols)] for i in range(n_rows)]
+    _bisect(live.nonzero(), est, ceil_log2(len(unrank) + 1), mode, probe,
+            solver, ("IJ",), _levels(instrument, op, est.tolist, live.tolist))
+    return [[None if e == pad else unrank[e - upper] for e in row]
+            for row in est.tolist()]
 
 
 def min_eq_via_monoeq(
@@ -229,28 +222,28 @@ def _le_product(a, b, mode, monoeq_solver, instrument):
         b_cut = np.array(b_cut, np.int64).reshape(inner, n_cols)
         a_grid, b_grid = a_cut.tolist(), b_cut.tolist()
         prefix = _eq_product(a_grid, b_grid, mode, monoeq_solver, instrument)
-        est = {(i, j): p << (bit + 1) for i, row in enumerate(prefix)
-               for j, p in enumerate(row) if p is not None}
-        if not est:
-            return est
+        live = np.array([[p is not None for p in row] for row in prefix])
+        if not live.any():
+            return {}
         b_tags = np.array(b_tags, np.int64).reshape(inner, n_cols)
         if instrument is not None:
             instrument({"kind": "start", "op": op, "mode": mode,
                         "a_tag": a_grid, "b_tag": b_grid, "pre_tag": prefix,
                         "b_val": b_tags.tolist()})
-        live = np.array([[p is not None for p in row] for row in prefix])
         ij_col = np.array([[0 if p is None else p for p in row]
                            for row in prefix], np.int64)
+        est = ij_col << (bit + 1)
         ik = (np.ones(a_cut.shape, bool), a_cut, None)
 
         def probe(level):
             return _probe_graph((n_rows, n_cols, inner), _CASE_B, (
-                (live, ij_col, (_est_grid(est, live) >> level) | upper),
+                (live, ij_col, (est >> level) | upper),
                 (np.ones(b_cut.T.shape, bool), b_cut.T, b_tags.T >> level),
                 ik))
 
-        return _bisect(est, bit + 1, mode, probe, monoeq_solver, ("IJ",),
-                       _grid_levels(instrument, op, est, n_rows, n_cols))
+        return _bisect(live.nonzero(), est, bit + 1, mode, probe,
+                       monoeq_solver, ("IJ",),
+                       _levels(instrument, op, est.tolist, live.tolist))
 
     found = _by_highest_bit(a.entries, b.entries, mode, search)
     return IntMatrix(n_rows, n_cols, tuple(found.get((i, j), empty)
@@ -354,7 +347,9 @@ def mono_min_eq_via_mono_eq(
         tuple((u, v, c, rank[val]) for u, v, c, val in ik_edges), _CASE_A)
     base = mono_eq_solver(rank_graph)
     active = {(u, v): bool(base.get((u, v), False)) for u, v, _c, _ in ij_edges}
-    est = {edge: 0 for edge, alive in active.items() if alive}
+    ij = [(u, v, c) for u, v, c, _ in ij_edges if active[(u, v)]]
+    cells = _cells([(u, v) for u, v, _c in ij])
+    est = np.zeros(g.part_sizes[:2], np.int64)
     if instrument is not None:
         instrument({"kind": "start", "op": "mono_min_eq",
                     "rank_graph": rank_graph})
@@ -365,14 +360,15 @@ def mono_min_eq_via_mono_eq(
                          for u, v, c, r in edges)
         return ColoredValuedGraph._trusted(
             g.part_sizes,
-            tuple((u, v, composite_color(c, est[(u, v)] >> level, tag_bound),
-                   None) for u, v, c, _ in ij_edges if active[(u, v)]),
+            tuple((u, v, composite_color(c, e >> level, tag_bound), None)
+                  for (u, v, c), e in zip(ij, est[cells].tolist())),
             recolored(rank_graph.edges_jk), recolored(rank_graph.edges_ik),
             _CASE_A)
 
-    _bisect(est, t, "min", probe, mono_eq_solver, (),
-            _dict_levels(instrument, "mono_min_eq", est, active))
-    return {edge: (unrank[est[edge]] if alive else PLUS_INF)
+    found = _bisect(cells, est, t, "min", probe, mono_eq_solver, (),
+                    _levels(instrument, "mono_min_eq",
+                            lambda: _at(cells, est), active.copy))
+    return {edge: (unrank[found[edge]] if alive else PLUS_INF)
             for edge, alive in active.items()}
 
 
@@ -404,12 +400,15 @@ def mono_min_le_via_monoeq(
             tuple((u, v, c, t) for (u, v, c, _), t in zip(ik_edges, a_cut)),
             _CASE_A), mono_eq_solver, instrument)
         active = {e: p != PLUS_INF for e, p in prefix.items()}
-        est = {e: p << (bit + 1) for e, p in prefix.items() if active[e]}
-        if not est:
-            return est
+        edges = [e for e, alive in active.items() if alive]
+        if not edges:
+            return {}
+        cells = _cells(edges)
+        est = np.zeros(g.part_sizes[:2], np.int64)
+        est[cells] = [prefix[e] << (bit + 1) for e in edges]
         # Room for the +2 filler shift above every tag and prefix.
         bound = max(max(a_cut, default=0), max(b_cut, default=0),
-                    *(prefix[e] for e in est)) + 3
+                    *(prefix[e] for e in edges)) + 3
         if instrument is not None:
             instrument({"kind": "start", "op": "mono_min_le_inner",
                         "ij": [(u, v, c) for u, v, c, _ in ij_edges],
@@ -422,19 +421,20 @@ def mono_min_le_via_monoeq(
                          for (u, v, c, _), t in zip(ik_edges, a_cut))
         jk = [(u, v, composite_color(c, t + 2, bound), tag)
               for (u, v, c, _), t, tag in zip(jk_edges, b_cut, b_tags)]
+        ij = [(u, v, composite_color(c, prefix[(u, v)] + 2, bound))
+              for u, v, c, _ in ij_edges if active[(u, v)]]
 
         def probe(level):
             return ColoredValuedGraph._trusted(
                 g.part_sizes,
-                tuple((u, v, composite_color(c, prefix[(u, v)] + 2, bound),
-                       est[(u, v)] >> level)
-                      for u, v, c, _ in ij_edges if active[(u, v)]),
+                tuple((u, v, c, e >> level)
+                      for (u, v, c), e in zip(ij, est[cells].tolist())),
                 tuple((u, v, c, tag >> level) for u, v, c, tag in jk),
                 edges_ik, _CASE_B)
 
-        return _bisect(est, bit + 1, "min", probe, monoeq_solver, ("IJ",),
-                       _dict_levels(instrument, "mono_min_le_inner", est,
-                                    active))
+        return _bisect(cells, est, bit + 1, "min", probe, monoeq_solver,
+                       ("IJ",), _levels(instrument, "mono_min_le_inner",
+                                        lambda: _at(cells, est), active.copy))
 
     found = _by_highest_bit([e[3] for e in ik_edges],
                             [e[3] for e in jk_edges], "min", search)

@@ -178,10 +178,11 @@ def randomize_weights(
     New weights (all mod p): AB gets x*w - y_b + y_a, BC gets x*w - y_c + y_b,
     CA gets x*w - y_a + y_c. Around any triangle the offsets telescope, so
     the w'-sum is x times the w-sum; zero triangles are preserved whenever
-    x != 0.
+    x != 0. The weights w may be integers or residues mod p: both shear to
+    the same residues.
     """
-    if g.weight_modulus != rd.prime:
-        raise ValueError("graph weights must already live in F_p")
+    if g.weight_modulus not in (None, rd.prime):
+        raise ValueError("graph weights must be integers or live in F_p")
     p = rd.prime
     x = rd.multiplier
     ya, yb, yc = rd.offsets
@@ -410,9 +411,8 @@ def _randomized_trials(g, s, trials, rng):
         p = pick_prime(w_bound, stream.child("prime"))
         if s > p:
             raise ValueError(f"range count {s} exceeds prime {p}")
-        gp = reduce_mod_p(g, p)
         rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
-        yield trial, randomize_weights(gp, rd), split_ranges(p, s)
+        yield trial, randomize_weights(g, rd), split_ranges(p, s)
 
 
 def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:

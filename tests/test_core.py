@@ -6,14 +6,61 @@ from hypothesis import strategies as st
 
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                    RngStream, SetFamilyInstance, TripartiteWeightedGraph,
+                   ae_mono_triangle_bf, ae_mono_triangle_fast,
+                   ae_monoeq_triangle_bf,
                    balanced_split, generate_colored, generate_matrix,
                    generate_set_family, generate_sparse_tripartite,
                    generate_tripartite, parse, parse_documents, serialize,
                    triangle_weight_sum, zero_triangle_bf)
+from fgtri.oracles import _colored_arrays
 from fgtri.textio import ParseError
 
 
 # ------------------------------------------------------------ invariants
+
+_EDGE_FIELDS = {"IJ": "edges_ij", "JK": "edges_jk", "IK": "edges_ik"}
+
+
+def test_array_built_graphs_equal_their_validated_tuple_graphs():
+    """A trusted graph built from arrays derives its edges, row-major, on
+    first read, whichever read comes first, and reads colours and values on
+    present cells only; until then no colored solver derives them."""
+    sides = (frozenset(), frozenset({"IK", "JK"}), frozenset({"IJ", "JK"}),
+             frozenset({"IJ", "IK"}), frozenset(_EDGE_FIELDS))
+    for seed in range(30):
+        sizes = (seed % 4, 1 + seed % 5, 2 + (seed * 3) % 4)
+        base = generate_colored(sizes, 1 + seed % 3, 20 + (seed * 11) % 80,
+                                5, sides[seed % 5], RngStream(seed))
+        pres, col, val = _colored_arrays(base)
+        for pair in _EDGE_FIELDS:  # junk off the present cells is ignored
+            col[pair][~pres[pair]] = 99
+            val[pair][~pres[pair]] = -7
+        tuples = ColoredValuedGraph(
+            sizes, *(sorted(base.edges(p)) for p in _EDGE_FIELDS),
+            base.value_sides)
+
+        def lazy():
+            return ColoredValuedGraph._trusted(sizes, None, None, None,
+                                               base.value_sides,
+                                               (pres, col, val))
+
+        for pair, field in _EDGE_FIELDS.items():
+            assert lazy().edges(pair) == tuples.edges(pair)
+            assert getattr(lazy(), field) == getattr(tuples, field)
+            assert all(type(x) is int for e in lazy().edges(pair)
+                       for x in e if x is not None)
+        assert lazy().edge_count == tuples.edge_count
+        assert lazy() == tuples and tuples == lazy()
+        assert hash(lazy()) == hash(tuples)
+        assert repr(lazy()) == repr(tuples)
+        assert serialize(lazy()) == serialize(tuples)
+        g = lazy()
+        for solver in (ae_mono_triangle_bf, ae_monoeq_triangle_bf,
+                       ae_mono_triangle_fast):
+            solver(g)
+        assert not set(_EDGE_FIELDS.values()) & set(g.__dict__)
+        assert g.edges_ik == tuples.edges_ik and "edges_ik" in g.__dict__
+
 
 def test_twg_rejects_out_of_range_endpoint():
     with pytest.raises(ValueError):

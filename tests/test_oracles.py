@@ -2,18 +2,21 @@
 triple-enumeration checkers. The checkers here deliberately share no code
 with the package implementations."""
 
+import numpy as np
 import pytest
 
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                    RngStream, SetFamilyInstance, TripartiteWeightedGraph,
-                   ae_mono_triangle_bf, ae_monoeq_triangle_bf,
+                   ae_mono_triangle_bf, ae_mono_triangle_fast,
+                   ae_monoeq_triangle_bf,
                    ae_sparse_triangle_bf, exact_triangle_bf, generate_colored,
                    generate_matrix, generate_sparse_tripartite,
                    mono_product_bf, product_bf, set_queries_bf,
                    triangle_list_bf, zero_triangle_bf)
 from fgtri.oracles import (DISJOINTNESS, EXISTS_DOM, EXISTS_EQ, INTERSECTION,
                            MAX_LE, MAX_MIN, MIN_EQ, MIN_LE, MIN_WITNESS,
-                           MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE)
+                           MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE,
+                           _colored_arrays)
 
 
 def single_triangle(w_ab, w_bc, w_ca):
@@ -379,3 +382,92 @@ def test_set_intersection_global_cap():
     s = SetFamilyInstance(4, ((1, 2), (1, 2)), ((0, 1), (0, 1)), output_cap=1)
     assert set_queries_bf(s, INTERSECTION) == [[1], []]
     assert sum(len(x) for x in set_queries_bf(s, INTERSECTION)) == 1
+
+
+# ------------------------------------------------------------ grid answers
+
+_PAIRS = ("IJ", "JK", "IK")
+_ANSWER_SIDES = (frozenset(), frozenset({"IK", "JK"}), frozenset({"IJ", "JK"}),
+                 frozenset(_PAIRS))
+
+
+def _answer_graphs(seed):
+    """A public graph whose edges run in shuffled order, and the trusted
+    graph built from its arrays, whose edges are derived row-major."""
+    rng = RngStream(seed, ("grid-answers",))
+    sizes = (2 + seed % 4, 3 + seed % 3, 2 + (seed * 7) % 5)
+    base = generate_colored(sizes, 1 + seed % 3, 75, 3,
+                            _ANSWER_SIDES[seed % 4], rng.child("g"))
+    shuffled = []
+    for pair in _PAIRS:
+        edges = base.edges(pair)
+        order = rng.child("order", pair).permutation(len(edges))
+        shuffled.append(tuple(edges[i] for i in order))
+    public = ColoredValuedGraph(sizes, *shuffled, base.value_sides)
+    trusted = ColoredValuedGraph._trusted(sizes, None, None, None,
+                                          base.value_sides,
+                                          _colored_arrays(base))
+    return public, trusted
+
+
+def _reference_answers(g, need_equal):
+    """The per-edge dict the colored oracles used to build, by triple
+    enumeration: IJ, IK then JK, each in edge order."""
+    by_pair = {p: {(u, v): (c, val) for u, v, c, val in g.edges(p)}
+               for p in _PAIRS}
+    good = set()
+    ni, nj, nk = g.part_sizes
+    for i in range(ni):
+        for j in range(nj):
+            for k in range(nk):
+                here = {"IJ": (i, j), "JK": (j, k), "IK": (i, k)}
+                if any(here[p] not in by_pair[p] for p in _PAIRS):
+                    continue
+                colors = {by_pair[p][here[p]][0] for p in _PAIRS}
+                vals = [by_pair[p][here[p]][1] for p in g.value_sides]
+                if len(colors) == 1 and (
+                        not need_equal or len(set(vals)) < len(vals)):
+                    good.update((p,) + here[p] for p in _PAIRS)
+    return {(p, u, v): (p, u, v) in good
+            for p in ("IJ", "IK", "JK") for u, v, _c, _val in g.edges(p)}
+
+
+@pytest.mark.parametrize("solver, need_equal", [
+    (ae_mono_triangle_bf, False), (ae_monoeq_triangle_bf, True),
+    (ae_mono_triangle_fast, False)], ids=["mono-bf", "monoeq-bf", "mono-fast"])
+def test_grid_answers_behave_like_the_per_edge_dict(solver, need_equal):
+    """Each colored solver's answer mapping reads like the dict it replaced,
+    on public tuple graphs and on trusted array-built graphs alike."""
+    missing = object()
+    positives = bool_cells = 0
+    for seed in range(24):
+        for g in _answer_graphs(seed):
+            want = _reference_answers(g, need_equal)
+            got = solver(g)
+            assert list(got.items()) == list(want.items())
+            assert got == want and want == got
+            assert dict(got) == want and len(got) == len(want)
+            assert all(type(v) is bool for v in got.values())
+            positives += sum(want.values())
+            # Every cell of every pair, each index one past its part on
+            # either side: negative, out-of-range, wrong-pair and absent
+            # cells all give the default, as in the dict.
+            span = range(-max(g.part_sizes) - 1, max(g.part_sizes) + 2)
+            for key in ((p, u, v) for p in _PAIRS for u in span
+                        for v in span):
+                assert got.get(key, missing) is want.get(key, missing)
+            for u in (False, True, np.int64(0), np.int64(1)):
+                for v in (False, True, np.intp(1)):
+                    for p in _PAIRS:
+                        key = (p, u, v)  # reads cell (int(u), int(v))
+                        assert got.get(key, missing) is \
+                            want.get(key, missing)
+                        assert (key in got) == (key in want)
+                        bool_cells += key in want and type(u) is bool
+            for key in (("IJ", 0), "IJ", None, 3, ("IJ", 0, 0, 0),
+                        ("AB", 0, 0), ("ij", 0, 0), ("IJ", None, 0),
+                        ("IJ", 0.5, 0), ("IJ", "0", 0), ("IJ", [0], 0),
+                        (["IJ"], 0, 0), ("IJ", np.array([0, 1]), 0)):
+                assert got.get(key, missing) is missing
+                assert key not in got
+    assert positives > 0 and bool_cells > 0

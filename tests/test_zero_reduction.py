@@ -87,6 +87,25 @@ def test_randomize_zero_multiplier_kills_all_sums():
     assert flat != zeroed
 
 
+def test_randomize_shears_integer_weights_like_their_residues():
+    """Integer weights, negative ones included, shear to the residues that
+    their reduction mod p shears to; any other modulus is refused."""
+    negative = 0
+    for seed in range(20):
+        g = generate_sparse_tripartite((3 + seed % 3, 4, 2 + seed % 4), 70,
+                                       10 ** 6, RngStream(seed))
+        negative += sum(w < 0 for pair in ("AB", "BC", "CA")
+                        for _u, _v, w in g.edges(pair))
+        p = pick_prime(10 ** 6, RngStream(seed).child("p"))
+        rd = draw_randomization(g.part_sizes, p, RngStream(seed).child("rd"))
+        assert randomize_weights(g, rd) == \
+            randomize_weights(reduce_mod_p(g, p), rd)
+        for other in (p - 1, p + 1, 2):
+            with pytest.raises(ValueError):
+                randomize_weights(reduce_mod_p(g, other), rd)
+    assert negative > 0
+
+
 def test_randomize_telescopes_every_triangle():
     for seed in range(15):
         p = pick_prime(9, RngStream(seed).child("p"))
