@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instances import ColoredValuedGraph, TripartiteWeightedGraph
-from .oracles import GridAnswers, _colored_arrays
+from .instances import (ColoredValuedGraph, TripartiteWeightedGraph,
+                        _colored_arrays)
+from .oracles import GridAnswers
 
 # Cells per one-hot stack in one batch: inputs with many colours go through
 # several batches, so a batch's stacks and products stay within a few tens

@@ -6,11 +6,13 @@ invariant, so a value built there satisfies them. Internal derivations of
 validated data skip the checks through ``_trusted``: tripartite copies that
 are restricted, reduced or re-weighted, and the colored graphs of the
 product searches and of the monoeq case split, value expansion and combine
-step. A trusted colored graph may instead be built from the dense
-(presence, colour, value) arrays per pair that the colored oracles read;
-its edge tuples are then derived on first read, row-major over the present
-cells, so a probe that only reaches an oracle never builds them. Equality,
-hashing, repr and text output see only the fields.
+step. A colored graph has one internal form, its dense (presence, colour,
+value) grids per pair, which the colored oracles read. The validating
+constructor checks the edge tuples once, keeps them, and builds the grids
+once, read-only; colours and values must fit in 64 bits. ``_trusted``
+takes grids only, and derives the edge tuples on first read, row-major over
+the present cells, so an instance that only reaches an oracle never builds
+them. Equality, hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
 part order (A, B, C) or (I, J, K).
@@ -20,7 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Integral
 from typing import Optional
+
+import numpy as np
 
 # Extreme values standing in for +/- infinity in integer matrices. A quarter
 # of the signed 64-bit range, so the sum of any two finite-or-sentinel
@@ -118,8 +123,9 @@ class TripartiteWeightedGraph:
 
 
 class _LazyEdges:
-    """A colored edge field that a graph built from arrays derives on first
-    read and keeps in its ``__dict__``, which later reads find first."""
+    """A colored edge field that a graph built by ``_trusted`` derives from
+    its grids on first read, row-major over the present cells, and keeps in
+    its ``__dict__``, which later reads find first."""
 
     def __set_name__(self, owner, name):
         self.name, self.pair = name, name[-2:].upper()
@@ -136,13 +142,46 @@ class _LazyEdges:
         return edges
 
 
+def _int64(x) -> bool:
+    return ((type(x) is int or isinstance(x, Integral))
+            and -(1 << 63) <= x < 1 << 63)
+
+
+def _colored_grids(part_sizes, cells, values=None):
+    """Read-only (presence, colour, value) grids, dicts by pair. Pair p has
+    an edge at each cell (us[e], vs[e]) of cells[p] = (us, vs, colours), of
+    colour colours[e] or one colour for all, and value values[p][e] or 0."""
+    grids = ({}, {}, {})
+    for pair, (us, vs, colors) in cells.items():
+        pu, pv = _PAIR_PARTS[pair]
+        for by_pair, dtype, fill in zip(grids, (bool, np.int64, np.int64),
+                                        (True, colors, (values or {}).get(pair))):
+            grid = by_pair[pair] = np.zeros((part_sizes[pu], part_sizes[pv]),
+                                            dtype)
+            if len(us) and fill is not None:
+                grid[us, vs] = fill
+            grid.flags.writeable = False
+    return grids
+
+
+def _colored_arrays(g: "ColoredValuedGraph"):
+    """g's (presence, colour, value) grids, dicts by pair."""
+    return g.__dict__["_arrays"]
+
+
+def _listed(cells):
+    """The (row, column) pairs of a pair of index arrays."""
+    return list(zip(*(c.tolist() for c in cells)))
+
+
 @dataclass(frozen=True)
 class ColoredValuedGraph:
     """Tripartite graph with colored edges and values on designated pairs.
 
     ``value_sides`` names the part-pairs whose edges carry a value; an edge
     has a value exactly when its pair is listed there. Colors are opaque
-    integers (composite colors use the injective pairing c*M + tag).
+    64-bit integers (composite colors use the injective pairing c*M + tag),
+    and so are values.
     """
 
     part_sizes: tuple[int, int, int]
@@ -159,33 +198,38 @@ class ColoredValuedGraph:
         if not sides <= {"IJ", "JK", "IK"}:
             raise ValueError(f"bad value_sides {sorted(sides)}")
         object.__setattr__(self, "value_sides", sides)
-        object.__setattr__(self, "edges_ij", tuple(map(tuple, self.edges_ij)))
-        object.__setattr__(self, "edges_jk", tuple(map(tuple, self.edges_jk)))
-        object.__setattr__(self, "edges_ik", tuple(map(tuple, self.edges_ik)))
-        for pair, edges in (("IJ", self.edges_ij), ("JK", self.edges_jk),
-                            ("IK", self.edges_ik)):
+        cells, values = {}, {}
+        for pair, field in (("IJ", "edges_ij"), ("JK", "edges_jk"),
+                            ("IK", "edges_ik")):
+            edges = tuple(map(tuple, getattr(self, field)))
+            object.__setattr__(self, field, edges)
             _check_edges(pair, edges, self.part_sizes, 4)
             valued = pair in sides
-            for u, v, _c, val in edges:
-                if valued and val is None:
-                    raise ValueError(f"{pair} edge ({u},{v}) missing value")
-                if not valued and val is not None:
-                    raise ValueError(f"{pair} edge ({u},{v}) carries a value "
-                                     "but the pair is not in value_sides")
+            for u, v, c, val in edges:
+                if (val is None) == valued:
+                    raise ValueError(f"{pair} edge ({u},{v}) " + (
+                        "missing value" if valued else
+                        "carries a value but the pair is not in value_sides"))
+                if not (_int64(c) and (val is None or _int64(val))):
+                    raise ValueError(f"{pair} edge ({u},{v}): color {c!r} or "
+                                     f"value {val!r} is not a 64-bit integer")
+            us, vs, colors, vals = zip(*edges) if edges else ((),) * 4
+            cells[pair] = (us, vs, colors)
+            if valued:
+                values[pair] = vals
+        object.__setattr__(self, "_arrays",
+                           _colored_grids(self.part_sizes, cells, values))
 
     @classmethod
-    def _trusted(cls, part_sizes, edges_ij, edges_jk, edges_ik, value_sides,
-                 arrays=None) -> "ColoredValuedGraph":
+    def _trusted(cls, part_sizes, value_sides, grids) -> "ColoredValuedGraph":
         """Build without validation, like ``TripartiteWeightedGraph._trusted``,
-        from edge tuples, or from ``arrays`` (edges None): the (presence,
-        colour, value) grids by pair, as ``oracles._colored_arrays`` gives."""
+        from ``grids``: the (presence, colour, value) dicts by pair that the
+        validating constructor builds and the colored oracles read. Values
+        are read on the pairs in ``value_sides`` only, colours and values on
+        present cells only; the edge fields are derived on first read."""
         g = object.__new__(cls)
-        g.__dict__.update(part_sizes=part_sizes, value_sides=value_sides)
-        if arrays is None:
-            g.__dict__.update(edges_ij=edges_ij, edges_jk=edges_jk,
-                              edges_ik=edges_ik)
-        else:
-            g.__dict__["_arrays"] = arrays
+        g.__dict__.update(part_sizes=part_sizes, value_sides=value_sides,
+                          _arrays=grids)
         return g
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int, Optional[int]], ...]:

@@ -12,16 +12,23 @@ J x K edge, one AND per query edge, where a bit-matrix product would build
 and validate the same packed rows and then OR them again. The combine
 step packs many sparse per-edge-query graphs into one host multigraph via
 random vertex permutations, separates parallel edges by labels, and
-expands label triples into ordinary instances.
+expands label triples into ordinary instances. Every graph here is built
+from grids: the case split shares g's, the expansion and the residue
+sources build their own, and the combine step builds one symmetric
+presence grid and one colour grid per label, shared by the instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import isinf
 from typing import Callable, Optional
 
-from .instances import _PAIR_PARTS, ColoredValuedGraph
+import numpy as np
+
+from .instances import (_PAIR_PARTS, ColoredValuedGraph, _colored_arrays,
+                        _colored_grids, _listed)
 from .rng import RngStream
 from .zero_triangle import ceil_log2
 
@@ -34,6 +41,7 @@ CASE_VALUE_SIDES = {
     "C": frozenset({"IJ", "IK"}),  # shared part I
 }
 CASE_BLOWN_PART = {"A": 2, "B": 1, "C": 0}
+_PAIRS = ("IJ", "JK", "IK")
 
 MonoSolver = Callable[[ColoredValuedGraph], dict[tuple[str, int, int], bool]]
 
@@ -53,19 +61,10 @@ def split_cases(g: ColoredValuedGraph) -> dict[str, ColoredValuedGraph]:
     """
     if g.value_sides != frozenset({"IJ", "JK", "IK"}):
         raise ValueError("split_cases expects values on all three pairs")
-    out = {}
-    for tag in CASE_TAGS:
-        sides = CASE_VALUE_SIDES[tag]
-        kwargs = {}
-        for pair, attr in (("IJ", "edges_ij"), ("JK", "edges_jk"),
-                           ("IK", "edges_ik")):
-            keep = pair in sides
-            kwargs[attr] = tuple(
-                (u, v, c, val if keep else None)
-                for u, v, c, val in g.edges(pair))
-        out[tag] = ColoredValuedGraph._trusted(g.part_sizes, value_sides=sides,
-                                               **kwargs)
-    return out
+    grids = _colored_arrays(g)  # each case reads values on its sides only
+    return {tag: ColoredValuedGraph._trusted(g.part_sizes,
+                                             CASE_VALUE_SIDES[tag], grids)
+            for tag in CASE_TAGS}
 
 
 @dataclass(frozen=True)
@@ -103,46 +102,26 @@ def expand_values(g: ColoredValuedGraph, tag: Optional[str] = None) -> ExpandedC
     if g.value_sides != CASE_VALUE_SIDES[tag]:
         raise ValueError(f"instance value sides do not match case {tag}")
     blown = CASE_BLOWN_PART[tag]
-    valued_pairs = CASE_VALUE_SIDES[tag]
-
-    # Position of the blown part inside each valued pair's (u, v) key.
-    copies = set()
-    for pair in valued_pairs:
-        slot = _PAIR_PARTS[pair].index(blown)
-        for e in g.edges(pair):
-            copies.add((e[slot], e[3]))
-    vertex_map = {kv: idx for idx, kv in enumerate(sorted(copies))}
+    pres, col, val = _colored_arrays(g)
+    cells = {pair: pres[pair].nonzero() for pair in _PAIRS}
+    # Each valued edge's (blown vertex, value) key, in edge order.
+    keys = {p: list(zip(cells[p][_PAIR_PARTS[p].index(blown)].tolist(),
+                        val[p][cells[p]].tolist()))
+            for p in _PAIRS if p in g.value_sides}
+    vertex_map = {kv: idx for idx, kv
+                  in enumerate(sorted(set().union(*keys.values())))}
 
     sizes = list(g.part_sizes)
     sizes[blown] = len(vertex_map)
-
-    def rewritten(pair):
-        edges = g.edges(pair)
-        if pair not in valued_pairs:
-            return tuple((u, v, c, None) for u, v, c, _ in edges)
-        slot = _PAIR_PARTS[pair].index(blown)
-        out = []
-        for e in edges:
-            u, v, c, val = e
-            key = (e[slot], val)
-            if slot == 0:
-                out.append((vertex_map[key], v, c, None))
-            else:
-                out.append((u, vertex_map[key], c, None))
-        return tuple(out)
-
-    graph = ColoredValuedGraph._trusted(
-        tuple(sizes), rewritten("IJ"), rewritten("JK"), rewritten("IK"),
-        frozenset())
-
-    edge_map = {}
-    for u, v, _c, val in g.edges_ij:
-        if tag == "A":
-            edge_map[(u, v)] = (u, v)
-        elif tag == "B":
-            edge_map[(u, v)] = (u, vertex_map[(v, val)])
-        else:
-            edge_map[(u, v)] = (vertex_map[(u, val)], v)
+    moved = dict(cells)  # valued edges re-attach to their copies
+    for pair, edge_keys in keys.items():
+        moved[pair] = list(cells[pair])
+        moved[pair][_PAIR_PARTS[pair].index(blown)] = np.array(
+            [vertex_map[k] for k in edge_keys], np.intp)
+    grids = _colored_grids(sizes, {p: (*moved[p], col[p][cells[p]])
+                                   for p in _PAIRS})
+    graph = ColoredValuedGraph._trusted(tuple(sizes), frozenset(), grids)
+    edge_map = dict(zip(_listed(cells["IJ"]), _listed(moved["IJ"])))
     return ExpandedCase(tag, graph, vertex_map, edge_map)
 
 
@@ -190,10 +169,6 @@ class CombinedMonoInstance:
         return out
 
 
-def _flatten_vertex(part_sizes, part, idx) -> int:
-    return idx + sum(part_sizes[:part])
-
-
 def combine_sparse_into_mono(
     instances: list[ColoredValuedGraph],
     host_size: int,
@@ -220,19 +195,24 @@ def combine_sparse_into_mono(
                 f"source with {sum(inst.part_sizes)} vertices exceeds host "
                 f"size {host_size}")
 
+    # Each source's edges as (pair, u, v, flat u, flat v), numbering I, J, K.
+    flat = []
+    for inst in instances:
+        first = (0, inst.part_sizes[0], sum(inst.part_sizes[:2]))
+        pres = _colored_arrays(inst)[0]
+        flat.append([(pair, u, v, first[_PAIR_PARTS[pair][0]] + u,
+                      first[_PAIR_PARTS[pair][1]] + v) for pair in _PAIRS
+                     for u, v in _listed(pres[pair].nonzero())])
     for attempt in range(max_retries):
         perms = []
         placed: dict[tuple[int, int], list] = {}
-        for q, inst in enumerate(instances):
+        for q, edges in enumerate(flat):
             perm = rng.child("perm", attempt, q).permutation(host_size)
             perms.append(perm)
-            for pair in ("IJ", "JK", "IK"):
-                pu, pv = _PAIR_PARTS[pair]
-                for u, v, _c, _val in inst.edges(pair):
-                    x = perm[_flatten_vertex(inst.part_sizes, pu, u)]
-                    y = perm[_flatten_vertex(inst.part_sizes, pv, v)]
-                    key = (x, y) if x < y else (y, x)
-                    placed.setdefault(key, []).append((q, pair, u, v))
+            for pair, u, v, fu, fv in edges:
+                x, y = perm[fu], perm[fv]
+                key = (x, y) if x < y else (y, x)
+                placed.setdefault(key, []).append((q, pair, u, v))
         mult = max((len(v) for v in placed.values()), default=0)
         if mult <= max_label:
             break
@@ -240,38 +220,37 @@ def combine_sparse_into_mono(
         raise RuntimeError(
             f"multiplicity exceeded {max_label} in {max_retries} attempts")
 
-    # One pass over the placed edges in host-pair order labels them, records
-    # the I x J queries and buckets both orientations of each edge by label;
-    # every label-triple instance then reads three buckets.
+    # One pass over the placed edges in host-pair order labels them and
+    # records the I x J queries; then each label gets one symmetric presence
+    # grid and one grid of source-index colours, which every label-triple
+    # instance shares. A host pair gives each of its edges a distinct
+    # label, so no two edges of one label share a cell.
     parallel = []
     query_maps: list[dict] = [{} for _ in instances]
-    by_label: list[list] = [[] for _ in range(mult + 1)]
+    label_cells: list = []
     for key in sorted(placed):
-        edges = tuple((lab + 1, q, pair, u, v)
-                      for lab, (q, pair, u, v) in enumerate(sorted(placed[key])))
-        parallel.append((key, edges))
-        for label, q, pair, u, v in edges:
-            by_label[label] += [(key[0], key[1], q, None),
-                                (key[1], key[0], q, None)]
+        labelled = tuple((lab + 1, q, pair, u, v) for lab, (q, pair, u, v)
+                         in enumerate(sorted(placed[key])))
+        parallel.append((key, labelled))
+        for label, q, pair, u, v in labelled:
+            label_cells.append((label - 1, *key, q))
             if pair == "IJ":
-                inst = instances[q]
-                x = perms[q][_flatten_vertex(inst.part_sizes, 0, u)]
-                y = perms[q][_flatten_vertex(inst.part_sizes, 1, v)]
-                query_maps[q][(u, v)] = (label, x, y)
-
-    # The L^3 instances skip validation: endpoints are perm positions below
-    # host_size, distinct as they flatten vertices of distinct parts, and a
-    # bucket is duplicate-free because a host pair gives each of its edges a
-    # distinct label, so a bucket holds the pair at most once per direction.
-    buckets = [tuple(edges) for edges in by_label]
-    sizes, no_values = (host_size, host_size, host_size), frozenset()
-    built = []
-    for li in range(1, mult + 1):
-        for lj in range(1, mult + 1):
-            for lk in range(1, mult + 1):
-                built.append(((li, lj, lk), ColoredValuedGraph._trusted(
-                    sizes, buckets[li], buckets[lj], buckets[lk],
-                    no_values)))
+                query_maps[q][(u, v)] = (label, perms[q][u], perms[q][
+                    instances[q].part_sizes[0] + v])
+    labels, xs, ys, sources = np.array(label_cells, np.intp).reshape(-1, 4).T
+    pres = np.zeros((mult, host_size, host_size), bool)
+    col = np.zeros(pres.shape, np.int64)
+    pres[labels, xs, ys] = pres[labels, ys, xs] = True
+    col[labels, xs, ys] = col[labels, ys, xs] = sources
+    no_values = np.zeros(pres.shape[1:], np.int64)
+    for grid in (pres, col, no_values):
+        grid.flags.writeable = False
+    built = [((li + 1, lj + 1, lk + 1), ColoredValuedGraph._trusted(
+        (host_size,) * 3, frozenset(),
+        ({"IJ": pres[li], "JK": pres[lj], "IK": pres[lk]},
+         {"IJ": col[li], "JK": col[lj], "IK": col[lk]},
+         dict.fromkeys(_PAIRS, no_values))))
+        for li, lj, lk in product(range(mult), repeat=3)]
 
     return CombinedMonoInstance(
         host_size, max_label, mult, tuple(parallel),
@@ -283,16 +262,6 @@ def solve_combined(
 ) -> list[dict[tuple[int, int], bool]]:
     answers = [mono_solver(g) for _triple, g in combined.instances]
     return combined.decode(answers)
-
-
-def _color_subgraphs(g: ColoredValuedGraph):
-    """color -> {pair -> set of (u, v)} for the three part-pairs."""
-    by_color: dict = {}
-    for pair in ("IJ", "JK", "IK"):
-        for u, v, color, _val in g.edges(pair):
-            by_color.setdefault(color, {"IJ": set(), "JK": set(), "IK": set()})
-            by_color[color][pair].add((u, v))
-    return by_color
 
 
 def _ae_mono_on_expansion(
@@ -307,17 +276,21 @@ def _ae_mono_on_expansion(
     expanded instance, splitting per color into low-degree enumeration,
     packed K-masks when the blown part stays at least size_threshold, and
     a single combined instance for the rest."""
-    answers = {(u, v): False for u, v, _c, _val in g.edges_ij}
-    ni, nj, nk = g.part_sizes
+    pres, col, _val = _colored_arrays(g)
+    answers = dict.fromkeys(_listed(pres["IJ"].nonzero()), False)
+    split: dict = {}  # color -> {pair -> set of (u, v)}
+    for pair in _PAIRS:
+        for edge, color in zip(_listed(pres[pair].nonzero()),
+                               col[pair][pres[pair]].tolist()):
+            split.setdefault(color, {p: set() for p in _PAIRS})[pair].add(edge)
 
     # Which pairs touch the blown part, and the blown slot in their keys.
-    touching = [p for p in ("IJ", "JK", "IK") if blown in _PAIR_PARTS[p]]
-    third_pair = next(p for p in ("IJ", "JK", "IK") if p not in touching)
+    touching = [p for p in _PAIRS if blown in _PAIR_PARTS[p]]
+    third_pair = next(p for p in _PAIRS if p not in touching)
 
     combine_sources: list[ColoredValuedGraph] = []
     combine_edge_maps: list[dict] = []
 
-    split = _color_subgraphs(g)
     for color in sorted(split):
         edges = split[color]
         live = dict(edges)
@@ -357,68 +330,55 @@ def _ae_mono_on_expansion(
             for u1 in around[p1]:
                 for u2 in around[p2]:
                     if third_key(u1, u2) in third:
-                        qe = query_edge(x, u1, u2)
-                        if qe in answers:
-                            answers[qe] = True
+                        answers[query_edge(x, u1, u2)] = True
             dropped.add(x)
         for pair in touching:
             slot = _PAIR_PARTS[pair].index(blown)
             live[pair] = {e for e in live[pair] if e[slot] not in dropped}
-
-        remaining_blown = set()
-        for pair in touching:
-            slot = _PAIR_PARTS[pair].index(blown)
-            remaining_blown.update(e[slot] for e in live[pair])
+        remaining_blown = len(nbrs) - len(dropped)
         if not remaining_blown or not live[third_pair]:
             continue
 
-        if len(remaining_blown) >= size_threshold:
+        if remaining_blown >= size_threshold:
             # Packed K-masks resolve the color: query (i, j) is in a
             # triangle iff (i, j) is alive and some k has both (i, k) and
             # (j, k) alive.
-            k_of_i, k_of_j = [0] * ni, [0] * nj
+            k_of_i, k_of_j = ([0] * n for n in g.part_sizes[:2])
             for i, k in live["IK"]:
                 k_of_i[i] |= 1 << k
             for j, k in live["JK"]:
                 k_of_j[j] |= 1 << k
             for (i, j) in live["IJ"]:
-                if k_of_i[i] & k_of_j[j] and (i, j) in answers:
+                if k_of_i[i] & k_of_j[j]:
                     answers[(i, j)] = True
             continue
 
-        # Compact the residue and queue it for the combined instance.
-        support = [sorted({e[0] for e in live["IJ"]} | {e[0] for e in live["IK"]}),
-                   sorted({e[1] for e in live["IJ"]} | {e[0] for e in live["JK"]}),
-                   sorted({e[1] for e in live["JK"]} | {e[1] for e in live["IK"]})]
-        remap = [
-            {orig: new for new, orig in enumerate(part)} for part in support
-        ]
-        src = ColoredValuedGraph._trusted(
-            (len(support[0]), len(support[1]), len(support[2])),
-            tuple((remap[0][u], remap[1][v], 0, None) for u, v in sorted(live["IJ"])),
-            tuple((remap[1][u], remap[2][v], 0, None) for u, v in sorted(live["JK"])),
-            tuple((remap[0][u], remap[2][v], 0, None) for u, v in sorted(live["IK"])),
-            frozenset())
-        combine_sources.append(src)
-        combine_edge_maps.append(
-            {(remap[0][u], remap[1][v]): (u, v) for u, v in live["IJ"]})
+        # Compact the residue onto the vertices its edges touch and queue it
+        # for the combined instance.
+        cells = {p: tuple(np.array(list(live[p]), np.intp).reshape(-1, 2).T)
+                 for p in _PAIRS}
+        support = [sorted({x for p in _PAIRS if part in _PAIR_PARTS[p] for x
+                           in cells[p][_PAIR_PARTS[p].index(part)].tolist()})
+                   for part in range(3)]
+        compact = {p: tuple(np.searchsorted(support[part], ends) for part, ends
+                            in zip(_PAIR_PARTS[p], cells[p])) for p in _PAIRS}
+        sizes = tuple(len(part) for part in support)
+        grids = _colored_grids(sizes, {p: (*compact[p], 0) for p in _PAIRS})
+        combine_sources.append(
+            ColoredValuedGraph._trusted(sizes, frozenset(), grids))
+        combine_edge_maps.append(dict(zip(_listed(compact["IJ"]),
+                                          _listed(cells["IJ"]))))
 
     if combine_sources:
-        if isinf(size_threshold):
-            host = max(3 * max(ni, nj, nk),
-                       max(sum(s.part_sizes) for s in combine_sources))
-        else:
-            host = 3 * int(size_threshold)
-            host = max(host, max(sum(s.part_sizes) for s in combine_sources))
+        host = max(3 * (max(g.part_sizes) if isinf(size_threshold)
+                        else int(size_threshold)),
+                   *(sum(s.part_sizes) for s in combine_sources))
         combined = combine_sparse_into_mono(combine_sources, host,
                                             rng.child("combine"))
         decoded = solve_combined(combined, mono_solver)
         for per_source, back in zip(decoded, combine_edge_maps):
-            for edge, positive in per_source.items():
-                if positive:
-                    orig = back[edge]
-                    if orig in answers:
-                        answers[orig] = True
+            answers.update((back[edge], True)
+                           for edge, positive in per_source.items() if positive)
     return answers
 
 

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph)
+                        SetFamilyInstance, TripartiteWeightedGraph,
+                        _colored_arrays, _listed)
 
 # Matrix product kinds.
 MIN_EQ = "MIN_EQ"
@@ -136,28 +137,6 @@ def triangle_list_bf(
     return out
 
 
-def _colored_arrays(g: ColoredValuedGraph):
-    """Dense presence/color/value arrays per pair, shaped by endpoint parts:
-    the ones a trusted graph carries, else derived from the edges."""
-    attached = g.__dict__.get("_arrays")
-    if attached is not None:
-        return attached
-    ni, nj, nk = g.part_sizes
-    pres, col, val = {}, {}, {}
-    for pair, shape in (("IJ", (ni, nj)), ("JK", (nj, nk)), ("IK", (ni, nk))):
-        p = pres[pair] = np.zeros(shape, dtype=bool)
-        c = col[pair] = np.zeros(shape, dtype=np.int64)
-        v = val[pair] = np.zeros(shape, dtype=np.int64)
-        edges = g.edges(pair)
-        if edges:
-            us, ws, colors, values = zip(*edges)
-            p[us, ws] = True
-            c[us, ws] = colors
-            if pair in g.value_sides:
-                v[us, ws] = values
-    return pres, col, val
-
-
 def _mono_cube(pres, col) -> np.ndarray:
     """Boolean cube T[i, j, k]: (i, j, k) is a monochromatic triangle."""
     c_ij = col["IJ"][:, :, None]
@@ -230,7 +209,8 @@ def ae_monoeq_triangle_bf(g: ColoredValuedGraph) -> GridAnswers:
 
 
 def mono_product_bf(g: ColoredValuedGraph, kind: str):
-    """Per I x J edge, the monochromatic product answer over the K column.
+    """Per I x J edge, row-major, the monochromatic product answer over the
+    K column.
 
     Requires values on IK and JK. MONO_EQ yields booleans; MONO_MIN_EQ and
     MONO_MIN_LE yield minima with PLUS_INF for an empty matching set.
@@ -254,7 +234,8 @@ def mono_product_bf(g: ColoredValuedGraph, kind: str):
     else:
         answer = np.where(match, payload, PLUS_INF).min(axis=2,
                                                         initial=PLUS_INF)
-    return {(u, v): answer[u, v].item() for u, v, _c, _val in g.edges_ij}
+    cells = pres["IJ"].nonzero()
+    return dict(zip(_listed(cells), answer[cells].tolist()))
 
 
 def product_bf(a: IntMatrix, b: IntMatrix, kind: str) -> IntMatrix:

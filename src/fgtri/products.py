@@ -22,11 +22,13 @@ matrix searches and as dicts keyed by I x J edge for the monochromatic ones
 (test mode asserts the bracketing invariant against brute force). A start
 event hands over the search's own grids, so an instrument only reads them.
 
-Every instance is built through ``ColoredValuedGraph._trusted``. A matrix
-search makes its colour and value grids once, as numpy arrays; a level's
-probe shifts them right by the level and hands only the grids to the
-oracle, which builds no edge tuple. Each level reads the hits at the live
-entries in one pass: one index into a ``GridAnswers``' I x J grid.
+Every instance is built from grids by ``_probe_graph``. A matrix search
+makes its colour and value grids once; a monochromatic search starts from
+g's own grids, its colours renumbered densely so that the composites
+colour * bound + tag stay inside int64. A level's probe shifts them right
+by the level and hands only grids to the solver, so no edge tuple is built
+unless the solver reads one. Each level reads the hits at the live entries
+in one pass: one index into a ``GridAnswers``' I x J grid.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .instances import ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF
+from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
+                        _colored_arrays, _listed)
 from .oracles import GridAnswers
 from .zero_triangle import ceil_log2
 
@@ -45,11 +48,12 @@ Instrument = Optional[Callable[[dict], None]]
 
 _CASE_A = frozenset({"IK", "JK"})   # values on I x K and J x K
 _CASE_B = frozenset({"IJ", "JK"})   # values on I x J and J x K
+_PAIRS = ("IJ", "JK", "IK")
 
 
-def composite_color(base: int, tag: int, tag_bound: int) -> int:
-    """Injective pairing of a base color with a bounded tag."""
-    if not 0 <= tag < tag_bound:
+def composite_color(base, tag, tag_bound: int):
+    """Injective pairing of base colors with bounded tags, elementwise."""
+    if np.logical_or(tag < 0, tag >= tag_bound).any():
         raise ValueError(f"tag {tag} outside [0, {tag_bound})")
     return base * tag_bound + tag
 
@@ -92,11 +96,10 @@ def _probe_graph(part_sizes, sides, grids):
     """A trusted probe from (presence, colour, value) grids for IJ, JK and
     IK, value None on an unvalued pair; edges are derived only if read."""
     arrays = ({}, {}, {})
-    for pair, (pres, col, val) in zip(("IJ", "JK", "IK"), grids):
+    for pair, (pres, col, val) in zip(_PAIRS, grids):
         for kind, grid in zip(arrays, (pres, col, val)):
             kind[pair] = np.zeros_like(col) if grid is None else grid
-    return ColoredValuedGraph._trusted(part_sizes, None, None, None, sides,
-                                       arrays)
+    return ColoredValuedGraph._trusted(part_sizes, sides, arrays)
 
 
 def _levels(instrument, op, estimates, active):
@@ -319,10 +322,21 @@ def exists_dom_via_min_le(a, b, min_le_solver: MatrixSolver) -> IntMatrix:
     return _finite(min_le_solver(a, b))
 
 
-def _case_a_data(g: ColoredValuedGraph):
+def _ranks(pres, grids, pairs):
+    """The sorted distinct entries of ``grids`` on the present cells of
+    ``pairs``, and each of those grids as ranks among them."""
+    distinct = sorted({x for p in pairs for x in grids[p][pres[p]].tolist()})
+    return distinct, {p: np.searchsorted(distinct, grids[p]) for p in pairs}
+
+
+def _case_a_grids(g: ColoredValuedGraph):
+    """g's presence, colour and value grids, and its colours renumbered
+    densely from 0: colours are opaque, so composites of the renumbered
+    ones with small tags stay far inside int64."""
     if g.value_sides != _CASE_A:
         raise ValueError("expected a case-A instance (values on IK and JK)")
-    return list(g.edges_ij), list(g.edges_ik), list(g.edges_jk)
+    pres, col, val = _colored_arrays(g)
+    return pres, col, _ranks(pres, col, _PAIRS)[1], val
 
 
 def mono_min_eq_via_mono_eq(
@@ -334,36 +348,30 @@ def mono_min_eq_via_mono_eq(
     product calls: one initial call finds the finite entries, then each
     level recolors edges with (original color, value prefix) composites and
     halves the bracket."""
-    ij_edges, ik_edges, jk_edges = _case_a_data(g)
-    rank, unrank = _joint_ranks(
-        (e[3] for e in ik_edges), (e[3] for e in jk_edges))
+    pres, col, dense, val = _case_a_grids(g)
+    unrank, rank = _ranks(pres, val, ("JK", "IK"))
     t = ceil_log2(max(2, len(unrank)))
     tag_bound = (1 << t) + 1
 
-    rank_graph = ColoredValuedGraph._trusted(
-        g.part_sizes,
-        tuple((u, v, c, None) for u, v, c, _ in ij_edges),
-        tuple((u, v, c, rank[val]) for u, v, c, val in jk_edges),
-        tuple((u, v, c, rank[val]) for u, v, c, val in ik_edges), _CASE_A)
+    rank_graph = _probe_graph(g.part_sizes, _CASE_A, (
+        (pres["IJ"], col["IJ"], None), (pres["JK"], col["JK"], rank["JK"]),
+        (pres["IK"], col["IK"], rank["IK"])))
     base = mono_eq_solver(rank_graph)
-    active = {(u, v): bool(base.get((u, v), False)) for u, v, _c, _ in ij_edges}
-    ij = [(u, v, c) for u, v, c, _ in ij_edges if active[(u, v)]]
-    cells = _cells([(u, v) for u, v, _c in ij])
+    active = {e: bool(base.get(e, False))
+              for e in _listed(pres["IJ"].nonzero())}
+    cells = _cells([e for e, alive in active.items() if alive])
+    live = np.zeros_like(pres["IJ"])
+    live[cells] = True
     est = np.zeros(g.part_sizes[:2], np.int64)
     if instrument is not None:
         instrument({"kind": "start", "op": "mono_min_eq",
                     "rank_graph": rank_graph})
 
     def probe(level):
-        def recolored(edges):
-            return tuple((u, v, composite_color(c, r >> level, tag_bound), r)
-                         for u, v, c, r in edges)
-        return ColoredValuedGraph._trusted(
-            g.part_sizes,
-            tuple((u, v, composite_color(c, e >> level, tag_bound), None)
-                  for (u, v, c), e in zip(ij, est[cells].tolist())),
-            recolored(rank_graph.edges_jk), recolored(rank_graph.edges_ik),
-            _CASE_A)
+        return _probe_graph(g.part_sizes, _CASE_A, (
+            (live, composite_color(dense["IJ"], est >> level, tag_bound), None),
+            *((pres[p], composite_color(dense[p], rank[p] >> level, tag_bound),
+               rank[p]) for p in ("JK", "IK"))))
 
     found = _bisect(cells, est, t, "min", probe, mono_eq_solver, (),
                     _levels(instrument, "mono_min_eq",
@@ -391,51 +399,57 @@ def mono_min_le_via_monoeq(
     smallest common prefix comes from the monochromatic (min, =) machinery,
     and equality-triangle calls with values on I x J and J x K then
     binary-search the smallest qualifying J x K value."""
-    ij_edges, ik_edges, jk_edges = _case_a_data(g)
+    pres, col, dense, val = _case_a_grids(g)
+    sizes = g.part_sizes
+
+    def on_edges(pair, flat):
+        """A grid holding ``flat``, aligned with the pair's edges."""
+        grid = np.zeros(pres[pair].shape, np.int64)
+        grid[pres[pair]] = flat
+        return grid
+
+    def listed(pair, *extra):
+        us, vs = (c.tolist() for c in pres[pair].nonzero())
+        return list(zip(us, vs, col[pair][pres[pair]].tolist(), *extra))
 
     def search(bit, a_cut, b_cut, b_tags):
-        prefix = mono_min_eq_via_mono_eq(ColoredValuedGraph._trusted(
-            g.part_sizes, tuple((u, v, c, None) for u, v, c, _ in ij_edges),
-            tuple((u, v, c, t) for (u, v, c, _), t in zip(jk_edges, b_cut)),
-            tuple((u, v, c, t) for (u, v, c, _), t in zip(ik_edges, a_cut)),
-            _CASE_A), mono_eq_solver, instrument)
+        ik_cut, jk_cut = on_edges("IK", a_cut), on_edges("JK", b_cut)
+        prefix = mono_min_eq_via_mono_eq(_probe_graph(sizes, _CASE_A, (
+            (pres["IJ"], col["IJ"], None), (pres["JK"], col["JK"], jk_cut),
+            (pres["IK"], col["IK"], ik_cut))), mono_eq_solver, instrument)
         active = {e: p != PLUS_INF for e, p in prefix.items()}
         edges = [e for e, alive in active.items() if alive]
         if not edges:
             return {}
         cells = _cells(edges)
-        est = np.zeros(g.part_sizes[:2], np.int64)
-        est[cells] = [prefix[e] << (bit + 1) for e in edges]
+        live = np.zeros_like(pres["IJ"])
+        live[cells] = True
+        pre = np.zeros(sizes[:2], np.int64)
+        pre[cells] = [prefix[e] for e in edges]
+        est = pre << (bit + 1)
         # Room for the +2 filler shift above every tag and prefix.
         bound = max(max(a_cut, default=0), max(b_cut, default=0),
-                    *(prefix[e] for e in edges)) + 3
+                    int(pre.max())) + 3
         if instrument is not None:
             instrument({"kind": "start", "op": "mono_min_le_inner",
-                        "ij": [(u, v, c) for u, v, c, _ in ij_edges],
-                        "ik": [(u, v, c, t) for (u, v, c, _), t
-                               in zip(ik_edges, a_cut)],
-                        "jk": [(u, v, c, t, tag) for (u, v, c, _), t, tag
-                               in zip(jk_edges, b_cut, b_tags)],
+                        "ij": listed("IJ"), "ik": listed("IK", a_cut),
+                        "jk": listed("JK", b_cut, b_tags),
                         "prefix": dict(prefix)})
-        edges_ik = tuple((u, v, composite_color(c, t + 2, bound), None)
-                         for (u, v, c, _), t in zip(ik_edges, a_cut))
-        jk = [(u, v, composite_color(c, t + 2, bound), tag)
-              for (u, v, c, _), t, tag in zip(jk_edges, b_cut, b_tags)]
-        ij = [(u, v, composite_color(c, prefix[(u, v)] + 2, bound))
-              for u, v, c, _ in ij_edges if active[(u, v)]]
+        ij_col = composite_color(dense["IJ"], pre + 2, bound)
+        jk = (pres["JK"], composite_color(dense["JK"], jk_cut + 2, bound))
+        ik = (pres["IK"], composite_color(dense["IK"], ik_cut + 2, bound),
+              None)
+        jk_tag = on_edges("JK", b_tags)
 
         def probe(level):
-            return ColoredValuedGraph._trusted(
-                g.part_sizes,
-                tuple((u, v, c, e >> level)
-                      for (u, v, c), e in zip(ij, est[cells].tolist())),
-                tuple((u, v, c, tag >> level) for u, v, c, tag in jk),
-                edges_ik, _CASE_B)
+            return _probe_graph(sizes, _CASE_B, (
+                (live, ij_col, est >> level), (*jk, jk_tag >> level), ik))
 
         return _bisect(cells, est, bit + 1, "min", probe, monoeq_solver,
                        ("IJ",), _levels(instrument, "mono_min_le_inner",
                                         lambda: _at(cells, est), active.copy))
 
-    found = _by_highest_bit([e[3] for e in ik_edges],
-                            [e[3] for e in jk_edges], "min", search)
-    return {(u, v): found.get((u, v), PLUS_INF) for u, v, _c, _ in ij_edges}
+    found = _by_highest_bit(val["IK"][pres["IK"]].tolist(),
+                            val["JK"][pres["JK"]].tolist(), "min", search)
+    return {edge: found.get(edge, PLUS_INF)
+            for edge in _listed(pres["IJ"].nonzero())}

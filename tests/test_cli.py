@@ -525,3 +525,35 @@ def test_zero_pipelines_reject_modular_weights(pipeline, tile, tmp_path,
     assert captured.out == ""
     assert captured.err == ("usage error: the zero-triangle reduction needs"
                             " integer weights, not residues mod 5\n")
+
+
+@pytest.mark.parametrize("solver, text", [
+    ("ae-monoeq-bf", "CVG 1 1 1 IJ,JK,IK\nIJ 0 0 1 99999999999999999999999\n"
+                     "JK 0 0 1 3\nIK 0 0 1 3\n"),
+    ("ae-mono-fast", "CVG 1 1 1 -\nIJ 0 0 99999999999999999999999\n"
+                     "JK 0 0 1\nIK 0 0 1\n"),
+])
+def test_colors_and_values_outside_int64_are_parse_errors(solver, text,
+                                                          tmp_path, capsys):
+    cvg = tmp_path / "wide.cvg"
+    cvg.write_text(text)
+    assert main(["solve", "--solver", solver, "--in", str(cvg)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: ")
+    assert "not a 64-bit integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("pipeline", ["mono-min-eq", "mono-min-le"])
+def test_mono_pipelines_take_colors_near_int64_limits(pipeline, tmp_path,
+                                                      capsys):
+    cvg = tmp_path / "big.cvg"
+    color = 1 << 62
+    cvg.write_text(f"CVG 1 1 1 JK,IK\nIJ 0 0 {color}\n"
+                   f"JK 0 0 {color} 5\nIK 0 0 {color} 5\n")
+    assert main(["reduce", "--pipeline", pipeline, "--check", "--seed", "1",
+                 "--in", str(cvg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "ENTRY 0 0 5\n"
+    assert captured.err == "check: ok\n"

@@ -31,7 +31,8 @@ def test_array_built_graphs_equal_their_validated_tuple_graphs():
         sizes = (seed % 4, 1 + seed % 5, 2 + (seed * 3) % 4)
         base = generate_colored(sizes, 1 + seed % 3, 20 + (seed * 11) % 80,
                                 5, sides[seed % 5], RngStream(seed))
-        pres, col, val = _colored_arrays(base)
+        pres, col, val = ({p: grid.copy() for p, grid in by_pair.items()}
+                          for by_pair in _colored_arrays(base))
         for pair in _EDGE_FIELDS:  # junk off the present cells is ignored
             col[pair][~pres[pair]] = 99
             val[pair][~pres[pair]] = -7
@@ -40,8 +41,7 @@ def test_array_built_graphs_equal_their_validated_tuple_graphs():
             base.value_sides)
 
         def lazy():
-            return ColoredValuedGraph._trusted(sizes, None, None, None,
-                                               base.value_sides,
+            return ColoredValuedGraph._trusted(sizes, base.value_sides,
                                                (pres, col, val))
 
         for pair, field in _EDGE_FIELDS.items():
@@ -91,6 +91,56 @@ def test_cvg_value_side_discipline():
     g = ColoredValuedGraph((1, 1, 1), edges_ij=((0, 0, 1, 5),),
                            value_sides=frozenset({"IJ"}))
     assert g.edges_ij[0][3] == 5
+
+
+def test_cvg_colors_and_values_fit_in_int64():
+    top, bottom = (1 << 63) - 1, -(1 << 63)
+    g = ColoredValuedGraph((1, 1, 1), edges_ij=((0, 0, top, bottom),),
+                           value_sides=frozenset({"IJ"}))
+    pres, col, val = (grids["IJ"] for grids in _colored_arrays(g))
+    assert (pres[0, 0], col[0, 0], val[0, 0]) == (True, top, bottom)
+    for color, value in ((top + 1, 0), (bottom - 1, 0), (0, top + 1),
+                         (0, bottom - 1), (1.5, 0), (0, 2.0), ("1", 0),
+                         (None, 0), (0, "5")):
+        with pytest.raises(ValueError):
+            ColoredValuedGraph((1, 1, 1), edges_ij=((0, 0, color, value),),
+                               value_sides=frozenset({"IJ"}))
+
+
+def test_public_graphs_keep_their_edges_beside_read_only_grids():
+    """The validating constructor keeps the given tuples in the given order,
+    so edges() and the text bytes follow it, and builds read-only grids
+    that hold every edge's colour and value at its cell."""
+    sides = (frozenset(), frozenset({"IK", "JK"}), frozenset({"IJ", "JK"}),
+             frozenset({"IJ", "IK"}), frozenset(_EDGE_FIELDS))
+    for seed in range(15):
+        rng = RngStream(seed, ("public-grids",))
+        sizes = (1 + seed % 4, 2 + seed % 3, 1 + (seed * 5) % 4)
+        base = generate_colored(sizes, 1 + seed % 3, 70, 4, sides[seed % 5],
+                                rng.child("g"))
+        shuffled = {}
+        for pair in _EDGE_FIELDS:
+            edges = base.edges(pair)
+            order = rng.child("order", pair).permutation(len(edges))
+            shuffled[pair] = tuple(edges[i] for i in order)
+        g = ColoredValuedGraph(sizes, *shuffled.values(), base.value_sides)
+        lines = [serialize(base).splitlines()[0]]
+        for pair, edges in shuffled.items():
+            assert g.edges(pair) == edges
+            lines += [" ".join(map(str, (pair, *(x for x in e if x is not None))))
+                      for e in edges]
+        assert serialize(g) == "\n".join(lines) + "\n"
+        assert parse(serialize(g)) == g
+        grids = _colored_arrays(g)
+        for pair, edges in shuffled.items():
+            pres, col, val = (by_pair[pair] for by_pair in grids)
+            assert pres.sum() == len(edges)
+            for u, v, c, x in edges:
+                assert pres[u, v] and col[u, v] == c
+                assert x is None or val[u, v] == x
+            for grid in (pres, col, val):
+                with pytest.raises(ValueError):
+                    grid[0, 0] = grid[0, 0]
 
 
 def test_matrix_shape_and_sentinel_guard():

@@ -217,11 +217,12 @@ def test_solver_rejects_single_valued_side():
 
 
 def test_internal_builds_equal_their_validated_rebuilds(monkeypatch):
-    # split_cases, expand_values and the combine sources skip validation;
-    # over a criterion-10-style battery each graph they build must be what
-    # the validating constructor makes of the same fields.
+    # split_cases, expand_values, the combine sources and the combine
+    # step's label-triple instances skip validation; over a
+    # criterion-10-style battery each graph they build must be what the
+    # validating constructor makes of the same fields.
     from fgtri import monoeq
-    built = {"split": [], "expand": [], "combine": []}
+    built = {"split": [], "expand": [], "combine": [], "labels": []}
 
     def recording(name, fn, pick):
         def wrapper(*args, **kwargs):
@@ -232,8 +233,11 @@ def test_internal_builds_equal_their_validated_rebuilds(monkeypatch):
 
     recording("split", monoeq.split_cases, lambda _a, out: out.values())
     recording("expand", monoeq.expand_values, lambda _a, out: [out.graph])
-    recording("combine", monoeq.combine_sparse_into_mono,
-              lambda args, _out: args[0])
+    def combine_pick(args, out):
+        built["labels"].extend(h for _triple, h in out.instances)
+        return args[0]
+
+    recording("combine", monoeq.combine_sparse_into_mono, combine_pick)
     for t, sides in enumerate(("A", "B", "C", "all")):
         for i in range(40):
             rng = RngStream(720_000 + i * 4 + t)

@@ -404,8 +404,7 @@ def _answer_graphs(seed):
         order = rng.child("order", pair).permutation(len(edges))
         shuffled.append(tuple(edges[i] for i in order))
     public = ColoredValuedGraph(sizes, *shuffled, base.value_sides)
-    trusted = ColoredValuedGraph._trusted(sizes, None, None, None,
-                                          base.value_sides,
+    trusted = ColoredValuedGraph._trusted(sizes, base.value_sides,
                                           _colored_arrays(base))
     return public, trusted
 

@@ -185,6 +185,45 @@ def test_mono_min_le_battery():
             mono_product_bf(g, MONO_MIN_LE)
 
 
+def test_mono_searches_take_colors_near_the_int64_limits():
+    """Colors are opaque, so the searches renumber them before pairing them
+    with tags: colors near +/-2^62, whose composites would wrap, give the
+    answers of the same graph with small colors."""
+    # 0x3333333333333333 * 5 + 1 wraps to 0 * 5 + 0: with 4 distinct values
+    # the (min, =) search's tag bound is 5, and k = 1 would close a false
+    # triangle below the true minimum 30.
+    wrap = 0x3333333333333333
+    g = ColoredValuedGraph((1, 1, 3), ((0, 0, 0, None),),
+                           ((0, 0, 0, 30), (0, 1, wrap, 20), (0, 2, 0, 10)),
+                           ((0, 0, 0, 30), (0, 1, wrap, 20), (0, 2, 0, 0)),
+                           frozenset({"IK", "JK"}))
+    assert mono_min_eq_via_mono_eq(g, mono_eq_bf) == {(0, 0): 30}
+    assert mono_min_le_via_monoeq(g, monoeq_bf, mono_eq_bf) == {(0, 0): 10}
+    # At one bit the (min, <=) search's bound is 4 and 2^62 * 4 wraps to 0,
+    # so k = 3 would close a false triangle below the true minimum 6.
+    top = 1 << 62
+    g = ColoredValuedGraph(
+        (1, 1, 4), ((0, 0, 0, None),),
+        ((0, 0, 0, 6), (0, 1, 0, 6), (0, 2, top, 7), (0, 3, top, 4)),
+        ((0, 1, 0, 3), (0, 2, 0, 7), (0, 3, top, 2)), frozenset({"IK", "JK"}))
+    assert mono_min_le_via_monoeq(g, monoeq_bf, mono_eq_bf) == {(0, 0): 6}
+    big = (0, 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63))
+    for seed in range(200):
+        g = generate_colored((1 + seed % 2, 1, 2 + seed % 5), 2 + seed % 2,
+                             85, 3 + seed % 6, frozenset({"IK", "JK"}),
+                             RngStream(seed + 1000))
+        wide = ColoredValuedGraph(g.part_sizes, *(
+            [(u, v, big[(c + seed // 7) % 5], val)
+             for u, v, c, val in g.edges(p)]
+            for p in ("IJ", "JK", "IK")), g.value_sides)
+        assert mono_min_eq_via_mono_eq(wide, mono_eq_bf) == \
+            mono_product_bf(wide, MONO_MIN_EQ) == \
+            mono_product_bf(g, MONO_MIN_EQ)
+        assert mono_min_le_via_monoeq(wide, monoeq_bf, mono_eq_bf) == \
+            mono_product_bf(wide, MONO_MIN_LE) == \
+            mono_product_bf(g, MONO_MIN_LE)
+
+
 # ------------------------------------------------------------ discretization
 
 def test_composite_color_injective():
@@ -458,5 +497,4 @@ def test_trusted_instances_equal_their_validated_rebuilds(name):
     for x in battery():
         assert run(x, eq, mono) == truth(x)
     assert seen["checked"] > 0
-    if not name.startswith("mono"):  # the matrix searches attach grids
-        assert seen["attached"] > 0
+    assert seen["attached"] > 0
