@@ -644,8 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--check", action="store_true",
                        help="cross-validate against the brute oracle")
     solve.add_argument("--target", type=int, default=0)
-    solve.add_argument("--delta", type=_or_inf, default=math.inf,
-                       help="accepted for old command lines; has no effect")
     solve.add_argument("--per-edge-cap", type=_or_none, default=None)
     solve.add_argument("--global-cap", type=_or_none, default=None)
     solve.add_argument("--kind", default=None,

@@ -28,13 +28,8 @@ _BATCH_CELLS = 1 << 20
 
 def ae_sparse_triangle_fast(
     g: TripartiteWeightedGraph,
-    degree_threshold=None,
 ) -> dict[tuple[int, int], bool]:
-    """For each A x B edge (a, b), whether some c completes a triangle.
-
-    ``degree_threshold`` is accepted for callers of the former heavy/light
-    split and chooses nothing: every C-vertex takes the same packed pass.
-    """
+    """For each A x B edge (a, b), whether some c completes a triangle."""
     na, _nb, nc = g.part_sizes
     b_bits = [0] * nc  # per c: adjacent b's (via BC)
     for b, c, _w in g.edges_bc:

@@ -4,17 +4,16 @@ monochromatic-triangle solver.
 The route: split an all-valued instance into the three cases by which two
 part-pairs carry the equal values; rewrite each case as a colored-only
 instance by blowing up the shared part into (vertex, value) copies; then
-answer the blown-up instance per color class with a low-degree
-enumeration, packed K-masks for colors whose blown part stays large, and
-one combined monochromatic-triangle instance for everything else. The
-masks are the Boolean product over K on packed ints: one OR per I x K and
-J x K edge, one AND per query edge, where a bit-matrix product would build
-and validate the same packed rows and then OR them again. The combine
-step packs many sparse per-edge-query graphs into one host multigraph via
-random vertex permutations, separates parallel edges by labels, and
-expands label triples into ordinary instances. Every graph here is built
-from grids: the case split shares g's, the expansion and the residue
-sources build their own, and the combine step builds one symmetric
+answer the blown-up instance per colour class on its presence grids. A
+Boolean product over K closes the triangles through blown vertices of low
+degree, and a second one those through the rest when at least a size
+threshold of them remain; otherwise the rest go into one combined
+monochromatic-triangle instance. Each case answers as one I x J hit grid.
+The combine step packs many sparse per-edge-query graphs into one host
+multigraph via random vertex permutations, separates parallel edges by
+labels, and expands label triples into ordinary instances. Every graph
+here is built from grids: the case split shares g's, the expansion and the
+residue sources build their own, and the combine step builds one symmetric
 presence grid and one colour grid per label, shared by the instances.
 """
 
@@ -151,22 +150,14 @@ class CombinedMonoInstance:
         """
         if len(per_instance_answers) != len(self.instances):
             raise ValueError("answers do not align with the instances")
-        out = []
-        for qmap in self.query_maps:
-            decoded = {}
-            for edge, (label, x, y) in qmap.items():
-                hit = False
-                for (triple, _g), answers in zip(self.instances,
-                                                 per_instance_answers):
-                    if triple[0] != label:
-                        continue
-                    if answers.get(("IJ", x, y), False) or \
-                            answers.get(("IJ", y, x), False):
-                        hit = True
-                        break
-                decoded[edge] = hit
-            out.append(decoded)
-        return out
+        by_label: dict[int, list] = {}
+        for (triple, _g), answers in zip(self.instances, per_instance_answers):
+            by_label.setdefault(triple[0], []).append(answers)
+        return [{edge: any(answers.get(("IJ", x, y), False)
+                           or answers.get(("IJ", y, x), False)
+                           for answers in by_label.get(label, ()))
+                 for edge, (label, x, y) in qmap.items()}
+                for qmap in self.query_maps]
 
 
 def combine_sparse_into_mono(
@@ -264,6 +255,20 @@ def solve_combined(
     return combined.decode(answers)
 
 
+def _cut(grids: dict, blown: int, keep: np.ndarray) -> dict:
+    """grids without the edges at blown vertices outside keep."""
+    return {p: grids[p] & (keep[:, None] if _PAIR_PARTS[p][0] == blown
+                           else keep) if blown in _PAIR_PARTS[p] else grids[p]
+            for p in _PAIRS}
+
+
+def _closed(grids: dict) -> np.ndarray:
+    """The I x J cells of grids closed by some k: IJ & (IK @ JK^T), with
+    the product taken over the k that have both an IK and a JK edge."""
+    ks = (grids["IK"].any(axis=0) & grids["JK"].any(axis=0)).nonzero()[0]
+    return grids["IJ"] & (grids["IK"].take(ks, 1) @ grids["JK"].take(ks, 1).T)
+
+
 def _ae_mono_on_expansion(
     g: ColoredValuedGraph,
     blown: int,
@@ -271,115 +276,60 @@ def _ae_mono_on_expansion(
     size_threshold,
     mono_solver: MonoSolver,
     rng: RngStream,
-) -> dict[tuple[int, int], bool]:
-    """Per-I x J-edge monochromatic triangle answers for a colored-only
-    expanded instance, splitting per color into low-degree enumeration,
-    packed K-masks when the blown part stays at least size_threshold, and
-    a single combined instance for the rest."""
+) -> np.ndarray:
+    """The I x J hit grid of a colored-only expanded instance: whether each
+    query cell lies in a monochromatic triangle.
+
+    Only colours with an edge on the pair away from the blown part can
+    close a triangle. Per such colour, a blown vertex is heavy with at
+    least one and more than degree_threshold edges of the colour. If some
+    but fewer than size_threshold blown vertices are heavy, a Boolean
+    product over K closes the triangles through the others, and the heavy
+    vertices' edges, cut to the vertices they touch, become one source of
+    a single combined instance for mono_solver. Otherwise one product
+    over every vertex answers the colour."""
     pres, col, _val = _colored_arrays(g)
-    answers = dict.fromkeys(_listed(pres["IJ"].nonzero()), False)
-    split: dict = {}  # color -> {pair -> set of (u, v)}
-    for pair in _PAIRS:
-        for edge, color in zip(_listed(pres[pair].nonzero()),
-                               col[pair][pres[pair]].tolist()):
-            split.setdefault(color, {p: set() for p in _PAIRS})[pair].add(edge)
-
-    # Which pairs touch the blown part, and the blown slot in their keys.
-    touching = [p for p in _PAIRS if blown in _PAIR_PARTS[p]]
-    third_pair = next(p for p in _PAIRS if p not in touching)
-
-    combine_sources: list[ColoredValuedGraph] = []
-    combine_edge_maps: list[dict] = []
-
-    for color in sorted(split):
-        edges = split[color]
-        live = dict(edges)
-
-        # Adjacency of blown-part vertices within this color.
-        nbrs: dict[int, dict[str, list[int]]] = {}
-        for pair in touching:
-            slot = _PAIR_PARTS[pair].index(blown)
-            for e in edges[pair]:
-                x = e[slot]
-                other = e[1 - slot]
-                nbrs.setdefault(x, {p: [] for p in touching})[pair].append(other)
-
-        p1, p2 = touching
-        part1 = _PAIR_PARTS[p1][1 - _PAIR_PARTS[p1].index(blown)]
-        part2 = _PAIR_PARTS[p2][1 - _PAIR_PARTS[p2].index(blown)]
-        third = set(live[third_pair])
-
-        def third_key(u1, u2):
-            # Orient (u1 in part1, u2 in part2) to the third pair's key,
-            # which always runs lower part to higher part.
-            return (u1, u2) if part1 < part2 else (u2, u1)
-
-        def query_edge(x, u1, u2):
-            # The I x J edge of the triangle {blown x, u1 via p1, u2 via p2}.
-            members = {blown: x, part1: u1, part2: u2}
-            return (members[0], members[1])
-
-        # Low-degree pass over blown-part vertices (one pass suffices: blown
-        # vertices are never adjacent to each other). Degrees come from nbrs,
-        # so the pass deletes its vertices only once it is done.
-        dropped = set()
-        for x in sorted(nbrs):
-            around = nbrs[x]
-            if sum(len(v) for v in around.values()) > degree_threshold:
-                continue
-            for u1 in around[p1]:
-                for u2 in around[p2]:
-                    if third_key(u1, u2) in third:
-                        answers[query_edge(x, u1, u2)] = True
-            dropped.add(x)
-        for pair in touching:
-            slot = _PAIR_PARTS[pair].index(blown)
-            live[pair] = {e for e in live[pair] if e[slot] not in dropped}
-        remaining_blown = len(nbrs) - len(dropped)
-        if not remaining_blown or not live[third_pair]:
+    third = next(p for p in _PAIRS if blown not in _PAIR_PARTS[p])
+    (p1, axis1), (p2, axis2) = ((p, 1 - _PAIR_PARTS[p].index(blown))
+                                for p in _PAIRS if p != third)
+    on = {p: set(col[p][pres[p]].tolist()) for p in _PAIRS}
+    closing = on["IJ"] & on["JK"] & on["IK"]
+    hit = np.zeros(pres["IJ"].shape, bool)
+    sources, supports = [], []
+    for color in sorted(on[third]):
+        grids = {p: pres[p] & (col[p] == color) for p in _PAIRS}
+        degree = grids[p1].sum(axis=axis1) + grids[p2].sum(axis=axis2)
+        heavy = degree > max(degree_threshold, 0)
+        if not 0 < np.count_nonzero(heavy) < size_threshold:
+            if color in closing:  # one product covers every vertex
+                hit |= _closed(grids)
             continue
+        hit |= _closed(_cut(grids, blown, ~heavy))
+        live = _cut(grids, blown, heavy)
+        touched = [np.zeros(n, bool) for n in g.part_sizes]
+        for p in _PAIRS:
+            u, v = _PAIR_PARTS[p]
+            touched[u] |= live[p].any(axis=1)
+            touched[v] |= live[p].any(axis=0)
+        support = [part.nonzero()[0] for part in touched]
+        sizes = tuple(map(len, support))
+        cells = {p: (*live[p][np.ix_(*(support[q] for q in _PAIR_PARTS[p]))]
+                     .nonzero(), 0) for p in _PAIRS}
+        sources.append(ColoredValuedGraph._trusted(
+            sizes, frozenset(), _colored_grids(sizes, cells)))
+        supports.append(support)
 
-        if remaining_blown >= size_threshold:
-            # Packed K-masks resolve the color: query (i, j) is in a
-            # triangle iff (i, j) is alive and some k has both (i, k) and
-            # (j, k) alive.
-            k_of_i, k_of_j = ([0] * n for n in g.part_sizes[:2])
-            for i, k in live["IK"]:
-                k_of_i[i] |= 1 << k
-            for j, k in live["JK"]:
-                k_of_j[j] |= 1 << k
-            for (i, j) in live["IJ"]:
-                if k_of_i[i] & k_of_j[j]:
-                    answers[(i, j)] = True
-            continue
-
-        # Compact the residue onto the vertices its edges touch and queue it
-        # for the combined instance.
-        cells = {p: tuple(np.array(list(live[p]), np.intp).reshape(-1, 2).T)
-                 for p in _PAIRS}
-        support = [sorted({x for p in _PAIRS if part in _PAIR_PARTS[p] for x
-                           in cells[p][_PAIR_PARTS[p].index(part)].tolist()})
-                   for part in range(3)]
-        compact = {p: tuple(np.searchsorted(support[part], ends) for part, ends
-                            in zip(_PAIR_PARTS[p], cells[p])) for p in _PAIRS}
-        sizes = tuple(len(part) for part in support)
-        grids = _colored_grids(sizes, {p: (*compact[p], 0) for p in _PAIRS})
-        combine_sources.append(
-            ColoredValuedGraph._trusted(sizes, frozenset(), grids))
-        combine_edge_maps.append(dict(zip(_listed(compact["IJ"]),
-                                          _listed(cells["IJ"]))))
-
-    if combine_sources:
+    if sources:
         host = max(3 * (max(g.part_sizes) if isinf(size_threshold)
                         else int(size_threshold)),
-                   *(sum(s.part_sizes) for s in combine_sources))
-        combined = combine_sparse_into_mono(combine_sources, host,
+                   *(sum(s.part_sizes) for s in sources))
+        combined = combine_sparse_into_mono(sources, host,
                                             rng.child("combine"))
-        decoded = solve_combined(combined, mono_solver)
-        for per_source, back in zip(decoded, combine_edge_maps):
-            answers.update((back[edge], True)
-                           for edge, positive in per_source.items() if positive)
-    return answers
+        for per_source, (rows, cols, _k) in zip(
+                solve_combined(combined, mono_solver), supports):
+            for (u, v), positive in per_source.items():
+                hit[rows[u], cols[v]] |= positive
+    return hit
 
 
 def solve_ae_monoeq(
@@ -393,10 +343,12 @@ def solve_ae_monoeq(
     equal-valued edges; answers match the brute oracle's I x J entries.
 
     Accepts an all-valued instance (split into the three cases, answers
-    OR-ed) or a single two-sided case. ``degree_threshold`` bounds the
-    neighbor-pair enumeration; blown parts of at least ``size_threshold``
-    go through packed K-masks, everything else through one combined
-    monochromatic instance handled by ``mono_solver``.
+    OR-ed) or a single two-sided case. Each case's expansion answers as
+    one I x J hit grid, read at the images of g's query edges. Per
+    colour, a Boolean product closes the triangles through blown vertices
+    of degree at most ``degree_threshold``; the heavier ones go through
+    the same product when at least ``size_threshold`` of them remain, else
+    through one combined monochromatic instance handled by ``mono_solver``.
     """
     if g.value_sides == frozenset({"IJ", "JK", "IK"}):
         cases = split_cases(g)
@@ -406,10 +358,9 @@ def solve_ae_monoeq(
     answers = {(u, v): False for u, v, _c, _val in g.edges_ij}
     for tag in sorted(cases):
         expanded = expand_values(cases[tag], tag)
-        part_answers = _ae_mono_on_expansion(
+        hit = _ae_mono_on_expansion(
             expanded.graph, CASE_BLOWN_PART[tag], degree_threshold,
             size_threshold, mono_solver, rng.child("case", tag))
-        for edge, image in expanded.edge_map.items():
-            if part_answers.get(image, False):
-                answers[edge] = True
+        answers.update((edge, True) for edge, image
+                       in expanded.edge_map.items() if hit[image])
     return answers

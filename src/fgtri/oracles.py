@@ -221,8 +221,7 @@ def mono_product_bf(g: ColoredValuedGraph, kind: str):
         raise ValueError("mono products need values on IK and JK")
     pres, col, val = _colored_arrays(g)
     cube = _mono_cube(pres, col)
-    v_ik = np.broadcast_to(val["IK"][:, None, :], cube.shape)
-    v_jk = np.broadcast_to(val["JK"][None, :, :], cube.shape)
+    v_ik, v_jk = val["IK"][:, None, :], val["JK"][None, :, :]
     if kind == MONO_MIN_LE:
         match = cube & (v_ik <= v_jk)
         payload = v_jk

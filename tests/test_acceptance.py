@@ -49,9 +49,7 @@ def test_criterion_01_fast_solvers_match_oracles():
         sizes = (rng.randint(2, 21), rng.randint(2, 21), rng.randint(2, 21))
         density = rng.randint(15, 90)
         g = f.generate_sparse_tripartite(sizes, density, 9, rng.child("g"))
-        threshold = (None, 0, 3, math.inf)[i % 4]
-        if f.ae_sparse_triangle_fast(g, threshold) == \
-                f.ae_sparse_triangle_bf(g):
+        if f.ae_sparse_triangle_fast(g) == f.ae_sparse_triangle_bf(g):
             sparse_ok += 1
     mono_ok = 0
     for i in range(500):

@@ -10,19 +10,36 @@ from fgtri import (ColoredValuedGraph, RngStream, TripartiteWeightedGraph,
                    fast_solvers, generate_colored, generate_sparse_tripartite)
 
 
+def _light_c_only(g, threshold):
+    # Keep the C-vertices of degree at most threshold (default
+    # ceil(sqrt(m))): the light side of the former heavy/light split.
+    if threshold is None:
+        threshold = math.isqrt(g.edge_count - 1) + 1
+    degree = [0] * g.part_sizes[2]
+    for _b, c, _w in g.edges_bc:
+        degree[c] += 1
+    for c, _a, _w in g.edges_ca:
+        degree[c] += 1
+    return TripartiteWeightedGraph(
+        g.part_sizes, g.edges_ab,
+        [e for e in g.edges_bc if degree[e[1]] <= threshold],
+        [e for e in g.edges_ca if degree[e[0]] <= threshold])
+
+
 @pytest.mark.parametrize("threshold", [0, 1, None, math.inf])
 def test_sparse_fast_equals_oracle_at_any_threshold(threshold):
+    # The solver has no degree split; each threshold cuts the graph to its
+    # light C-vertices, and inf keeps the whole graph.
     for seed in range(25):
         g = generate_sparse_tripartite((7, 6, 8), 40, 3, RngStream(seed))
-        assert ae_sparse_triangle_fast(g, threshold) == \
-            ae_sparse_triangle_bf(g)
+        g = _light_c_only(g, threshold)
+        assert ae_sparse_triangle_fast(g) == ae_sparse_triangle_bf(g)
 
 
 def test_sparse_fast_degenerate_thresholds_on_dense_graph():
+    # Every C-vertex has high degree here.
     g = generate_sparse_tripartite((10, 10, 10), 90, 2, RngStream(9))
-    want = ae_sparse_triangle_bf(g)
-    assert ae_sparse_triangle_fast(g, math.inf) == want  # pure enumeration
-    assert ae_sparse_triangle_fast(g, 0) == want         # pure matmul
+    assert ae_sparse_triangle_fast(g) == ae_sparse_triangle_bf(g)
 
 
 def test_sparse_fast_battery_default_threshold():

@@ -1,6 +1,7 @@
 """Case split, value expansion, instance combining, and the plug-in
 equality-triangle solver."""
 
+import hashlib
 import math
 
 import pytest
@@ -179,7 +180,12 @@ def test_combine_with_fast_solver_matches():
 # ------------------------------------------------------------ full solver
 
 @pytest.mark.parametrize("tag", ["A", "B", "C"])
-def test_solver_degenerate_thresholds(tag):
+def test_solver_degenerate_thresholds(tag, monkeypatch):
+    from fgtri import monoeq
+
+    def no_combine(*_args, **_kwargs):
+        raise AssertionError("the heavy-only run reached the combine step")
+
     for seed in range(10):
         g = case_instance(tag, 200 + seed, n=3)
         want = ij_only(ae_monoeq_triangle_bf(g))
@@ -190,6 +196,13 @@ def test_solver_degenerate_thresholds(tag):
         combine_all = solve_ae_monoeq(g, 0, math.inf, ae_mono_triangle_bf,
                                       RngStream(seed))
         assert combine_all == want
+        # Every blown vertex with an edge is heavy and every colour's
+        # heavy part is large: the large-blown-part pass alone answers.
+        with monkeypatch.context() as patched:
+            patched.setattr(monoeq, "combine_sparse_into_mono", no_combine)
+            heavy_only = solve_ae_monoeq(g, 0, 1, ae_mono_triangle_bf,
+                                         RngStream(seed))
+        assert heavy_only == want
 
 
 def test_solver_all_valued_instances():
@@ -256,3 +269,54 @@ def test_internal_builds_equal_their_validated_rebuilds(monkeypatch):
             assert h == ColoredValuedGraph(h.part_sizes, h.edges_ij,
                                            h.edges_jk, h.edges_ik,
                                            h.value_sides)
+
+
+def test_monoeq_traffic_is_pinned(monkeypatch):
+    # Over a seeded battery at four threshold pairs, the work the plug-in
+    # solver sends on is pinned: per combine call its host size, source
+    # count and summed source edges; the inner-solver calls; the answers.
+    from fgtri import monoeq
+    combines = []
+    real_combine = monoeq.combine_sparse_into_mono
+
+    def combine(sources, host_size, rng, *rest, **kwargs):
+        combines.append((host_size, len(sources),
+                         sum(s.edge_count for s in sources)))
+        return real_combine(sources, host_size, rng, *rest, **kwargs)
+
+    monkeypatch.setattr(monoeq, "combine_sparse_into_mono", combine)
+    inner_calls = 0
+
+    def inner(h):
+        nonlocal inner_calls
+        inner_calls += 1
+        return ae_mono_triangle_bf(h)
+
+    answers, positives = hashlib.sha256(), 0
+    for t, sides in enumerate(("A", "B", "C", "all")):
+        for i in range(12):
+            rng = RngStream(730_000 + i * 4 + t)
+            n = rng.randint(2, 10)
+            value_sides = CASE_VALUE_SIDES.get(
+                sides, frozenset({"IJ", "JK", "IK"}))
+            g = generate_colored((n, n, n), rng.randint(1, 3),
+                                 rng.randint(35, 80), rng.randint(1, 5),
+                                 value_sides, rng.child("g"))
+            want = ij_only(ae_monoeq_triangle_bf(g))
+            for th in ((1 + i % 3, n), (0, 1), (math.inf, n),
+                       (0, math.inf)):
+                got = solve_ae_monoeq(g, *th, inner,
+                                      rng.child("run", repr(th)))
+                assert got == want
+                answers.update(repr(sorted(got.items())).encode())
+                positives += sum(got.values())
+    assert len(combines) == 103
+    assert sum(sources for _h, sources, _e in combines) == 191
+    assert sum(edges for _h, _s, edges in combines) == 6680
+    assert sum(host for host, _s, _e in combines) == 3678
+    assert hashlib.sha256(repr(combines).encode()).hexdigest() == (
+        "7056b925732cd69bc4315d1c6c01a0e30add436733ede5477160d6354b283d00")
+    assert inner_calls == 449
+    assert positives == 2140
+    assert answers.hexdigest() == (
+        "62270ad9dd99fd0fea712cf60d8164ca95145c618abe158e0e179e4859faa406")
