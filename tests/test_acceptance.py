@@ -8,6 +8,7 @@ import time
 import fgtri as f
 from fgtri.oracles import (MAX_LE, MAX_MIN, MIN_EQ, MIN_LE, MIN_WITNESS,
                            MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE)
+from test_products import BracketChecker
 
 monoeq_bf = f.ae_monoeq_triangle_bf
 
@@ -298,103 +299,11 @@ def test_criterion_11_set_constructions():
     report("criterion 11 (set constructions)", ok == 300, f"exact {ok}/300")
 
 
-class _MatrixBracketChecker:
-    def __init__(self):
-        self.truth = None
-        self.checked = 0
-        self.violations = 0
-
-    def __call__(self, event):
-        if event["op"] in ("mono_min_eq", "mono_min_le_inner"):
-            return
-        if event["kind"] == "start":
-            a, b = event["a_tag"], event["b_tag"]
-            pre, b_val = event["pre_tag"], event["b_val"]
-            mode = event["mode"]
-            inner = len(b)
-            cols = len(b[0]) if b else 0
-            self.truth = []
-            for i in range(len(a)):
-                row = []
-                for j in range(cols):
-                    hits = [b_val[k][j] for k in range(inner)
-                            if a[i][k] == b[k][j]
-                            and (pre is None or a[i][k] == pre[i][j])]
-                    if hits:
-                        row.append(min(hits) if mode == "min" else max(hits))
-                    else:
-                        row.append(None)
-                self.truth.append(row)
-        else:
-            scale = 1 << event["level"]
-            est = event["estimates"]
-            for i, row in enumerate(self.truth):
-                for j, value in enumerate(row):
-                    if value is None or not event["active"][i][j]:
-                        continue
-                    self.checked += 1
-                    if est[i][j] % scale != 0 \
-                            or not est[i][j] <= value < est[i][j] + scale:
-                        self.violations += 1
-
-
-class _MonoBracketChecker:
-    def __init__(self):
-        self.truth = None
-        self.checked = 0
-        self.violations = 0
-
-    def __call__(self, event):
-        op = event["op"]
-        if op == "mono_min_eq":
-            if event["kind"] == "start":
-                self.truth = f.mono_product_bf(event["rank_graph"],
-                                               MONO_MIN_EQ)
-            else:
-                self._check_levels(event, self.truth, f.PLUS_INF)
-        elif op == "mono_min_le_inner":
-            if event["kind"] == "start":
-                colors_ij = {(u, v): c for u, v, c in event["ij"]}
-                ik = event["ik"]
-                jk = event["jk"]
-                prefix = event["prefix"]
-                truth = {}
-                for (i, j), c_ij in colors_ij.items():
-                    pre = prefix.get((i, j))
-                    hits = [
-                        btag
-                        for (jj, k, c_jk, cut_b, btag) in jk if jj == j
-                        for (ii, kk, c_ik, cut_a) in ik
-                        if ii == i and kk == k
-                        and c_ik == c_jk == c_ij
-                        and cut_a == cut_b == pre
-                    ]
-                    truth[(i, j)] = min(hits) if hits else f.PLUS_INF
-                self.truth = truth
-            else:
-                self._check_levels(event, self.truth, f.PLUS_INF)
-
-    def _check_levels(self, event, truth, infinity):
-        scale = 1 << event["level"]
-        for edge, est in event["estimates"].items():
-            value = truth[edge]
-            if value == infinity:
-                continue
-            self.checked += 1
-            if est % scale != 0 or not est <= value < est + scale:
-                self.violations += 1
-
-
 def test_criterion_12_bracketing_invariant():
     """Every level of every binary search keeps its bracketing invariant
     (estimate is a multiple of 2^level and estimate <= truth < estimate +
     2^level) on 50 instrumented seeded instances: zero violations."""
-    matrix_checker = _MatrixBracketChecker()
-    mono_checker = _MonoBracketChecker()
-
-    def instrument(event):
-        matrix_checker(event)
-        mono_checker(event)
+    instrument = BracketChecker()
 
     for i in range(30):
         rng = f.RngStream(900_000 + i)
@@ -414,8 +323,7 @@ def test_criterion_12_bracketing_invariant():
         f.mono_min_eq_via_mono_eq(g, mono_eq_bf, instrument=instrument)
         f.mono_min_le_via_monoeq(g, monoeq_bf, mono_eq_bf,
                                  instrument=instrument)
-    checked = matrix_checker.checked + mono_checker.checked
-    violations = matrix_checker.violations + mono_checker.violations
+    checked, violations = instrument.levels_checked, instrument.violations
     report("criterion 12 (bracketing invariant)",
            checked > 0 and violations == 0,
            f"{checked} level checks across 50 instances, "

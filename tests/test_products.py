@@ -124,9 +124,13 @@ def test_min_witness_battery():
 
 
 def test_exists_projections():
+    # A match whose value is PLUS_INF is still a match.
+    one = lambda v: IntMatrix.from_rows([[v]])
+    pairs = [(one(-1), one(PLUS_INF)), (one(PLUS_INF), one(PLUS_INF))]
     for seed in range(15):
-        a, b = random_pair(seed + 400, max_n=4)
-        min_eq = lambda x, y: min_eq_via_monoeq(x, y, monoeq_bf)
+        pairs.append(random_pair(seed + 400, max_n=4))
+    min_eq = lambda x, y: min_eq_via_monoeq(x, y, monoeq_bf)
+    for a, b in pairs:
         assert exists_eq_via_min_eq(a, b, min_eq) == \
             product_bf(a, b, "EXISTS_EQ")
         assert exists_dom_via_min_le(a, b, min_le_chain) == \
@@ -159,9 +163,13 @@ def test_mono_min_eq_battery():
 
 
 def test_mono_eq_projection():
-    for seed in range(15):
-        g = case_a(seed + 600)
-        solver = lambda h: mono_min_eq_via_mono_eq(h, mono_eq_bf)
+    # A match whose value is PLUS_INF is still a match.
+    graphs = [ColoredValuedGraph(
+        (1, 1, 1), ((0, 0, 0, None),), ((0, 0, 0, PLUS_INF),),
+        ((0, 0, 0, PLUS_INF),), frozenset({"IK", "JK"}))]
+    graphs += [case_a(seed + 600) for seed in range(15)]
+    solver = lambda h: mono_min_eq_via_mono_eq(h, mono_eq_bf)
+    for g in graphs:
         assert mono_eq_via_mono_min_eq(g, solver) == \
             mono_product_bf(g, MONO_EQ)
 
@@ -251,51 +259,51 @@ def test_rank_compression_preserves_order_and_equality():
 # ------------------------------------------------------------ bracketing
 
 class BracketChecker:
-    """Replays matrix-search events and asserts each level's invariant:
-    estimates are multiples of 2^level and bracket the true value.
+    """Replays search events and asserts each level's invariant: at every
+    live cell the estimate is a multiple of 2^level and brackets the cell's
+    answer.
 
-    A fresh truth table is computed at every "start" event from the
-    discretized grids the search itself announced, so the check is
-    independent of the search's own bookkeeping.
+    The answers are recomputed by brute force at every "start" event from
+    the grids the search itself announced: per live I x J cell, the best
+    ``jk_val`` over the k closing a triangle of one base colour with equal
+    tags (and equal to the prefix, if any), or the search's ``miss`` where
+    none does. So every live cell is checked, independently of the search's
+    own bookkeeping.
     """
 
     def __init__(self):
-        self.truth = None
+        self.truth = {}
         self.levels_checked = 0
         self.violations = 0
 
     def __call__(self, event):
-        if event["op"] == "mono_min_eq":
-            return
         if event["kind"] == "start":
-            a, b = event["a_tag"], event["b_tag"]
-            pre, b_val = event["pre_tag"], event["b_val"]
-            mode = event["mode"]
-            rows = len(a)
-            cols = len(b[0]) if b else 0
-            inner = len(b)
-            self.truth = [[None] * cols for _ in range(rows)]
-            for i in range(rows):
-                for j in range(cols):
-                    hits = [
-                        b_val[k][j] for k in range(inner)
-                        if a[i][k] == b[k][j]
-                        and (pre is None or a[i][k] == pre[i][j])
-                    ]
-                    if hits:
-                        self.truth[i][j] = min(hits) if mode == "min" \
-                            else max(hits)
-        elif event["kind"] == "level":
-            scale = 1 << event["level"]
-            est = event["estimates"]
-            for i, row in enumerate(self.truth):
-                for j, true_value in enumerate(row):
-                    if true_value is None or not event["active"][i][j]:
+            pres, base = ({p: g.tolist() for p, g in event[f].items()}
+                          for f in ("pres", "base"))
+            ik, jk, jk_val = (event[f].tolist() for f in ("ik", "jk", "jk_val"))
+            pre = None if event["pre"] is None else event["pre"].tolist()
+            pick = min if event["mode"] == "min" else max
+            self.truth = {}
+            for i, row in enumerate(pres["IJ"]):
+                for j, present in enumerate(row):
+                    if not present:
                         continue
-                    self.levels_checked += 1
-                    if est[i][j] % scale != 0 \
-                            or not est[i][j] <= true_value < est[i][j] + scale:
-                        self.violations += 1
+                    hits = [jk_val[j][k] for k in range(len(ik[i]))
+                            if pres["IK"][i][k] and pres["JK"][j][k]
+                            and base["IJ"][i][j] == base["IK"][i][k]
+                            == base["JK"][j][k] and ik[i][k] == jk[j][k]
+                            and (pre is None or ik[i][k] == pre[i][j])]
+                    self.truth[i, j] = pick(hits) if hits else event["miss"]
+        else:
+            scale = 1 << event["level"]
+            est, active = event["estimates"].tolist(), event["active"].tolist()
+            for (i, j), value in self.truth.items():
+                if not active[i][j]:
+                    continue
+                self.levels_checked += 1
+                if value is None or est[i][j] % scale != 0 \
+                        or not est[i][j] <= value < est[i][j] + scale:
+                    self.violations += 1
 
 
 def test_matrix_search_bracketing_invariant():
@@ -310,26 +318,13 @@ def test_matrix_search_bracketing_invariant():
 
 
 def test_mono_search_bracketing_invariant():
-    violations = []
-
-    state = {}
-
-    def instrument(event):
-        if event["kind"] == "start" and event["op"] == "mono_min_eq":
-            state["truth"] = mono_product_bf(event["rank_graph"], MONO_MIN_EQ)
-        elif event["kind"] == "level" and event["op"] == "mono_min_eq":
-            scale = 1 << event["level"]
-            for edge, est in event["estimates"].items():
-                true_value = state["truth"][edge]
-                if true_value == PLUS_INF:
-                    continue
-                if est % scale != 0 or not est <= true_value < est + scale:
-                    violations.append((edge, est, true_value, scale))
-
+    checker = BracketChecker()
     for seed in range(8):
         g = case_a(seed + 900, n=3)
-        mono_min_eq_via_mono_eq(g, mono_eq_bf, instrument=instrument)
-    assert violations == []
+        mono_min_eq_via_mono_eq(g, mono_eq_bf, instrument=checker)
+        mono_min_le_via_monoeq(g, monoeq_bf, mono_eq_bf, instrument=checker)
+    assert checker.levels_checked > 0
+    assert checker.violations == 0
 
 
 # ------------------------------------------------------------ solver traffic
@@ -394,11 +389,11 @@ def test_solver_traffic_is_pinned():
     got = {name: _traffic(run, instances)
            for name, (instances, run) in _REDUCTIONS.items()}
     assert got == {
-        "min-eq": (24, 844), "min-le": (157, 4950), "max-le": (157, 4950),
-        "max-min": (313, 9892), "min-witness": (92, 3281),
-        "exists-eq": (24, 844), "exists-dom": (157, 4950),
-        "mono-min-eq": (12, 207), "mono-eq": (12, 207),
-        "mono-min-le": (57, 931),
+        "min-eq": (24, 708), "min-le": (138, 2697), "max-le": (138, 2697),
+        "max-min": (277, 5570), "min-witness": (76, 1769),
+        "exists-eq": (24, 708), "exists-dom": (138, 2697),
+        "mono-min-eq": (10, 202), "mono-eq": (10, 202),
+        "mono-min-le": (41, 557),
     }
 
 
