@@ -10,12 +10,16 @@ parallelism and re-runs bit-reproducible.
 The generator is SplitMix64 evaluated in counter mode: output i is a pure
 function of (derived key, i). All arithmetic is masked 64-bit integer math,
 so sequences are identical across platforms and Python builds.
+``child_masks`` runs the same math on numpy ``uint64`` arrays, which wrap
+mod 2^64 exactly as the masked Python ints do.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,24 +94,21 @@ class RngStream:
             if value < n:
                 return value
 
-    def sample_mask(self, count: int, bits: int) -> int:
-        """Bit i set, for i in range(count), when the i-th of count draws of
-        ``randrange(1 << bits)`` is 0: each bit is kept with probability
-        2^-bits.
-
-        Takes the same draws as that scalar loop, one ``next_u64`` per bit,
-        so the stream continues exactly where the loop would leave it.
+    def child_masks(self, n: int, count: int, bits: int, start: int = 0) -> list:
+        """For each child ``i`` in range(start, start + n), the mask with bit
+        j set when the j-th of count draws of ``child(i).randrange(1 << bits)``
+        is 0: each bit is kept with probability 2^-bits. The parent's
+        counter does not move.
         """
         if bits < 1:
-            raise ValueError("sample_mask() requires bits >= 1")
+            raise ValueError("child_masks() requires bits >= 1")
+        keys = _mix64(np.array([self._key ^ _label_hash(i) for i in
+                                range(start, start + n)], dtype=np.uint64))
+        steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
         # randrange(2^bits) masks each draw to its low bits and never rejects.
-        low = (1 << bits) - 1
-        draw = self.next_u64
-        mask = 0
-        for i in range(count):
-            if not draw() & low:
-                mask |= 1 << i
-        return mask
+        hits = (_mix64(keys[:, None] + steps) & ((1 << bits) - 1)) == 0
+        rows = np.packbits(hits, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""

@@ -91,10 +91,11 @@ def listing_via_unique(
     Stage l keeps each C-vertex with probability 2^-l; when an edge's true
     triangle count sits near 2^l, a kept subset often isolates exactly one
     not-yet-found triangle, which the unique solver then reports. Stage
-    count is ceil(3 log2(|C|+2)); each stage runs
-    4 * cap^2 * ceil(log2(n+2)) iterations. Found triangles are
-    verified against g before being kept, and each edge's list is returned
-    sorted and truncated to the cap.
+    count is ceil(3 log2(|C|+2)); each stage draws 4 * cap^2 * ceil(log2(n+2))
+    masks and calls the unique solver once per distinct non-empty mask of
+    closable C-vertices (those with a BC and a CA edge): a repeated mask
+    finds nothing new. Found triangles are verified against g before being
+    kept, and each edge's list is returned sorted and truncated to the cap.
     """
     ab_edges = [(a, b) for a, b, _w in g.edges_ab]
     found: dict[tuple[int, int], set] = {edge: set() for edge in ab_edges}
@@ -107,15 +108,22 @@ def listing_via_unique(
     iterations = 4 * per_edge_cap * per_edge_cap * ceil_log2(n + 2)
     has_bc = {(b, c) for b, c, _w in g.edges_bc}
     has_ca = {(c, a) for c, a, _w in g.edges_ca}
+    closable = sum(1 << c for c in {c for _, c in has_bc} & {c for c, _ in has_ca})
 
     unsaturated = len(ab_edges)
+    seen = {0}
     for stage in range(1, stages + 1):
-        for it in range(iterations):
+        draws = rng.child("stage", stage, "iter")
+        # Blocks of 1024 children bound memory; a stop wastes one block.
+        masks = (m for start in range(0, iterations, 1024) for m in
+                 draws.child_masks(min(1024, iterations - start), nc, stage, start))
+        for mask in masks:
             if unsaturated == 0:
                 break
-            mask = rng.child("stage", stage, "iter", it).sample_mask(nc, stage)
-            if mask == 0:
+            mask &= closable
+            if mask in seen:
                 continue
+            seen.add(mask)
             result = unique_solver(_restrict_c(g, mask))
             for edge, tri in result.items():
                 if tri is None:

@@ -104,45 +104,56 @@ def test_bernoulli_validation():
         RngStream(1).bernoulli(3, 2)
 
 
-def _scalar_mask(stream, count, bits):
-    mask = 0
-    for i in range(count):
-        if stream.randrange(1 << bits) == 0:
-            mask |= 1 << i
-    return mask
+def _scalar_masks(stream, n, count, bits, start=0):
+    """The reference for ``child_masks``: one scalar draw per bit."""
+    masks = []
+    for i in range(start, start + n):
+        child, mask = stream.child(i), 0
+        for j in range(count):
+            if child.randrange(1 << bits) == 0:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def _mask_shapes(bits):
+    # Every count from 0 to 130 (across the 64-bit word edge) with small n,
+    # then n from 0 to 300 with counts on and off that edge, at shifting
+    # child offsets.
+    for count in range(131):
+        yield (count + bits) % 7, count, 13 * count
+    for n in range(0, 301, 20):
+        yield n, (64, 65, 1, 130, 3)[n // 20 % 5], 1000 * bits
 
 
 @pytest.mark.parametrize("bits", range(1, 7))
 def test_sample_mask_equals_scalar_loop(bits):
-    for count in range(41):
-        path = ("mask", bits, count)
-        assert RngStream(11, path).sample_mask(count, bits) \
-            == _scalar_mask(RngStream(11, path), count, bits)
+    # child_masks draws each child's stage mask in one numpy pass; it must
+    # equal the scalar randrange loop on each child stream.
+    for n, count, start in _mask_shapes(bits):
+        stream = RngStream(11, ("mask", bits, count))
+        assert stream.child_masks(n, count, bits, start) \
+            == _scalar_masks(stream, n, count, bits, start)
 
 
 @pytest.mark.parametrize("bits", range(1, 7))
 def test_sample_mask_leaves_stream_where_scalar_loop_does(bits):
-    for count in range(41):
-        batched, scalar = RngStream(12, ("m", count)), RngStream(12, ("m", count))
-        batched.sample_mask(count, bits)
-        _scalar_mask(scalar, count, bits)
-        assert batched.next_u64() == scalar.next_u64()
+    # Neither the scalar loop over child streams nor child_masks moves the
+    # parent's counter.
+    for n, count, start in _mask_shapes(bits):
+        batched, scalar, untouched = (RngStream(12, ("m", count))
+                                      for _ in range(3))
+        for stream in (batched, scalar, untouched):
+            stream.next_u64()
+        batched.child_masks(n, count, bits, start)
+        _scalar_masks(scalar, n, count, bits, start)
+        assert batched.next_u64() == scalar.next_u64() == untouched.next_u64()
 
 
-def test_sample_mask_draws_through_next_u64(monkeypatch):
-    # Draw counters wrap next_u64, so the batched draw must go through it.
-    calls = []
-    original = RngStream.next_u64
-
-    def counted(self):
-        calls.append(1)
-        return original(self)
-
-    monkeypatch.setattr(RngStream, "next_u64", counted)
-    RngStream(3).sample_mask(17, 2)
-    assert len(calls) == 17
-    with pytest.raises(ValueError):
-        RngStream(3).sample_mask(4, 0)
+def test_child_masks_rejects_bits_below_one():
+    for bits in (0, -1):
+        with pytest.raises(ValueError):
+            RngStream(3).child_masks(4, 4, bits)
 
 
 def test_bool_label_raises_after_int_label_is_cached():

@@ -1,11 +1,13 @@
 """Listing-from-detection reductions (witness recovery and subsampling)."""
 
+from fgtri import witness_listing
 from fgtri import (RngStream, TripartiteWeightedGraph,
                    ae_sparse_triangle_bf, ae_sparse_triangle_fast,
                    generate_sparse_tripartite, listing_via_detection,
                    listing_via_unique, reduce_mod_p, triangle_list_bf,
                    unique_listing_via_detection)
-from fgtri.witness_listing import _restrict_c
+from fgtri.witness_listing import _bit_masks, _restrict_c
+from fgtri.zero_triangle import ceil_log2
 
 
 def k222():
@@ -143,3 +145,135 @@ def test_restrict_c_equals_the_validated_graph_of_its_fields():
             assert TripartiteWeightedGraph(
                 sub.part_sizes, sub.edges_ab, sub.edges_bc, sub.edges_ca,
                 sub.weight_modulus) == sub
+
+
+def _reference_listing(g, cap, unique_solver, rng):
+    """listing_via_unique without the dedup: every non-empty stage mask is
+    solved, and each mask is drawn by a scalar randrange loop."""
+    ab_edges = [(a, b) for a, b, _w in g.edges_ab]
+    found = {edge: set() for edge in ab_edges}
+    if cap <= 0 or not ab_edges:
+        return {edge: [] for edge in ab_edges}
+    nc, n = g.part_sizes[2], sum(g.part_sizes)
+    has_bc = {(b, c) for b, c, _w in g.edges_bc}
+    has_ca = {(c, a) for c, a, _w in g.edges_ca}
+    unsaturated = len(ab_edges)
+    for stage in range(1, ceil_log2((nc + 2) ** 3) + 1):
+        for it in range(4 * cap * cap * ceil_log2(n + 2)):
+            if unsaturated == 0:
+                break
+            child = rng.child("stage", stage, "iter", it)
+            mask = sum(1 << c for c in range(nc)
+                       if child.randrange(1 << stage) == 0)
+            if mask == 0:
+                continue
+            for edge, tri in unique_solver(_restrict_c(g, mask)).items():
+                if tri is None:
+                    continue
+                a, b, c = tri
+                if edge != (a, b) or (b, c) not in has_bc or (c, a) not in has_ca:
+                    continue
+                if tri not in found[edge]:
+                    found[edge].add(tri)
+                    if len(found[edge]) == cap:
+                        unsaturated -= 1
+        if unsaturated == 0:
+            break
+    return {edge: sorted(found[edge])[:cap] for edge in ab_edges}
+
+
+def _closable(g):
+    return ({c for _b, c, _w in g.edges_bc}
+            & {c for c, _a, _w in g.edges_ca})
+
+
+def _spy_unique(g, inner):
+    """A unique solver that asserts every graph it gets is new and keeps
+    only closable C-vertices."""
+    closable, seen = _closable(g), set()
+
+    def solver(sub):
+        key = (sub.edges_bc, sub.edges_ca)
+        assert key not in seen
+        seen.add(key)
+        assert {c for _b, c, _w in sub.edges_bc} <= closable
+        assert {c for c, _a, _w in sub.edges_ca} <= closable
+        return inner(sub)
+
+    return solver
+
+
+def _unique_bf(sub):
+    # Per A x B edge its triangle when unique: cheap enough to run a
+    # stage of more than 1024 iterations many times over.
+    truth = triangle_list_bf(sub)
+    return {edge: tris[0] if len(tris) == 1 else None
+            for edge, tris in truth.items()}
+
+
+def test_listing_dedup_keeps_every_answer():
+    def unique(sub):
+        return unique_listing_via_detection(sub, ae_sparse_triangle_fast)
+
+    for seed in range(40):
+        sizes = (3 + seed % 4, 4 + seed % 3, 2 + seed % 7)
+        g = generate_sparse_tripartite(sizes, 20 + 2 * seed, 2,
+                                       RngStream(900 + seed))
+        k = 1 + seed % 3
+        want = _reference_listing(g, k, unique, RngStream(seed))
+        got = listing_via_unique(g, k, _spy_unique(g, unique), RngStream(seed))
+        assert list(got.items()) == list(want.items())
+
+
+def test_listing_dedup_across_mask_blocks(monkeypatch):
+    # Cap 12 on a (2, 2, 3) graph: 4 * 144 * ceil(log2 9) = 2304 iterations
+    # a stage, three blocks of child masks; no edge can hold 12 triangles,
+    # so every block of every stage is drawn.
+    g = generate_sparse_tripartite((2, 2, 3), 80, 2, RngStream(41))
+    assert any(triangle_list_bf(g).values())
+    blocks = []
+    real_child_masks = RngStream.child_masks
+
+    def recorded(self, n, count, bits, start=0):
+        blocks.append((n, start))
+        return real_child_masks(self, n, count, bits, start)
+
+    monkeypatch.setattr(RngStream, "child_masks", recorded)
+    for seed in range(3):
+        want = _reference_listing(g, 12, _unique_bf, RngStream(seed))
+        got = listing_via_unique(g, 12, _spy_unique(g, _unique_bf),
+                                 RngStream(seed))
+        assert list(got.items()) == list(want.items())
+    assert blocks == [(1024, 0), (1024, 1024), (256, 2048)] * 7 * 3
+
+
+def test_listing_call_counts_match_their_formula(monkeypatch):
+    # Detection calls are unique calls times the bit count of |C|; unique
+    # calls are at most one per distinct non-empty closable mask.
+    unique_calls, detect_calls = [], []
+    real_unique = witness_listing.unique_listing_via_detection
+
+    def counted_unique(sub, detector):
+        unique_calls.append(1)
+        return real_unique(sub, detector)
+
+    def detector(sub):
+        detect_calls.append(1)
+        return ae_sparse_triangle_fast(sub)
+
+    monkeypatch.setattr(witness_listing, "unique_listing_via_detection",
+                        counted_unique)
+    for seed in range(24):
+        sizes = (3 + seed % 3, 3 + seed % 4, 1 + seed % 6)
+        g = generate_sparse_tripartite(sizes, 30 + 2 * seed, 2,
+                                       RngStream(1300 + seed))
+        k = 1 + seed % 3
+        unique_calls.clear()
+        detect_calls.clear()
+        listing_via_detection(g, k, detector, RngStream(seed))
+        nc, n = g.part_sizes[2], sum(g.part_sizes)
+        stages = ceil_log2((nc + 2) ** 3)
+        iterations = 4 * k * k * ceil_log2(n + 2)
+        assert len(detect_calls) == len(unique_calls) * len(_bit_masks(nc))
+        assert len(unique_calls) <= min(stages * iterations,
+                                        2 ** len(_closable(g)) - 1)
