@@ -227,8 +227,9 @@ def _detect_lister(graph, cap):
     # No edge has more triangles than its common C-neighborhood, so capping
     # there is lossless; the subsampling lister's round count grows with
     # cap^2, and pipeline caps are far beyond what sparse subinstances hold.
-    mask_a, mask_b = oracles._c_masks(graph)
-    widest = max((bin(mask_a[a] & mask_b[b]).count("1")
+    # The graph's C-rows, built here, serve the listing below too.
+    rows_a, rows_b = graph.c_rows
+    widest = max(((rows_a[a] & rows_b[b]).bit_count()
                   for a, b, _w in graph.edges_ab), default=0)
     effective = min(cap, widest)
     if effective == 0:
@@ -566,9 +567,17 @@ def cmd_bench(args) -> int:
             frozenset(), rng.child("colored", n))
         for solver in solvers:
             fn, on_colored = _BENCH_SOLVERS[solver]
-            inst = colored if on_colored else graph
-            samples = sorted(time_once(lambda: fn(inst))
-                             for _ in range(args.reps))
+            samples = []
+            for _ in range(args.reps):
+                # A fresh copy per rep, built outside the timed region, so
+                # no rep reads C-rows that an earlier rep cached.
+                inst = colored
+                if not on_colored:
+                    inst = TripartiteWeightedGraph._trusted(
+                        graph.part_sizes, graph.edges_ab, graph.edges_bc,
+                        graph.edges_ca, graph.weight_modulus)
+                samples.append(time_once(partial(fn, inst)))
+            samples.sort()
             rows.append({"solver": solver, "n": n,
                          "median_ms": round(samples[len(samples) // 2], 3),
                          "reps": args.reps})

@@ -1,10 +1,12 @@
 """Fast answers to the two inner all-edges triangle questions.
 
 The sparse solver is the light half of the Alon-Yuster-Zwick degree split
-on its own: per A-vertex it packs the B-vertices that some C-neighbour
-reaches, one OR per C x A edge, then tests one bit per A x B edge. On packed
-Python ints the heavy half's Boolean product does the same per-edge ORs
-again, so the split only ran one computation twice.
+on its own: one AND of the graph's packed C-rows per A x B edge. The rows
+(one OR per BC and CA edge) are built once per graph and carried into its
+C-restrictions, so the many restricted graphs of the listing reduction are
+answered without touching their BC and CA edges. On packed Python ints the
+heavy half's Boolean product does the same per-edge work again, so the
+split only ran one computation twice.
 
 The monochromatic solver takes the per-colour products of
 Vassilevska-Williams-Yuster as one batched float32 BLAS product per pair
@@ -30,14 +32,8 @@ def ae_sparse_triangle_fast(
     g: TripartiteWeightedGraph,
 ) -> dict[tuple[int, int], bool]:
     """For each A x B edge (a, b), whether some c completes a triangle."""
-    na, _nb, nc = g.part_sizes
-    b_bits = [0] * nc  # per c: adjacent b's (via BC)
-    for b, c, _w in g.edges_bc:
-        b_bits[c] |= 1 << b
-    reach = [0] * na  # per a: b's some C-neighbour of a is adjacent to
-    for c, a, _w in g.edges_ca:
-        reach[a] |= b_bits[c]
-    return {(a, b): reach[a] >> b & 1 == 1 for a, b, _w in g.edges_ab}
+    rows_a, rows_b = g.c_rows
+    return {(a, b): rows_a[a] & rows_b[b] != 0 for a, b, _w in g.edges_ab}
 
 
 def ae_mono_triangle_fast(

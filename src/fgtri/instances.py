@@ -4,15 +4,21 @@ All types are frozen dataclasses. Values are validated at the boundary:
 ``textio.parse``, the generators and the public constructors check every
 invariant, so a value built there satisfies them. Internal derivations of
 validated data skip the checks through ``_trusted``: tripartite copies that
-are restricted, reduced or re-weighted, and the colored graphs of the
-product searches and of the monoeq case split, value expansion and combine
-step. A colored graph has one internal form, its dense (presence, colour,
-value) grids per pair, which the colored oracles read. The validating
+are reduced or re-weighted, and the colored graphs of the product searches
+and of the monoeq case split, value expansion and combine step. A colored
+graph has one internal form, its dense (presence, colour, value) grids per
+pair, which the colored oracles read. The validating
 constructor checks the edge tuples once, keeps them, and builds the grids
 once, read-only; colours and values must fit in 64 bits. ``_trusted``
 takes grids only, and derives the edge tuples on first read, row-major over
 the present cells, so an instance that only reaches an oracle never builds
-them. Equality, hashing, repr and text output see only the fields.
+them. A tripartite graph carries packed C-rows (per A-vertex the C-mask
+of its CA edges, per B-vertex that of its BC edges), derived on first read.
+A C-restriction (``_trusted_restriction``) takes its source's rows ANDed
+with the mask and derives its BC and CA tuples only on first read, so the
+listing reduction's many restricted graphs copy no edge tuple unless a
+reader asks.
+Equality, hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
 part order (A, B, C) or (I, J, K).
@@ -21,6 +27,7 @@ part order (A, B, C) or (I, J, K).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from numbers import Integral
 from typing import Optional
@@ -57,6 +64,26 @@ def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
         seen.add((u, v))
 
 
+class _RestrictedEdges:
+    """A BC or CA field that a C-restriction (``_trusted_restriction``)
+    derives on first read: its source's tuple, in the source's order,
+    filtered to the C endpoints in its mask. It is kept in the graph's
+    ``__dict__``, which later reads find first; every other constructor
+    puts the field there at once."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.c_at = name, 1 if name == "edges_bc" else 0
+
+    def __get__(self, g, owner=None):
+        if g is None:
+            return ()  # the field's default
+        source, mask = g.__dict__["_c_source"]
+        at = self.c_at
+        edges = g.__dict__[self.name] = tuple(
+            e for e in getattr(source, self.name) if mask >> e[at] & 1)
+        return edges
+
+
 @dataclass(frozen=True)
 class TripartiteWeightedGraph:
     """Three vertex parts with integer-weighted edges between distinct parts.
@@ -68,8 +95,8 @@ class TripartiteWeightedGraph:
 
     part_sizes: tuple[int, int, int]
     edges_ab: tuple[tuple[int, int, int], ...] = ()
-    edges_bc: tuple[tuple[int, int, int], ...] = ()
-    edges_ca: tuple[tuple[int, int, int], ...] = ()
+    edges_bc: tuple[tuple[int, int, int], ...] = _RestrictedEdges()
+    edges_ca: tuple[tuple[int, int, int], ...] = _RestrictedEdges()
     weight_modulus: Optional[int] = None
 
     def __post_init__(self):
@@ -107,12 +134,55 @@ class TripartiteWeightedGraph:
                           weight_modulus=weight_modulus)
         return g
 
+    @classmethod
+    def _trusted_restriction(cls, g, keep_mask: int,
+                             edges_ab=None) -> "TripartiteWeightedGraph":
+        """g without the BC and CA edges whose C endpoint is outside
+        ``keep_mask``, and with only ``edges_ab`` (a subset of g's, in g's
+        order) of its AB edges when given; a subset of g's edges keeps g's
+        invariants, so nothing is re-validated.
+
+        The restriction's ``c_rows`` are g's ANDed with the mask. Its
+        ``__dict__`` holds no ``edges_bc`` or ``edges_ca``, only
+        ``_c_source``: the first unrestricted graph of the chain and the
+        AND of every mask since, from which ``_RestrictedEdges`` derives the
+        tuples on first read.
+        """
+        source, mask = g.__dict__.get("_c_source", (g, -1))
+        rows_a, rows_b = g.c_rows
+        sub = object.__new__(cls)
+        sub.__dict__.update(
+            part_sizes=g.part_sizes,
+            edges_ab=g.edges_ab if edges_ab is None else edges_ab,
+            weight_modulus=g.weight_modulus,
+            c_rows=(tuple([r & keep_mask for r in rows_a]),
+                    tuple([r & keep_mask for r in rows_b])),
+            _c_source=(source, mask & keep_mask))
+        return sub
+
+    @cached_property
+    def c_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Packed C-rows: per A-vertex the C-mask of its CA edges, per
+        B-vertex the C-mask of its BC edges. Derived on first read and kept
+        in ``__dict__``; a C-restriction gets its source's rows ANDed with
+        its mask."""
+        na, nb, _nc = self.part_sizes
+        rows_a, rows_b = [0] * na, [0] * nb
+        for c, a, _w in self.edges_ca:
+            rows_a[a] |= 1 << c
+        for b, c, _w in self.edges_bc:
+            rows_b[b] |= 1 << c
+        return tuple(rows_a), tuple(rows_b)
+
     def edges(self, pair: str) -> tuple[tuple[int, int, int], ...]:
         return {"AB": self.edges_ab, "BC": self.edges_bc, "CA": self.edges_ca}[pair]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges_ab) + len(self.edges_bc) + len(self.edges_ca)
+        # One row bit per BC and CA edge (no edge is repeated), so a
+        # C-restriction counts without deriving its tuples.
+        return len(self.edges_ab) + sum(
+            r.bit_count() for rows in self.c_rows for r in rows)
 
     def max_abs_weight(self) -> int:
         best = 0

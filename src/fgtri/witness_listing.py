@@ -9,12 +9,16 @@ then samples geometric C-subsets across stages so that whatever the true
 per-edge triangle count, some stage isolates triangles one at a time.
 
 Both keep part sizes and degrees intact: subgraphs drop edges, never
-reindex vertices.
+reindex vertices. The subgraphs are C-restrictions: they carry their
+source's packed C-rows ANDed with the mask, and both halves verify and
+select edges from those rows, so with a detector that reads the rows too
+(``ae_sparse_triangle_fast``) no BC or CA tuple is ever copied.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph
@@ -26,15 +30,9 @@ DetectionSolver = Callable[[TripartiteWeightedGraph], dict[tuple[int, int], bool
 UniqueSolver = Callable[[TripartiteWeightedGraph],
                         dict[tuple[int, int], Optional[Triangle]]]
 
-
-def _restrict_c(g: TripartiteWeightedGraph, keep_mask: int) -> TripartiteWeightedGraph:
-    """Drop BC and CA edges whose C endpoint is not in the mask."""
-    # A subset of g's edges keeps g's invariants, so no re-validation.
-    return TripartiteWeightedGraph._trusted(
-        g.part_sizes, g.edges_ab,
-        tuple(e for e in g.edges_bc if (keep_mask >> e[1]) & 1),
-        tuple(e for e in g.edges_ca if (keep_mask >> e[0]) & 1),
-        g.weight_modulus)
+# (g, keep_mask, edges_ab=None): g's C-restriction to the mask, optionally
+# with a subset of its A x B edges.
+_restrict_c = TripartiteWeightedGraph._trusted_restriction
 
 
 @lru_cache(maxsize=256)
@@ -54,7 +52,7 @@ def unique_listing_via_detection(
     subgraphs induced by C-vertices whose index has that bit set. An edge in
     exactly one triangle reads off its C-vertex's bits from the answers;
     edges in zero or several triangles may assemble a bogus index, which the
-    final adjacency check rejects.
+    final check against g's C-rows rejects.
     """
     nc = g.part_sizes[2]
     ab_edges = [(a, b) for a, b, _w in g.edges_ab]
@@ -67,16 +65,11 @@ def unique_listing_via_detection(
         for edge in filter(answers.get, candidate):
             candidate[edge] |= 1 << bit
 
-    has_bc = {(b, c) for b, c, _w in g.edges_bc}
-    has_ca = {(c, a) for c, a, _w in g.edges_ca}
-    out: dict[tuple[int, int], Optional[Triangle]] = {}
-    for (a, b) in ab_edges:
-        c = candidate[(a, b)]
-        if c < nc and (b, c) in has_bc and (c, a) in has_ca:
-            out[(a, b)] = (a, b, c)
-        else:
-            out[(a, b)] = None
-    return out
+    # c closes (a, b) when bit c is set in both C-rows; no row has a bit
+    # at or above |C|.
+    rows_a, rows_b = g.c_rows
+    return {(a, b): (a, b, c) if (rows_a[a] & rows_b[b]) >> c & 1 else None
+            for (a, b), c in candidate.items()}
 
 
 def listing_via_unique(
@@ -94,8 +87,14 @@ def listing_via_unique(
     count is ceil(3 log2(|C|+2)); each stage draws 4 * cap^2 * ceil(log2(n+2))
     masks and calls the unique solver once per distinct non-empty mask of
     closable C-vertices (those with a BC and a CA edge): a repeated mask
-    finds nothing new. Found triangles are verified against g before being
-    kept, and each edge's list is returned sorted and truncated to the cap.
+    finds nothing new. Each call gets only the A x B edges with a triangle
+    inside the mask, read off each edge's common C-mask (computed once per
+    call from the C-rows); a mask that leaves none is skipped. Saturated
+    edges are still sent: an edge keeps collecting triangles after it
+    reaches the cap, and its list is the smallest ``per_edge_cap`` of all
+    it found, so dropping it would change answers. Found triangles are
+    verified against g before being kept, and each edge's list is returned
+    sorted and truncated to the cap.
     """
     ab_edges = [(a, b) for a, b, _w in g.edges_ab]
     found: dict[tuple[int, int], set] = {edge: set() for edge in ab_edges}
@@ -106,9 +105,11 @@ def listing_via_unique(
     n = sum(g.part_sizes)
     stages = ceil_log2((nc + 2) ** 3)  # = ceil(3 log2(nc + 2))
     iterations = 4 * per_edge_cap * per_edge_cap * ceil_log2(n + 2)
-    has_bc = {(b, c) for b, c, _w in g.edges_bc}
-    has_ca = {(c, a) for c, a, _w in g.edges_ca}
-    closable = sum(1 << c for c in {c for _, c in has_bc} & {c for c, _ in has_ca})
+    rows_a, rows_b = g.c_rows
+    common = {(a, b): rows_a[a] & rows_b[b] for a, b, _w in g.edges_ab}
+    closing = [(e, m) for e, m in zip(g.edges_ab, common.values()) if m]
+    # The C-vertices with a BC and a CA edge.
+    closable = reduce(or_, rows_a, 0) & reduce(or_, rows_b, 0)
 
     unsaturated = len(ab_edges)
     seen = {0}
@@ -124,12 +125,16 @@ def listing_via_unique(
             if mask in seen:
                 continue
             seen.add(mask)
-            result = unique_solver(_restrict_c(g, mask))
+            edges_ab = tuple([e for e, m in closing if m & mask])
+            if not edges_ab:
+                continue
+            result = unique_solver(_restrict_c(g, mask, edges_ab))
             for edge, tri in result.items():
                 if tri is None:
                     continue
                 a, b, c = tri
-                if edge != (a, b) or (b, c) not in has_bc or (c, a) not in has_ca:
+                if (edge != (a, b) or not 0 <= c < nc
+                        or not common.get(edge, 0) >> c & 1):
                     continue  # unique solvers must not invent triangles
                 bucket = found[edge]
                 if tri not in bucket:

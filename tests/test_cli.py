@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from fgtri import cli
 from fgtri.cli import main
+from fgtri.fast_solvers import ae_sparse_triangle_fast
 
 
 
@@ -253,6 +255,25 @@ def test_bench_table_shape(tmp_path):
     assert {row["solver"] for row in table["rows"]} == {
         "ae-sparse-bf", "ae-sparse-fast"}
     assert all(row["median_ms"] >= 0 for row in table["rows"])
+
+
+def test_bench_times_each_rep_on_a_graph_without_cached_rows(tmp_path,
+                                                             monkeypatch):
+    # The fast sparse solver caches the graph's C-rows; a rep that found
+    # them cached would time only the per-edge AND.
+    graphs, cached = [], []
+
+    def spy(g):
+        graphs.append(g)
+        cached.append("c_rows" in g.__dict__)
+        return ae_sparse_triangle_fast(g)
+
+    monkeypatch.setitem(cli._BENCH_SOLVERS, "ae-sparse-fast", (spy, False))
+    assert main(["bench", "--sizes", "12,9", "--solvers", "ae-sparse-fast",
+                 "--reps", "3", "--seed", "2",
+                 "--out", str(tmp_path / "bench.json")]) == 0
+    assert cached == [False] * 6
+    assert len(set(map(id, graphs))) == 6
 
 
 def test_bench_empty_sweep_ok(tmp_path):

@@ -125,7 +125,18 @@ def test_listing_via_detection_battery():
     assert agree / total >= 0.95
 
 
+def _validated(g, mask, edges_ab=None):
+    """The validated graph of g's fields restricted to the C-mask."""
+    return TripartiteWeightedGraph(
+        g.part_sizes, g.edges_ab if edges_ab is None else edges_ab,
+        [e for e in g.edges_bc if (mask >> e[1]) & 1],
+        [e for e in g.edges_ca if (mask >> e[0]) & 1],
+        g.weight_modulus)
+
+
 def test_restrict_c_equals_the_validated_graph_of_its_fields():
+    # Rows are read before the edge tuples, so they are the source's rows
+    # ANDed with the mask, not rows rebuilt from derived tuples.
     for seed in range(12):
         rng = RngStream(seed, ("restrict",))
         g = generate_sparse_tripartite((5 + seed % 3, 6, 7 + seed % 4),
@@ -134,17 +145,46 @@ def test_restrict_c_equals_the_validated_graph_of_its_fields():
             g = reduce_mod_p(g, 5)
         nc = g.part_sizes[2]
         for trial in range(10):
-            mask = rng.child("mask", trial).randrange(1 << nc)
+            draw = rng.child("mask", trial)
+            mask = draw.randrange(1 << nc)
             sub = _restrict_c(g, mask)
-            want = TripartiteWeightedGraph(
-                g.part_sizes, g.edges_ab,
-                [e for e in g.edges_bc if (mask >> e[1]) & 1],
-                [e for e in g.edges_ca if (mask >> e[0]) & 1],
-                g.weight_modulus)
+            want = _validated(g, mask)
+            assert sub.c_rows == want.c_rows
+            assert sub.edge_count == want.edge_count == sum(
+                map(len, (want.edges_ab, want.edges_bc, want.edges_ca)))
+            assert "edges_bc" not in sub.__dict__
             assert sub == want
             assert TripartiteWeightedGraph(
                 sub.part_sizes, sub.edges_ab, sub.edges_bc, sub.edges_ca,
                 sub.weight_modulus) == sub
+            # A restriction of a restriction, with an A x B subset, before
+            # and after its source derived its tuples.
+            inner = draw.randrange(1 << nc)
+            ab = tuple(e for e in g.edges_ab if draw.randrange(2))
+            for source in (_restrict_c(g, mask), sub):
+                subsub = _restrict_c(source, inner, ab)
+                want = _validated(g, mask & inner, ab)
+                assert subsub.c_rows == want.c_rows
+                assert subsub == want
+
+
+def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
+    # Both halves and the fast detector read the C-rows only, so no
+    # restricted graph ever copies its BC and CA edges.
+    made = []
+
+    def recorded(g, mask, edges_ab=None):
+        sub = _restrict_c(g, mask, edges_ab)
+        made.append(sub)
+        return sub
+
+    monkeypatch.setattr(witness_listing, "_restrict_c", recorded)
+    g = generate_sparse_tripartite((6, 7, 8), 45, 2, RngStream(77))
+    got = listing_via_detection(g, 2, ae_sparse_triangle_fast, RngStream(5))
+    assert got == triangle_list_bf(g, per_edge_cap=2)
+    assert len(made) > 100
+    assert not any({"edges_bc", "edges_ca"} & set(sub.__dict__)
+                   for sub in made)
 
 
 def _reference_listing(g, cap, unique_solver, rng):
