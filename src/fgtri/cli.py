@@ -7,9 +7,11 @@ FGT_SEED environment variable, or a fresh draw that gets printed), so any
 reported result can be replayed. Reports are JSON lines with sorted keys
 and no timestamps: same seed, same bytes.
 
-Exit codes: 0 success, 1 check mismatch, 2 usage error, 3 I/O or parse
-error (an unreadable or non-UTF-8 input, or an unwritable output path), 4
-internal error (such as a randomized step that ran out of retries).
+Exit codes: 0 success, 1 check mismatch, 2 usage error (a ``UsageFailure``:
+an option, or an input that the chosen solver does not accept), 3 I/O or
+parse error (an unreadable or non-UTF-8 input, or an unwritable output
+path), 4 internal error (any other ``ValueError`` or ``RuntimeError``, such
+as a randomized step that ran out of retries).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import monoeq as monoeq_mod
 from . import zero_triangle as zt
 from .fast_solvers import ae_mono_triangle_fast, ae_sparse_triangle_fast
 from .instances import (ColoredValuedGraph, IntMatrix, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph)
+                        SetFamilyInstance, TripartiteWeightedGraph, UsageFailure)
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -39,16 +41,9 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-class UsageFailure(ValueError):
-    pass
-
-
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
+    if args.seed is not None:  # --seed, else FGT_SEED (see add_common)
         return args.seed
-    env = os.environ.get("FGT_SEED")
-    if env is not None:
-        return int(env)
     seed = secrets.randbits(63)
     print(f"# seed {seed} (drawn from system entropy; pass --seed to replay)")
     return seed
@@ -258,9 +253,10 @@ def _iterate_tiles(tile: str, g, rng, once):
     """Split the parts into blocks of the requested tile sizes and run the
     pipeline once per block triple; a triangle lives in exactly one triple,
     so the verdict is the OR with early exit."""
-    ta, tb, tc = (int(tok) for tok in tile.split(","))
-    if min(ta, tb, tc) < 1:
-        raise UsageFailure("tile sizes must be positive")
+    sizes = tile.split(",")
+    if len(sizes) != 3 or not all(tok.isdecimal() and int(tok) for tok in sizes):
+        raise UsageFailure(f"tile sizes must be three positive counts: {tile}")
+    ta, tb, tc = map(int, sizes)
     na, nb, nc = g.part_sizes
     for ia, a_span in enumerate(_tiles(na, ta)):
         for ib, b_span in enumerate(_tiles(nb, tb)):
@@ -547,7 +543,10 @@ _BENCH_SOLVERS = {  # name -> (solver, whether it takes the colored instance)
 def cmd_bench(args) -> int:
     seed = _resolve_seed(args)
     rng = RngStream(seed, ("bench",))
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok] if args.sizes else []
+    sizes = [tok for tok in args.sizes.split(",") if tok]
+    if not all(map(str.isdecimal, sizes)):
+        raise UsageFailure(f"sizes must be non-negative counts: {args.sizes}")
+    sizes = list(map(int, sizes))
     solvers = [tok for tok in args.solvers.split(",") if tok] if args.solvers else []
 
     def time_once(fn) -> float:
@@ -611,7 +610,7 @@ def _or_inf(text: str):
 
 def _or_none(text: str):
     """A cap where -1 means no cap."""
-    return None if int(text) == -1 else int(text)
+    return None if int(text) == -1 else _non_negative_int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,15 +621,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=None)
+        # argparse converts a string default as it converts the option.
+        p.add_argument("--seed", type=int, default=os.environ.get("FGT_SEED"))
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     gen = sub.add_parser("gen", help="generate a seeded instance file")
     add_common(gen)
     gen.add_argument("--type", required=True,
                      choices=("zero-triangle", "colored", "product", "sets"))
-    gen.add_argument("--n", type=int, default=12)
-    gen.add_argument("--weight-bound", type=int, default=50)
+    gen.add_argument("--n", type=_non_negative_int, default=12)
+    gen.add_argument("--weight-bound", type=_non_negative_int, default=50)
     gen.add_argument("--plant", action="store_true")
     gen.add_argument("--colors", type=int, default=3)
     gen.add_argument("--density", type=int, default=60,
@@ -639,11 +639,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--value-sides", choices=sorted(_VALUE_SIDES), default="a")
     gen.add_argument("--kind", choices=sorted(_SOLVERS["product-bf"].kinds),
                      default="min-eq")
-    gen.add_argument("--universe", type=int, default=16)
-    gen.add_argument("--family", type=int, default=8)
-    gen.add_argument("--max-set", type=int, default=6)
-    gen.add_argument("--queries", type=int, default=12)
-    gen.add_argument("--cap", type=int, default=None)
+    gen.add_argument("--universe", type=_non_negative_int, default=16)
+    gen.add_argument("--family", type=_non_negative_int, default=8)
+    gen.add_argument("--max-set", type=_non_negative_int, default=6)
+    gen.add_argument("--queries", type=_non_negative_int, default=12)
+    gen.add_argument("--cap", type=_non_negative_int, default=None)
     gen.set_defaults(func=cmd_gen)
 
     solve = sub.add_parser("solve", help="run an oracle or fast solver")
@@ -692,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="statistical verification of the pipeline claims")
     add_common(verify)
-    verify.add_argument("--n", type=int, default=48)
+    verify.add_argument("--n", type=_non_negative_int, default=48)
     verify.add_argument("--s", type=_positive_int, default=4)
     verify.add_argument("--trials", type=_positive_int, default=2000)
     verify.add_argument("--weight-bound", type=int, default=60)
@@ -724,10 +724,10 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:  # UsageFailure included
+    except UsageFailure as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

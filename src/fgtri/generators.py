@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph)
+                        SetFamilyInstance, TripartiteWeightedGraph, UsageFailure)
 from .rng import RngStream
 
 
@@ -33,10 +33,10 @@ def generate_tripartite(
     alongside the graph. An empty graph (n = 0) is fine without planting.
     """
     if weight_bound < 1:
-        raise ValueError("weight_bound must be >= 1")
+        raise UsageFailure("weight_bound must be >= 1")
     na, nb, nc = balanced_split(n)
     if plant_zero and min(na, nb, nc) == 0:
-        raise ValueError("cannot plant a zero triangle with an empty part")
+        raise UsageFailure("cannot plant a zero triangle with an empty part")
 
     wstream = rng.child("weights")
     edges_ab = [(a, b, wstream.randint(-weight_bound, weight_bound))
@@ -76,7 +76,7 @@ def generate_sparse_tripartite(
 ) -> TripartiteWeightedGraph:
     """Unbalanced tripartite graph keeping each edge with the given percent."""
     if not 0 <= keep_percent <= 100:
-        raise ValueError("keep_percent must be in [0, 100]")
+        raise UsageFailure("keep_percent must be in [0, 100]")
     na, nb, nc = sizes
     estream = rng.child("edges")
 
@@ -102,9 +102,11 @@ def generate_colored(
 ) -> ColoredValuedGraph:
     """Random colored instance; valued pairs draw values in [0, value_range)."""
     if num_colors < 1:
-        raise ValueError("need at least one color")
+        raise UsageFailure("need at least one color")
     if value_sides and value_range < 1:
-        raise ValueError("value_range must be >= 1 when any side is valued")
+        raise UsageFailure("value_range must be >= 1 when any side is valued")
+    if not 0 <= keep_percent <= 100:
+        raise UsageFailure("keep_percent must be in [0, 100]")
     estream = rng.child("edges")
     sides = frozenset(value_sides)
 

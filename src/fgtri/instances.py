@@ -34,6 +34,12 @@ from typing import Optional
 
 import numpy as np
 
+
+class UsageFailure(ValueError):
+    """An argument or instance that the callee does not accept: the
+    caller's mistake, not a fault inside. The CLI reports it as exit 2."""
+
+
 # Extreme values standing in for +/- infinity in integer matrices. A quarter
 # of the signed 64-bit range, so the sum of any two finite-or-sentinel
 # entries still fits in 64 bits (products add and compare, never multiply).

@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .instances import (_PAIR_PARTS, ColoredValuedGraph, _colored_arrays,
-                        _colored_grids, _listed)
+from .instances import (_PAIR_PARTS, ColoredValuedGraph, UsageFailure,
+                        _colored_arrays, _colored_grids, _listed)
 from .rng import RngStream
 from .zero_triangle import ceil_log2
 
@@ -49,7 +49,7 @@ def case_of(g: ColoredValuedGraph) -> str:
     for tag, sides in CASE_VALUE_SIDES.items():
         if g.value_sides == sides:
             return tag
-    raise ValueError(f"value sides {sorted(g.value_sides)} match no case")
+    raise UsageFailure(f"value sides {sorted(g.value_sides)} match no case")
 
 
 def split_cases(g: ColoredValuedGraph) -> dict[str, ColoredValuedGraph]:

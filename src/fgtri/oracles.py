@@ -21,7 +21,7 @@ import numpy as np
 
 from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                         SetFamilyInstance, TripartiteWeightedGraph,
-                        _colored_arrays, _listed)
+                        UsageFailure, _colored_arrays, _listed)
 
 # Matrix product kinds.
 MIN_EQ = "MIN_EQ"
@@ -216,9 +216,9 @@ def mono_product_bf(g: ColoredValuedGraph, kind: str):
     MONO_MIN_LE yield minima with PLUS_INF for an empty matching set.
     """
     if kind not in MONO_KINDS:
-        raise ValueError(f"unknown mono product kind {kind!r}")
+        raise UsageFailure(f"unknown mono product kind {kind!r}")
     if not {"IK", "JK"} <= g.value_sides:
-        raise ValueError("mono products need values on IK and JK")
+        raise UsageFailure("mono products need values on IK and JK")
     pres, col, val = _colored_arrays(g)
     cube = _mono_cube(pres, col)
     v_ik, v_jk = val["IK"][:, None, :], val["JK"][None, :, :]
@@ -245,14 +245,14 @@ def product_bf(a: IntMatrix, b: IntMatrix, kind: str) -> IntMatrix:
     uses 1-based witness indices and requires 0/1 matrices.
     """
     if kind not in PRODUCT_KINDS:
-        raise ValueError(f"unknown product kind {kind!r}")
+        raise UsageFailure(f"unknown product kind {kind!r}")
     if a.cols != b.rows:
-        raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
+        raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
     n, m, p = a.rows, a.cols, b.cols
     if kind == MIN_WITNESS:
         for mat in (a, b):
             if any(e not in (0, 1) for e in mat.entries):
-                raise ValueError("MIN_WITNESS requires Boolean matrices")
+                raise UsageFailure("MIN_WITNESS requires Boolean matrices")
     ae, be = a.entries, b.entries
     out = []
     for i in range(n):
@@ -300,7 +300,7 @@ def set_queries_bf(s: SetFamilyInstance, mode: str):
     if mode == DISJOINTNESS:
         return [not (members[i] & members[j]) for i, j in s.queries]
     if mode != INTERSECTION:
-        raise ValueError(f"unknown set query mode {mode!r}")
+        raise UsageFailure(f"unknown set query mode {mode!r}")
     cap = s.output_cap
     emitted = 0
     out: list[list[int]] = []

@@ -48,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        _colored_arrays, _listed)
+                        UsageFailure, _colored_arrays, _listed)
 from .oracles import GridAnswers
 from .zero_triangle import ceil_log2
 
@@ -216,7 +216,7 @@ def _matrix_grids(a: IntMatrix, b: IntMatrix):
     """The case-A grids of A x B as a one-colour graph: every cell present,
     base colour 0, I x K values A and J x K values B transposed."""
     if a.cols != b.rows:
-        raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
+        raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
     sizes = (a.rows, b.cols, a.cols)
     shapes = {"IJ": sizes[:2], "JK": sizes[1:], "IK": (a.rows, a.cols)}
     return (sizes, {p: np.ones(s, bool) for p, s in shapes.items()},
@@ -282,9 +282,9 @@ def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
     PLUS_INF."""
     for mat in (a, b):
         if any(e not in (0, 1) for e in mat.entries):
-            raise ValueError("min witness needs Boolean matrices")
+            raise UsageFailure("min witness needs Boolean matrices")
     if a.cols != b.rows:
-        raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
+        raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
     n = a.cols
     a2 = IntMatrix(a.rows, n, tuple(
         (n - 1 - k) if a.at(i, k) == 1 else MINUS_INF
@@ -326,7 +326,7 @@ def _case_a_grids(g: ColoredValuedGraph):
     are opaque, so composites of the renumbered ones with small tags stay
     far inside int64) and its value grids."""
     if g.value_sides != _CASE_A:
-        raise ValueError("expected a case-A instance (values on IK and JK)")
+        raise UsageFailure("expected a case-A instance (values on IK and JK)")
     pres, col, val = _colored_arrays(g)
     return pres, _ranks(pres, col, _PAIRS)[1], val
 

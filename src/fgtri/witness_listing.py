@@ -6,7 +6,9 @@ exactly one triangle, the third vertex bit by bit from detection answers
 on index-restricted C-subsets; a recovered candidate is verified against
 the adjacency, so a returned triangle is never wrong. Listing-via-unique
 then samples geometric C-subsets across stages so that whatever the true
-per-edge triangle count, some stage isolates triangles one at a time.
+per-edge triangle count, some stage isolates triangles one at a time. An
+edge stops being sent once it holds the lowest min(cap, count) triangles
+its C-rows name, since its answer can no longer change.
 
 Both keep part sizes and degrees intact: subgraphs drop edges, never
 reindex vertices. The subgraphs are C-restrictions: they carry their
@@ -87,17 +89,17 @@ def listing_via_unique(
     count is ceil(3 log2(|C|+2)); each stage draws 4 * cap^2 * ceil(log2(n+2))
     masks and calls the unique solver once per distinct non-empty mask of
     closable C-vertices (those with a BC and a CA edge): a repeated mask
-    finds nothing new. Each call gets only the A x B edges with a triangle
-    inside the mask, read off each edge's common C-mask (computed once per
-    call from the C-rows); a mask that leaves none is skipped. Saturated
-    edges are still sent: an edge keeps collecting triangles after it
-    reaches the cap, and its list is the smallest ``per_edge_cap`` of all
-    it found, so dropping it would change answers. Found triangles are
-    verified against g before being kept, and each edge's list is returned
-    sorted and truncated to the cap.
+    finds nothing new. Each call gets only the unsettled A x B edges with a
+    triangle inside the mask, read off each edge's common C-mask (computed
+    once per call from the C-rows); a mask that leaves none is skipped. An
+    edge is settled once its found triangles cover the lowest
+    min(cap, count) C-vertices of its common mask: its list, the smallest
+    ``per_edge_cap`` of all it found, can no longer change. The call ends
+    once every edge is settled or holds ``per_edge_cap`` triangles. Found
+    triangles are verified against g before being kept, and each edge's
+    list is returned sorted and truncated to the cap.
     """
     ab_edges = [(a, b) for a, b, _w in g.edges_ab]
-    found: dict[tuple[int, int], set] = {edge: set() for edge in ab_edges}
     if per_edge_cap <= 0 or not ab_edges:
         return {edge: [] for edge in ab_edges}
 
@@ -107,7 +109,13 @@ def listing_via_unique(
     iterations = 4 * per_edge_cap * per_edge_cap * ceil_log2(n + 2)
     rows_a, rows_b = g.c_rows
     common = {(a, b): rows_a[a] & rows_b[b] for a, b, _w in g.edges_ab}
-    closing = [(e, m) for e, m in zip(g.edges_ab, common.values()) if m]
+    # Per edge, the C-mask of its triangles found so far, and the lowest
+    # min(cap, count) bits of its common mask: holding those settles it.
+    found = dict.fromkeys(common, 0)
+    target = {e: m ^ reduce(lambda r, _: r & (r - 1), range(per_edge_cap), m)
+              for e, m in common.items()}
+    closing = {e[:2]: (e, m) for e, m in zip(g.edges_ab, common.values())
+               if m}
     # The C-vertices with a BC and a CA edge.
     closable = reduce(or_, rows_a, 0) & reduce(or_, rows_b, 0)
 
@@ -119,13 +127,13 @@ def listing_via_unique(
         masks = (m for start in range(0, iterations, 1024) for m in
                  draws.child_masks(min(1024, iterations - start), nc, stage, start))
         for mask in masks:
-            if unsaturated == 0:
+            if unsaturated == 0 or not closing:
                 break
             mask &= closable
             if mask in seen:
                 continue
             seen.add(mask)
-            edges_ab = tuple([e for e, m in closing if m & mask])
+            edges_ab = tuple([e for e, m in closing.values() if m & mask])
             if not edges_ab:
                 continue
             result = unique_solver(_restrict_c(g, mask, edges_ab))
@@ -136,15 +144,18 @@ def listing_via_unique(
                 if (edge != (a, b) or not 0 <= c < nc
                         or not common.get(edge, 0) >> c & 1):
                     continue  # unique solvers must not invent triangles
-                bucket = found[edge]
-                if tri not in bucket:
-                    bucket.add(tri)
-                    if len(bucket) == per_edge_cap:
+                if not found[edge] >> c & 1:
+                    found[edge] |= 1 << c
+                    if found[edge].bit_count() == per_edge_cap:
                         unsaturated -= 1
-        if unsaturated == 0:
+                    if found[edge] & target[edge] == target[edge]:
+                        closing.pop(edge, None)
+        if unsaturated == 0 or not closing:
             break
 
-    return {edge: sorted(found[edge])[:per_edge_cap] for edge in ab_edges}
+    return {(a, b): [(a, b, c) for c in range(found[a, b].bit_length())
+                     if found[a, b] >> c & 1][:per_edge_cap]
+            for a, b in ab_edges}
 
 
 def listing_via_detection(

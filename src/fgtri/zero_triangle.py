@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .instances import TripartiteWeightedGraph
+from .instances import TripartiteWeightedGraph, UsageFailure
 from .oracles import Triangle, _weight_maps, triangle_list_bf
 from .rng import RngStream
 
@@ -410,7 +410,7 @@ def _randomized_trials(g, s, trials, rng):
         stream = rng.child("trial", trial)
         p = pick_prime(w_bound, stream.child("prime"))
         if s > p:
-            raise ValueError(f"range count {s} exceeds prime {p}")
+            raise UsageFailure(f"range count {s} exceeds prime {p}")
         rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
         yield trial, randomize_weights(g, rd), split_ranges(p, s)
 
@@ -418,11 +418,11 @@ def _randomized_trials(g, s, trials, rng):
 def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:
     # The default caps and bounds divide by s^2 and s^3.
     if s < 1:
-        raise ValueError(f"range count s must be at least 1, got {s}")
+        raise UsageFailure(f"range count s must be at least 1, got {s}")
     # Hits are re-verified as integer sums equal to 0, which is not what a
     # zero triangle means under a modulus.
     if g.weight_modulus is not None:
-        raise ValueError("the zero-triangle reduction needs integer weights,"
+        raise UsageFailure("the zero-triangle reduction needs integer weights,"
                          f" not residues mod {g.weight_modulus}")
 
 

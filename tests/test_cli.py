@@ -578,3 +578,80 @@ def test_mono_pipelines_take_colors_near_int64_limits(pipeline, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == "ENTRY 0 0 5\n"
     assert captured.err == "check: ok\n"
+
+
+def test_value_error_inside_a_product_chain_exits_4(tmp_path, capsys,
+                                                    monkeypatch):
+    # A ValueError that is not a UsageFailure is a fault inside the chain,
+    # not the user's: here numpy's broadcast error out of the = search.
+    from fgtri import products
+
+    def broken(*_args, **_kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(products, "_eq_search", broken)
+    pair = tmp_path / "pair.imx"
+    main(["gen", "--type", "product", "--n", "4", "--seed", "2",
+          "--out", str(pair)])
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", "min-eq-via-monoeq", "--seed", "1",
+                 "--in", str(pair), "--out", os.devnull]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: operands could not be broadcast"
+                            " together\n")
+
+
+_BAD_INPUTS = {
+    "pair.imx": "IMX 2 3\n1 2 3\n4 5 6\nIMX 2 2\n1 2\n3 4\n",
+    "int-pair.imx": "IMX 1 1\n2\nIMX 1 1\n3\n",
+    "plain.cvg": "CVG 1 1 1 -\nIJ 0 0 1\nJK 0 0 1\nIK 0 0 1\n",
+    "all.cvg": "CVG 1 1 1 IJ,JK,IK\nIJ 0 0 1 3\nJK 0 0 1 3\nIK 0 0 1 3\n",
+    "g.twg": "TWG 1 1 1\nAB 0 0 1\nBC 0 0 2\nCA 0 0 -3\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--solver", "product-bf", "--in", "pair.imx"],
+     "inner dimensions differ: 3 vs 2"),
+    (["reduce", "--pipeline", "max-min", "--in", "pair.imx"],
+     "inner dimensions differ: 3 vs 2"),
+    (["reduce", "--pipeline", "min-witness", "--in", "int-pair.imx"],
+     "min witness needs Boolean matrices"),
+    (["solve", "--solver", "mono-product-bf", "--in", "plain.cvg"],
+     "mono products need values on IK and JK"),
+    (["reduce", "--pipeline", "mono-min-le", "--in", "all.cvg"],
+     "expected a case-A instance (values on IK and JK)"),
+    (["reduce", "--pipeline", "monoeq", "--in", "plain.cvg"],
+     "value sides [] match no case"),
+    (["reduce", "--pipeline", "zero-via-listing", "--s", "100000",
+      "--in", "g.twg"], "range count 100000 exceeds prime "),
+    (["reduce", "--pipeline", "zero-via-listing", "--tile", "1,1",
+      "--in", "g.twg"], "tile sizes must be three positive counts: 1,1"),
+    (["bench", "--sizes", "4,x"], "sizes must be non-negative counts: 4,x"),
+    (["gen", "--type", "colored", "--density", "101"],
+     "keep_percent must be in [0, 100]"),
+    (["verify", "--n", "2"],
+     "cannot plant a zero triangle with an empty part"),
+])
+def test_inputs_the_library_rejects_are_usage_errors(argv, message, tmp_path,
+                                                     capsys):
+    for name, text in _BAD_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / tok) if tok in _BAD_INPUTS else tok
+            for tok in argv]
+    assert main(argv + ["--seed", "1", "--out", os.devnull]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_bad_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FGT_SEED", "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--type", "zero-triangle", "--out", os.devnull])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: invalid int value: 'abc'" in err
+    assert "Traceback" not in err

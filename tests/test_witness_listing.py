@@ -179,9 +179,9 @@ def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
         return sub
 
     monkeypatch.setattr(witness_listing, "_restrict_c", recorded)
-    g = generate_sparse_tripartite((6, 7, 8), 45, 2, RngStream(77))
-    got = listing_via_detection(g, 2, ae_sparse_triangle_fast, RngStream(5))
-    assert got == triangle_list_bf(g, per_edge_cap=2)
+    g = generate_sparse_tripartite((8, 9, 10), 45, 2, RngStream(77))
+    got = listing_via_detection(g, 3, ae_sparse_triangle_fast, RngStream(5))
+    assert got == triangle_list_bf(g, per_edge_cap=3)
     assert len(made) > 100
     assert not any({"edges_bc", "edges_ca"} & set(sub.__dict__)
                    for sub in made)
@@ -251,26 +251,35 @@ def _unique_bf(sub):
             for edge, tris in truth.items()}
 
 
-def test_listing_dedup_keeps_every_answer():
-    def unique(sub):
-        return unique_listing_via_detection(sub, ae_sparse_triangle_fast)
+def _fast_unique(sub):
+    return unique_listing_via_detection(sub, ae_sparse_triangle_fast)
 
+
+def test_listing_dedup_keeps_every_answer():
     for seed in range(40):
         sizes = (3 + seed % 4, 4 + seed % 3, 2 + seed % 7)
         g = generate_sparse_tripartite(sizes, 20 + 2 * seed, 2,
                                        RngStream(900 + seed))
         k = 1 + seed % 3
-        want = _reference_listing(g, k, unique, RngStream(seed))
-        got = listing_via_unique(g, k, _spy_unique(g, unique), RngStream(seed))
+        want = _reference_listing(g, k, _fast_unique, RngStream(seed))
+        got = listing_via_unique(g, k, _spy_unique(g, _fast_unique),
+                                 RngStream(seed))
         assert list(got.items()) == list(want.items())
 
 
 def test_listing_dedup_across_mask_blocks(monkeypatch):
     # Cap 12 on a (2, 2, 3) graph: 4 * 144 * ceil(log2 9) = 2304 iterations
-    # a stage, three blocks of child masks; no edge can hold 12 triangles,
-    # so every block of every stage is drawn.
+    # a stage, three blocks of child masks.
     g = generate_sparse_tripartite((2, 2, 3), 80, 2, RngStream(41))
     assert any(triangle_list_bf(g).values())
+    for seed in range(3):
+        want = _reference_listing(g, 12, _unique_bf, RngStream(seed))
+        got = listing_via_unique(g, 12, _spy_unique(g, _unique_bf),
+                                 RngStream(seed))
+        assert list(got.items()) == list(want.items())
+
+    # A unique solver that finds nothing settles no edge, so every block of
+    # every stage is drawn.
     blocks = []
     real_child_masks = RngStream.child_masks
 
@@ -278,12 +287,14 @@ def test_listing_dedup_across_mask_blocks(monkeypatch):
         blocks.append((n, start))
         return real_child_masks(self, n, count, bits, start)
 
+    def nothing(sub):
+        return {(a, b): None for a, b, _w in sub.edges_ab}
+
     monkeypatch.setattr(RngStream, "child_masks", recorded)
     for seed in range(3):
-        want = _reference_listing(g, 12, _unique_bf, RngStream(seed))
-        got = listing_via_unique(g, 12, _spy_unique(g, _unique_bf),
+        got = listing_via_unique(g, 12, _spy_unique(g, nothing),
                                  RngStream(seed))
-        assert list(got.items()) == list(want.items())
+        assert got == {(a, b): [] for a, b, _w in g.edges_ab}
     assert blocks == [(1024, 0), (1024, 1024), (256, 2048)] * 7 * 3
 
 
@@ -317,3 +328,55 @@ def test_listing_call_counts_match_their_formula(monkeypatch):
         assert len(detect_calls) == len(unique_calls) * len(_bit_masks(nc))
         assert len(unique_calls) <= min(stages * iterations,
                                         2 ** len(_closable(g)) - 1)
+
+
+def _listing_cases():
+    """(graph, cap, seed): seeded graphs in which some edge holds more than
+    the first cap's triangles; the second cap is at or above every edge's
+    count, as the zero pipeline's caps are."""
+    for seed in range(10):
+        sizes = (3 + seed % 3, 3 + seed % 2, 4 + seed % 3)
+        g = generate_sparse_tripartite(sizes, 55 + 3 * seed, 2,
+                                       RngStream(4200 + seed))
+        widest = max(map(len, triangle_list_bf(g).values()))
+        k = 1 + seed % 2
+        assert widest > k
+        yield g, k, seed
+        yield g, widest + seed % 2, seed
+
+
+def test_listing_settled_stop_keeps_every_answer():
+    # An edge stops being sent once it holds its smallest min(cap, count)
+    # triangles; whole dicts, key order included, equal the reference that
+    # sends every edge until every edge holds cap triangles.
+    for g, k, seed in _listing_cases():
+        want = _reference_listing(g, k, _fast_unique, RngStream(seed))
+        got = listing_via_unique(g, k, _fast_unique, RngStream(seed))
+        assert list(got.items()) == list(want.items())
+
+
+def test_listing_sends_no_settled_edge_and_stops_once_all_settle():
+    all_settled = 0
+    for g, k, seed in _listing_cases():
+        truth = triangle_list_bf(g)
+        target = {edge: set(sorted(tris)[:k]) for edge, tris in truth.items()}
+        found = {edge: set() for edge in truth}
+
+        def settled():
+            return {edge for edge in truth if target[edge] <= found[edge]}
+
+        def spy(sub):
+            assert settled() != set(truth), "a call after every edge settled"
+            assert not {(a, b) for a, b, _w in sub.edges_ab} & settled()
+            out = _fast_unique(sub)
+            for edge, tri in out.items():
+                if tri is not None:
+                    found[edge].add(tri)
+            return out
+
+        got = listing_via_unique(g, k, spy, RngStream(seed))
+        if settled() == set(truth):
+            all_settled += 1
+            assert got == {edge: sorted(tris)[:k]
+                           for edge, tris in truth.items()}
+    assert all_settled >= 15

@@ -1,0 +1,52 @@
+"""Print one SHA-256 per perfbench operation answer, to compare two trees.
+
+    python3 tools/answer_digest.py --workload listing-detect --seed 7301977 \\
+        --ops 48 [--root ../parent]
+
+``--root`` is a checkout holding ``src/fgtri`` and ``perfbench/`` (by
+default the tree this script lives in). Operation i runs on
+``WORKLOADS[W].case(seed, i)`` with the workload's own inner solver, as in
+``perfbench/run.py``, untimed and unchecked. Each output line is
+``i <hex digest>``, the digest taken over ``repr(list(answer.items()))`` for
+a dict answer, so key order counts, and over ``repr(answer)`` otherwise. Two
+trees give the same answers when ``diff`` finds no line that differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(answer) -> str:
+    text = repr(list(answer.items()) if isinstance(answer, dict) else answer)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--root", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from workloads import WORKLOADS
+
+    w = WORKLOADS.get(args.workload)
+    if w is None:
+        parser.error(f"unknown workload {args.workload!r}; "
+                     f"choose from {', '.join(WORKLOADS)}")
+    for index in range(args.ops):
+        answer = w.run(w.case(args.seed, index), w.inner)
+        print(index, digest(answer), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
