@@ -23,8 +23,8 @@ from .zero_triangle import (ClaimStatistics, RandomizationData, RangeSplit,
                             default_global_cap, default_per_edge_cap,
                             default_trials, draw_randomization,
                             enumerate_zero_triples, is_prime,
-                            pick_prime, randomize_weights, reduce_mod_p,
-                            split_ranges, zero_triangle_via_global_listing,
+                            pick_prime, randomize_weights,
+                            zero_triangle_via_global_listing,
                             zero_triangle_via_listing)
 from .witness_listing import (listing_via_detection, listing_via_unique,
                               unique_listing_via_detection)

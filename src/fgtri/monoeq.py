@@ -69,26 +69,14 @@ def split_cases(g: ColoredValuedGraph) -> dict[str, ColoredValuedGraph]:
 @dataclass(frozen=True)
 class ExpandedCase:
     """A case instance rewritten colored-only, one part blown up into
-    (vertex, value) copies.
+    (vertex, value) copies; ``edge_map`` sends each original I x J query
+    edge to its counterpart in the expanded graph's query pair."""
 
-    ``vertex_map`` sends (original index, value) to the blown part's new
-    index; ``edge_map`` sends each original I x J query edge to its
-    counterpart in the expanded graph's query pair.
-    """
-
-    tag: str
     graph: ColoredValuedGraph
-    vertex_map: dict
     edge_map: dict
 
-    def decode(self, expanded_answers: dict) -> dict[tuple[int, int], bool]:
-        return {
-            edge: bool(expanded_answers.get(("IJ",) + self.edge_map[edge], False))
-            for edge in self.edge_map
-        }
 
-
-def expand_values(g: ColoredValuedGraph, tag: Optional[str] = None) -> ExpandedCase:
+def expand_values(g: ColoredValuedGraph) -> ExpandedCase:
     """Blow up the shared part: vertex k becomes copies (k, v), created only
     for values v actually incident to k; valued edges re-attach to the copy
     carrying their value and lose the value.
@@ -96,48 +84,36 @@ def expand_values(g: ColoredValuedGraph, tag: Optional[str] = None) -> ExpandedC
     A query edge is in a good triangle of g iff its image is in a
     monochromatic triangle of the expansion.
     """
-    if tag is None:
-        tag = case_of(g)
-    if g.value_sides != CASE_VALUE_SIDES[tag]:
-        raise ValueError(f"instance value sides do not match case {tag}")
-    blown = CASE_BLOWN_PART[tag]
+    blown = CASE_BLOWN_PART[case_of(g)]
     pres, col, val = _colored_arrays(g)
     cells = {pair: pres[pair].nonzero() for pair in _PAIRS}
     # Each valued edge's (blown vertex, value) key, in edge order.
     keys = {p: list(zip(cells[p][_PAIR_PARTS[p].index(blown)].tolist(),
                         val[p][cells[p]].tolist()))
             for p in _PAIRS if p in g.value_sides}
-    vertex_map = {kv: idx for idx, kv
-                  in enumerate(sorted(set().union(*keys.values())))}
+    copies = {kv: idx for idx, kv
+              in enumerate(sorted(set().union(*keys.values())))}
 
     sizes = list(g.part_sizes)
-    sizes[blown] = len(vertex_map)
+    sizes[blown] = len(copies)
     moved = dict(cells)  # valued edges re-attach to their copies
     for pair, edge_keys in keys.items():
         moved[pair] = list(cells[pair])
         moved[pair][_PAIR_PARTS[pair].index(blown)] = np.array(
-            [vertex_map[k] for k in edge_keys], np.intp)
+            [copies[k] for k in edge_keys], np.intp)
     grids = _colored_grids(sizes, {p: (*moved[p], col[p][cells[p]])
                                    for p in _PAIRS})
     graph = ColoredValuedGraph._trusted(tuple(sizes), frozenset(), grids)
     edge_map = dict(zip(_listed(cells["IJ"]), _listed(moved["IJ"])))
-    return ExpandedCase(tag, graph, vertex_map, edge_map)
+    return ExpandedCase(graph, edge_map)
 
 
 @dataclass(frozen=True)
 class CombinedMonoInstance:
-    """Many sparse per-edge-query graphs packed into one host of
-    ``host_size`` vertices per part.
+    """Many sparse per-edge-query graphs packed into one host: ``instances``
+    are the label-triple monochromatic instances; ``query_maps`` give, per
+    source, each query edge's placement (label, x, y)."""
 
-    ``parallel`` lists, per host pair, its parallel edges as
-    (label, source, pair, u, v); ``instances`` are the label-triple
-    monochromatic instances; ``query_maps`` give, per source, each query
-    edge's placement (label, x, y)."""
-
-    host_size: int
-    max_label: int
-    observed_max_label: int
-    parallel: tuple[tuple[tuple[int, int], tuple[tuple[int, int, str, int, int], ...]], ...]
     instances: tuple[tuple[tuple[int, int, int], ColoredValuedGraph], ...]
     query_maps: tuple[dict, ...]
 
@@ -216,17 +192,13 @@ def combine_sparse_into_mono(
     # grid and one grid of source-index colours, which every label-triple
     # instance shares. A host pair gives each of its edges a distinct
     # label, so no two edges of one label share a cell.
-    parallel = []
     query_maps: list[dict] = [{} for _ in instances]
     label_cells: list = []
     for key in sorted(placed):
-        labelled = tuple((lab + 1, q, pair, u, v) for lab, (q, pair, u, v)
-                         in enumerate(sorted(placed[key])))
-        parallel.append((key, labelled))
-        for label, q, pair, u, v in labelled:
-            label_cells.append((label - 1, *key, q))
+        for label, (q, pair, u, v) in enumerate(sorted(placed[key])):
+            label_cells.append((label, *key, q))
             if pair == "IJ":
-                query_maps[q][(u, v)] = (label, perms[q][u], perms[q][
+                query_maps[q][(u, v)] = (label + 1, perms[q][u], perms[q][
                     instances[q].part_sizes[0] + v])
     labels, xs, ys, sources = np.array(label_cells, np.intp).reshape(-1, 4).T
     pres = np.zeros((mult, host_size, host_size), bool)
@@ -243,9 +215,7 @@ def combine_sparse_into_mono(
          dict.fromkeys(_PAIRS, no_values))))
         for li, lj, lk in product(range(mult), repeat=3)]
 
-    return CombinedMonoInstance(
-        host_size, max_label, mult, tuple(parallel),
-        tuple(built), tuple(query_maps))
+    return CombinedMonoInstance(tuple(built), tuple(query_maps))
 
 
 def solve_combined(
@@ -357,7 +327,7 @@ def solve_ae_monoeq(
 
     answers = {(u, v): False for u, v, _c, _val in g.edges_ij}
     for tag in sorted(cases):
-        expanded = expand_values(cases[tag], tag)
+        expanded = expand_values(cases[tag])
         hit = _ae_mono_on_expansion(
             expanded.graph, CASE_BLOWN_PART[tag], degree_threshold,
             size_threshold, mono_solver, rng.child("case", tag))

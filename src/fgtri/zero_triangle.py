@@ -1,9 +1,9 @@
 """Randomized reduction from Zero Triangle to parameterized triangle listing.
 
-The pipeline, per trial: reduce weights into a prime field, shear them with
-a random multiplier and telescoping per-vertex offsets, split the field
-into contiguous ranges, and enumerate the range triples whose sumset can
-hit zero. Each triple induces a sparse subinstance (after pruning
+The pipeline, per trial: draw a prime p, shear the integer weights into
+F_p with a random multiplier and telescoping per-vertex offsets, split the
+field into contiguous ranges, and enumerate the range triples whose sumset
+can hit zero. Each triple induces a sparse subinstance (after pruning
 high-degree vertices) on which an injected listing solver runs; every
 listed triangle is re-verified against the original weights, so a positive
 answer is sound unconditionally and completeness comes from repetition.
@@ -72,43 +72,33 @@ class RandomizationData:
 
 @dataclass(frozen=True)
 class RangeSplit:
-    """Contiguous intervals (inclusive lo, hi) partitioning [0, p): the s
-    ranges of ``split_ranges(p, s)``, the only layout ``index_of`` reads."""
+    """[0, p) split into s contiguous ranges, the first p mod s of them one
+    longer than the rest."""
 
     prime: int
-    ranges: tuple[tuple[int, int], ...]
+    count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ranges", tuple(map(tuple, self.ranges)))
-        s = len(self.ranges)
-        if s == 0 or s > self.prime:
-            raise ValueError("need 1 <= s <= p ranges")
-        if self.ranges != _tiling(self.prime, s):
-            raise ValueError("ranges must tile [0, p) as split_ranges(p, s)"
-                             " does, the first p mod s one longer")
+        if not 1 <= self.count <= self.prime:
+            raise ValueError("need 1 <= s <= p")
 
     @property
-    def count(self) -> int:
-        return len(self.ranges)
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        """The ranges in order, as inclusive (lo, hi) pairs."""
+        base, extra = divmod(self.prime, self.count)
+        starts = [r * base + min(r, extra) for r in range(self.count + 1)]
+        return tuple((lo, nxt - 1) for lo, nxt in zip(starts, starts[1:]))
 
     def index_of(self, residue: int) -> int:
         """1-based id of the range containing the residue."""
         if not 0 <= residue < self.prime:
             raise ValueError(f"residue {residue} outside [0, {self.prime})")
-        return _range_locator(self.prime, len(self.ranges))(residue) + 1
-
-
-def _tiling(prime: int, s: int) -> tuple[tuple[int, int], ...]:
-    """The s contiguous ranges of [0, prime), the first prime mod s of them
-    one longer than the rest."""
-    base, extra = divmod(prime, s)
-    starts = [r * base + min(r, extra) for r in range(s + 1)]
-    return tuple((lo, nxt - 1) for lo, nxt in zip(starts, starts[1:]))
+        return _range_locator(self.prime, self.count)(residue) + 1
 
 
 def _range_locator(prime: int, s: int) -> Callable[[int], int]:
     """Map a residue in [0, prime) to the 0-based position of its range in
-    ``_tiling(prime, s)``."""
+    ``RangeSplit(prime, s).ranges``."""
     base, extra = divmod(prime, s)
     head = extra * (base + 1)
 
@@ -124,7 +114,6 @@ def _range_locator(prime: int, s: int) -> Callable[[int], int]:
 class SubinstanceReport:
     """One range triple's subinstance: its graph and what pruning removed."""
 
-    triple: tuple[int, int, int]
     graph: TripartiteWeightedGraph
     pruned: tuple[tuple[str, int], ...]
 
@@ -143,20 +132,6 @@ def pick_prime(max_abs_weight: int, rng: RngStream) -> int:
         candidate = rng.randint(lo, hi)
         if is_prime(candidate):
             return candidate
-
-
-def reduce_mod_p(g: TripartiteWeightedGraph, p: int) -> TripartiteWeightedGraph:
-    """View all weights as residues in F_p."""
-    if p < 1:
-        raise ValueError("weight_modulus must be positive")
-    # Same endpoints as the validated g, and w % p lies in [0, p).
-    return TripartiteWeightedGraph._trusted(
-        g.part_sizes,
-        tuple((u, v, w % p) for u, v, w in g.edges_ab),
-        tuple((u, v, w % p) for u, v, w in g.edges_bc),
-        tuple((u, v, w % p) for u, v, w in g.edges_ca),
-        p,
-    )
 
 
 def draw_randomization(
@@ -195,14 +170,6 @@ def randomize_weights(
                                             edges_ca, p)
 
 
-def split_ranges(p: int, s: int) -> RangeSplit:
-    """Split [0, p) into s contiguous ranges, the first p mod s of them one
-    longer than the rest."""
-    if not 1 <= s <= p:
-        raise ValueError("need 1 <= s <= p")
-    return RangeSplit(p, _tiling(p, s))
-
-
 def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
     """All (i, j, k) with some a in L_i, b in L_j, c in L_k summing to 0 mod p.
 
@@ -213,11 +180,12 @@ def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
     p = rs.prime
     s = rs.count
     locate = _range_locator(p, s)
+    ranges = rs.ranges
     out = []
     for i in range(1, s + 1):
-        lo_i, hi_i = rs.ranges[i - 1]
+        lo_i, hi_i = ranges[i - 1]
         for j in range(1, s + 1):
-            lo_j, hi_j = rs.ranges[j - 1]
+            lo_j, hi_j = ranges[j - 1]
             start, end = -(hi_i + hi_j) % p, -(lo_i + lo_j) % p
             if hi_i + hi_j - lo_i - lo_j + 1 >= p:
                 ks = range(s)
@@ -368,7 +336,7 @@ def build_subinstance(
     graph = TripartiteWeightedGraph._trusted(
         gp.part_sizes, tuple(sel_ab), tuple(sel_bc), tuple(sel_ca),
         gp.weight_modulus)
-    return SubinstanceReport(triple, graph, tuple(sorted(doomed)))
+    return SubinstanceReport(graph, tuple(sorted(doomed)))
 
 
 ListingSolver = Callable[[TripartiteWeightedGraph, int],
@@ -412,7 +380,7 @@ def _randomized_trials(g, s, trials, rng):
         if s > p:
             raise UsageFailure(f"range count {s} exceeds prime {p}")
         rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
-        yield trial, randomize_weights(g, rd), split_ranges(p, s)
+        yield trial, randomize_weights(g, rd), RangeSplit(p, s)
 
 
 def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:

@@ -158,7 +158,7 @@ def test_criterion_07_triple_sparsity():
     for s in (1, 2, 3, 4, 5, 8, 13, 16, 21, 32, 45, 64):
         for w in (1, 5, 311):
             p = f.pick_prime(w, f.RngStream(s * 1000 + w))
-            triples = f.enumerate_zero_triples(f.split_ranges(p, s))
+            triples = f.enumerate_zero_triples(f.RangeSplit(p, s))
             cases += 1
             assert len(triples) <= 5 * s * s
             worst_ratio = max(worst_ratio, len(triples) / (s * s))

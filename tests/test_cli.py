@@ -633,6 +633,12 @@ _BAD_INPUTS = {
      "keep_percent must be in [0, 100]"),
     (["verify", "--n", "2"],
      "cannot plant a zero triangle with an empty part"),
+    (["reduce", "--pipeline", "monoeq", "--degree-threshold", "-7",
+      "--in", "all.cvg"], "--degree-threshold must be -1 (infinity) or at "
+                          "least 0, got -7"),
+    (["reduce", "--pipeline", "monoeq", "--size-threshold", "-5",
+      "--in", "all.cvg"], "--size-threshold must be -1 (infinity), -2 (the "
+                          "default) or at least 0, got -5"),
 ])
 def test_inputs_the_library_rejects_are_usage_errors(argv, message, tmp_path,
                                                      capsys):

@@ -265,8 +265,9 @@ def test_round_trip_set_family(seed):
 
 def test_round_trip_modulus_graph():
     g = generate_sparse_tripartite((3, 3, 3), 70, 9, RngStream(4))
-    from fgtri import reduce_mod_p
-    gp = reduce_mod_p(g, 101)
+    from fgtri import RandomizationData, randomize_weights
+    gp = randomize_weights(g, RandomizationData(101, 1, ((0,) * 3,) * 3))
+    assert gp.weight_modulus == 101
     assert parse(serialize(gp)) == gp
 
 

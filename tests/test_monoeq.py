@@ -3,12 +3,13 @@ equality-triangle solver."""
 
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
 from fgtri import (CASE_BLOWN_PART, CASE_VALUE_SIDES, ColoredValuedGraph,
                    RngStream, ae_mono_triangle_bf, ae_mono_triangle_fast,
-                   ae_monoeq_triangle_bf, combine_sparse_into_mono,
+                   ae_monoeq_triangle_bf, ceil_log2, combine_sparse_into_mono,
                    expand_values, generate_colored, solve_ae_monoeq,
                    solve_combined, split_cases)
 
@@ -76,10 +77,10 @@ def test_expand_values_lazy_copies():
         ((0, 0, 7, 5), (1, 0, 7, 6)),
         ((0, 0, 7, 5),),
         frozenset({"IK", "JK"}))
-    expanded = expand_values(g, "A")
+    expanded = expand_values(g)
     # k=0 appears with values {5, 6}: two copies, no more.
     assert expanded.graph.part_sizes == (1, 2, 2)
-    assert expanded.vertex_map == {(0, 5): 0, (0, 6): 1}
+    assert expanded.edge_map == {(0, 0): (0, 0), (0, 1): (0, 1)}
     assert set(expanded.graph.edges_ik) == {(0, 0, 7, None)}
     assert set(expanded.graph.edges_jk) == {(0, 0, 7, None), (1, 1, 7, None)}
 
@@ -88,7 +89,7 @@ def test_expand_no_shared_values_no_triangles():
     g = ColoredValuedGraph(
         (1, 1, 1), ((0, 0, 1, None),), ((0, 0, 1, 3),), ((0, 0, 1, 4),),
         frozenset({"IK", "JK"}))
-    expanded = expand_values(g, "A")
+    expanded = expand_values(g)
     answers = ae_mono_triangle_bf(expanded.graph)
     assert not any(answers.values())
 
@@ -97,9 +98,10 @@ def test_expand_no_shared_values_no_triangles():
 def test_expansion_preserves_answers(tag):
     for seed in range(20):
         g = case_instance(tag, 100 + seed)
-        expanded = expand_values(g, tag)
+        expanded = expand_values(g)
         mono = ae_mono_triangle_bf(expanded.graph)
-        got = expanded.decode(mono)
+        got = {edge: mono[("IJ", *image)]
+               for edge, image in expanded.edge_map.items()}
         want = ij_only(ae_monoeq_triangle_bf(g))
         assert got == want
 
@@ -107,7 +109,7 @@ def test_expansion_preserves_answers(tag):
 def test_expansion_blows_up_the_shared_part():
     for tag in ("A", "B", "C"):
         g = case_instance(tag, 7)
-        expanded = expand_values(g, tag)
+        expanded = expand_values(g)
         blown = CASE_BLOWN_PART[tag]
         for part in range(3):
             if part != blown:
@@ -137,19 +139,18 @@ def test_combine_many_instances_round_trip():
         assert got == ij_only(ae_mono_triangle_bf(src))
 
 
-def test_combine_decode_map_is_bijective_on_parallel_edges():
+def test_combine_label_grids_hold_each_source_edge_twice():
+    # Each label's grid is symmetric, and a host pair gives its parallel
+    # edges distinct labels: so every source edge fills exactly two cells
+    # of one label's grid, coloured with its source's index.
     sources = [colored_only(30 + q) for q in range(4)]
     combined = combine_sparse_into_mono(sources, 12, RngStream(4))
-    seen = set()
-    total = 0
-    for _pair, edges in combined.parallel:
-        labels = [label for label, *_rest in edges]
-        assert labels == list(range(1, len(edges) + 1))
-        assert len(edges) <= combined.max_label
-        for _label, q, pair, u, v in edges:
-            seen.add((q, pair, u, v))
-            total += 1
-    assert total == len(seen) == sum(s.edge_count for s in sources)
+    grids = {triple[0]: g for triple, g in combined.instances}
+    assert sorted(grids) == list(range(1, len(grids) + 1))
+    assert len(grids) <= 4 * ceil_log2(12 + 2)
+    cells = Counter(color for g in grids.values()
+                    for _x, _y, color, _value in g.edges_ij)
+    assert cells == {q: 2 * s.edge_count for q, s in enumerate(sources)}
 
 
 def test_combine_rejects_oversized_instance():
@@ -159,13 +160,19 @@ def test_combine_rejects_oversized_instance():
 
 
 def test_combine_multiplicity_within_budget_across_seeds():
+    # One permutation draw and a budget of 3 labels, so the combine raises
+    # whenever the draw piles more than 3 edges on one host pair; random
+    # permutations spread the edges, identity ones stack them.
     ok = 0
-    runs = 50
-    for seed in range(runs):
+    for seed in range(50):
         sources = [colored_only(700 + seed * 7 + q) for q in range(4)]
-        combined = combine_sparse_into_mono(sources, 12, RngStream(seed))
-        ok += combined.observed_max_label <= combined.max_label
-    assert ok == runs  # resampling makes overflow terminal-only
+        try:
+            combine_sparse_into_mono(sources, 12, RngStream(seed),
+                                     max_label=3, max_retries=1)
+        except RuntimeError:
+            continue
+        ok += 1
+    assert ok >= 30
 
 
 def test_combine_with_fast_solver_matches():

@@ -1,10 +1,10 @@
 """Listing-from-detection reductions (witness recovery and subsampling)."""
 
 from fgtri import witness_listing
-from fgtri import (RngStream, TripartiteWeightedGraph,
+from fgtri import (RandomizationData, RngStream, TripartiteWeightedGraph,
                    ae_sparse_triangle_bf, ae_sparse_triangle_fast,
                    generate_sparse_tripartite, listing_via_detection,
-                   listing_via_unique, reduce_mod_p, triangle_list_bf,
+                   listing_via_unique, randomize_weights, triangle_list_bf,
                    unique_listing_via_detection)
 from fgtri.witness_listing import _bit_masks, _restrict_c
 from fgtri.zero_triangle import ceil_log2
@@ -142,7 +142,8 @@ def test_restrict_c_equals_the_validated_graph_of_its_fields():
         g = generate_sparse_tripartite((5 + seed % 3, 6, 7 + seed % 4),
                                        40 + 5 * seed, 9, rng.child("g"))
         if seed % 2:
-            g = reduce_mod_p(g, 5)
+            g = randomize_weights(g, RandomizationData(
+                5, 1, tuple((0,) * n for n in g.part_sizes)))
         nc = g.part_sizes[2]
         for trial in range(10):
             draw = rng.child("mask", trial)

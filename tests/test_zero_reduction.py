@@ -1,7 +1,6 @@
 """The randomized zero-triangle pipeline, piece by piece."""
 
 
-import itertools
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from fgtri import (RandomizationData, RangeSplit, RngStream,
                    draw_randomization, enumerate_zero_triples,
                    generate_sparse_tripartite,
                    generate_tripartite, is_prime, pick_prime,
-                   randomize_weights, reduce_mod_p, split_ranges,
+                   randomize_weights,
                    triangle_list_bf, triangle_weight_sum,
                    zero_triangle_bf, zero_triangle_via_global_listing,
                    zero_triangle_via_listing)
@@ -62,16 +61,25 @@ def fixed_randomization(g, p, x, offsets_value=0):
                                     (offsets_value,) * nc))
 
 
+def mod_p(g, p):
+    """g's weights as residues mod the prime p: the shear with x = 1 and
+    zero offsets."""
+    return randomize_weights(g, fixed_randomization(g, p, 1))
+
+
 def test_randomize_identity_parameters():
-    g = reduce_mod_p(generate_sparse_tripartite((3, 3, 3), 80, 5,
-                                                RngStream(5)), 101)
+    ints = generate_sparse_tripartite((3, 3, 3), 80, 5, RngStream(5))
+    g = mod_p(ints, 101)
+    assert g.weight_modulus == 101
+    assert [w for _u, _v, w in g.edges_ab] == \
+        [w % 101 for _u, _v, w in ints.edges_ab]
     same = randomize_weights(g, fixed_randomization(g, 101, 1))
     assert same == g
 
 
 def test_randomize_zero_multiplier_kills_all_sums():
-    g = reduce_mod_p(generate_sparse_tripartite((4, 4, 4), 80, 9,
-                                              RngStream(6)), 103)
+    g = mod_p(generate_sparse_tripartite((4, 4, 4), 80, 9, RngStream(6)),
+              103)
     flat = randomize_weights(g, draw_randomization(g.part_sizes, 103,
                                                    RngStream(7)))
     zeroed = randomize_weights(
@@ -98,18 +106,20 @@ def test_randomize_shears_integer_weights_like_their_residues():
                         for _u, _v, w in g.edges(pair))
         p = pick_prime(10 ** 6, RngStream(seed).child("p"))
         rd = draw_randomization(g.part_sizes, p, RngStream(seed).child("rd"))
-        assert randomize_weights(g, rd) == \
-            randomize_weights(reduce_mod_p(g, p), rd)
+        assert randomize_weights(g, rd) == randomize_weights(mod_p(g, p), rd)
         for other in (p - 1, p + 1, 2):
+            residues = [tuple((u, v, w % other) for u, v, w in g.edges(pair))
+                        for pair in ("AB", "BC", "CA")]
             with pytest.raises(ValueError):
-                randomize_weights(reduce_mod_p(g, other), rd)
+                randomize_weights(TripartiteWeightedGraph(
+                    g.part_sizes, *residues, weight_modulus=other), rd)
     assert negative > 0
 
 
 def test_randomize_telescopes_every_triangle():
     for seed in range(15):
         p = pick_prime(9, RngStream(seed).child("p"))
-        g = reduce_mod_p(
+        g = mod_p(
             generate_sparse_tripartite((4, 4, 4), 70, 9,
                                        RngStream(seed)), p)
         rd = draw_randomization(g.part_sizes, p, RngStream(seed).child("rd"))
@@ -138,24 +148,24 @@ def test_randomization_data_validation():
 # ------------------------------------------------------------ range split
 
 def test_split_ranges_hand_cases():
-    rs = split_ranges(11, 2)
+    rs = RangeSplit(11, 2)
     assert rs.ranges == ((0, 5), (6, 10))
-    assert split_ranges(11, 1).ranges == ((0, 10),)
-    singles = split_ranges(7, 7)
+    assert RangeSplit(11, 1).ranges == ((0, 10),)
+    singles = RangeSplit(7, 7)
     assert singles.ranges == tuple((i, i) for i in range(7))
     with pytest.raises(ValueError):
-        split_ranges(5, 6)
+        RangeSplit(5, 6)
 
 
 def test_range_index_lookup():
-    rs = split_ranges(11, 3)  # sizes 4, 4, 3
+    rs = RangeSplit(11, 3)  # sizes 4, 4, 3
     for residue in range(11):
         lo, hi = rs.ranges[rs.index_of(residue) - 1]
         assert lo <= residue <= hi
 
 
 def brute_zero_triples(p, s):
-    rs = split_ranges(p, s)
+    rs = RangeSplit(p, s)
     found = set()
     for a in range(p):
         for b in range(p):
@@ -167,19 +177,19 @@ def brute_zero_triples(p, s):
 @pytest.mark.parametrize("p,s", [(11, 1), (11, 2), (13, 4), (29, 5), (53, 8),
                                  (17, 17), (31, 3)])
 def test_enumerate_zero_triples_matches_brute_force(p, s):
-    got = enumerate_zero_triples(split_ranges(p, s))
+    got = enumerate_zero_triples(RangeSplit(p, s))
     assert len(set(got)) == len(got)
     assert set(got) == brute_zero_triples(p, s)
 
 
 def test_triples_single_range():
-    assert enumerate_zero_triples(split_ranges(101, 1)) == [(1, 1, 1)]
+    assert enumerate_zero_triples(RangeSplit(101, 1)) == [(1, 1, 1)]
 
 
 @pytest.mark.parametrize("s", [2, 3, 5, 8, 16, 33, 64])
 def test_triples_sparsity(s):
     p = pick_prime(50, RngStream(s))
-    triples = enumerate_zero_triples(split_ranges(p, s))
+    triples = enumerate_zero_triples(RangeSplit(p, s))
     assert len(triples) <= 5 * s * s
     per_pair = {}
     for i, j, k in triples:
@@ -192,14 +202,14 @@ def test_triples_sparsity(s):
 def sheared_instance(seed, sizes=(5, 5, 5), density=70, bound=8):
     g = generate_sparse_tripartite(sizes, density, bound, RngStream(seed))
     p = pick_prime(bound, RngStream(seed).child("p"))
-    gp = reduce_mod_p(g, p)
+    gp = mod_p(g, p)
     rd = draw_randomization(sizes, p, RngStream(seed).child("rd"))
     return g, randomize_weights(gp, rd), p
 
 
 def test_subinstance_single_range_is_whole_graph():
     _g, sheared, p = sheared_instance(1)
-    rs = split_ranges(p, 1)
+    rs = RangeSplit(p, 1)
     report = build_subinstance(sheared, rs, (1, 1, 1),
                                degree_cap_ab=10**9, degree_cap_ca=10**9,
                                degree_cap_bc=10**9)
@@ -211,7 +221,7 @@ def test_subinstance_partition_of_edges():
     # Per part-pair, each edge lands in the subinstances of exactly the
     # enumerated triples carrying its range index.
     _g, sheared, p = sheared_instance(2)
-    rs = split_ranges(p, 3)
+    rs = RangeSplit(p, 3)
     triples = enumerate_zero_triples(rs)
     appearance = {("AB", e[0], e[1]): 0 for e in sheared.edges_ab}
     appearance.update({("BC", e[0], e[1]): 0 for e in sheared.edges_bc})
@@ -242,7 +252,7 @@ def test_subinstance_partition_of_edges():
 def test_subinstance_covers_zero_triangles_exactly_once():
     for seed in range(10):
         g, sheared, p = sheared_instance(100 + seed)
-        rs = split_ranges(p, 4)
+        rs = RangeSplit(p, 4)
         triples = enumerate_zero_triples(rs)
         w2ab = {(a, b): w for a, b, w in sheared.edges_ab}
         w2bc = {(b, c): w for b, c, w in sheared.edges_bc}
@@ -274,7 +284,7 @@ def test_subinstance_degree_caps_enforced():
     edges_ab = tuple((0, b, 0) for b in range(6))
     g = TripartiteWeightedGraph((2, 6, 1), edges_ab, ((0, 0, 0),),
                                 ((0, 0, 0), (0, 1, 0)), weight_modulus=7)
-    rs = split_ranges(7, 1)
+    rs = RangeSplit(7, 1)
     rep = build_subinstance(g, rs, (1, 1, 1), degree_cap_ab=3,
                             degree_cap_ca=10, degree_cap_bc=10)
     assert ("A", 0) in rep.pruned
@@ -288,7 +298,7 @@ def test_subinstance_degree_caps_enforced():
 def test_subinstance_default_caps_match_formula():
     assert default_degree_cap(16, 4) == 600
     _g, sheared, p = sheared_instance(3)
-    rs = split_ranges(p, 2)
+    rs = RangeSplit(p, 2)
     rep = build_subinstance(sheared, rs, enumerate_zero_triples(rs)[0])
     deg = {}
     for a, b, _w in rep.graph.edges_ab:
@@ -343,7 +353,7 @@ def test_subinstance_matches_reference_scan_across_splits():
     pruned_somewhere = False
     for seed in range(6):
         _g, sheared, p = sheared_instance(200 + seed, sizes=(6, 7, 8))
-        calls = {s: [(rs, t) for rs in [split_ranges(p, s)]
+        calls = {s: [(rs, t) for rs in [RangeSplit(p, s)]
                      for t in enumerate_zero_triples(rs)] for s in (2, 3)}
         longest = max(len(c) for c in calls.values())
         for n in range(longest):
@@ -369,31 +379,24 @@ def _validated_copy(g):
 
 
 def test_derived_graphs_equal_the_validated_graph_of_their_fields():
-    # reduce_mod_p, randomize_weights and build_subinstance skip validation;
-    # the validating constructor must accept what they build, unchanged.
+    # randomize_weights and build_subinstance skip validation; the
+    # validating constructor must accept what they build, unchanged.
     pruned_somewhere = False
     for seed in range(8):
         g, _tri = generate_tripartite(9, 50, seed % 2 == 0, RngStream(seed))
         p = pick_prime(g.max_abs_weight(), RngStream(seed).child("p"))
-        gp = reduce_mod_p(g, p)
+        gp = mod_p(g, p)
         assert gp == _validated_copy(gp) and gp.weight_modulus == p
         rd = draw_randomization(g.part_sizes, p, RngStream(seed).child("rd"))
         sheared = randomize_weights(gp, rd)
         assert sheared == _validated_copy(sheared)
-        rs = split_ranges(p, 3)
+        rs = RangeSplit(p, 3)
         for triple in enumerate_zero_triples(rs):
             for caps in ((None, None, None), (2, 1, 3)):
                 rep = build_subinstance(sheared, rs, triple, *caps)
                 assert rep.graph == _validated_copy(rep.graph)
                 pruned_somewhere |= bool(rep.pruned)
     assert pruned_somewhere
-
-
-@pytest.mark.parametrize("p", [0, -3])
-def test_reduce_mod_p_rejects_a_non_positive_modulus(p):
-    g, _tri = generate_tripartite(6, 20, True, RngStream(1))
-    with pytest.raises(ValueError):
-        reduce_mod_p(g, p)
 
 
 # ------------------------------------------------------------ pipelines
@@ -675,8 +678,8 @@ def _reference_claim_counts(g, planted, s, trials, rng):
         stream = rng.child("trial", trial)
         p = pick_prime(max(1, g.max_abs_weight()), stream.child("prime"))
         rd = draw_randomization(g.part_sizes, p, stream.child("randomize"))
-        gp = randomize_weights(reduce_mod_p(g, p), rd)
-        rs = split_ranges(p, s)
+        gp = randomize_weights(g, rd)
+        rs = RangeSplit(p, s)
         home = [{(u, v): rs.index_of(w) for u, v, w in gp.edges(pair)}
                 for pair in ("AB", "BC", "CA")]
         triple = (home[0][(pa, pb)], home[1][(pb, pc)], home[2][(pc, pa)])
@@ -718,29 +721,20 @@ def test_claim_counts_match_a_nested_loop_reference(bound):
     assert any(fp > 0 for fp, _nonzero in seen)
 
 
-def _tilings(p, s):
-    """Every split of [0, p) into s contiguous nonempty ranges."""
-    for cuts in itertools.combinations(range(1, p), s - 1):
-        ends = (0, *cuts, p)
-        yield tuple((lo, nxt - 1) for lo, nxt in zip(ends, ends[1:]))
-
-
-def test_range_split_accepts_only_the_split_ranges_layout():
-    with pytest.raises(ValueError):
-        RangeSplit(7, ((0, 1), (2, 4), (5, 6)))  # index_of(2) would say 1
-    for bad in ((), ((0, 3), (3, 6)), ((0, 2), (4, 6)), ((0, 7),),
-                ((0, 0),) * 8):
+def test_range_split_ranges_tile_the_field():
+    for p, s in ((7, 0), (7, 8), (1, 2), (5, -1)):
         with pytest.raises(ValueError):
-            RangeSplit(7, bad)
-    for p in range(1, 10):
+            RangeSplit(p, s)
+    for p in range(1, 40):
         for s in range(1, p + 1):
-            canonical = split_ranges(p, s).ranges
-            for ranges in _tilings(p, s):
-                if ranges == canonical:
-                    assert RangeSplit(p, ranges) == split_ranges(p, s)
-                else:
-                    with pytest.raises(ValueError):
-                        RangeSplit(p, ranges)
+            ranges = RangeSplit(p, s).ranges
+            assert len(ranges) == s
+            assert ranges[0][0] == 0 and ranges[-1][1] == p - 1
+            assert all(hi + 1 == lo for (_, hi), (lo, _)
+                       in zip(ranges, ranges[1:]))
+            sizes = [hi - lo + 1 for lo, hi in ranges]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes.count(p // s + 1) == p % s
 
 
 def test_index_of_names_the_range_holding_each_residue():
@@ -748,7 +742,7 @@ def test_index_of_names_the_range_holding_each_residue():
     for _case in range(80):
         p = draw.randint(1, 300)
         s = draw.choice((1, 2, 3, p, draw.randint(1, p)))
-        rs = split_ranges(p, s)
+        rs = RangeSplit(p, s)
         for residue in range(p):
             lo, hi = rs.ranges[rs.index_of(residue) - 1]
             assert lo <= residue <= hi
