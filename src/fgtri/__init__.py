@@ -2,6 +2,13 @@
 randomized reduction pipelines, and product reductions, all seeded and
 exactly verifiable at desk scale."""
 
+import os as _os
+
+# One BLAS thread unless the caller set a count, before numpy loads: extra
+# BLAS workers stall ``ae_mono_triangle_fast`` in some processes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                         SetFamilyInstance, TripartiteWeightedGraph)
 from .rng import RngStream

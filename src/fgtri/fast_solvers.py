@@ -4,9 +4,7 @@ The sparse solver is the light half of the Alon-Yuster-Zwick degree split
 on its own: one AND of the graph's packed C-rows per A x B edge. The rows
 (one OR per BC and CA edge) are built once per graph and carried into its
 C-restrictions, so the many restricted graphs of the listing reduction are
-answered without touching their BC and CA edges. On packed Python ints the
-heavy half's Boolean product does the same per-edge work again, so the
-split only ran one computation twice.
+answered without touching their BC and CA edges.
 
 The monochromatic solver takes the per-colour products of
 Vassilevska-Williams-Yuster as one batched float32 BLAS product per pair

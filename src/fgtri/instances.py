@@ -14,10 +14,10 @@ takes grids only, and derives the edge tuples on first read, row-major over
 the present cells, so an instance that only reaches an oracle never builds
 them. A tripartite graph carries packed C-rows (per A-vertex the C-mask
 of its CA edges, per B-vertex that of its BC edges), derived on first read.
-A C-restriction (``_trusted_restriction``) takes its source's rows ANDed
-with the mask and derives its BC and CA tuples only on first read, so the
-listing reduction's many restricted graphs copy no edge tuple unless a
-reader asks.
+A C-restriction (``_trusted_restriction``) takes its parent's rows ANDed
+with the mask and derives its BC and CA tuples only on first read, by
+filtering its parent's, so the listing reduction's many restricted graphs
+copy no edge tuple unless a reader asks.
 Equality, hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
@@ -70,23 +70,18 @@ def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
         seen.add((u, v))
 
 
-class _RestrictedEdges:
-    """A BC or CA field that a C-restriction (``_trusted_restriction``)
-    derives on first read: its source's tuple, in the source's order,
-    filtered to the C endpoints in its mask. It is kept in the graph's
-    ``__dict__``, which later reads find first; every other constructor
-    puts the field there at once."""
+class _DerivedEdges:
+    """An edge field that a graph built without it derives on first read,
+    through its class's ``_derive_edges(name)``, and keeps in its
+    ``__dict__``, which later reads find first."""
 
     def __set_name__(self, owner, name):
-        self.name, self.c_at = name, 1 if name == "edges_bc" else 0
+        self.name = name
 
     def __get__(self, g, owner=None):
         if g is None:
             return ()  # the field's default
-        source, mask = g.__dict__["_c_source"]
-        at = self.c_at
-        edges = g.__dict__[self.name] = tuple(
-            e for e in getattr(source, self.name) if mask >> e[at] & 1)
+        edges = g.__dict__[self.name] = g._derive_edges(self.name)
         return edges
 
 
@@ -101,8 +96,8 @@ class TripartiteWeightedGraph:
 
     part_sizes: tuple[int, int, int]
     edges_ab: tuple[tuple[int, int, int], ...] = ()
-    edges_bc: tuple[tuple[int, int, int], ...] = _RestrictedEdges()
-    edges_ca: tuple[tuple[int, int, int], ...] = _RestrictedEdges()
+    edges_bc: tuple[tuple[int, int, int], ...] = _DerivedEdges()
+    edges_ca: tuple[tuple[int, int, int], ...] = _DerivedEdges()
     weight_modulus: Optional[int] = None
 
     def __post_init__(self):
@@ -149,12 +144,9 @@ class TripartiteWeightedGraph:
         invariants, so nothing is re-validated.
 
         The restriction's ``c_rows`` are g's ANDed with the mask. Its
-        ``__dict__`` holds no ``edges_bc`` or ``edges_ca``, only
-        ``_c_source``: the first unrestricted graph of the chain and the
-        AND of every mask since, from which ``_RestrictedEdges`` derives the
-        tuples on first read.
+        ``__dict__`` holds no ``edges_bc`` or ``edges_ca``, only g and the
+        mask, from which ``_derive_edges`` filters g's tuples on first read.
         """
-        source, mask = g.__dict__.get("_c_source", (g, -1))
         rows_a, rows_b = g.c_rows
         sub = object.__new__(cls)
         sub.__dict__.update(
@@ -163,8 +155,15 @@ class TripartiteWeightedGraph:
             weight_modulus=g.weight_modulus,
             c_rows=(tuple([r & keep_mask for r in rows_a]),
                     tuple([r & keep_mask for r in rows_b])),
-            _c_source=(source, mask & keep_mask))
+            _restricted=(g, keep_mask))
         return sub
+
+    def _derive_edges(self, name):
+        # Only a C-restriction lacks the field: its parent's, in order, cut
+        # to the C endpoints in its mask.
+        parent, mask = self.__dict__["_restricted"]
+        at = 1 if name == "edges_bc" else 0
+        return tuple(e for e in getattr(parent, name) if mask >> e[at] & 1)
 
     @cached_property
     def c_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -196,26 +195,6 @@ class TripartiteWeightedGraph:
             for _, _, w in edges:
                 best = max(best, abs(w))
         return best
-
-
-class _LazyEdges:
-    """A colored edge field that a graph built by ``_trusted`` derives from
-    its grids on first read, row-major over the present cells, and keeps in
-    its ``__dict__``, which later reads find first."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.pair = name, name[-2:].upper()
-
-    def __get__(self, g, owner=None):
-        if g is None:
-            return ()  # the field's default
-        pres, col, val = (grids[self.pair] for grids in g.__dict__["_arrays"])
-        us, vs = pres.nonzero()
-        vals = (val[us, vs].tolist() if self.pair in g.value_sides
-                else repeat(None))
-        edges = g.__dict__[self.name] = tuple(zip(
-            us.tolist(), vs.tolist(), col[us, vs].tolist(), vals))
-        return edges
 
 
 def _int64(x) -> bool:
@@ -261,9 +240,9 @@ class ColoredValuedGraph:
     """
 
     part_sizes: tuple[int, int, int]
-    edges_ij: tuple[tuple[int, int, int, Optional[int]], ...] = _LazyEdges()
-    edges_jk: tuple[tuple[int, int, int, Optional[int]], ...] = _LazyEdges()
-    edges_ik: tuple[tuple[int, int, int, Optional[int]], ...] = _LazyEdges()
+    edges_ij: tuple[tuple[int, int, int, Optional[int]], ...] = _DerivedEdges()
+    edges_jk: tuple[tuple[int, int, int, Optional[int]], ...] = _DerivedEdges()
+    edges_ik: tuple[tuple[int, int, int, Optional[int]], ...] = _DerivedEdges()
     value_sides: frozenset = frozenset()
 
     def __post_init__(self):
@@ -307,6 +286,15 @@ class ColoredValuedGraph:
         g.__dict__.update(part_sizes=part_sizes, value_sides=value_sides,
                           _arrays=grids)
         return g
+
+    def _derive_edges(self, name):
+        # Row-major over the present cells of the pair's grids.
+        pair = name[-2:].upper()
+        pres, col, val = (grids[pair] for grids in self.__dict__["_arrays"])
+        us, vs = pres.nonzero()
+        vals = (val[us, vs].tolist() if pair in self.value_sides
+                else repeat(None))
+        return tuple(zip(us.tolist(), vs.tolist(), col[us, vs].tolist(), vals))
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int, Optional[int]], ...]:
         return getattr(self, {"IJ": "edges_ij", "JK": "edges_jk",

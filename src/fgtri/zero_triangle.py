@@ -13,6 +13,7 @@ Range indices are 1-based (ranges L_1..L_s); vertex indices stay 0-based.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -222,61 +223,42 @@ def default_trials(total_vertices: int, multiplier: int = 100) -> int:
     return multiplier * ceil_log2(total_vertices + 2)
 
 
-@dataclass(frozen=True)
-class _PairBuckets:
-    """One pair's edges split by the range of their mod-p weight.
-
-    Entry r of each tuple belongs to the 0-based range r: the edges in input
-    order, the degree of every first-part (deg_u) and second-part (deg_v)
-    vertex counted over those edges alone, and the largest of those
-    degrees (top_u, top_v; 0 for an empty range).
-    """
-
-    edges: tuple[tuple[tuple[int, int, int], ...], ...]
-    deg_u: tuple[list[int], ...]
-    deg_v: tuple[list[int], ...]
-    top_u: tuple[int, ...]
-    top_v: tuple[int, ...]
-
-
-def _bucket_pair(edges, n_u: int, n_v: int, locate, s: int) -> _PairBuckets:
-    buckets = [[] for _ in range(s)]
-    deg_u = tuple([0] * n_u for _ in range(s))
-    deg_v = tuple([0] * n_v for _ in range(s))
-    for edge in edges:
-        r = locate(edge[2])
-        buckets[r].append(edge)
-        deg_u[r][edge[0]] += 1
-        deg_v[r][edge[1]] += 1
-    return _PairBuckets(tuple(map(tuple, buckets)), deg_u, deg_v,
-                        tuple(max(d, default=0) for d in deg_u),
-                        tuple(max(d, default=0) for d in deg_v))
-
-
-def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit,
-                 ) -> tuple[_PairBuckets, _PairBuckets, _PairBuckets]:
-    """gp's AB, BC and CA buckets under rs, built in one pass and cached on
-    gp for the last split it was asked about."""
+def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
+    """gp's AB, BC and CA edges split by the range of their mod-p weight:
+    entry r of a pair's tuple holds, in input order, its edges in the
+    0-based range r. Built in one pass and cached on gp for the last split
+    it was asked about."""
     cached = gp.__dict__.get("_range_index")
     if cached is not None and cached[0] == rs:
         return cached[1]
     locate = _range_locator(rs.prime, rs.count)
-    na, nb, nc = gp.part_sizes
-    index = (_bucket_pair(gp.edges_ab, na, nb, locate, rs.count),
-             _bucket_pair(gp.edges_bc, nb, nc, locate, rs.count),
-             _bucket_pair(gp.edges_ca, nc, na, locate, rs.count))
+    index = []
+    for edges in (gp.edges_ab, gp.edges_bc, gp.edges_ca):
+        buckets = [[] for _ in range(rs.count)]
+        for edge in edges:
+            buckets[locate(edge[2])].append(edge)
+        index.append(tuple(map(tuple, buckets)))
+    index = tuple(index)
     object.__setattr__(gp, "_range_index", (rs, index))
     return index
 
 
 @lru_cache(maxsize=64)
-def _degree_limits(part_sizes, s, cap_ab, cap_bc, cap_ca) -> tuple[int, ...]:
-    """Degree caps of A and B toward each other, then B and C, then C and A;
-    none below 0, so a vertex without edges in a subinstance stays."""
-    na, nb, nc = part_sizes
-    return tuple(max(0, cap if cap is not None else default_degree_cap(n, s))
-                 for cap, n in ((cap_ab, nb), (cap_ab, na), (cap_bc, nc),
-                                (cap_bc, nb), (cap_ca, na), (cap_ca, nc)))
+def _biting_caps(part_sizes, s, caps):
+    """Per pair (AB, BC, CA, caps in that order), the (end, part, cap) of
+    each endpoint whose cap toward the other end's part P is below |P|: a
+    degree toward P is at most |P|, so no other cap can prune."""
+    sizes = dict(zip("ABC", part_sizes))
+    biting = []
+    for pair, cap in zip(("AB", "BC", "CA"), caps):
+        ends = []
+        for end in (0, 1):
+            toward = sizes[pair[1 - end]]
+            limit = default_degree_cap(toward, s) if cap is None else cap
+            if limit < toward:
+                ends.append((end, pair[end], limit))
+        biting.append(tuple(ends))
+    return tuple(biting)
 
 
 def build_subinstance(
@@ -296,11 +278,11 @@ def build_subinstance(
     pair. Part sizes and vertex indices are preserved; deletion means
     dropping incident edges, and the kept edges stay in input order.
 
-    Cost: the first call for a (gp, rs) pair buckets gp's edges by range
-    and counts per-range degrees and their maxima in O(m + s n). Every call
-    then compares the six maxima of its ranges with the caps, which costs
-    O(1) when no degree exceeds its cap, scans a part's degrees in O(n)
-    only when one does, and builds the subinstance in O(kept edges).
+    Cost: the first call for a (gp, rs) pair buckets gp's edges by range in
+    O(m + s). Every call then counts degrees over its selected edges, only
+    for the endpoints whose cap toward part P is below |P| (none under the
+    default caps while s <= 100), and builds the subinstance in O(1) when
+    nothing is pruned and in O(selected edges) when something is.
     """
     if gp.weight_modulus != rs.prime:
         raise ValueError("subinstance selection needs mod-p weights")
@@ -310,19 +292,13 @@ def build_subinstance(
         if not 1 <= idx <= s:
             raise ValueError(f"range id {idx} outside 1..{s}")
     ab, bc, ca = _range_index(gp, rs)
-    sel_ab, sel_bc, sel_ca = ab.edges[k - 1], bc.edges[j - 1], ca.edges[i - 1]
-    limits = _degree_limits(gp.part_sizes, s, degree_cap_ab, degree_cap_bc,
-                            degree_cap_ca)
+    sel_ab, sel_bc, sel_ca = ab[k - 1], bc[j - 1], ca[i - 1]
     doomed: set[tuple[str, int]] = set()
-    for part, top, degs, limit in zip(
-            "ABBCCA",
-            (ab.top_u[k - 1], ab.top_v[k - 1], bc.top_u[j - 1],
-             bc.top_v[j - 1], ca.top_u[i - 1], ca.top_v[i - 1]),
-            (ab.deg_u[k - 1], ab.deg_v[k - 1], bc.deg_u[j - 1],
-             bc.deg_v[j - 1], ca.deg_u[i - 1], ca.deg_v[i - 1]),
-            limits):
-        if top > limit:
-            doomed.update((part, v) for v, d in enumerate(degs) if d > limit)
+    for edges, ends in zip((sel_ab, sel_bc, sel_ca), _biting_caps(
+            gp.part_sizes, s, (degree_cap_ab, degree_cap_bc, degree_cap_ca))):
+        for end, part, cap in ends:
+            degree = Counter(edge[end] for edge in edges)
+            doomed.update((part, v) for v, d in degree.items() if d > cap)
 
     if doomed:
         sel_ab = [(a, b, w) for a, b, w in sel_ab
@@ -515,8 +491,7 @@ def claim_statistics(
 
         ab, bc, ca = _range_index(sheared, rs)
         lists = triangle_list_bf(TripartiteWeightedGraph._trusted(
-            g.part_sizes, ab.edges[k - 1], bc.edges[j - 1], ca.edges[i - 1],
-            rs.prime))
+            g.part_sizes, ab[k - 1], bc[j - 1], ca[i - 1], rs.prime))
         on_edge = lists[(pa, pb)]
         false_pos = len(on_edge) - len(zero_triangles(on_edge))
         listed = [tri for tris in lists.values() for tri in tris]

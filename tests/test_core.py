@@ -1,9 +1,15 @@
 """Domain types, generators, and the text round trip."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fgtri
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                    RngStream, SetFamilyInstance, TripartiteWeightedGraph,
                    ae_mono_triangle_bf, ae_mono_triangle_fast,
@@ -14,6 +20,29 @@ from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                    triangle_weight_sum, zero_triangle_bf)
 from fgtri.oracles import _colored_arrays
 from fgtri.textio import ParseError
+
+
+# ------------------------------------------------------------ package import
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_threads_after_import(**preset):
+    """The three BLAS thread counts a fresh ``import fgtri`` leaves, with
+    only ``preset`` of them set beforehand."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    env.update(preset, PYTHONPATH=str(Path(fgtri.__file__).parents[1]))
+    code = ("import os, fgtri; print(*(os.environ.get(v) for v in "
+            f"{_BLAS_THREADS!r}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_defaults_blas_to_one_thread_and_keeps_a_set_value():
+    assert _blas_threads_after_import() == ["1", "1", "1"]
+    assert _blas_threads_after_import(OMP_NUM_THREADS="2") == ["1", "2", "1"]
 
 
 # ------------------------------------------------------------ invariants

@@ -51,14 +51,21 @@ def test_golden_run(case, tmp_path, capsys):
 
 
 def test_every_solver_and_pipeline_is_pinned():
+    # Every solver, and every (pipeline, inner) pair; a case with no
+    # --inner runs its pipeline's first inner.
     from fgtri.cli import _PIPELINES, _SOLVERS
-    pinned = {"--solver": set(), "--pipeline": set()}
+    solvers, inners = set(), set()
     for case in CASES:
-        for flag, value in zip(case["argv"], case["argv"][1:]):
-            if flag in pinned:
-                pinned[flag].add(value)
-    assert set(_SOLVERS) - pinned["--solver"] == set()
-    assert set(_PIPELINES) - pinned["--pipeline"] == set()
+        flags = dict(zip(case["argv"], case["argv"][1:]))
+        if "--solver" in flags:
+            solvers.add(flags["--solver"])
+        if "--pipeline" in flags:
+            pipeline = flags["--pipeline"]
+            inners.add((pipeline, flags.get(
+                "--inner", next(iter(_PIPELINES[pipeline].inners)))))
+    assert set(_SOLVERS) - solvers == set()
+    assert {(name, inner) for name, pipeline in _PIPELINES.items()
+            for inner in pipeline.inners} - inners == set()
 
 
 def _regenerate() -> None:

@@ -2,6 +2,7 @@
 
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -371,6 +372,60 @@ def test_subinstance_matches_reference_scan_across_splits():
                     assert rep.graph.part_sizes == sheared.part_sizes
                     pruned_somewhere |= bool(pruned)
     assert pruned_somewhere
+
+
+def _counter_reference(gp, rs, triple, caps):
+    """Kept edges and pruned vertices from a Counter of each endpoint's
+    degree over a plain rescan of the selected edges; caps by pair name."""
+    i, j, k = triple
+    sizes = dict(zip("ABC", gp.part_sizes))
+    kept, doomed = [], set()
+    for pair, r in (("AB", k), ("BC", j), ("CA", i)):
+        lo, hi = rs.ranges[r - 1]
+        kept.append([e for e in gp.edges(pair) if lo <= e[2] <= hi])
+        for end in (0, 1):
+            part, toward = pair[end], pair[1 - end]
+            cap = caps[pair]
+            if cap is None:
+                cap = default_degree_cap(sizes[toward], rs.count)
+            degree = Counter(e[end] for e in kept[-1])
+            doomed |= {(part, v) for v, d in degree.items() if d > cap}
+    return (tuple(tuple(e for e in edges if (pair[0], e[0]) not in doomed
+                        and (pair[1], e[1]) not in doomed)
+                  for pair, edges in zip(("AB", "BC", "CA"), kept)),
+            tuple(sorted(doomed)))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pruning_matches_a_counter_reference_in_every_direction(s):
+    # Every (part, toward-part) direction gets each cap around |toward|,
+    # on part sizes that differ, so a cap can bite one way and not the
+    # other; each direction must prune some vertex of its part.
+    keywords = {"AB": "degree_cap_ab", "BC": "degree_cap_bc",
+                "CA": "degree_cap_ca"}
+    fired = set()
+    for seed, sizes in enumerate([(3, 4, 5), (5, 3, 4), (4, 5, 3)] * 2):
+        _g, sheared, p = sheared_instance(300 + seed, sizes=sizes,
+                                          density=75 + 5 * seed)
+        rs = RangeSplit(p, s)
+        size = dict(zip("ABC", sizes))
+        for pair in keywords:
+            for part, toward in (pair, pair[::-1]):
+                n = size[toward]
+                for cap in (None, 0, 1, n - 1, n, n + 1):
+                    caps = dict.fromkeys(keywords) | {pair: cap}
+                    for triple in enumerate_zero_triples(rs):
+                        rep = build_subinstance(
+                            sheared, rs, triple,
+                            **{keywords[q]: c for q, c in caps.items()})
+                        edges, pruned = _counter_reference(sheared, rs,
+                                                           triple, caps)
+                        assert rep.pruned == pruned
+                        assert (rep.graph.edges_ab, rep.graph.edges_bc,
+                                rep.graph.edges_ca) == edges
+                        if any(q == part for q, _v in pruned):
+                            fired.add((part, toward))
+    assert len(fired) == 6
 
 
 def _validated_copy(g):
