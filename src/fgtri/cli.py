@@ -207,11 +207,6 @@ _SOLVERS = {
 }
 
 
-def _bf_global_lister(graph, cap):
-    lists = oracles.triangle_list_bf(graph, global_cap=cap)
-    return [tri for _edge, tris in sorted(lists.items()) for tri in tris]
-
-
 def _detect_lister(graph, cap):
     # Deterministic stream derived from the subinstance itself, so the
     # lister is a pure function of its arguments regardless of call order.
@@ -226,11 +221,8 @@ def _detect_lister(graph, cap):
     rows_a, rows_b = graph.c_rows
     widest = max(((rows_a[a] & rows_b[b]).bit_count()
                   for a, b, _w in graph.edges_ab), default=0)
-    effective = min(cap, widest)
-    if effective == 0:
-        return {(a, b): [] for a, b, _w in graph.edges_ab}
     return witness_listing.listing_via_detection(
-        graph, effective, ae_sparse_triangle_fast, rng)
+        graph, min(cap, widest), ae_sparse_triangle_fast, rng)
 
 
 def _tiles(total: int, width: int):
@@ -372,7 +364,8 @@ _PIPELINES = {
                "detect-lister": _detect_lister},
         partial(_run_zero, zt.zero_triangle_via_listing)),
     "zero-via-global-listing": _Pipeline(
-        _TWG, {"bf-lister": _bf_global_lister},
+        _TWG, {"bf-lister": lambda graph, cap: oracles.triangle_list_bf(
+            graph, global_cap=cap)},
         partial(_run_zero, zt.zero_triangle_via_global_listing)),
     "listing-via-detection": _Pipeline(
         _TWG, {"sparse-bf": oracles.ae_sparse_triangle_bf,

@@ -28,6 +28,7 @@ import numpy as np
 
 from .instances import (_PAIR_PARTS, ColoredValuedGraph, UsageFailure,
                         _colored_arrays, _colored_grids, _listed)
+from .oracles import GridAnswers
 from .rng import RngStream
 from .zero_triangle import ceil_log2
 
@@ -42,7 +43,7 @@ CASE_VALUE_SIDES = {
 CASE_BLOWN_PART = {"A": 2, "B": 1, "C": 0}
 _PAIRS = ("IJ", "JK", "IK")
 
-MonoSolver = Callable[[ColoredValuedGraph], dict[tuple[str, int, int], bool]]
+MonoSolver = Callable[[ColoredValuedGraph], GridAnswers]  # decode reads hits
 
 
 def case_of(g: ColoredValuedGraph) -> str:
@@ -120,18 +121,18 @@ class CombinedMonoInstance:
     def decode(self, per_instance_answers) -> list[dict[tuple[int, int], bool]]:
         """Map host answers back to each source's query edges.
 
-        ``per_instance_answers`` aligns with ``instances``; a source edge is
-        positive iff its placed copy is positive in some label-triple
-        instance whose first label matches the edge's own label.
+        ``per_instance_answers`` aligns with ``instances``, one
+        ``GridAnswers`` each; a source edge is positive iff its placed copy
+        is positive, either way round, in the I x J hit grid of some
+        label-triple instance whose first label is the edge's own.
         """
         if len(per_instance_answers) != len(self.instances):
             raise ValueError("answers do not align with the instances")
-        by_label: dict[int, list] = {}
+        hit: dict[int, np.ndarray] = {}
         for (triple, _g), answers in zip(self.instances, per_instance_answers):
-            by_label.setdefault(triple[0], []).append(answers)
-        return [{edge: any(answers.get(("IJ", x, y), False)
-                           or answers.get(("IJ", y, x), False)
-                           for answers in by_label.get(label, ()))
+            grid = answers.hits["IJ"]
+            hit[triple[0]] = hit.get(triple[0], False) | grid | grid.T
+        return [{edge: bool(hit[label][x, y])
                  for edge, (label, x, y) in qmap.items()}
                 for qmap in self.query_maps]
 
@@ -250,29 +251,27 @@ def _ae_mono_on_expansion(
     """The I x J hit grid of a colored-only expanded instance: whether each
     query cell lies in a monochromatic triangle.
 
-    Only colours with an edge on the pair away from the blown part can
-    close a triangle. Per such colour, a blown vertex is heavy with at
-    least one and more than degree_threshold edges of the colour. If some
-    but fewer than size_threshold blown vertices are heavy, a Boolean
-    product over K closes the triangles through the others, and the heavy
-    vertices' edges, cut to the vertices they touch, become one source of
-    a single combined instance for mono_solver. Otherwise one product
-    over every vertex answers the colour."""
+    Only colours with an edge on every pair can close a triangle. Per
+    such colour, a blown vertex is heavy with at least one and more than
+    degree_threshold edges of the colour. If some but fewer than
+    size_threshold blown vertices are heavy, a Boolean product over K
+    closes the triangles through the others, and the heavy vertices'
+    edges, cut to the vertices they touch, become one source of a single
+    combined instance for mono_solver. Otherwise one product over every
+    vertex answers the colour."""
     pres, col, _val = _colored_arrays(g)
     third = next(p for p in _PAIRS if blown not in _PAIR_PARTS[p])
     (p1, axis1), (p2, axis2) = ((p, 1 - _PAIR_PARTS[p].index(blown))
                                 for p in _PAIRS if p != third)
-    on = {p: set(col[p][pres[p]].tolist()) for p in _PAIRS}
-    closing = on["IJ"] & on["JK"] & on["IK"]
+    closing = set.intersection(*(set(col[p][pres[p]].tolist()) for p in pres))
     hit = np.zeros(pres["IJ"].shape, bool)
     sources, supports = [], []
-    for color in sorted(on[third]):
+    for color in sorted(closing):
         grids = {p: pres[p] & (col[p] == color) for p in _PAIRS}
         degree = grids[p1].sum(axis=axis1) + grids[p2].sum(axis=axis2)
         heavy = degree > max(degree_threshold, 0)
         if not 0 < np.count_nonzero(heavy) < size_threshold:
-            if color in closing:  # one product covers every vertex
-                hit |= _closed(grids)
+            hit |= _closed(grids)  # one product covers every vertex
             continue
         hit |= _closed(_cut(grids, blown, ~heavy))
         live = _cut(grids, blown, heavy)

@@ -27,7 +27,7 @@ colour * bound + tag stay inside int64; a search scales its base colours
 by the bound once, and a level's probe adds the tags shifted right by the
 level. Only grids reach the solver, so no edge tuple is built unless the
 solver reads one. Each level reads the hits at the live cells in one pass:
-one index into a ``GridAnswers``' I x J grid.
+one index into a ``GridAnswers``' I x J grid, else one lookup per (u, v).
 
 Passing an ``instrument`` callable exposes the searches for verification
 (test mode asserts the bracketing invariant against brute force). Each
@@ -52,8 +52,9 @@ from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
 from .oracles import GridAnswers
 from .zero_triangle import ceil_log2
 
-MonoeqSolver = Callable[[ColoredValuedGraph], dict]      # AE-MonoEq triangle
-MonoEqProductSolver = Callable[[ColoredValuedGraph], dict]  # MonoEq product
+# AE-MonoEq triangle, MonoEq product: a GridAnswers or dict keyed (u, v).
+MonoeqSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
+MonoEqProductSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 Instrument = Optional[Callable[[dict], None]]
 
 _CASE_A = frozenset({"IK", "JK"})   # values on I x K and J x K
@@ -87,28 +88,29 @@ def _unrank(distinct, ranks, hit):
     return np.array([*distinct, 0], np.int64)[np.where(hit, ranks, -1)]
 
 
-def _bisect(live, est, levels, probe, solver, key, instrument, start):
+def _bisect(live, est, levels, probe, solver, instrument, start):
     """The one binary-search level loop, shared by every search here.
 
     The grid ``est`` holds, at each cell of the Boolean grid ``live``, a
     multiple of 2^levels at or below its answer, and ends on the answer.
-    At each level the solver answers ``probe(level)``, keyed by ``key +
-    cell``: whether the lower half of the cell's bracket holds a match
-    (mode "min") or its upper half does (mode "max"). A min search that
-    misses, or a max search that hits, moves into the upper half.
-    ``instrument`` gets ``start`` as the start event and, after each
-    level, the ``est`` and ``live`` grids themselves.
+    At each level the solver answers ``probe(level)`` per I x J cell, read
+    on a ``GridAnswers``' I x J grid or as ``answers[(u, v)]``: whether the
+    lower half of the cell's bracket holds a match (mode "min") or its
+    upper half does (mode "max"). A min search that misses, or a max
+    search that hits, moves into the upper half. ``instrument`` gets
+    ``start`` as the start event and, after each level, the ``est`` and
+    ``live`` grids themselves.
     """
     if instrument is not None:
         instrument({"kind": "start", **start})
     cells = live.nonzero()
     for level in range(levels - 1, -1, -1):
         answers = solver(probe(level))
-        if key and isinstance(answers, GridAnswers):
-            hits = answers.hits[key[0]][cells]
+        if isinstance(answers, GridAnswers):
+            hits = answers.hits["IJ"][cells]
         else:
-            hits = np.fromiter((answers.get(key + e) for e in zip(
-                *(c.tolist() for c in cells))), bool, cells[0].size)
+            hits = np.fromiter(map(answers.__getitem__, _listed(cells)),
+                               bool, cells[0].size)
         up = hits != (start["mode"] == "min")
         est[tuple(c[up] for c in cells)] += 1 << level
         if instrument is not None:
@@ -126,7 +128,7 @@ def _probe_graph(part_sizes, sides, grids):
     return ColoredValuedGraph._trusted(part_sizes, sides, arrays)
 
 
-def _eq_search(sizes, pres, base, ik, jk, mode, solver, key, instrument):
+def _eq_search(sizes, pres, base, ik, jk, mode, solver, instrument):
     """The (min, =) or (max, =) search over case-A grids: per present I x J
     cell, the least or greatest v that some k closes into a triangle of one
     ``base`` colour whose I x K and J x K values are both v.
@@ -154,7 +156,7 @@ def _eq_search(sizes, pres, base, ik, jk, mode, solver, key, instrument):
             *((pres[p], col[p] + (tag[p] >> level), tag[p])
               for p in ("JK", "IK"))))
 
-    _bisect(live, est, levels, probe, solver, key, instrument, {
+    _bisect(live, est, levels, probe, solver, instrument, {
         "op": f"{mode}_eq", "mode": mode, "pres": pres, "base": base,
         "ik": tag["IK"], "jk": tag["JK"], "pre": None, "jk_val": tag["JK"],
         "miss": miss})
@@ -162,7 +164,7 @@ def _eq_search(sizes, pres, base, ik, jk, mode, solver, key, instrument):
     return hit, _unrank(distinct, est - upper, hit)
 
 
-def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver, eq_key,
+def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
                instrument):
     """The (min, <=) or (max, <=) search over case-A grids: per present
     I x J cell, the least or greatest J x K value at or above the I x K
@@ -189,7 +191,7 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver, eq_key,
                "JK": pres["JK"] & ((b_tag >> bit) % 2 == 1)}
         ik_cut, jk_cut = a_tag >> (bit + 1), b_tag >> (bit + 1)
         live, pre = _eq_search(sizes, cut, base, ik_cut, jk_cut, mode,
-                               eq_solver, eq_key, instrument)
+                               eq_solver, instrument)
         if not live.any():
             continue
         cut = {**cut, "IJ": live}
@@ -203,7 +205,7 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver, eq_key,
                 (cut["JK"], col["JK"], b_tag >> level),
                 (cut["IK"], col["IK"], None)))
 
-        _bisect(live, est, bit + 1, probe, solver, ("IJ",), instrument, {
+        _bisect(live, est, bit + 1, probe, solver, instrument, {
             "op": f"{mode}_le_inner", "mode": mode, "pres": cut,
             "base": base, "ik": ik_cut, "jk": jk_cut, "pre": pre,
             "jk_val": b_tag, "miss": None})
@@ -239,7 +241,7 @@ def min_eq_via_monoeq(
     """Exact (min, =)-product through one equality-triangle call per level;
     entries with no match decode to PLUS_INF."""
     return _matrix(*_eq_search(*_matrix_grids(a, b), "min", monoeq_solver,
-                               ("IJ",), instrument), PLUS_INF)
+                               instrument), PLUS_INF)
 
 
 def min_le_via_monoeq(a, b, monoeq_solver, instrument: Instrument = None):
@@ -247,13 +249,13 @@ def min_le_via_monoeq(a, b, monoeq_solver, instrument: Instrument = None):
     common prefix with the (min, =) search, then binary-search the
     smallest qualifying right-side entry; combine by entry-wise min."""
     return _matrix(*_le_search(*_matrix_grids(a, b), "min", monoeq_solver,
-                               monoeq_solver, ("IJ",), instrument), PLUS_INF)
+                               monoeq_solver, instrument), PLUS_INF)
 
 
 def max_le_via_monoeq(a, b, monoeq_solver, instrument: Instrument = None):
     """Mirror of the (min, <=) reduction with max-side binary searches."""
     return _matrix(*_le_search(*_matrix_grids(a, b), "max", monoeq_solver,
-                               monoeq_solver, ("IJ",), instrument), MINUS_INF)
+                               monoeq_solver, instrument), MINUS_INF)
 
 
 MatrixSolver = Callable[[IntMatrix, IntMatrix], IntMatrix]
@@ -349,7 +351,7 @@ def mono_min_eq_via_mono_eq(
     pres, dense, val = _case_a_grids(g)
     return _on_edges(pres, *_eq_search(
         g.part_sizes, pres, dense, val["IK"], val["JK"], "min",
-        mono_eq_solver, (), instrument))
+        mono_eq_solver, instrument))
 
 
 def mono_eq_via_mono_min_eq(
@@ -378,4 +380,4 @@ def mono_min_le_via_monoeq(
     pres, dense, val = _case_a_grids(g)
     return _on_edges(pres, *_le_search(
         g.part_sizes, pres, dense, val["IK"], val["JK"], "min",
-        monoeq_solver, mono_eq_solver, (), instrument))
+        monoeq_solver, mono_eq_solver, instrument))

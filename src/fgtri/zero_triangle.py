@@ -315,9 +315,9 @@ def build_subinstance(
     return SubinstanceReport(graph, tuple(sorted(doomed)))
 
 
+# Per A x B edge, its listed triangles, under a per-edge or a global cap.
 ListingSolver = Callable[[TripartiteWeightedGraph, int],
                          dict[tuple[int, int], list[Triangle]]]
-GlobalListingSolver = Callable[[TripartiteWeightedGraph, int], list[Triangle]]
 
 
 def _zero_filter(g: TripartiteWeightedGraph):
@@ -371,15 +371,16 @@ def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:
 
 
 def _run_trials(g, s, lister, cap, trials, rng, report_sink):
-    """Shared trial loop: list every range triple's subinstance, re-verify
-    the listed triangles against g's weights, stop at the first hit."""
+    """Shared trial loop: list each range triple's subinstance, re-verify its
+    triangles in sorted edge order against g's weights; stop at a hit."""
     if min(g.part_sizes) == 0 or trials <= 0:
         return False, None
     zero_triangles = _zero_filter(g)
     for trial, sheared, rs in _randomized_trials(g, s, trials, rng):
         for triple in enumerate_zero_triples(rs):
             report = build_subinstance(sheared, rs, triple)
-            listed = lister(report.graph, cap)
+            lists = lister(report.graph, cap)
+            listed = [tri for edge in sorted(lists) for tri in lists[edge]]
             hits = zero_triangles(listed)
             if report_sink is not None:
                 report_sink({"trial": trial, "triple": list(triple),
@@ -410,18 +411,13 @@ def zero_triangle_via_listing(
     _check_inputs(g, s)
     cap = per_edge_cap if per_edge_cap is not None \
         else default_per_edge_cap(g.part_sizes[2], s)
-
-    def flat(graph, edge_cap):
-        lists = listing_solver(graph, edge_cap)
-        return [tri for edge in sorted(lists) for tri in lists[edge]]
-
-    return _run_trials(g, s, flat, cap, trials, rng, report_sink)
+    return _run_trials(g, s, listing_solver, cap, trials, rng, report_sink)
 
 
 def zero_triangle_via_global_listing(
     g: TripartiteWeightedGraph,
     s: int,
-    global_listing_solver: GlobalListingSolver,
+    global_listing_solver: ListingSolver,
     trials: int,
     rng: RngStream,
     global_cap: Optional[int] = None,

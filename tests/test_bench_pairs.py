@@ -70,3 +70,39 @@ def test_one_pair_summarises_each_metric(tmp_path):
         assert row["base"] == row["change"] == {
             "median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0]}
         assert row["change_better_pairs"] == 0 and row["pairs"] == 1
+
+
+def _fake_run(scaled: float, raw: float) -> str:
+    """A run.py printing the repo's end-to-end metrics, all at ``scaled``,
+    after an unscaled line at ``raw``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": scaled} for m in spec["end_to_end"]}
+    return ("import json\n"
+            f"print('# unscaled: ops_per_s={raw} op_ms_p50={raw}"
+            f" op_ms_p90={raw} setup_s={raw}')\n"
+            f"print(json.dumps({{'failed': 0, 'attempted': 4,"
+            f" 'metrics': {metrics!r}}}))\n")
+
+
+def test_unscaled_rates_are_summarised_and_winner_flips_counted(tmp_path):
+    # The change reads faster scaled (2.5 > 2.0) but slower unscaled
+    # (2.0 < 3.0), so the two pick different winners in both pairs.
+    base = _tree(tmp_path / "base", _fake_run(2.0, 3.0))
+    change = _tree(tmp_path / "change", _fake_run(2.5, 2.0))
+    done = _bench_pairs("--base", str(base), "--change", str(change),
+                        "--workload", "zero-bf", "--seed", "1",
+                        "--pairs", "2", "--seconds", "0.5")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["metrics"]["ops_per_s"]["change_better_pairs"] == 2
+    assert set(result["unscaled"]) == {"ops_per_s", "op_ms_p50", "op_ms_p90",
+                                       "setup_s"}
+    rate = result["unscaled"]["ops_per_s"]
+    assert rate["base"] == {"median": 3.0, "q1": 3.0, "q3": 3.0,
+                            "runs": [3.0, 3.0]}
+    assert rate["change"]["runs"] == [2.0, 2.0]
+    assert rate["change_better_pairs"] == 0 and rate["pairs"] == 2
+    assert rate["winner_differs_pairs"] == 2
+    # Lower is better for a time, so the change wins it unscaled.
+    assert result["unscaled"]["op_ms_p50"]["change_better_pairs"] == 2
+    assert "winner_differs_pairs" not in result["unscaled"]["op_ms_p50"]

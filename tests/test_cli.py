@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from fgtri import cli
+from fgtri import TripartiteWeightedGraph, cli
 from fgtri.cli import main
 from fgtri.fast_solvers import ae_sparse_triangle_fast
 
@@ -99,6 +99,20 @@ def test_reduce_full_chain_with_detect_lister(tmp_path):
                  "--seed", "6", "--in", str(twg), "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("WITNESS ")
+
+
+def test_detect_lister_without_common_c_neighbours_detects_nothing(
+        monkeypatch):
+    # a0 reaches only c1 and b0 only c0; a1, b1 and c2 have no C edge.
+    g = TripartiteWeightedGraph((2, 2, 3), ((1, 1, 0), (0, 0, 0)),
+                                ((0, 0, 0),), ((1, 0, 0),))
+
+    def detector(_graph):
+        raise AssertionError("no detection call is needed")
+
+    monkeypatch.setattr(cli, "ae_sparse_triangle_fast", detector)
+    lists = cli._detect_lister(g, 5)
+    assert list(lists.items()) == [((a, b), []) for a, b, _w in g.edges_ab]
 
 
 def test_reduce_verdict_false_on_no_zero_instance(tmp_path, capsys):

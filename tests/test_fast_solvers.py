@@ -6,8 +6,10 @@ import pytest
 
 from fgtri import (ColoredValuedGraph, RngStream, TripartiteWeightedGraph,
                    ae_mono_triangle_bf, ae_mono_triangle_fast,
-                   ae_sparse_triangle_bf, ae_sparse_triangle_fast,
-                   fast_solvers, generate_colored, generate_sparse_tripartite)
+                   ae_monoeq_triangle_bf, ae_sparse_triangle_bf,
+                   ae_sparse_triangle_fast, fast_solvers, generate_colored,
+                   generate_sparse_tripartite)
+from fgtri.instances import _colored_arrays
 
 
 def _light_c_only(g, threshold):
@@ -99,6 +101,27 @@ def test_mono_fast_battery_mixed_colors():
                              RngStream(3000 + seed))
         d = 1 + seed % 4
         assert ae_mono_triangle_fast(g, d) == ae_mono_triangle_bf(g)
+
+
+@pytest.mark.parametrize("solver", [ae_mono_triangle_bf, ae_mono_triangle_fast,
+                                    ae_monoeq_triangle_bf])
+def test_hit_grids_are_false_off_the_present_cells(solver):
+    # The product searches and the monoeq combine step read a solver's hit
+    # grids cell by cell, so a hit on an absent cell would read as an edge.
+    positives = 0
+    for seed in range(40):
+        rng = RngStream(4000 + seed)
+        sizes = tuple(rng.randint(1, 7) for _ in range(3))
+        g = generate_colored(sizes, rng.randint(1, 3), rng.randint(20, 90),
+                             rng.randint(1, 3), frozenset({"IJ", "JK", "IK"}),
+                             rng.child("g"))
+        pres = _colored_arrays(g)[0]
+        hits = solver(g).hits
+        for pair in ("IJ", "JK", "IK"):
+            assert hits[pair].shape == pres[pair].shape
+            assert not (hits[pair] & ~pres[pair]).any()
+            positives += int(hits[pair].sum())
+    assert positives > 0
 
 
 def _cvg(sizes, ij=(), jk=(), ik=()):

@@ -318,12 +318,12 @@ def test_monoeq_traffic_is_pinned(monkeypatch):
                 answers.update(repr(sorted(got.items())).encode())
                 positives += sum(got.values())
     assert len(combines) == 103
-    assert sum(sources for _h, sources, _e in combines) == 191
-    assert sum(edges for _h, _s, edges in combines) == 6680
+    assert sum(sources for _h, sources, _e in combines) == 189
+    assert sum(edges for _h, _s, edges in combines) == 6667
     assert sum(host for host, _s, _e in combines) == 3678
     assert hashlib.sha256(repr(combines).encode()).hexdigest() == (
-        "7056b925732cd69bc4315d1c6c01a0e30add436733ede5477160d6354b283d00")
-    assert inner_calls == 449
+        "5a4f2ce40753301c542df3c87cdc95fb616bced6b0079ac64420122399d6d66c")
+    assert inner_calls == 442
     assert positives == 2140
     assert answers.hexdigest() == (
         "62270ad9dd99fd0fea712cf60d8164ca95145c618abe158e0e179e4859faa406")

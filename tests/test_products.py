@@ -1,11 +1,14 @@
 """Product reductions against the enumeration oracles, plus the bracketing
 instrumentation the binary searches expose."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF, RngStream,
-                   ae_monoeq_triangle_bf, composite_color,
+                   ae_mono_triangle_fast, ae_monoeq_triangle_bf,
+                   composite_color,
                    exists_dom_via_min_le, exists_eq_via_min_eq,
                    generate_colored, generate_matrix, max_le_via_monoeq,
                    max_min_product, min_eq_via_monoeq, min_le_via_monoeq,
@@ -135,6 +138,44 @@ def test_exists_projections():
             product_bf(a, b, "EXISTS_EQ")
         assert exists_dom_via_min_le(a, b, min_le_chain) == \
             product_bf(a, b, "EXISTS_DOM")
+
+
+_MATRIX_PIPELINES = ("min-eq-via-monoeq", "min-le-via-monoeq",
+                     "max-le-via-monoeq", "max-min", "min-witness",
+                     "exists-eq", "exists-dom")
+
+
+def test_matrix_products_run_over_the_plugin_monoeq_solver(monkeypatch):
+    """The seven matrix products, composed as the CLI composes them, over
+    the plug-in equality-triangle solver (value expansion and sparse
+    combine around the fast mono solver) in place of the brute oracle.
+    The plug-in answers a dict keyed (u, v), the oracle a GridAnswers;
+    every search must read both."""
+    from fgtri import cli, monoeq
+    combines = []
+    real_combine = monoeq.combine_sparse_into_mono
+
+    def combine(*args, **kwargs):
+        combines.append(1)
+        return real_combine(*args, **kwargs)
+
+    monkeypatch.setattr(monoeq, "combine_sparse_into_mono", combine)
+
+    def plugin(h):
+        return monoeq.solve_ae_monoeq(h, 3, max(h.part_sizes),
+                                      ae_mono_triangle_fast, RngStream(5))
+
+    right = 0
+    for seed in range(40):
+        for name in _MATRIX_PIPELINES:
+            lo, hi = (0, 1) if name == "min-witness" else (-8, 8)
+            a, b = random_pair(seed + 1400, 7, lo, hi)
+            _text, check = cli._PIPELINES[name].run(
+                SimpleNamespace(pipeline=name), plugin, None,
+                lambda _record: None, a, b)
+            right += check()
+    assert right == 40 * len(_MATRIX_PIPELINES)
+    assert combines  # the plug-in's combine step ran
 
 
 # ------------------------------------------------------------ mono products

@@ -8,7 +8,10 @@ Each tree is a checkout holding ``src/fgtri``, ``perfbench/`` and
 tree, the base first in even pairs and the change first in odd ones. For
 every end-to-end metric the script reports each side's median and
 quartiles, every run, and the number of pairs in which the change read
-better (ties count for neither side). With ``--trace`` it instead runs
+better (ties count for neither side). Under ``unscaled`` it reports the
+same for the timings of each run's ``# unscaled:`` line, taken before
+speed scaling, and counts the pairs in which the scaled and unscaled
+``ops_per_s`` pick different winners. With ``--trace`` it instead runs
 ``perfbench/run.py --trace 1`` once per tree and reports both sides'
 per-layer metrics. The last line of standard output is one JSON object;
 ``--out FILE`` also merges it into FILE under the workload's name.
@@ -23,6 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+UNSCALED = "# unscaled: "
+
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
@@ -33,9 +38,20 @@ def run_once(root: Path, workload: str, seed: int, seconds: float,
     if done.returncode != 0:
         sys.exit(f"perfbench/run.py failed in {root} on workload {workload}"
                  f" (exit {done.returncode}):\n{done.stderr.rstrip()}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "unscaled": unscaled(lines)}
+
+
+def unscaled(lines: list[str]) -> dict:
+    """The metrics of the ``# unscaled: k=v ...`` line, {} without one."""
+    for line in lines:
+        if line.startswith(UNSCALED):
+            return {k: float(v) for k, v in (
+                item.split("=", 1) for item in line[len(UNSCALED):].split())}
+    return {}
 
 
 def positive(kind):
@@ -55,6 +71,19 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def winners(base: list[float], change: list[float]) -> list[int]:
+    """Per pair, 1 if the change read higher, -1 if lower, 0 on a tie."""
+    return [(c > b) - (c < b) for b, c in zip(base, change)]
+
+
+def row(base: list[float], change: list[float], better: str) -> dict:
+    sign = 1 if better == "higher" else -1
+    return {"base": summary(base), "change": summary(change),
+            "change_better_pairs": sum(sign * w > 0
+                                       for w in winners(base, change)),
+            "pairs": len(base)}
+
+
 def compare(args, spec) -> dict:
     runs = {"base": [], "change": []}
     for pair in range(args.pairs):
@@ -66,18 +95,22 @@ def compare(args, spec) -> dict:
     out = {"failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
            "attempted": {s: sum(r["attempted"] for r in runs[s])
                          for s in runs},
-           "metrics": {}}
+           "metrics": {}, "unscaled": {}}
     for m in spec["end_to_end"]:
         name = m["name"]
-        base = [r["metrics"][name] for r in runs["base"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        sign = 1 if m["better"] == "higher" else -1
+        base, change = ([r["metrics"][name] for r in runs[s]]
+                        for s in ("base", "change"))
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "base": summary(base), "change": summary(change),
-            "change_better_pairs": sum(sign * (c - b) > 0
-                                       for b, c in zip(base, change)),
-            "pairs": len(base)}
+            **row(base, change, m["better"])}
+        if all(name in r["unscaled"] for s in runs for r in runs[s]):
+            raw = [[r["unscaled"][name] for r in runs[s]]
+                   for s in ("base", "change")]
+            out["unscaled"][name] = row(*raw, m["better"])
+            if name == "ops_per_s":
+                out["unscaled"][name]["winner_differs_pairs"] = sum(
+                    a != b for a, b in zip(winners(base, change),
+                                           winners(*raw)))
     return out
 
 
