@@ -4,15 +4,16 @@ All types are frozen dataclasses. Values are validated at the boundary:
 ``textio.parse``, the generators and the public constructors check every
 invariant, so a value built there satisfies them. Internal derivations of
 validated data skip the checks through ``_trusted``: tripartite copies that
-are reduced or re-weighted, and the colored graphs of the product searches
-and of the monoeq case split, value expansion and combine step. A colored
+are reduced or re-weighted, the colored graphs of the product searches and
+of the monoeq case split, value expansion and combine step, and the matrices
+that negation, transposition and the product reductions derive. A colored
 graph has one internal form, its dense (presence, colour, value) grids per
-pair, which the colored oracles read. The validating
-constructor checks the edge tuples once, keeps them, and builds the grids
-once, read-only; colours and values must fit in 64 bits. ``_trusted``
-takes grids only, and derives the edge tuples on first read, row-major over
-the present cells, so an instance that only reaches an oracle never builds
-them. A tripartite graph carries packed C-rows (per A-vertex the C-mask
+pair, which the colored oracles read. The validating constructor checks
+the edge tuples once, keeps them, and builds the grids once, read-only;
+colours and values must fit in 64 bits. ``_trusted`` takes grids only,
+and derives the edge tuples on first read, row-major over the present
+cells, so an instance that only reaches an oracle never builds them. A
+tripartite graph carries packed C-rows (per A-vertex the C-mask
 of its CA edges, per B-vertex that of its BC edges), derived on first read.
 A C-restriction (``_trusted_restriction``) takes its parent's rows ANDed
 with the mask and derives its BC and CA tuples only on first read, by
@@ -328,6 +329,15 @@ class IntMatrix:
             if abs(e) > PLUS_INF:
                 raise ValueError(f"entry {e} exceeds the sentinel threshold")
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        """Build without validation, like ``TripartiteWeightedGraph._trusted``,
+        for matrices derived from validated ones: the caller guarantees that
+        ``entries`` is a tuple of rows * cols ints within the sentinels."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return m
+
     @staticmethod
     def from_rows(rows: "list[list[int]]") -> "IntMatrix":
         r = len(rows)
@@ -344,13 +354,13 @@ class IntMatrix:
                 for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.at(i, j)
-                               for j in range(self.cols) for i in range(self.rows)))
+        return IntMatrix._trusted(self.cols, self.rows, tuple(
+            self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def negate(self) -> "IntMatrix":
         # Sentinels swap roles under negation.
-        return IntMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntMatrix._trusted(self.rows, self.cols,
+                                  tuple(-e for e in self.entries))
 
 
 @dataclass(frozen=True)

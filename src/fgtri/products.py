@@ -17,9 +17,12 @@ level decides which half survives. Each search hands it a
 runs over one rank beyond its values, so a cell with no match ends on its
 ``miss`` rank: 2^levels - 1 for min, 0 for max.
 
-Strictness without value shifts: rank r of the left matrix becomes 2r and
-rank r of the right becomes 2r + 1, so "left <= right" is exactly "left
-tag < right tag" and no sentinel ever needs incrementing.
+A <=-search runs over the J x K ranks, and each of its steps takes each
+cell's best common prefix from an equality search. At the equality step
+that prefix is the whole answer rank, so the step makes no inner call. At
+rank bit t the answer rank is the prefix, a 1 and t open bits, so its
+inner search makes t calls. No value is shifted and no sentinel ever needs
+incrementing.
 
 Every instance is built from grids by ``_probe_graph``. A monochromatic
 search renumbers g's colours densely first, so that the composites
@@ -31,9 +34,10 @@ one index into a ``GridAnswers``' I x J grid, else one lookup per (u, v).
 
 Passing an ``instrument`` callable exposes the searches for verification
 (test mode asserts the bracketing invariant against brute force). Each
-search sends one "start" event holding its own grids: ``pres`` and
-``base`` by pair, tags ``ik`` and ``jk``, the prefix grid ``pre`` (None in
-an equality search) and ``jk_val``. A live cell's answer is the least
+search sends one "start" event holding its ``levels`` count and its own
+grids: ``pres`` and ``base`` by pair, tags ``ik`` and ``jk``, the prefix
+grid ``pre`` (None in an equality search) and ``jk_val``; an inner
+<=-search adds its rank ``bit``. A live cell's answer is the least
 (``mode`` "min") or greatest ``jk_val`` over the k that close a triangle
 of one base colour with ``ik`` == ``jk`` (== ``pre``), or ``miss`` if
 none does. A "level" event per level carries the ``estimates`` and
@@ -88,11 +92,12 @@ def _unrank(distinct, ranks, hit):
     return np.array([*distinct, 0], np.int64)[np.where(hit, ranks, -1)]
 
 
-def _bisect(live, est, levels, probe, solver, instrument, start):
+def _bisect(live, est, probe, solver, instrument, start):
     """The one binary-search level loop, shared by every search here.
 
     The grid ``est`` holds, at each cell of the Boolean grid ``live``, a
-    multiple of 2^levels at or below its answer, and ends on the answer.
+    multiple of 2^levels at or below its answer, and ends on the answer;
+    ``start["levels"]`` is that level count.
     At each level the solver answers ``probe(level)`` per I x J cell, read
     on a ``GridAnswers``' I x J grid or as ``answers[(u, v)]``: whether the
     lower half of the cell's bracket holds a match (mode "min") or its
@@ -104,7 +109,7 @@ def _bisect(live, est, levels, probe, solver, instrument, start):
     if instrument is not None:
         instrument({"kind": "start", **start})
     cells = live.nonzero()
-    for level in range(levels - 1, -1, -1):
+    for level in range(start["levels"] - 1, -1, -1):
         answers = solver(probe(level))
         if isinstance(answers, GridAnswers):
             hits = answers.hits["IJ"][cells]
@@ -156,10 +161,10 @@ def _eq_search(sizes, pres, base, ik, jk, mode, solver, instrument):
             *((pres[p], col[p] + (tag[p] >> level), tag[p])
               for p in ("JK", "IK"))))
 
-    _bisect(live, est, levels, probe, solver, instrument, {
-        "op": f"{mode}_eq", "mode": mode, "pres": pres, "base": base,
-        "ik": tag["IK"], "jk": tag["JK"], "pre": None, "jk_val": tag["JK"],
-        "miss": miss})
+    _bisect(live, est, probe, solver, instrument, {
+        "op": f"{mode}_eq", "mode": mode, "levels": levels, "pres": pres,
+        "base": base, "ik": tag["IK"], "jk": tag["JK"], "pre": None,
+        "jk_val": tag["JK"], "miss": miss})
     hit = live & (est != miss)
     return hit, _unrank(distinct, est - upper, hit)
 
@@ -170,48 +175,53 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
     I x J cell, the least or greatest J x K value at or above the I x K
     value over the k that close a triangle of one ``base`` colour.
 
-    Ranks get parity tags (left 2r, right 2r + 1), and left tag < right tag
-    exactly when the left tag has a 0 and the right tag a 1 at their
-    highest differing bit. Each bit handles the pairs that first differ
-    there: it keeps the IK and JK cells whose own bit is right, cuts their
-    tags to the bits above it, and ``_eq_search`` over ``eq_solver`` finds
-    each cell's best common prefix. Equality-triangle calls with the
-    prefixes as colours and values on I x J and J x K then narrow the best
-    right tag; the bits combine by min or max. Returns what
+    Over the ranks s on I x K and r on J x K, s <= r exactly when s == r or
+    s has a 0 and r a 1 at their highest differing bit t. One step handles
+    each case, and ``_eq_search`` over ``eq_solver`` finds each cell's best
+    common prefix in it. The equality step keeps every cell, and its prefix
+    is the answer rank. The step at rank bit t keeps the IK and JK cells
+    whose own bit t is right and cuts their ranks to the bits above it; its
+    answer rank is the prefix, then a 1, then t open bits, so t
+    equality-triangle calls with the prefixes as colours and values on
+    I x J and J x K narrow it. The steps combine by min or max. Returns what
     ``_eq_search`` returns.
     """
     distinct, rank = _ranks(pres, {"IK": ik, "JK": jk}, ("IK", "JK"))
-    a_tag, b_tag = 2 * rank["IK"], 2 * rank["JK"] + 1
     upper = int(mode == "max")
     pick = np.maximum if upper else np.minimum
-    none = -1 if upper else 2 * len(distinct)   # beyond every right tag
+    none = -1 if upper else len(distinct)   # beyond every rank
     best = np.full(sizes[:2], none, np.int64)
-    for bit in range(ceil_log2(max(1, 2 * len(distinct)))):
-        cut = {"IJ": pres["IJ"], "IK": pres["IK"] & ((a_tag >> bit) % 2 == 0),
-               "JK": pres["JK"] & ((b_tag >> bit) % 2 == 1)}
-        ik_cut, jk_cut = a_tag >> (bit + 1), b_tag >> (bit + 1)
+    if distinct:
+        live, pre = _eq_search(sizes, pres, base, rank["IK"], rank["JK"],
+                               mode, eq_solver, instrument)
+        best[live] = pre[live]
+    for bit in range(ceil_log2(max(1, len(distinct)))):
+        cut = {"IJ": pres["IJ"],
+               "IK": pres["IK"] & ((rank["IK"] >> bit) % 2 == 0),
+               "JK": pres["JK"] & ((rank["JK"] >> bit) % 2 == 1)}
+        ik_cut, jk_cut = rank["IK"] >> (bit + 1), rank["JK"] >> (bit + 1)
         live, pre = _eq_search(sizes, cut, base, ik_cut, jk_cut, mode,
                                eq_solver, instrument)
         if not live.any():
             continue
         cut = {**cut, "IJ": live}
-        col = {p: composite_color(base[p], t, 2 * len(distinct))
+        col = {p: composite_color(base[p], t, len(distinct))
                for p, t in (("IJ", pre), ("JK", jk_cut), ("IK", ik_cut))}
-        est = pre << (bit + 1)
+        est = (pre << (bit + 1)) | (1 << bit)
 
         def probe(level):
             return _probe_graph(sizes, _CASE_B, (
                 (live, col["IJ"], (est >> level) | upper),
-                (cut["JK"], col["JK"], b_tag >> level),
+                (cut["JK"], col["JK"], rank["JK"] >> level),
                 (cut["IK"], col["IK"], None)))
 
-        _bisect(live, est, bit + 1, probe, solver, instrument, {
-            "op": f"{mode}_le_inner", "mode": mode, "pres": cut,
-            "base": base, "ik": ik_cut, "jk": jk_cut, "pre": pre,
-            "jk_val": b_tag, "miss": None})
+        _bisect(live, est, probe, solver, instrument, {
+            "op": f"{mode}_le_inner", "mode": mode, "levels": bit,
+            "bit": bit, "pres": cut, "base": base, "ik": ik_cut,
+            "jk": jk_cut, "pre": pre, "jk_val": rank["JK"], "miss": None})
         best = np.where(live, pick(best, est), best)
     hit = best != none
-    return hit, _unrank(distinct, (best - 1) // 2, hit)
+    return hit, _unrank(distinct, best, hit)
 
 
 def _matrix_grids(a: IntMatrix, b: IntMatrix):
@@ -229,8 +239,8 @@ def _matrix_grids(a: IntMatrix, b: IntMatrix):
 
 def _matrix(hit, found, empty) -> IntMatrix:
     """The product matrix: ``found`` where ``hit``, ``empty`` elsewhere."""
-    return IntMatrix(*hit.shape, tuple(np.where(hit, found, empty)
-                                       .ravel().tolist()))
+    return IntMatrix._trusted(*hit.shape, tuple(np.where(hit, found, empty)
+                                                .ravel().tolist()))
 
 
 def min_eq_via_monoeq(
@@ -273,7 +283,7 @@ def max_min_product(a: IntMatrix, b: IntMatrix,
     part2 = min_le_solver(b.transpose().negate(),
                           a.transpose().negate()).negate().transpose()
     entries = tuple(max(x, y) for x, y in zip(part1.entries, part2.entries))
-    return IntMatrix(a.rows, b.cols, entries)
+    return IntMatrix._trusted(a.rows, b.cols, entries)
 
 
 def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
@@ -288,22 +298,22 @@ def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
     if a.cols != b.rows:
         raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
     n = a.cols
-    a2 = IntMatrix(a.rows, n, tuple(
+    a2 = IntMatrix._trusted(a.rows, n, tuple(
         (n - 1 - k) if a.at(i, k) == 1 else MINUS_INF
         for i in range(a.rows) for k in range(n)))
-    b2 = IntMatrix(n, b.cols, tuple(
+    b2 = IntMatrix._trusted(n, b.cols, tuple(
         (n - 1 - k) if b.at(k, j) == 1 else MINUS_INF
         for k in range(n) for j in range(b.cols)))
     scored = max_min_solver(a2, b2)
     entries = tuple(PLUS_INF if v == MINUS_INF else n - v
                     for v in scored.entries)
-    return IntMatrix(a.rows, b.cols, entries)
+    return IntMatrix._trusted(a.rows, b.cols, entries)
 
 
 def _finite(product: IntMatrix) -> IntMatrix:
     """The Boolean projection: 1 where the entry is finite."""
-    return IntMatrix(product.rows, product.cols,
-                     tuple(0 if v == PLUS_INF else 1 for v in product.entries))
+    return IntMatrix._trusted(product.rows, product.cols, tuple(
+        0 if v == PLUS_INF else 1 for v in product.entries))
 
 
 def _ranked(a: IntMatrix, b: IntMatrix):
@@ -311,7 +321,8 @@ def _ranked(a: IntMatrix, b: IntMatrix):
     order and equality hold, and no entry is PLUS_INF, so a finite minimum
     means a match even where the matched value is PLUS_INF."""
     rank, _ = _joint_ranks(a.entries, b.entries)
-    return (IntMatrix(m.rows, m.cols, tuple(rank[v] for v in m.entries))
+    return (IntMatrix._trusted(m.rows, m.cols,
+                               tuple(rank[v] for v in m.entries))
             for m in (a, b))
 
 

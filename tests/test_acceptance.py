@@ -302,7 +302,8 @@ def test_criterion_11_set_constructions():
 def test_criterion_12_bracketing_invariant():
     """Every level of every binary search keeps its bracketing invariant
     (estimate is a multiple of 2^level and estimate <= truth < estimate +
-    2^level) on 50 instrumented seeded instances: zero violations."""
+    2^level) on 50 instrumented seeded instances: zero violations, and
+    every search kind reports level checks."""
     instrument = BracketChecker()
 
     for i in range(30):
@@ -324,7 +325,10 @@ def test_criterion_12_bracketing_invariant():
         f.mono_min_le_via_monoeq(g, monoeq_bf, mono_eq_bf,
                                  instrument=instrument)
     checked, violations = instrument.levels_checked, instrument.violations
+    by_kind = {op: instrument.checked_by_op[op] for op in (
+        "min_eq", "max_eq", "min_le_inner", "max_le_inner")}
+    kinds = ", ".join(f"{op} {n}" for op, n in by_kind.items())
     report("criterion 12 (bracketing invariant)",
-           checked > 0 and violations == 0,
-           f"{checked} level checks across 50 instances, "
+           all(by_kind.values()) and violations == 0,
+           f"{checked} level checks across 50 instances ({kinds}), "
            f"{violations} violations")

@@ -1,6 +1,7 @@
 """Product reductions against the enumeration oracles, plus the bracketing
 instrumentation the binary searches expose."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF, RngStream,
                    ae_mono_triangle_fast, ae_monoeq_triangle_bf,
-                   composite_color,
+                   ceil_log2, composite_color,
                    exists_dom_via_min_le, exists_eq_via_min_eq,
                    generate_colored, generate_matrix, max_le_via_monoeq,
                    max_min_product, min_eq_via_monoeq, min_le_via_monoeq,
@@ -309,12 +310,13 @@ class BracketChecker:
     ``jk_val`` over the k closing a triangle of one base colour with equal
     tags (and equal to the prefix, if any), or the search's ``miss`` where
     none does. So every live cell is checked, independently of the search's
-    own bookkeeping.
+    own bookkeeping. ``checked_by_op`` counts the checks per search kind.
     """
 
     def __init__(self):
         self.truth = {}
         self.levels_checked = 0
+        self.checked_by_op = Counter()
         self.violations = 0
 
     def __call__(self, event):
@@ -342,6 +344,7 @@ class BracketChecker:
                 if not active[i][j]:
                     continue
                 self.levels_checked += 1
+                self.checked_by_op[event["op"]] += 1
                 if value is None or est[i][j] % scale != 0 \
                         or not est[i][j] <= value < est[i][j] + scale:
                     self.violations += 1
@@ -366,6 +369,81 @@ def test_mono_search_bracketing_invariant():
         mono_min_le_via_monoeq(g, monoeq_bf, mono_eq_bf, instrument=checker)
     assert checker.levels_checked > 0
     assert checker.violations == 0
+
+
+# ------------------------------------------------------------ call formulas
+
+def _searches(run):
+    """The searches ``run(count, instrument)`` starts, in order, each as its
+    start event and the number of solver calls made before the next start;
+    ``count(inner)`` wraps a solver so that its calls are counted."""
+    searches = []
+
+    def instrument(event):
+        if event["kind"] == "start":
+            searches.append([event, 0])
+
+    def count(inner):
+        def solve(g):
+            searches[-1][1] += 1
+            return inner(g)
+        return solve
+
+    run(count, instrument)
+    return searches
+
+
+def _distinct(start):
+    """The number of distinct tags on an equality search's present I x K
+    and J x K cells: as many as the values they rank."""
+    pres = start["pres"]
+    return len(set(start["ik"][pres["IK"]].tolist())
+               | set(start["jk"][pres["JK"]].tolist()))
+
+
+def _check_formulas(searches, le):
+    """Each search's calls equal its announced level count and formula: an
+    equality search with a live cell makes ceil_log2(d + 1) calls, and an
+    inner <=-search at rank bit t makes t. A <=-search runs an equality step
+    with no inner search, then per rank bit t an equality search and at most
+    one inner search, at bit t."""
+    steps = []   # per equality search, the bits of the inner ones after it
+    for start, calls in searches:
+        if start["op"].endswith("_le_inner"):
+            want = start["bit"]
+            steps[-1].append(want)
+        else:
+            want = ceil_log2(_distinct(start) + 1) \
+                if start["pres"]["IJ"].any() else 0
+            steps.append([])
+        assert calls == start["levels"] == want
+    if not le:
+        assert steps == [[]]
+    elif steps:
+        assert len(steps) == 1 + ceil_log2(max(1, _distinct(searches[0][0])))
+        assert steps[0] == []
+        assert all(bits in ([], [t]) for t, bits in enumerate(steps[1:]))
+
+
+def test_search_call_counts_match_their_formula():
+    runs = 0
+    for seed in range(10):
+        a, b = random_pair(seed + 1400, max_n=5, inf=seed % 2 == 0)
+        g = case_a(seed + 1500, n=4, colors=1 + seed % 2, values=2 + seed)
+        for le, run in (
+            (False, lambda c, i: min_eq_via_monoeq(a, b, c(monoeq_bf), i)),
+            (True, lambda c, i: min_le_via_monoeq(a, b, c(monoeq_bf), i)),
+            (True, lambda c, i: max_le_via_monoeq(a, b, c(monoeq_bf), i)),
+            (False, lambda c, i: mono_min_eq_via_mono_eq(
+                g, c(mono_eq_bf), i)),
+            (True, lambda c, i: mono_min_le_via_monoeq(
+                g, c(monoeq_bf), c(mono_eq_bf), i)),
+        ):
+            searches = _searches(run)
+            _check_formulas(searches, le)
+            runs += sum(start["levels"] > 0 for start, _ in searches
+                        if start["op"].endswith("_le_inner"))
+    assert runs > 0
 
 
 # ------------------------------------------------------------ solver traffic
@@ -430,11 +508,11 @@ def test_solver_traffic_is_pinned():
     got = {name: _traffic(run, instances)
            for name, (instances, run) in _REDUCTIONS.items()}
     assert got == {
-        "min-eq": (24, 708), "min-le": (138, 2697), "max-le": (138, 2697),
-        "max-min": (277, 5570), "min-witness": (76, 1769),
-        "exists-eq": (24, 708), "exists-dom": (138, 2697),
+        "min-eq": (24, 708), "min-le": (98, 2089), "max-le": (98, 2089),
+        "max-min": (203, 4336), "min-witness": (54, 1315),
+        "exists-eq": (24, 708), "exists-dom": (98, 2089),
         "mono-min-eq": (10, 202), "mono-eq": (10, 202),
-        "mono-min-le": (41, 557),
+        "mono-min-le": (25, 388),
     }
 
 
@@ -534,3 +612,43 @@ def test_trusted_instances_equal_their_validated_rebuilds(name):
         assert run(x, eq, mono) == truth(x)
     assert seen["checked"] > 0
     assert seen["attached"] > 0
+
+
+# ------------------------------------------------------------ derived matrices
+
+def _rebuilt(m):
+    """``m``, after checking that it holds a tuple of Python ints and equals
+    its rebuild through the validating constructor."""
+    assert type(m.entries) is tuple
+    assert all(type(e) is int for e in m.entries)
+    assert IntMatrix(m.rows, m.cols, m.entries) == m
+    return m
+
+
+def test_derived_matrices_equal_their_validated_rebuilds():
+    """Negation, transposition and every product reduction build their
+    matrices without validation; each one, inputs handed to inner solvers
+    included, passes the validating constructor unchanged."""
+    def min_eq(x, y):
+        return _rebuilt(min_eq_via_monoeq(_rebuilt(x), _rebuilt(y),
+                                          monoeq_bf))
+
+    def min_le(x, y):
+        return _rebuilt(min_le_via_monoeq(_rebuilt(x), _rebuilt(y),
+                                          monoeq_bf))
+
+    def max_min(x, y):
+        return _rebuilt(max_min_product(_rebuilt(x), _rebuilt(y), min_le))
+
+    for seed in range(8):
+        a, b = random_pair(seed + 1600, max_n=4, inf=seed % 2 == 0)
+        for m in (a, b):
+            assert _rebuilt(m.negate()).negate() == m
+            assert _rebuilt(m.transpose()).transpose() == m
+        _rebuilt(max_le_via_monoeq(a, b, monoeq_bf))
+        assert max_min(a, b) == product_bf(a, b, MAX_MIN)
+        _rebuilt(exists_eq_via_min_eq(a, b, min_eq))
+        _rebuilt(exists_dom_via_min_le(a, b, min_le))
+    for a, b in _BOOL_PAIRS:
+        assert _rebuilt(min_witness_via_max_min(a, b, max_min)) == \
+            product_bf(a, b, MIN_WITNESS)
