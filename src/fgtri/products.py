@@ -36,11 +36,10 @@ Passing an ``instrument`` callable exposes the searches for verification
 (test mode asserts the bracketing invariant against brute force). Each
 search sends one "start" event holding its ``levels`` count and its own
 grids: ``pres`` and ``base`` by pair, tags ``ik`` and ``jk``, the prefix
-grid ``pre`` (None in an equality search) and ``jk_val``; an inner
-<=-search adds its rank ``bit``. A live cell's answer is the least
-(``mode`` "min") or greatest ``jk_val`` over the k that close a triangle
-of one base colour with ``ik`` == ``jk`` (== ``pre``), or ``miss`` if
-none does. A "level" event per level carries the ``estimates`` and
+grid ``pre`` (None in an equality search) and ``jk_val``. A live cell's
+answer is the least (``mode`` "min") or greatest ``jk_val`` over the k
+that close a triangle of one base colour with ``ik`` == ``jk``
+(== ``pre``), or ``miss`` if none does. A "level" event per level carries the ``estimates`` and
 ``active`` grids. The grids are the search's own, so an instrument only
 reads them.
 """
@@ -217,8 +216,8 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
 
         _bisect(live, est, probe, solver, instrument, {
             "op": f"{mode}_le_inner", "mode": mode, "levels": bit,
-            "bit": bit, "pres": cut, "base": base, "ik": ik_cut,
-            "jk": jk_cut, "pre": pre, "jk_val": rank["JK"], "miss": None})
+            "pres": cut, "base": base, "ik": ik_cut, "jk": jk_cut,
+            "pre": pre, "jk_val": rank["JK"], "miss": None})
         best = np.where(live, pick(best, est), best)
     hit = best != none
     return hit, _unrank(distinct, best, hit)

@@ -403,26 +403,24 @@ def _distinct(start):
 
 def _check_formulas(searches, le):
     """Each search's calls equal its announced level count and formula: an
-    equality search with a live cell makes ceil_log2(d + 1) calls, and an
-    inner <=-search at rank bit t makes t. A <=-search runs an equality step
-    with no inner search, then per rank bit t an equality search and at most
-    one inner search, at bit t."""
-    steps = []   # per equality search, the bits of the inner ones after it
+    equality search with a live cell makes ceil_log2(d + 1) calls. A
+    <=-search runs an equality step with no inner search, then per rank bit
+    t an equality search and at most one inner search, of t calls."""
+    steps = []   # per equality search, the calls of the inner ones after it
     for start, calls in searches:
+        assert calls == start["levels"]
         if start["op"].endswith("_le_inner"):
-            want = start["bit"]
-            steps[-1].append(want)
+            steps[-1].append(calls)
         else:
-            want = ceil_log2(_distinct(start) + 1) \
-                if start["pres"]["IJ"].any() else 0
+            assert calls == (ceil_log2(_distinct(start) + 1)
+                             if start["pres"]["IJ"].any() else 0)
             steps.append([])
-        assert calls == start["levels"] == want
     if not le:
         assert steps == [[]]
     elif steps:
         assert len(steps) == 1 + ceil_log2(max(1, _distinct(searches[0][0])))
         assert steps[0] == []
-        assert all(bits in ([], [t]) for t, bits in enumerate(steps[1:]))
+        assert all(inner in ([], [t]) for t, inner in enumerate(steps[1:]))
 
 
 def test_search_call_counts_match_their_formula():
