@@ -13,9 +13,11 @@ Range indices are 1-based (ranges L_1..L_s); vertex indices stay 0-based.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .instances import TripartiteWeightedGraph, UsageFailure
@@ -94,21 +96,13 @@ class RangeSplit:
         """1-based id of the range containing the residue."""
         if not 0 <= residue < self.prime:
             raise ValueError(f"residue {residue} outside [0, {self.prime})")
-        return _range_locator(self.prime, self.count)(residue) + 1
+        return bisect_right(_later_starts(self), residue) + 1
 
 
-def _range_locator(prime: int, s: int) -> Callable[[int], int]:
-    """Map a residue in [0, prime) to the 0-based position of its range in
-    ``RangeSplit(prime, s).ranges``."""
-    base, extra = divmod(prime, s)
-    head = extra * (base + 1)
-
-    def locate(residue: int) -> int:
-        if residue < head:
-            return residue // (base + 1)
-        return extra + (residue - head) // base
-
-    return locate
+def _later_starts(rs: RangeSplit) -> list[int]:
+    """The starts of ranges L_2..L_s, so that ``bisect_right`` on them maps
+    a residue in [0, p) to the 0-based position of its range."""
+    return [lo for lo, _hi in rs.ranges[1:]]
 
 
 @dataclass(frozen=True)
@@ -164,9 +158,12 @@ def randomize_weights(
     ya, yb, yc = rd.offsets
     if (len(ya), len(yb), len(yc)) != g.part_sizes:
         raise ValueError("offset lengths must match part sizes")
-    edges_ab = tuple((a, b, (x * w - yb[b] + ya[a]) % p) for a, b, w in g.edges_ab)
-    edges_bc = tuple((b, c, (x * w - yc[c] + yb[b]) % p) for b, c, w in g.edges_bc)
-    edges_ca = tuple((c, a, (x * w - ya[a] + yc[c]) % p) for c, a, w in g.edges_ca)
+    edges_ab = tuple([(a, b, (x * w - yb[b] + ya[a]) % p)
+                      for a, b, w in g.edges_ab])
+    edges_bc = tuple([(b, c, (x * w - yc[c] + yb[b]) % p)
+                      for b, c, w in g.edges_bc])
+    edges_ca = tuple([(c, a, (x * w - ya[a] + yc[c]) % p)
+                      for c, a, w in g.edges_ca])
     return TripartiteWeightedGraph._trusted(g.part_sizes, edges_ab, edges_bc,
                                             edges_ca, p)
 
@@ -180,7 +177,7 @@ def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
     """
     p = rs.prime
     s = rs.count
-    locate = _range_locator(p, s)
+    starts = _later_starts(rs)
     ranges = rs.ranges
     out = []
     for i in range(1, s + 1):
@@ -191,11 +188,12 @@ def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
             if hi_i + hi_j - lo_i - lo_j + 1 >= p:
                 ks = range(s)
             elif start <= end:
-                ks = range(locate(start), locate(end) + 1)
+                ks = range(bisect_right(starts, start),
+                           bisect_right(starts, end) + 1)
             else:  # the interval wraps past p - 1
-                ks = sorted({*range(locate(start), s),
-                             *range(locate(end) + 1)})
-            out.extend((i, j, k + 1) for k in ks)
+                ks = sorted({*range(bisect_right(starts, start), s),
+                             *range(bisect_right(starts, end) + 1)})
+            out += [(i, j, k + 1) for k in ks]
     return out
 
 
@@ -229,14 +227,16 @@ def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
     0-based range r. Built in one pass and cached on gp for the last split
     it was asked about."""
     cached = gp.__dict__.get("_range_index")
-    if cached is not None and cached[0] == rs:
+    # The trial loop passes the same split for every triple: the identity
+    # test spares it the dataclass comparison.
+    if cached is not None and (cached[0] is rs or cached[0] == rs):
         return cached[1]
-    locate = _range_locator(rs.prime, rs.count)
+    starts = _later_starts(rs)
     index = []
     for edges in (gp.edges_ab, gp.edges_bc, gp.edges_ca):
         buckets = [[] for _ in range(rs.count)]
         for edge in edges:
-            buckets[locate(edge[2])].append(edge)
+            buckets[bisect_right(starts, edge[2])].append(edge)
         index.append(tuple(map(tuple, buckets)))
     index = tuple(index)
     object.__setattr__(gp, "_range_index", (rs, index))
@@ -245,19 +245,18 @@ def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
 
 @lru_cache(maxsize=64)
 def _biting_caps(part_sizes, s, caps):
-    """Per pair (AB, BC, CA, caps in that order), the (end, part, cap) of
-    each endpoint whose cap toward the other end's part P is below |P|: a
-    degree toward P is at most |P|, so no other cap can prune."""
+    """The (pair, end, part, cap) of each endpoint whose cap toward the
+    other end's part P is below |P|, pairs numbered AB 0, BC 1, CA 2 (caps
+    in that order): a degree toward P is at most |P|, so no other cap can
+    prune, and an empty result means nothing is pruned."""
     sizes = dict(zip("ABC", part_sizes))
     biting = []
-    for pair, cap in zip(("AB", "BC", "CA"), caps):
-        ends = []
+    for pos, (pair, cap) in enumerate(zip(("AB", "BC", "CA"), caps)):
         for end in (0, 1):
             toward = sizes[pair[1 - end]]
             limit = default_degree_cap(toward, s) if cap is None else cap
             if limit < toward:
-                ends.append((end, pair[end], limit))
-        biting.append(tuple(ends))
+                biting.append((pos, end, pair[end], limit))
     return tuple(biting)
 
 
@@ -279,10 +278,13 @@ def build_subinstance(
     dropping incident edges, and the kept edges stay in input order.
 
     Cost: the first call for a (gp, rs) pair buckets gp's edges by range in
-    O(m + s). Every call then counts degrees over its selected edges, only
-    for the endpoints whose cap toward part P is below |P| (none under the
-    default caps while s <= 100), and builds the subinstance in O(1) when
-    nothing is pruned and in O(selected edges) when something is.
+    O(m + s), one bisection over the range starts per edge. When no cap
+    toward a part P is below |P| (always under the default caps while
+    s <= 100), a call builds the subinstance over the cached bucket tuples
+    in O(1): no degree is counted and no edge copied. Otherwise it counts
+    degrees over its selected edges, only for the endpoints whose cap
+    bites, and copies the kept edges in O(selected edges) when something
+    is pruned.
     """
     if gp.weight_modulus != rs.prime:
         raise ValueError("subinstance selection needs mod-p weights")
@@ -292,26 +294,27 @@ def build_subinstance(
         if not 1 <= idx <= s:
             raise ValueError(f"range id {idx} outside 1..{s}")
     ab, bc, ca = _range_index(gp, rs)
-    sel_ab, sel_bc, sel_ca = ab[k - 1], bc[j - 1], ca[i - 1]
+    sel_ab, sel_bc, sel_ca = selected = ab[k - 1], bc[j - 1], ca[i - 1]
+    biting = _biting_caps(gp.part_sizes, s,
+                          (degree_cap_ab, degree_cap_bc, degree_cap_ca))
+    # A subset of gp's edges keeps gp's invariants, so no re-validation.
+    if not biting:
+        return SubinstanceReport(TripartiteWeightedGraph._trusted(
+            gp.part_sizes, sel_ab, sel_bc, sel_ca, rs.prime), ())
     doomed: set[tuple[str, int]] = set()
-    for edges, ends in zip((sel_ab, sel_bc, sel_ca), _biting_caps(
-            gp.part_sizes, s, (degree_cap_ab, degree_cap_bc, degree_cap_ca))):
-        for end, part, cap in ends:
-            degree = Counter(edge[end] for edge in edges)
-            doomed.update((part, v) for v, d in degree.items() if d > cap)
+    for pos, end, part, cap in biting:
+        degree = Counter(edge[end] for edge in selected[pos])
+        doomed.update((part, v) for v, d in degree.items() if d > cap)
 
     if doomed:
-        sel_ab = [(a, b, w) for a, b, w in sel_ab
-                  if ("A", a) not in doomed and ("B", b) not in doomed]
-        sel_bc = [(b, c, w) for b, c, w in sel_bc
-                  if ("B", b) not in doomed and ("C", c) not in doomed]
-        sel_ca = [(c, a, w) for c, a, w in sel_ca
-                  if ("C", c) not in doomed and ("A", a) not in doomed]
-
-    # A subset of gp's edges keeps gp's invariants, so no re-validation.
+        sel_ab = tuple([(a, b, w) for a, b, w in sel_ab
+                        if ("A", a) not in doomed and ("B", b) not in doomed])
+        sel_bc = tuple([(b, c, w) for b, c, w in sel_bc
+                        if ("B", b) not in doomed and ("C", c) not in doomed])
+        sel_ca = tuple([(c, a, w) for c, a, w in sel_ca
+                        if ("C", c) not in doomed and ("A", a) not in doomed])
     graph = TripartiteWeightedGraph._trusted(
-        gp.part_sizes, tuple(sel_ab), tuple(sel_bc), tuple(sel_ca),
-        gp.weight_modulus)
+        gp.part_sizes, sel_ab, sel_bc, sel_ca, rs.prime)
     return SubinstanceReport(graph, tuple(sorted(doomed)))
 
 
@@ -321,27 +324,37 @@ ListingSolver = Callable[[TripartiteWeightedGraph, int],
 
 
 def _zero_filter(g: TripartiteWeightedGraph):
-    """A function keeping, in order, the listed triangles of g with weight
-    sum zero. The weights sit in one dict per vertex, built once and held in
-    a list per part, so every index is checked against its part first: a
-    list would read -1 as its last vertex and raise past its end."""
-    na, nb, nc = g.part_sizes
-    w_ab, w_bc, w_ca = rows = [[{} for _ in range(n)] for n in (na, nb, nc)]
+    """A function reading one lister answer (per A x B edge, its listed
+    triangles) against g's weights, returning (listed, hits). In one pass
+    over the edges with a non-empty list it counts the listed triangles and
+    keeps those with weight sum zero; the hits come out in sorted edge
+    order, each edge's in listed order, whatever order the lister's keys
+    come in. Each triangle is checked on its own indices, not its edge's
+    key. The weights sit in one dict per vertex, built once and keyed by
+    vertex in a dict per part, so an index outside its part, such as -1,
+    reads as a missing edge."""
+    w_ab, w_bc, w_ca = rows = {}, {}, {}
     for row, edges in zip(rows, (g.edges_ab, g.edges_bc, g.edges_ca)):
         for u, v, w in edges:
-            row[u][v] = w
+            row.setdefault(u, {})[v] = w
+    edge_of, tris_of = itemgetter(0), itemgetter(1)
 
-    def zero_triangles(listed):
+    def zero_triangles(lists):
+        listed = 0
         hits = []
-        for tri in listed:
-            a, b, c = tri
-            if 0 <= a < na and 0 <= b < nb and 0 <= c < nc:
+        for edge, tris in filter(tris_of, lists.items()):
+            listed += len(tris)
+            for tri in tris:
+                a, b, c = tri
                 try:
                     if w_ab[a][b] + w_bc[b][c] + w_ca[c][a] == 0:
-                        hits.append(tri)
+                        hits.append((edge, tri))
                 except KeyError:  # not a triangle of g
                     pass
-        return hits
+        if hits:  # a stable sort keeps each edge's hits in listed order
+            hits.sort(key=edge_of)
+            hits = [tri for _edge, tri in hits]
+        return listed, hits
 
     return zero_triangles
 
@@ -372,21 +385,20 @@ def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:
 
 def _run_trials(g, s, lister, cap, trials, rng, report_sink):
     """Shared trial loop: list each range triple's subinstance, re-verify its
-    triangles in sorted edge order against g's weights; stop at a hit."""
+    triangles against g's weights in one pass over the lister's answer;
+    stop at a hit, the first in sorted edge order."""
     if min(g.part_sizes) == 0 or trials <= 0:
         return False, None
     zero_triangles = _zero_filter(g)
     for trial, sheared, rs in _randomized_trials(g, s, trials, rng):
         for triple in enumerate_zero_triples(rs):
             report = build_subinstance(sheared, rs, triple)
-            lists = lister(report.graph, cap)
-            listed = [tri for edge in sorted(lists) for tri in lists[edge]]
-            hits = zero_triangles(listed)
+            listed, hits = zero_triangles(lister(report.graph, cap))
             if report_sink is not None:
                 report_sink({"trial": trial, "triple": list(triple),
                              "edges_kept": report.graph.edge_count,
                              "pruned": len(report.pruned),
-                             "listed": len(listed), "hits": len(hits)})
+                             "listed": listed, "hits": len(hits)})
             if hits:
                 return True, hits[0]
     return False, None
@@ -469,7 +481,7 @@ def claim_statistics(
         raise ValueError(f"claim statistics need trials >= 1, got {trials}")
     _check_inputs(g, s)
     zero_triangles = _zero_filter(g)
-    if not zero_triangles([planted]):
+    if not zero_triangles({planted[:2]: [planted]})[1]:
         raise ValueError("planted triple is not a zero triangle of g")
     pa, pb, pc = planted
     planted_vertices = {("A", pa), ("B", pb), ("C", pc)}
@@ -488,10 +500,10 @@ def claim_statistics(
         ab, bc, ca = _range_index(sheared, rs)
         lists = triangle_list_bf(TripartiteWeightedGraph._trusted(
             g.part_sizes, ab[k - 1], bc[j - 1], ca[i - 1], rs.prime))
-        on_edge = lists[(pa, pb)]
-        false_pos = len(on_edge) - len(zero_triangles(on_edge))
-        listed = [tri for tris in lists.values() for tri in tris]
-        nonzero = len(listed) - len(zero_triangles(listed))
+        on_edge, edge_hits = zero_triangles({(pa, pb): lists[(pa, pb)]})
+        false_pos = on_edge - len(edge_hits)
+        listed, hits = zero_triangles(lists)
+        nonzero = listed - len(hits)
         ok2 += false_pos <= per_edge_bound
         ok3 += nonzero <= global_bound
         max_fp = max(max_fp, false_pos)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "answer_digest.py"
 
@@ -16,7 +18,8 @@ def _digest_lines(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
-def test_digest_reads_key_order_and_non_dict_answers():
+def test_digest_reads_key_order_and_non_dict_answers(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOL.parent))
     spec = importlib.util.spec_from_file_location("answer_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -44,3 +47,11 @@ def test_unknown_workload_is_rejected():
     assert done.returncode == 2
     assert "unknown workload 'nope'" in done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("ops", ["0", "-3"])
+def test_non_positive_ops_are_a_usage_error(ops):
+    done = _digest_lines("--workload", "zero-bf", "--seed", "1", "--ops", ops)
+    assert done.returncode == 2
+    assert f"argument --ops: must be positive, got {ops}" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

@@ -106,3 +106,51 @@ def test_unscaled_rates_are_summarised_and_winner_flips_counted(tmp_path):
     # Lower is better for a time, so the change wins it unscaled.
     assert result["unscaled"]["op_ms_p50"]["change_better_pairs"] == 2
     assert "winner_differs_pairs" not in result["unscaled"]["op_ms_p50"]
+
+
+def _counting_run(values: list[float]) -> str:
+    """A run.py printing the repo's end-to-end metrics, all at the next of
+    ``values`` on each call, counted in a file of its tree."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    return ("import json, pathlib\n"
+            "count = pathlib.Path('count')\n"
+            "n = int(count.read_text()) if count.exists() else 0\n"
+            "count.write_text(str(n + 1))\n"
+            f"v = {values!r}[n]\n"
+            f"print(json.dumps({{'failed': 0, 'attempted': 4, 'metrics':"
+            f" {{k: {{'value': v}} for k in {names!r}}}}}))\n")
+
+
+@pytest.mark.parametrize("base,change,verdicts", [
+    # 20% above: a gain where higher is better, a regression only against
+    # peak_rss_mb's 10% bound where lower is.
+    ([2.0] * 4, [2.4] * 4,
+     {"ops_per_s": "gain", "op_ms_p50": "within_bound",
+      "op_ms_p90": "within_bound", "setup_s": "within_bound",
+      "peak_rss_mb": "regression"}),
+    # Equal medians, and a base spread (q3 - q1 = 1.5) wider than any bound.
+    ([1.0, 3.0, 2.0, 4.0], [2.5] * 4,
+     dict.fromkeys(("ops_per_s", "op_ms_p50", "op_ms_p90", "setup_s",
+                    "peak_rss_mb"), "unresolved")),
+    # Every change run above every base run, but the medians differ by
+    # less than the base's q3 - q1 (1.6 < 2.85).
+    ([1.0, 1.1, 3.9, 4.0], [4.1] * 4,
+     {"ops_per_s": "within_bound", "op_ms_p50": "regression",
+      "op_ms_p90": "regression", "setup_s": "regression",
+      "peak_rss_mb": "regression"}),
+])
+def test_each_metric_gets_a_verdict(base, change, verdicts, tmp_path):
+    trees = [_tree(tmp_path / side, _counting_run(values))
+             for side, values in (("base", base), ("change", change))]
+    done = _bench_pairs("--base", str(trees[0]), "--change", str(trees[1]),
+                        "--workload", "zero-bf", "--seed", "1",
+                        "--pairs", "4", "--seconds", "0.5")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    result = json.loads(lines[-1])
+    assert result["metrics"]["ops_per_s"]["base"]["runs"] == base
+    assert {name: row["verdict"] for name, row
+            in result["metrics"].items()} == verdicts
+    assert [line for line in lines if line.startswith("# verdict ")] == [
+        f"# verdict {name}: {v}" for name, v in verdicts.items()]

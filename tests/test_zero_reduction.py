@@ -3,6 +3,7 @@
 
 import random
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -42,6 +43,26 @@ def bf_global_lister(graph, cap):
 def test_is_prime_matches_trial_division():
     for n in range(2000):
         assert is_prime(n) == trial_division_prime(n)
+
+
+def test_is_prime_past_the_small_range():
+    """Composites that fool weaker Miller-Rabin witness sets, given with
+    their factors, and primes and windows of the size pick_prime draws
+    for weights up to 10^6 (about 10^8 to 2.7 * 10^9)."""
+    # Strong pseudoprimes to every prime base up to 7, 11, 13 and 17.
+    strong = {3215031751: (151, 751, 28351),
+              2152302898747: (6763, 10627, 29947),
+              3474749660383: (1303, 16927, 157543),
+              341550071728321: (10670053, 32010157)}
+    carmichael = {561: (3, 11, 17), 41041: (7, 11, 13, 41),
+                  825265: (5, 7, 17, 19, 73)}
+    for n, factors in {**strong, **carmichael}.items():
+        assert n == prod(factors) and not is_prime(n)
+    for p in (1_000_000_007, 2_147_483_647):
+        assert trial_division_prime(p) and is_prime(p)
+    for lo in (10**8, 2_700_000_000):
+        for n in range(lo, lo + 300):
+            assert is_prime(n) == trial_division_prime(n)
 
 
 def test_pick_prime_range_and_determinism():
@@ -571,6 +592,35 @@ def test_pipelines_reject_what_a_lying_lister_reports():
         with pytest.raises(ValueError):
             claim_statistics(g, (planted[0] - na,) + planted[1:], 2, 1,
                              RngStream(seed))
+
+
+def test_trial_loop_reads_answers_in_sorted_edge_order():
+    """A lister returning triangle_list_bf's lists with its keys reversed
+    gets the same verdict, witness and report records: the loop reads each
+    answer in sorted edge order, not in the lister's key order."""
+    g, _ = generate_tripartite(18, 10, True, RngStream(4))
+    for pipeline, honest in ((zero_triangle_via_listing, bf_lister),
+                             (zero_triangle_via_global_listing,
+                              bf_global_lister)):
+        runs = []
+        for reverse in (False, True):
+            answers, records = [], []
+
+            def lister(graph, cap):
+                lists = honest(graph, cap)
+                answers.append(lists)
+                return dict(reversed(lists.items())) if reverse else lists
+
+            verdict = pipeline(g, 2, lister, 3, RngStream(4).child("run"),
+                               report_sink=records.append)
+            runs.append((verdict, records))
+        assert runs[0] == runs[1]
+        assert runs[0][0][0] and len(runs[0][1]) > 1
+        # The hitting subinstance has zero triangles on several A x B
+        # edges, so reading the reversed keys in order would name another.
+        zero_edges = {tri[:2] for tris in answers[-1].values()
+                      for tri in tris if triangle_weight_sum(g, tri) == 0}
+        assert len(zero_edges) > 1
 
 
 def _pipeline_traffic(run):

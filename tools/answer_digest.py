@@ -10,6 +10,8 @@ default the tree this script lives in). Operation i runs on
 ``i <hex digest>``, the digest taken over ``repr(list(answer.items()))`` for
 a dict answer, so key order counts, and over ``repr(answer)`` otherwise. Two
 trees give the same answers when ``diff`` finds no line that differs.
+``--ops`` must be positive: a run that prints no line would agree with any
+other.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+
+from bench_pairs import positive
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,7 +35,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--ops", type=int, required=True)
+    parser.add_argument("--ops", type=positive(int), required=True)
     parser.add_argument("--root", type=Path, default=ROOT)
     args = parser.parse_args(argv)
     root = args.root.resolve()

@@ -7,12 +7,13 @@ Each tree is a checkout holding ``src/fgtri``, ``perfbench/`` and
 ``BENCHMARK.json``. A pair runs ``perfbench/run.py --trace 0`` once in each
 tree, the base first in even pairs and the change first in odd ones. For
 every end-to-end metric the script reports each side's median and
-quartiles, every run, and the number of pairs in which the change read
-better (ties count for neither side). Under ``unscaled`` it reports the
-same for the timings of each run's ``# unscaled:`` line, taken before
-speed scaling, and counts the pairs in which the scaled and unscaled
-``ops_per_s`` pick different winners. With ``--trace`` it instead runs
-``perfbench/run.py --trace 1`` once per tree and reports both sides'
+quartiles, every run, the number of pairs in which the change read
+better (ties count for neither side), and a verdict (see ``verdict``),
+also printed as one ``# verdict`` line per metric. Under ``unscaled`` it
+reports the same for the timings of each run's ``# unscaled:`` line,
+taken before speed scaling, and counts the pairs in which the scaled and
+unscaled ``ops_per_s`` pick different winners. With ``--trace`` it instead
+runs ``perfbench/run.py --trace 1`` once per tree and reports both sides'
 per-layer metrics. The last line of standard output is one JSON object;
 ``--out FILE`` also merges it into FILE under the workload's name.
 """
@@ -76,12 +77,36 @@ def winners(base: list[float], change: list[float]) -> list[int]:
     return [(c > b) - (c < b) for b, c in zip(base, change)]
 
 
-def row(base: list[float], change: list[float], better: str) -> dict:
+def verdict(base: dict, change: dict, better_pairs: int, sign: int,
+            bound: float) -> str:
+    """``gain`` when the change read better in at least 9 of 10 pairs and
+    its median beats the base's by more than the base's q3 - q1;
+    ``regression`` when its median is worse than the base's by more than
+    ``bound`` times the base's median; ``unresolved`` when the base's
+    q3 - q1 is wider than that, unless every change run beats every base
+    run; ``within_bound`` otherwise. ``sign`` is 1 where higher is better
+    and -1 where lower is."""
+    lead = sign * (change["median"] - base["median"])
+    spread = base["q3"] - base["q1"]
+    allowed = bound * abs(base["median"])
+    if 10 * better_pairs >= 9 * len(base["runs"]) and lead > spread:
+        return "gain"
+    if -lead > allowed:
+        return "regression"
+    if spread > allowed and not all(sign * (c - b) > 0 for c in change["runs"]
+                                    for b in base["runs"]):
+        return "unresolved"
+    return "within_bound"
+
+
+def row(base: list[float], change: list[float], better: str,
+        bound: float) -> dict:
     sign = 1 if better == "higher" else -1
-    return {"base": summary(base), "change": summary(change),
-            "change_better_pairs": sum(sign * w > 0
-                                       for w in winners(base, change)),
-            "pairs": len(base)}
+    sides = summary(base), summary(change)
+    better_pairs = sum(sign * w > 0 for w in winners(base, change))
+    return {"base": sides[0], "change": sides[1],
+            "change_better_pairs": better_pairs, "pairs": len(base),
+            "verdict": verdict(*sides, better_pairs, sign, bound)}
 
 
 def compare(args, spec) -> dict:
@@ -102,11 +127,13 @@ def compare(args, spec) -> dict:
                         for s in ("base", "change"))
         out["metrics"][name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            **row(base, change, m["better"])}
+            **row(base, change, m["better"], m["bound"])}
+        print(f"# verdict {name}: {out['metrics'][name]['verdict']}",
+              flush=True)
         if all(name in r["unscaled"] for s in runs for r in runs[s]):
             raw = [[r["unscaled"][name] for r in runs[s]]
                    for s in ("base", "change")]
-            out["unscaled"][name] = row(*raw, m["better"])
+            out["unscaled"][name] = row(*raw, m["better"], m["bound"])
             if name == "ops_per_s":
                 out["unscaled"][name]["winner_differs_pairs"] = sum(
                     a != b for a, b in zip(winners(base, change),
