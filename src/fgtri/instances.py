@@ -12,9 +12,11 @@ pair, which the colored oracles read. The validating constructor checks
 the edge tuples once, keeps them, and builds the grids once, read-only;
 colours and values must fit in 64 bits. ``_trusted`` takes grids only,
 and derives the edge tuples on first read, row-major over the present
-cells, so an instance that only reaches an oracle never builds them. A
-tripartite graph carries packed C-rows (per A-vertex the C-mask
-of its CA edges, per B-vertex that of its BC edges), derived on first read.
+cells, so an instance that only reaches an oracle never builds them. An
+integer matrix keeps one read-only int64 grid likewise and derives
+``entries`` from it on first read. A tripartite graph carries packed C-rows
+(per A-vertex the C-mask of its CA edges, per B-vertex that of its BC
+edges), derived on first read.
 A C-restriction (``_trusted_restriction``) takes its parent's rows ANDed
 with the mask and derives its BC and CA tuples only on first read, by
 filtering its parent's, so the listing reduction's many restricted graphs
@@ -71,19 +73,19 @@ def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
         seen.add((u, v))
 
 
-class _DerivedEdges:
-    """An edge field that a graph built without it derives on first read,
-    through its class's ``_derive_edges(name)``, and keeps in its
-    ``__dict__``, which later reads find first."""
+class _Derived:
+    """A field that an instance built without it derives on first read,
+    through its class's ``_derive(name)``, and keeps in its ``__dict__``,
+    which later reads find first."""
 
     def __set_name__(self, owner, name):
         self.name = name
 
-    def __get__(self, g, owner=None):
-        if g is None:
+    def __get__(self, obj, owner=None):
+        if obj is None:
             return ()  # the field's default
-        edges = g.__dict__[self.name] = g._derive_edges(self.name)
-        return edges
+        value = obj.__dict__[self.name] = obj._derive(self.name)
+        return value
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,8 @@ class TripartiteWeightedGraph:
 
     part_sizes: tuple[int, int, int]
     edges_ab: tuple[tuple[int, int, int], ...] = ()
-    edges_bc: tuple[tuple[int, int, int], ...] = _DerivedEdges()
-    edges_ca: tuple[tuple[int, int, int], ...] = _DerivedEdges()
+    edges_bc: tuple[tuple[int, int, int], ...] = _Derived()
+    edges_ca: tuple[tuple[int, int, int], ...] = _Derived()
     weight_modulus: Optional[int] = None
 
     def __post_init__(self):
@@ -146,7 +148,7 @@ class TripartiteWeightedGraph:
 
         The restriction's ``c_rows`` are g's ANDed with the mask. Its
         ``__dict__`` holds no ``edges_bc`` or ``edges_ca``, only g and the
-        mask, from which ``_derive_edges`` filters g's tuples on first read.
+        mask, from which ``_derive`` filters g's tuples on first read.
         """
         rows_a, rows_b = g.c_rows
         sub = object.__new__(cls)
@@ -159,7 +161,7 @@ class TripartiteWeightedGraph:
             _restricted=(g, keep_mask))
         return sub
 
-    def _derive_edges(self, name):
+    def _derive(self, name):
         # Only a C-restriction lacks the field: its parent's, in order, cut
         # to the C endpoints in its mask.
         parent, mask = self.__dict__["_restricted"]
@@ -241,9 +243,9 @@ class ColoredValuedGraph:
     """
 
     part_sizes: tuple[int, int, int]
-    edges_ij: tuple[tuple[int, int, int, Optional[int]], ...] = _DerivedEdges()
-    edges_jk: tuple[tuple[int, int, int, Optional[int]], ...] = _DerivedEdges()
-    edges_ik: tuple[tuple[int, int, int, Optional[int]], ...] = _DerivedEdges()
+    edges_ij: tuple[tuple[int, int, int, Optional[int]], ...] = _Derived()
+    edges_jk: tuple[tuple[int, int, int, Optional[int]], ...] = _Derived()
+    edges_ik: tuple[tuple[int, int, int, Optional[int]], ...] = _Derived()
     value_sides: frozenset = frozenset()
 
     def __post_init__(self):
@@ -288,7 +290,7 @@ class ColoredValuedGraph:
                           _arrays=grids)
         return g
 
-    def _derive_edges(self, name):
+    def _derive(self, name):
         # Row-major over the present cells of the pair's grids.
         pair = name[-2:].upper()
         pres, col, val = (grids[pair] for grids in self.__dict__["_arrays"])
@@ -310,13 +312,14 @@ class ColoredValuedGraph:
 class IntMatrix:
     """Dense rectangular integer matrix with +/- infinity sentinels.
 
-    Entries are stored row-major as a flat tuple. Finite entries must stay
+    Stored as a read-only rows x cols int64 grid; ``entries`` is its
+    row-major tuple. Entries must be integers, and finite ones must stay
     strictly below the sentinel magnitude.
     """
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    entries: tuple[int, ...] = _Derived()
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
@@ -326,17 +329,26 @@ class IntMatrix:
             raise ValueError(
                 f"entries length {len(self.entries)} != {self.rows}x{self.cols}")
         for e in self.entries:
-            if abs(e) > PLUS_INF:
-                raise ValueError(f"entry {e} exceeds the sentinel threshold")
+            if not (_int64(e) and abs(e) <= PLUS_INF):
+                raise ValueError(f"entry {e!r} is not an integer within the "
+                                 "sentinels")
+        grid = np.array(self.entries, np.int64).reshape(self.rows, self.cols)
+        grid.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries) -> "IntMatrix":
+    def _trusted(cls, grid) -> "IntMatrix":
         """Build without validation, like ``TripartiteWeightedGraph._trusted``,
         for matrices derived from validated ones: the caller guarantees that
-        ``entries`` is a tuple of rows * cols ints within the sentinels."""
+        ``grid`` is a 2-D int64 array within the sentinels, and hands it
+        over; it is made read-only. ``entries`` is derived on first read."""
+        grid.flags.writeable = False
         m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        m.__dict__.update(rows=grid.shape[0], cols=grid.shape[1], _grid=grid)
         return m
+
+    def _derive(self, name):
+        return tuple(self._grid.ravel().tolist())
 
     @staticmethod
     def from_rows(rows: "list[list[int]]") -> "IntMatrix":
@@ -350,17 +362,14 @@ class IntMatrix:
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> "list[list[int]]":
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
+        return self._grid.tolist()
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(self.cols, self.rows, tuple(
-            self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        return IntMatrix._trusted(self._grid.T)
 
     def negate(self) -> "IntMatrix":
         # Sentinels swap roles under negation.
-        return IntMatrix._trusted(self.rows, self.cols,
-                                  tuple(-e for e in self.entries))
+        return IntMatrix._trusted(-self._grid)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ transposed. So every product here runs one of two searches over such
 "case-A" grids (presence and base colour per pair, values on I x K and
 J x K): ``_eq_search`` for (min, =)/(max, =), and ``_le_search`` for the
 <=-products, which takes each bit's common prefix from ``_eq_search``.
+Matrices stay int64 grids: the searches read A's and a transposed view of
+B's, and each matrix built here is one numpy expression handed to
+``IntMatrix._trusted``.
 
 Both rank-compress the values first (order- and equality-preserving, so
 comparisons transfer), then narrow each I x J cell level by level in one
@@ -70,11 +73,6 @@ def composite_color(base, tag, tag_bound: int):
     if np.logical_or(tag < 0, tag >= tag_bound).any():
         raise ValueError(f"tag {tag} outside [0, {tag_bound})")
     return base * tag_bound + tag
-
-
-def _joint_ranks(*value_iters):
-    values = sorted({v for it in value_iters for v in it})
-    return {v: r for r, v in enumerate(values)}, values
 
 
 def _ranks(pres, grids, pairs):
@@ -232,14 +230,12 @@ def _matrix_grids(a: IntMatrix, b: IntMatrix):
     shapes = {"IJ": sizes[:2], "JK": sizes[1:], "IK": (a.rows, a.cols)}
     return (sizes, {p: np.ones(s, bool) for p, s in shapes.items()},
             {p: np.zeros(s, np.int64) for p, s in shapes.items()},
-            np.array(a.entries, np.int64).reshape(shapes["IK"]),
-            np.array(b.entries, np.int64).reshape(b.rows, b.cols).T)
+            a._grid, b._grid.T)
 
 
 def _matrix(hit, found, empty) -> IntMatrix:
     """The product matrix: ``found`` where ``hit``, ``empty`` elsewhere."""
-    return IntMatrix._trusted(*hit.shape, tuple(np.where(hit, found, empty)
-                                                .ravel().tolist()))
+    return IntMatrix._trusted(np.where(hit, found, empty))
 
 
 def min_eq_via_monoeq(
@@ -281,8 +277,7 @@ def max_min_product(a: IntMatrix, b: IntMatrix,
     part1 = min_le_solver(a.negate(), b.negate()).negate()
     part2 = min_le_solver(b.transpose().negate(),
                           a.transpose().negate()).negate().transpose()
-    entries = tuple(max(x, y) for x, y in zip(part1.entries, part2.entries))
-    return IntMatrix._trusted(a.rows, b.cols, entries)
+    return IntMatrix._trusted(np.maximum(part1._grid, part2._grid))
 
 
 def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
@@ -291,38 +286,32 @@ def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
     witness k scores n-k, so the best witness is the max-min and the result
     is n minus it; no witness bottoms out at MINUS_INF and decodes to
     PLUS_INF."""
-    for mat in (a, b):
-        if any(e not in (0, 1) for e in mat.entries):
-            raise UsageFailure("min witness needs Boolean matrices")
+    if not all(np.isin(m._grid, (0, 1)).all() for m in (a, b)):
+        raise UsageFailure("min witness needs Boolean matrices")
     if a.cols != b.rows:
         raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
     n = a.cols
-    a2 = IntMatrix._trusted(a.rows, n, tuple(
-        (n - 1 - k) if a.at(i, k) == 1 else MINUS_INF
-        for i in range(a.rows) for k in range(n)))
-    b2 = IntMatrix._trusted(n, b.cols, tuple(
-        (n - 1 - k) if b.at(k, j) == 1 else MINUS_INF
-        for k in range(n) for j in range(b.cols)))
-    scored = max_min_solver(a2, b2)
-    entries = tuple(PLUS_INF if v == MINUS_INF else n - v
-                    for v in scored.entries)
-    return IntMatrix._trusted(a.rows, b.cols, entries)
+    score = n - 1 - np.arange(n, dtype=np.int64)   # 0-based k scores n-1-k
+    scored = max_min_solver(
+        IntMatrix._trusted(np.where(a._grid == 1, score, MINUS_INF)),
+        IntMatrix._trusted(np.where(b._grid == 1, score[:, None], MINUS_INF))
+    )._grid
+    return IntMatrix._trusted(np.where(scored == MINUS_INF, PLUS_INF,
+                                       n - scored))
 
 
 def _finite(product: IntMatrix) -> IntMatrix:
     """The Boolean projection: 1 where the entry is finite."""
-    return IntMatrix._trusted(product.rows, product.cols, tuple(
-        0 if v == PLUS_INF else 1 for v in product.entries))
+    return IntMatrix._trusted((product._grid != PLUS_INF).astype(np.int64))
 
 
 def _ranked(a: IntMatrix, b: IntMatrix):
     """A and B with each entry replaced by its rank among all of theirs:
     order and equality hold, and no entry is PLUS_INF, so a finite minimum
     means a match even where the matched value is PLUS_INF."""
-    rank, _ = _joint_ranks(a.entries, b.entries)
-    return (IntMatrix._trusted(m.rows, m.cols,
-                               tuple(rank[v] for v in m.entries))
-            for m in (a, b))
+    grids = {"A": a._grid, "B": b._grid}
+    everywhere = {p: np.ones(g.shape, bool) for p, g in grids.items()}
+    return map(IntMatrix._trusted, _ranks(everywhere, grids, grids)[1].values())
 
 
 def exists_eq_via_min_eq(a, b, min_eq_solver: MatrixSolver) -> IntMatrix:

@@ -112,7 +112,8 @@ def listing_via_unique(
     # Per edge, the C-mask of its triangles found so far, and the lowest
     # min(cap, count) bits of its common mask: holding those settles it.
     found = dict.fromkeys(common, 0)
-    target = {e: m ^ reduce(lambda r, _: r & (r - 1), range(per_edge_cap), m)
+    target = {e: m ^ reduce(lambda r, _: r & (r - 1),
+                            range(min(per_edge_cap, m.bit_count())), m)
               for e, m in common.items()}
     closing = {e[:2]: (e, m) for e, m in zip(g.edges_ab, common.values())
                if m}

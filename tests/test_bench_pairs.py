@@ -125,7 +125,7 @@ def _counting_run(values: list[float]) -> str:
 @pytest.mark.parametrize("base,change,verdicts", [
     # 20% above: a gain where higher is better, a regression only against
     # peak_rss_mb's 10% bound where lower is.
-    ([2.0] * 4, [2.4] * 4,
+    ([2.0] * 10, [2.4] * 10,
      {"ops_per_s": "gain", "op_ms_p50": "within_bound",
       "op_ms_p90": "within_bound", "setup_s": "within_bound",
       "peak_rss_mb": "regression"}),
@@ -139,13 +139,18 @@ def _counting_run(values: list[float]) -> str:
      {"ops_per_s": "within_bound", "op_ms_p50": "regression",
       "op_ms_p90": "regression", "setup_s": "regression",
       "peak_rss_mb": "regression"}),
+    # The first case over 4 pairs: too few to call a gain.
+    ([2.0] * 4, [2.4] * 4,
+     {"ops_per_s": "too_few_pairs", "op_ms_p50": "within_bound",
+      "op_ms_p90": "within_bound", "setup_s": "within_bound",
+      "peak_rss_mb": "regression"}),
 ])
 def test_each_metric_gets_a_verdict(base, change, verdicts, tmp_path):
     trees = [_tree(tmp_path / side, _counting_run(values))
              for side, values in (("base", base), ("change", change))]
     done = _bench_pairs("--base", str(trees[0]), "--change", str(trees[1]),
                         "--workload", "zero-bf", "--seed", "1",
-                        "--pairs", "4", "--seconds", "0.5")
+                        "--pairs", str(len(base)), "--seconds", "0.5")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1])

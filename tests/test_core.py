@@ -181,6 +181,13 @@ def test_matrix_shape_and_sentinel_guard():
     assert m.at(0, 1) == PLUS_INF and m.transpose().at(1, 0) == PLUS_INF
 
 
+@pytest.mark.parametrize("entry", [1.5, "3", None])
+def test_matrix_rejects_non_integer_entries(entry):
+    # A 1.5 would be truncated on the way into the int64 grid.
+    with pytest.raises(ValueError, match="is not an integer"):
+        IntMatrix(1, 1, (entry,))
+
+
 def test_sentinel_sums_fit_in_64_bits():
     assert PLUS_INF + PLUS_INF < 2 ** 63
     assert MINUS_INF + MINUS_INF > -(2 ** 63)

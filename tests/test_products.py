@@ -18,6 +18,7 @@ from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF, RngStream
                    mono_product_bf, product_bf)
 from fgtri.oracles import (MAX_LE, MAX_MIN, MIN_EQ, MIN_LE, MIN_WITNESS,
                            MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE, _colored_arrays)
+from fgtri.textio import serialize
 
 monoeq_bf = ae_monoeq_triangle_bf
 
@@ -288,14 +289,19 @@ def test_composite_color_injective():
 
 
 def test_rank_compression_preserves_order_and_equality():
-    from fgtri.products import _joint_ranks
+    from fgtri.products import _ranked
     values = [5, -3, 5, PLUS_INF, 0, MINUS_INF, -3]
-    rank, unrank = _joint_ranks(values)
-    for x in values:
-        for y in values:
-            assert (x < y) == (rank[x] < rank[y])
-            assert (x == y) == (rank[x] == rank[y])
-            assert unrank[rank[x]] == x
+    a = IntMatrix.from_rows([values[:4], values[3:]])
+    b = IntMatrix.from_rows([[v] for v in values])
+    ra, rb = _ranked(a, b)
+    assert (ra.rows, ra.cols, rb.rows, rb.cols) == (2, 4, 7, 1)
+    pairs = [*zip(a.entries, ra.entries), *zip(b.entries, rb.entries)]
+    for x, rx in pairs:
+        for y, ry in pairs:
+            assert (x < y) == (rx < ry)
+            assert (x == y) == (rx == ry)
+    # Dense ranks from 0 over both matrices' distinct values.
+    assert sorted({r for _, r in pairs}) == list(range(len(set(values))))
 
 
 # ------------------------------------------------------------ bracketing
@@ -615,11 +621,15 @@ def test_trusted_instances_equal_their_validated_rebuilds(name):
 # ------------------------------------------------------------ derived matrices
 
 def _rebuilt(m):
-    """``m``, after checking that it holds a tuple of Python ints and equals
-    its rebuild through the validating constructor."""
+    """``m``, after checking that it holds a tuple of Python ints, equals and
+    hashes like its rebuild through the validating constructor, serializes
+    to the same text, and has a grid that cannot be written."""
     assert type(m.entries) is tuple
     assert all(type(e) is int for e in m.entries)
-    assert IntMatrix(m.rows, m.cols, m.entries) == m
+    rebuilt = IntMatrix(m.rows, m.cols, m.entries)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert serialize(rebuilt) == serialize(m)
+    assert not m._grid.flags.writeable
     return m
 
 

@@ -1,10 +1,13 @@
 """Listing-from-detection reductions (witness recovery and subsampling)."""
 
+from time import perf_counter
+
 from fgtri import witness_listing
 from fgtri import (RandomizationData, RngStream, TripartiteWeightedGraph,
                    ae_sparse_triangle_bf, ae_sparse_triangle_fast,
-                   generate_sparse_tripartite, listing_via_detection,
-                   listing_via_unique, randomize_weights, triangle_list_bf,
+                   generate_sparse_tripartite, generate_tripartite,
+                   listing_via_detection, listing_via_unique,
+                   randomize_weights, triangle_list_bf,
                    unique_listing_via_detection)
 from fgtri.witness_listing import _bit_masks, _restrict_c
 from fgtri.zero_triangle import ceil_log2
@@ -381,3 +384,19 @@ def test_listing_sends_no_settled_edge_and_stops_once_all_settle():
             assert got == {edge: sorted(tris)[:k]
                            for edge, tris in truth.items()}
     assert all_settled >= 15
+
+
+def test_listing_work_per_edge_does_not_grow_with_the_cap():
+    # On a complete 4 x 4 x 4 graph every edge settles once it holds all
+    # |C| of its triangles, so a cap far above |C| gives the same answer;
+    # finding each edge's settling target must not cost a step per unit of
+    # cap.
+    g, _ = generate_tripartite(12, 9, True, RngStream(7))
+    nc = g.part_sizes[2]
+    want = listing_via_detection(g, nc, ae_sparse_triangle_fast, RngStream(7))
+    assert want == triangle_list_bf(g)
+    start = perf_counter()
+    got = listing_via_detection(g, 10**7, ae_sparse_triangle_fast,
+                                RngStream(7))
+    assert perf_counter() - start < 5.0
+    assert list(got.items()) == list(want.items())

@@ -80,7 +80,8 @@ def winners(base: list[float], change: list[float]) -> list[int]:
 def verdict(base: dict, change: dict, better_pairs: int, sign: int,
             bound: float) -> str:
     """``gain`` when the change read better in at least 9 of 10 pairs and
-    its median beats the base's by more than the base's q3 - q1;
+    its median beats the base's by more than the base's q3 - q1, over at
+    least 10 pairs; ``too_few_pairs`` when that holds over fewer;
     ``regression`` when its median is worse than the base's by more than
     ``bound`` times the base's median; ``unresolved`` when the base's
     q3 - q1 is wider than that, unless every change run beats every base
@@ -89,8 +90,9 @@ def verdict(base: dict, change: dict, better_pairs: int, sign: int,
     lead = sign * (change["median"] - base["median"])
     spread = base["q3"] - base["q1"]
     allowed = bound * abs(base["median"])
-    if 10 * better_pairs >= 9 * len(base["runs"]) and lead > spread:
-        return "gain"
+    pairs = len(base["runs"])
+    if 10 * better_pairs >= 9 * pairs and lead > spread:
+        return "gain" if pairs >= 10 else "too_few_pairs"
     if -lead > allowed:
         return "regression"
     if spread > allowed and not all(sign * (c - b) > 0 for c in change["runs"]
