@@ -1,10 +1,11 @@
 """Fast answers to the two inner all-edges triangle questions.
 
 The sparse solver is the light half of the Alon-Yuster-Zwick degree split
-on its own: one AND of the graph's packed C-rows per A x B edge. The rows
-(one OR per BC and CA edge) are built once per graph and carried into its
-C-restrictions, so the many restricted graphs of the listing reduction are
-answered without touching their BC and CA edges.
+on its own: one AND of the graph's packed C-rows and C-mask per A x B edge.
+The rows (one OR per BC and CA edge) are built once per graph and carried
+unchanged into its C-restrictions, which keep one composed mask, so the
+many restricted graphs of the listing reduction are answered without
+touching their BC and CA edges or ANDing a row no edge reads.
 
 The monochromatic solver takes the per-colour products of
 Vassilevska-Williams-Yuster as one batched float32 BLAS product per pair
@@ -30,8 +31,9 @@ def ae_sparse_triangle_fast(
     g: TripartiteWeightedGraph,
 ) -> dict[tuple[int, int], bool]:
     """For each A x B edge (a, b), whether some c completes a triangle."""
-    rows_a, rows_b = g.c_rows
-    return {(a, b): rows_a[a] & rows_b[b] != 0 for a, b, _w in g.edges_ab}
+    rows_a, rows_b, mask = g._masked_rows
+    return {(a, b): rows_a[a] & rows_b[b] & mask != 0
+            for a, b, _w in g.edges_ab}
 
 
 def ae_mono_triangle_fast(

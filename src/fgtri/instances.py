@@ -17,10 +17,11 @@ integer matrix keeps one read-only int64 grid likewise and derives
 ``entries`` from it on first read. A tripartite graph carries packed C-rows
 (per A-vertex the C-mask of its CA edges, per B-vertex that of its BC
 edges), derived on first read.
-A C-restriction (``_trusted_restriction``) takes its parent's rows ANDed
-with the mask and derives its BC and CA tuples only on first read, by
-filtering its parent's, so the listing reduction's many restricted graphs
-copy no edge tuple unless a reader asks.
+A C-restriction (``_trusted_restriction``) is O(1): it keeps its source's
+unrestricted rows and one composed C-mask, and derives its own rows (the
+AND) and its BC and CA tuples (by filtering its parent's) only on first
+read, so the listing reduction's many restricted graphs copy no row and no
+edge tuple unless a reader asks; the hot readers AND the mask per edge.
 Equality, hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
@@ -146,18 +147,19 @@ class TripartiteWeightedGraph:
         order) of its AB edges when given; a subset of g's edges keeps g's
         invariants, so nothing is re-validated.
 
-        The restriction's ``c_rows`` are g's ANDed with the mask. Its
-        ``__dict__`` holds no ``edges_bc`` or ``edges_ca``, only g and the
-        mask, from which ``_derive`` filters g's tuples on first read.
+        O(1): the restriction's ``_masked_rows`` are g's rows with g's mask
+        ANDed with ``keep_mask``; its ``c_rows`` (the AND) are derived on
+        first read. Its ``__dict__`` holds no ``edges_bc`` or ``edges_ca``,
+        only g and the mask, from which ``_derive`` filters g's tuples on
+        first read.
         """
-        rows_a, rows_b = g.c_rows
+        rows_a, rows_b, mask = g._masked_rows
         sub = object.__new__(cls)
         sub.__dict__.update(
             part_sizes=g.part_sizes,
             edges_ab=g.edges_ab if edges_ab is None else edges_ab,
             weight_modulus=g.weight_modulus,
-            c_rows=(tuple([r & keep_mask for r in rows_a]),
-                    tuple([r & keep_mask for r in rows_b])),
+            _masked_rows=(rows_a, rows_b, mask & keep_mask),
             _restricted=(g, keep_mask))
         return sub
 
@@ -169,18 +171,27 @@ class TripartiteWeightedGraph:
         return tuple(e for e in getattr(parent, name) if mask >> e[at] & 1)
 
     @cached_property
-    def c_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Packed C-rows: per A-vertex the C-mask of its CA edges, per
-        B-vertex the C-mask of its BC edges. Derived on first read and kept
-        in ``__dict__``; a C-restriction gets its source's rows ANDed with
-        its mask."""
-        na, nb, _nc = self.part_sizes
+    def _masked_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(rows_a, rows_b, mask): ``c_rows`` are these rows ANDed with the
+        C-mask. An unrestricted graph builds its rows (one OR per BC and CA
+        edge) with the mask of all of C; a C-restriction keeps its source's
+        rows, so no mask has a bit at or above |C|."""
+        na, nb, nc = self.part_sizes
         rows_a, rows_b = [0] * na, [0] * nb
         for c, a, _w in self.edges_ca:
             rows_a[a] |= 1 << c
         for b, c, _w in self.edges_bc:
             rows_b[b] |= 1 << c
-        return tuple(rows_a), tuple(rows_b)
+        return tuple(rows_a), tuple(rows_b), (1 << nc) - 1
+
+    @cached_property
+    def c_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Packed C-rows: per A-vertex the C-mask of its CA edges, per
+        B-vertex the C-mask of its BC edges. Derived on first read from
+        ``_masked_rows`` and kept in ``__dict__``."""
+        rows_a, rows_b, mask = self._masked_rows
+        return (tuple([r & mask for r in rows_a]),
+                tuple([r & mask for r in rows_b]))
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int], ...]:
         return {"AB": self.edges_ab, "BC": self.edges_bc, "CA": self.edges_ca}[pair]
@@ -357,9 +368,6 @@ class IntMatrix:
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
         return IntMatrix(r, c, tuple(v for row in rows for v in row))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def to_rows(self) -> "list[list[int]]":
         return self._grid.tolist()

@@ -249,26 +249,25 @@ def product_bf(a: IntMatrix, b: IntMatrix, kind: str) -> IntMatrix:
     if a.cols != b.rows:
         raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
     n, m, p = a.rows, a.cols, b.cols
+    arows, brows = a.to_rows(), b.to_rows()
     if kind == MIN_WITNESS:
-        for mat in (a, b):
-            if any(e not in (0, 1) for e in mat.entries):
+        for rows in (arows, brows):
+            if any(e not in (0, 1) for row in rows for e in row):
                 raise UsageFailure("MIN_WITNESS requires Boolean matrices")
-    ae, be = a.entries, b.entries
     out = []
-    for i in range(n):
-        arow = ae[i * m:(i + 1) * m]
+    for arow in arows:
         for j in range(p):
             if kind == MIN_WITNESS:
                 res = PLUS_INF
                 for k in range(m):
-                    if arow[k] == 1 and be[k * p + j] == 1:
+                    if arow[k] == 1 and brows[k][j] == 1:
                         res = k + 1
                         break
                 out.append(res)
             elif kind == MAX_MIN:
                 best = MINUS_INF
                 for k in range(m):
-                    cur = min(arow[k], be[k * p + j])
+                    cur = min(arow[k], brows[k][j])
                     if cur > best:
                         best = cur
                 out.append(best)
@@ -277,7 +276,7 @@ def product_bf(a: IntMatrix, b: IntMatrix, kind: str) -> IntMatrix:
                 equality = kind in (MIN_EQ, EXISTS_EQ)
                 for k in range(m):
                     av = arow[k]
-                    bv = be[k * p + j]
+                    bv = brows[k][j]
                     if (av == bv) if equality else (av <= bv):
                         hits.append(bv)
                 if kind in (MIN_EQ, MIN_LE):

@@ -11,10 +11,11 @@ edge stops being sent once it holds the lowest min(cap, count) triangles
 its C-rows name, since its answer can no longer change.
 
 Both keep part sizes and degrees intact: subgraphs drop edges, never
-reindex vertices. The subgraphs are C-restrictions: they carry their
-source's packed C-rows ANDed with the mask, and both halves verify and
-select edges from those rows, so with a detector that reads the rows too
-(``ae_sparse_triangle_fast``) no BC or CA tuple is ever copied.
+reindex vertices. The subgraphs are O(1) C-restrictions: they carry their
+source's unrestricted packed C-rows and one composed C-mask. Both halves
+verify and select edges from the rows, and the unique half ANDs the mask
+only at the A x B edges it checks, so with a detector that does the same
+(``ae_sparse_triangle_fast``) no row and no BC or CA tuple is ever copied.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ def unique_listing_via_detection(
     """Per A x B edge: its triangle when that triangle is unique, else None.
 
     Runs ceil(log2 |C|) detection calls, one per bit position, on the
-    subgraphs induced by C-vertices whose index has that bit set. An edge in
-    exactly one triangle reads off its C-vertex's bits from the answers;
-    edges in zero or several triangles may assemble a bogus index, which the
-    final check against g's C-rows rejects.
+    subgraphs induced by C-vertices whose index has that bit set, each an
+    O(1) C-restriction of g. An edge in exactly one triangle reads off its
+    C-vertex's bits from the answers; edges in zero or several triangles
+    may assemble a bogus index, which the final check rejects: it ANDs g's
+    source rows and mask (``_masked_rows``) at each A x B edge only.
     """
     nc = g.part_sizes[2]
     ab_edges = [(a, b) for a, b, _w in g.edges_ab]
@@ -67,11 +69,11 @@ def unique_listing_via_detection(
         for edge in filter(answers.get, candidate):
             candidate[edge] |= 1 << bit
 
-    # c closes (a, b) when bit c is set in both C-rows; no row has a bit
-    # at or above |C|.
-    rows_a, rows_b = g.c_rows
-    return {(a, b): (a, b, c) if (rows_a[a] & rows_b[b]) >> c & 1 else None
-            for (a, b), c in candidate.items()}
+    # c closes (a, b) when bit c is set in both C-rows and in the mask; no
+    # mask has a bit at or above |C|.
+    rows_a, rows_b, mask = g._masked_rows
+    return {(a, b): (a, b, c) if (rows_a[a] & rows_b[b] & mask) >> c & 1
+            else None for (a, b), c in candidate.items()}
 
 
 def listing_via_unique(

@@ -273,13 +273,14 @@ def test_bench_table_shape(tmp_path):
 
 def test_bench_times_each_rep_on_a_graph_without_cached_rows(tmp_path,
                                                              monkeypatch):
-    # The fast sparse solver caches the graph's C-rows; a rep that found
-    # them cached would time only the per-edge AND.
+    # The fast sparse solver caches the graph's C-rows (and the rows with
+    # their C-mask); a rep that found either cached would time only the
+    # per-edge AND.
     graphs, cached = [], []
 
     def spy(g):
         graphs.append(g)
-        cached.append("c_rows" in g.__dict__)
+        cached.append(bool({"c_rows", "_masked_rows"} & set(g.__dict__)))
         return ae_sparse_triangle_fast(g)
 
     monkeypatch.setitem(cli._BENCH_SOLVERS, "ae-sparse-fast", (spy, False))

@@ -262,7 +262,7 @@ def test_product_hand_cases():
     a = IntMatrix.from_rows([[1, 2], [3, 1]])
     b = IntMatrix.from_rows([[1, 3], [2, 1]])
     c = product_bf(a, b, MIN_EQ)
-    assert c.at(0, 0) == 1  # both k match; min of {1, 2}
+    assert c.to_rows()[0][0] == 1  # both k match; min of {1, 2}
     zeros = IntMatrix.from_rows([[0, 0], [0, 0]])
     ones = IntMatrix.from_rows([[1, 1], [1, 1]])
     assert all(v == PLUS_INF for v in product_bf(zeros, ones, MIN_EQ).entries)
@@ -291,19 +291,23 @@ def test_products_match_set_comprehension_checker():
         rng = RngStream(400 + seed)
         a = generate_matrix(3, 4, -5, 5, rng.child("a"))
         b = generate_matrix(4, 3, -5, 5, rng.child("b"))
+        arows, brows = a.to_rows(), b.to_rows()
+        got = {kind: product_bf(a, b, kind).to_rows()
+               for kind in (MIN_EQ, MIN_LE, MAX_LE, MAX_MIN, EXISTS_EQ,
+                            EXISTS_DOM)}
         for i in range(3):
             for j in range(3):
-                col = [b.at(k, j) for k in range(4)]
-                row = [a.at(i, k) for k in range(4)]
+                col = [brows[k][j] for k in range(4)]
+                row = [arows[i][k] for k in range(4)]
                 eqs = [bv for av, bv in zip(row, col) if av == bv]
                 les = [bv for av, bv in zip(row, col) if av <= bv]
-                assert product_bf(a, b, MIN_EQ).at(i, j) == (min(eqs) if eqs else PLUS_INF)
-                assert product_bf(a, b, MIN_LE).at(i, j) == (min(les) if les else PLUS_INF)
-                assert product_bf(a, b, MAX_LE).at(i, j) == (max(les) if les else MINUS_INF)
-                assert product_bf(a, b, MAX_MIN).at(i, j) == max(
+                assert got[MIN_EQ][i][j] == (min(eqs) if eqs else PLUS_INF)
+                assert got[MIN_LE][i][j] == (min(les) if les else PLUS_INF)
+                assert got[MAX_LE][i][j] == (max(les) if les else MINUS_INF)
+                assert got[MAX_MIN][i][j] == max(
                     min(av, bv) for av, bv in zip(row, col))
-                assert product_bf(a, b, EXISTS_EQ).at(i, j) == (1 if eqs else 0)
-                assert product_bf(a, b, EXISTS_DOM).at(i, j) == (1 if les else 0)
+                assert got[EXISTS_EQ][i][j] == (1 if eqs else 0)
+                assert got[EXISTS_DOM][i][j] == (1 if les else 0)
 
 
 def test_exists_is_finiteness_of_min():
@@ -325,11 +329,12 @@ def test_max_min_always_min_of_some_pair():
         rng = RngStream(600 + seed)
         a = generate_matrix(3, 3, -6, 6, rng.child("a"))
         b = generate_matrix(3, 3, -6, 6, rng.child("b"))
-        c = product_bf(a, b, MAX_MIN)
+        arows, brows = a.to_rows(), b.to_rows()
+        c = product_bf(a, b, MAX_MIN).to_rows()
         for i in range(3):
             for j in range(3):
-                options = {min(a.at(i, k), b.at(k, j)) for k in range(3)}
-                assert c.at(i, j) in options
+                options = {min(arows[i][k], brows[k][j]) for k in range(3)}
+                assert c[i][j] in options
 
 
 # ------------------------------------------------------ mono products

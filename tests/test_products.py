@@ -53,7 +53,7 @@ def test_min_eq_hand_cases():
     b = IntMatrix.from_rows([[1, 3], [2, 1]])
     got = min_eq_via_monoeq(a, b, monoeq_bf)
     assert got == product_bf(a, b, MIN_EQ)
-    assert got.at(0, 0) == 1
+    assert got.to_rows()[0][0] == 1
 
 
 def test_min_eq_battery_including_sentinels():

@@ -172,9 +172,39 @@ def test_restrict_c_equals_the_validated_graph_of_its_fields():
                 assert subsub == want
 
 
+def test_detector_and_unique_listing_on_nested_restrictions():
+    # Restrictions of depth 1-3, each with or without an A x B subset, over
+    # random, empty and full masks: the fast detector and unique listing
+    # read the source's rows and the composed mask, and must answer as on
+    # the validated rebuild.
+    for seed in range(16):
+        rng = RngStream(seed, ("nested",))
+        g = generate_sparse_tripartite((5 + seed % 3, 6, 3 + seed % 9),
+                                       30 + 4 * seed, 9, rng.child("g"))
+        nc = g.part_sizes[2]
+        for trial in range(12):
+            draw = rng.child("chain", trial)
+            sub, mask, ab = g, (1 << nc) - 1, g.edges_ab
+            for depth in range(1 + trial % 3):
+                keep = (0, (1 << nc) - 1, draw.randrange(1 << nc))[
+                    (trial // 3 + depth) % 3]
+                subset = None
+                if draw.randrange(2):
+                    subset = ab = tuple(e for e in ab if draw.randrange(3))
+                sub, mask = _restrict_c(sub, keep, subset), mask & keep
+            want = _validated(g, mask, ab)
+            assert ae_sparse_triangle_fast(sub) == ae_sparse_triangle_bf(want)
+            assert (unique_listing_via_detection(sub, ae_sparse_triangle_fast)
+                    == unique_listing_via_detection(want,
+                                                    ae_sparse_triangle_bf))
+            assert "c_rows" not in sub.__dict__
+            assert sub == want
+
+
 def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
-    # Both halves and the fast detector read the C-rows only, so no
-    # restricted graph ever copies its BC and CA edges.
+    # Both halves and the fast detector read the source's C-rows and the
+    # composed mask only, so no restricted graph ever copies its BC and CA
+    # edges or ANDs its full C-rows: a restriction stays O(1).
     made = []
 
     def recorded(g, mask, edges_ab=None):
@@ -187,7 +217,7 @@ def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
     got = listing_via_detection(g, 3, ae_sparse_triangle_fast, RngStream(5))
     assert got == triangle_list_bf(g, per_edge_cap=3)
     assert len(made) > 100
-    assert not any({"edges_bc", "edges_ca"} & set(sub.__dict__)
+    assert not any({"edges_bc", "edges_ca", "c_rows"} & set(sub.__dict__)
                    for sub in made)
 
 
