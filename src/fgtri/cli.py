@@ -10,8 +10,9 @@ and no timestamps: same seed, same bytes.
 Exit codes: 0 success, 1 check mismatch, 2 usage error (a ``UsageFailure``:
 an option, or an input that the chosen solver does not accept), 3 I/O or
 parse error (an unreadable or non-UTF-8 input, or an unwritable output
-path), 4 internal error (any other ``ValueError`` or ``RuntimeError``, such
-as a randomized step that ran out of retries).
+path), 4 internal error (any other exception, such as a randomized step
+that ran out of retries or a ``KeyError`` from a fault inside; only
+``SystemExit`` and ``KeyboardInterrupt`` pass through).
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from . import generators, oracles, products, setfam, textio, witness_listing
 from . import monoeq as monoeq_mod
 from . import zero_triangle as zt
 from .fast_solvers import ae_mono_triangle_fast, ae_sparse_triangle_fast
-from .instances import (ColoredValuedGraph, IntMatrix, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph, UsageFailure)
+from .instances import (CASE_VALUE_SIDES, COLORED_PAIRS, ColoredValuedGraph,
+                        IntMatrix, PLUS_INF, SetFamilyInstance,
+                        TripartiteWeightedGraph, UsageFailure)
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -68,13 +70,8 @@ def _json_line(record: dict) -> str:
 
 # ---------------------------------------------------------------- gen
 
-_VALUE_SIDES = {
-    "all": frozenset({"IJ", "JK", "IK"}),
-    "a": frozenset({"IK", "JK"}),
-    "b": frozenset({"IJ", "JK"}),
-    "c": frozenset({"IJ", "IK"}),
-    "none": frozenset(),
-}
+_VALUE_SIDES = {"all": frozenset(COLORED_PAIRS), "none": frozenset(),
+                **{t.lower(): sides for t, sides in CASE_VALUE_SIDES.items()}}
 
 
 def cmd_gen(args) -> int:
@@ -231,12 +228,12 @@ def _tiles(total: int, width: int):
 
 def _tile_graph(g: TripartiteWeightedGraph, spans):
     """Induced subgraph on one (A, B, C) block triple, reindexed to the
-    block origins."""
+    block origins; a tile of a validated graph keeps its invariants."""
     def cut(edges, p, q):
         (p_lo, p_hi), (q_lo, q_hi) = spans[p], spans[q]
         return tuple((u - p_lo, v - q_lo, w) for u, v, w in edges
                      if p_lo <= u < p_hi and q_lo <= v < q_hi)
-    return TripartiteWeightedGraph(
+    return TripartiteWeightedGraph._trusted(
         tuple(hi - lo for lo, hi in spans), cut(g.edges_ab, 0, 1),
         cut(g.edges_bc, 1, 2), cut(g.edges_ca, 2, 0), g.weight_modulus)
 
@@ -726,8 +723,9 @@ def main(argv=None) -> int:
     except UsageFailure as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, ValueError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # a KeyError's text is only its key
+        plain = isinstance(exc, (ValueError, RuntimeError))
+        print("internal error:", exc if plain else repr(exc), file=sys.stderr)
         return EXIT_INTERNAL
 
 

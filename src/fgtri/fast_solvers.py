@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .instances import (ColoredValuedGraph, TripartiteWeightedGraph,
-                        _colored_arrays)
-from .oracles import GridAnswers
+from .instances import (COLORED_PAIRS, ColoredValuedGraph, GridAnswers,
+                        TripartiteWeightedGraph, _colored_arrays)
 
 # Cells per one-hot stack in one batch: inputs with many colours go through
 # several batches, so a batch's stacks and products stay within a few tens
@@ -56,7 +55,7 @@ def ae_mono_triangle_fast(
     for lo in range(0, len(shared), step):
         colors = shared[lo:lo + step, None, None]
         ij, jk, ik = ((pres[p] & (col[p] == colors)).astype(np.float32)
-                      for p in ("IJ", "JK", "IK"))
+                      for p in COLORED_PAIRS)
         hit["IJ"] |= (ij * (ik @ jk.transpose(0, 2, 1))).any(axis=0)
         hit["IK"] |= (ik * (ij @ jk)).any(axis=0)
         hit["JK"] |= (jk * (ij.transpose(0, 2, 1) @ ik)).any(axis=0)

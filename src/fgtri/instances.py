@@ -1,6 +1,9 @@
-"""Domain types shared by every solver and reduction.
+"""Domain types shared by every solver and reduction, and the names that
+several layers read: ``Triangle``, ``ceil_log2``, the colored solvers'
+answer type ``GridAnswers``, the colored pair order and the two-sided
+equality cases' value sides.
 
-All types are frozen dataclasses. Values are validated at the boundary:
+The domain types are frozen dataclasses. Values are validated at the boundary:
 ``textio.parse``, the generators and the public constructors check every
 invariant, so a value built there satisfies them. Internal derivations of
 validated data skip the checks through ``_trusted``: tripartite copies that
@@ -30,10 +33,12 @@ part order (A, B, C) or (I, J, K).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from numbers import Integral
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -57,6 +62,21 @@ _PAIR_PARTS = {
     "AB": (0, 1), "BC": (1, 2), "CA": (2, 0),
     "IJ": (0, 1), "JK": (1, 2), "IK": (0, 2),
 }
+
+# The colored pairs in text and probe-grid order, and each two-sided
+# equality case's value sides: case A shares part K, B part J, C part I.
+COLORED_PAIRS = ("IJ", "JK", "IK")
+CASE_VALUE_SIDES = {tag: frozenset(sides) for tag, sides in (
+    ("A", ("IK", "JK")), ("B", ("IJ", "JK")), ("C", ("IJ", "IK")))}
+
+Triangle = tuple[int, int, int]
+
+
+def ceil_log2(x: int) -> int:
+    """Smallest t with 2^t >= x, for x >= 1."""
+    if x < 1:
+        raise ValueError("ceil_log2 needs x >= 1")
+    return (x - 1).bit_length()
 
 
 def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
@@ -264,12 +284,12 @@ class ColoredValuedGraph:
         if len(self.part_sizes) != 3 or any(s < 0 for s in self.part_sizes):
             raise ValueError("part_sizes must be three non-negative counts")
         sides = frozenset(self.value_sides)
-        if not sides <= {"IJ", "JK", "IK"}:
+        if not sides <= set(COLORED_PAIRS):
             raise ValueError(f"bad value_sides {sorted(sides)}")
         object.__setattr__(self, "value_sides", sides)
         cells, values = {}, {}
-        for pair, field in (("IJ", "edges_ij"), ("JK", "edges_jk"),
-                            ("IK", "edges_ik")):
+        for pair in COLORED_PAIRS:
+            field = f"edges_{pair.lower()}"
             edges = tuple(map(tuple, getattr(self, field)))
             object.__setattr__(self, field, edges)
             _check_edges(pair, edges, self.part_sizes, 4)
@@ -317,6 +337,35 @@ class ColoredValuedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges_ij) + len(self.edges_jk) + len(self.edges_ik)
+
+
+class GridAnswers(Mapping):
+    """Per-edge answers of a colored solver: (pair, u, v) -> bool over g's
+    edges, IJ, IK then JK, each in edge order. ``pres`` and ``hits`` map
+    each pair to g's presence grid and to a Boolean grid of answers that is
+    False off the present cells."""
+
+    def __init__(self, g: ColoredValuedGraph, pres: dict, hits: dict):
+        self._g, self._pres, self.hits = g, pres, hits
+
+    def __getitem__(self, key):
+        try:  # index() keeps a bool a cell number, not a numpy mask
+            pair, u, v = key
+            grid, i, j = self.hits[pair], index(u), index(v)
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+        if (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]
+                and self._pres[pair][i, j]):
+            return bool(grid[i, j])
+        raise KeyError(key)
+
+    def __iter__(self):
+        for pair in ("IJ", "IK", "JK"):
+            for e in self._g.edges(pair):
+                yield pair, e[0], e[1]
+
+    def __len__(self):
+        return sum(map(np.count_nonzero, self._pres.values()))
 
 
 @dataclass(frozen=True)

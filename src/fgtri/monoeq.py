@@ -26,22 +26,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .instances import (_PAIR_PARTS, ColoredValuedGraph, UsageFailure,
-                        _colored_arrays, _colored_grids, _listed)
-from .oracles import GridAnswers
+from .instances import (_PAIR_PARTS, CASE_VALUE_SIDES, COLORED_PAIRS,
+                        ColoredValuedGraph, GridAnswers, UsageFailure,
+                        _colored_arrays, _colored_grids, _listed, ceil_log2)
 from .rng import RngStream
-from .zero_triangle import ceil_log2
 
-# Which two part-pairs carry the equal values, and which part they share
-# (the one the value expansion blows up).
+# The case tags (``CASE_VALUE_SIDES`` names each case's two valued pairs)
+# and the part those pairs share, which the value expansion blows up.
 CASE_TAGS = ("A", "B", "C")
-CASE_VALUE_SIDES = {
-    "A": frozenset({"IK", "JK"}),  # shared part K
-    "B": frozenset({"IJ", "JK"}),  # shared part J
-    "C": frozenset({"IJ", "IK"}),  # shared part I
-}
 CASE_BLOWN_PART = {"A": 2, "B": 1, "C": 0}
-_PAIRS = ("IJ", "JK", "IK")
 
 MonoSolver = Callable[[ColoredValuedGraph], GridAnswers]  # decode reads hits
 
@@ -59,7 +52,7 @@ def split_cases(g: ColoredValuedGraph) -> dict[str, ColoredValuedGraph]:
     An I x J edge is in a monochromatic-equality triangle of g exactly when
     it is positive in at least one case instance (the union rule).
     """
-    if g.value_sides != frozenset({"IJ", "JK", "IK"}):
+    if g.value_sides != frozenset(COLORED_PAIRS):
         raise ValueError("split_cases expects values on all three pairs")
     grids = _colored_arrays(g)  # each case reads values on its sides only
     return {tag: ColoredValuedGraph._trusted(g.part_sizes,
@@ -87,11 +80,11 @@ def expand_values(g: ColoredValuedGraph) -> ExpandedCase:
     """
     blown = CASE_BLOWN_PART[case_of(g)]
     pres, col, val = _colored_arrays(g)
-    cells = {pair: pres[pair].nonzero() for pair in _PAIRS}
+    cells = {pair: pres[pair].nonzero() for pair in COLORED_PAIRS}
     # Each valued edge's (blown vertex, value) key, in edge order.
     keys = {p: list(zip(cells[p][_PAIR_PARTS[p].index(blown)].tolist(),
                         val[p][cells[p]].tolist()))
-            for p in _PAIRS if p in g.value_sides}
+            for p in COLORED_PAIRS if p in g.value_sides}
     copies = {kv: idx for idx, kv
               in enumerate(sorted(set().union(*keys.values())))}
 
@@ -103,7 +96,7 @@ def expand_values(g: ColoredValuedGraph) -> ExpandedCase:
         moved[pair][_PAIR_PARTS[pair].index(blown)] = np.array(
             [copies[k] for k in edge_keys], np.intp)
     grids = _colored_grids(sizes, {p: (*moved[p], col[p][cells[p]])
-                                   for p in _PAIRS})
+                                   for p in COLORED_PAIRS})
     graph = ColoredValuedGraph._trusted(tuple(sizes), frozenset(), grids)
     edge_map = dict(zip(_listed(cells["IJ"]), _listed(moved["IJ"])))
     return ExpandedCase(graph, edge_map)
@@ -169,7 +162,8 @@ def combine_sparse_into_mono(
         first = (0, inst.part_sizes[0], sum(inst.part_sizes[:2]))
         pres = _colored_arrays(inst)[0]
         flat.append([(pair, u, v, first[_PAIR_PARTS[pair][0]] + u,
-                      first[_PAIR_PARTS[pair][1]] + v) for pair in _PAIRS
+                      first[_PAIR_PARTS[pair][1]] + v)
+                     for pair in COLORED_PAIRS
                      for u, v in _listed(pres[pair].nonzero())])
     for attempt in range(max_retries):
         perms = []
@@ -213,7 +207,7 @@ def combine_sparse_into_mono(
         (host_size,) * 3, frozenset(),
         ({"IJ": pres[li], "JK": pres[lj], "IK": pres[lk]},
          {"IJ": col[li], "JK": col[lj], "IK": col[lk]},
-         dict.fromkeys(_PAIRS, no_values))))
+         dict.fromkeys(COLORED_PAIRS, no_values))))
         for li, lj, lk in product(range(mult), repeat=3)]
 
     return CombinedMonoInstance(tuple(built), tuple(query_maps))
@@ -230,7 +224,7 @@ def _cut(grids: dict, blown: int, keep: np.ndarray) -> dict:
     """grids without the edges at blown vertices outside keep."""
     return {p: grids[p] & (keep[:, None] if _PAIR_PARTS[p][0] == blown
                            else keep) if blown in _PAIR_PARTS[p] else grids[p]
-            for p in _PAIRS}
+            for p in COLORED_PAIRS}
 
 
 def _closed(grids: dict) -> np.ndarray:
@@ -260,14 +254,14 @@ def _ae_mono_on_expansion(
     combined instance for mono_solver. Otherwise one product over every
     vertex answers the colour."""
     pres, col, _val = _colored_arrays(g)
-    third = next(p for p in _PAIRS if blown not in _PAIR_PARTS[p])
+    third = next(p for p in COLORED_PAIRS if blown not in _PAIR_PARTS[p])
     (p1, axis1), (p2, axis2) = ((p, 1 - _PAIR_PARTS[p].index(blown))
-                                for p in _PAIRS if p != third)
+                                for p in COLORED_PAIRS if p != third)
     closing = set.intersection(*(set(col[p][pres[p]].tolist()) for p in pres))
     hit = np.zeros(pres["IJ"].shape, bool)
     sources, supports = [], []
     for color in sorted(closing):
-        grids = {p: pres[p] & (col[p] == color) for p in _PAIRS}
+        grids = {p: pres[p] & (col[p] == color) for p in COLORED_PAIRS}
         degree = grids[p1].sum(axis=axis1) + grids[p2].sum(axis=axis2)
         heavy = degree > max(degree_threshold, 0)
         if not 0 < np.count_nonzero(heavy) < size_threshold:
@@ -276,14 +270,14 @@ def _ae_mono_on_expansion(
         hit |= _closed(_cut(grids, blown, ~heavy))
         live = _cut(grids, blown, heavy)
         touched = [np.zeros(n, bool) for n in g.part_sizes]
-        for p in _PAIRS:
+        for p in COLORED_PAIRS:
             u, v = _PAIR_PARTS[p]
             touched[u] |= live[p].any(axis=1)
             touched[v] |= live[p].any(axis=0)
         support = [part.nonzero()[0] for part in touched]
         sizes = tuple(map(len, support))
         cells = {p: (*live[p][np.ix_(*(support[q] for q in _PAIR_PARTS[p]))]
-                     .nonzero(), 0) for p in _PAIRS}
+                     .nonzero(), 0) for p in COLORED_PAIRS}
         sources.append(ColoredValuedGraph._trusted(
             sizes, frozenset(), _colored_grids(sizes, cells)))
         supports.append(support)
@@ -319,10 +313,8 @@ def solve_ae_monoeq(
     the same product when at least ``size_threshold`` of them remain, else
     through one combined monochromatic instance handled by ``mono_solver``.
     """
-    if g.value_sides == frozenset({"IJ", "JK", "IK"}):
-        cases = split_cases(g)
-    else:
-        cases = {case_of(g): g}
+    cases = (split_cases(g) if g.value_sides == frozenset(COLORED_PAIRS)
+             else {case_of(g): g})
 
     answers = {(u, v): False for u, v, _c, _val in g.edges_ij}
     for tag in sorted(cases):

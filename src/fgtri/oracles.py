@@ -6,22 +6,21 @@ fast solvers and every reduction are tested against. All functions are
 pure and deterministic; listing order is lexicographic on (a, b, c) so
 capped listings are reproducible.
 
-Colored-graph oracles answer every edge through a ``GridAnswers``, a
-read-only mapping (pair, u, v) -> bool over one hit grid per pair; the
+Colored-graph oracles answer every edge through the answer type that
+``instances`` defines for every colored solver, ``GridAnswers``; the
 sparse-triangle oracle answers the queried A x B edges, keyed (a, b).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from operator import index
 from typing import Optional
 
 import numpy as np
 
-from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph,
-                        UsageFailure, _colored_arrays, _listed)
+from .instances import (ColoredValuedGraph, GridAnswers, IntMatrix,
+                        MINUS_INF, PLUS_INF, SetFamilyInstance, Triangle,
+                        TripartiteWeightedGraph, UsageFailure,
+                        _colored_arrays, _listed)
 
 # Matrix product kinds.
 MIN_EQ = "MIN_EQ"
@@ -42,8 +41,6 @@ MONO_KINDS = (MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE)
 
 DISJOINTNESS = "DISJOINTNESS"
 INTERSECTION = "INTERSECTION"
-
-Triangle = tuple[int, int, int]
 
 
 def _weight_maps(g: TripartiteWeightedGraph):
@@ -144,35 +141,6 @@ def _mono_cube(pres, col) -> np.ndarray:
     c_jk = col["JK"][None, :, :]
     return (pres["IJ"][:, :, None] & pres["IK"][:, None, :]
             & pres["JK"][None, :, :] & (c_ij == c_ik) & (c_ik == c_jk))
-
-
-class GridAnswers(Mapping):
-    """Per-edge answers of a colored solver: (pair, u, v) -> bool over g's
-    edges, IJ, IK then JK, each in edge order. ``pres`` and ``hits`` map
-    each pair to g's presence grid and to a Boolean grid of answers that is
-    False off the present cells."""
-
-    def __init__(self, g: ColoredValuedGraph, pres: dict, hits: dict):
-        self._g, self._pres, self.hits = g, pres, hits
-
-    def __getitem__(self, key):
-        try:  # index() keeps a bool a cell number, not a numpy mask
-            pair, u, v = key
-            grid, i, j = self.hits[pair], index(u), index(v)
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(key) from None
-        if (0 <= i < grid.shape[0] and 0 <= j < grid.shape[1]
-                and self._pres[pair][i, j]):
-            return bool(grid[i, j])
-        raise KeyError(key)
-
-    def __iter__(self):
-        for pair in ("IJ", "IK", "JK"):
-            for e in self._g.edges(pair):
-                yield pair, e[0], e[1]
-
-    def __len__(self):
-        return sum(map(np.count_nonzero, self._pres.values()))
 
 
 def _cube_answers(g, pres, cube: np.ndarray) -> GridAnswers:

@@ -53,19 +53,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        UsageFailure, _colored_arrays, _listed)
-from .oracles import GridAnswers
-from .zero_triangle import ceil_log2
+from .instances import (CASE_VALUE_SIDES, COLORED_PAIRS, ColoredValuedGraph,
+                        GridAnswers, IntMatrix, MINUS_INF, PLUS_INF,
+                        UsageFailure, _colored_arrays, _listed, ceil_log2)
 
 # AE-MonoEq triangle, MonoEq product: a GridAnswers or dict keyed (u, v).
 MonoeqSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 MonoEqProductSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 Instrument = Optional[Callable[[dict], None]]
-
-_CASE_A = frozenset({"IK", "JK"})   # values on I x K and J x K
-_CASE_B = frozenset({"IJ", "JK"})   # values on I x J and J x K
-_PAIRS = ("IJ", "JK", "IK")
 
 
 def composite_color(base, tag, tag_bound: int):
@@ -124,7 +119,7 @@ def _probe_graph(part_sizes, sides, grids):
     """A trusted probe from (presence, colour, value) grids for IJ, JK and
     IK, value None on an unvalued pair; edges are derived only if read."""
     arrays = ({}, {}, {})
-    for pair, (pres, col, val) in zip(_PAIRS, grids):
+    for pair, (pres, col, val) in zip(COLORED_PAIRS, grids):
         for kind, grid in zip(arrays, (pres, col, val)):
             kind[pair] = np.zeros_like(col) if grid is None else grid
     return ColoredValuedGraph._trusted(part_sizes, sides, arrays)
@@ -149,11 +144,11 @@ def _eq_search(sizes, pres, base, ik, jk, mode, solver, instrument):
     levels = ceil_log2(len(distinct) + 1) if live.any() else 0
     miss = 0 if upper else (1 << levels) - 1
     # Every tag is below 2^levels, so base << levels leaves room for it.
-    col = {p: base[p] << levels for p in _PAIRS}
+    col = {p: base[p] << levels for p in COLORED_PAIRS}
     est = np.zeros(sizes[:2], np.int64)
 
     def probe(level):
-        return _probe_graph(sizes, _CASE_A, (
+        return _probe_graph(sizes, CASE_VALUE_SIDES["A"], (
             (live, col["IJ"] + ((est >> level) | upper), None),
             *((pres[p], col[p] + (tag[p] >> level), tag[p])
               for p in ("JK", "IK"))))
@@ -207,7 +202,7 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
         est = (pre << (bit + 1)) | (1 << bit)
 
         def probe(level):
-            return _probe_graph(sizes, _CASE_B, (
+            return _probe_graph(sizes, CASE_VALUE_SIDES["B"], (
                 (live, col["IJ"], (est >> level) | upper),
                 (cut["JK"], col["JK"], rank["JK"] >> level),
                 (cut["IK"], col["IK"], None)))
@@ -326,10 +321,10 @@ def _case_a_grids(g: ColoredValuedGraph):
     """g's presence grids, its colours renumbered densely from 0 (colours
     are opaque, so composites of the renumbered ones with small tags stay
     far inside int64) and its value grids."""
-    if g.value_sides != _CASE_A:
+    if g.value_sides != CASE_VALUE_SIDES["A"]:
         raise UsageFailure("expected a case-A instance (values on IK and JK)")
     pres, col, val = _colored_arrays(g)
-    return pres, _ranks(pres, col, _PAIRS)[1], val
+    return pres, _ranks(pres, col, COLORED_PAIRS)[1], val
 
 
 def _on_edges(pres, hit, found) -> dict[tuple[int, int], int]:

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .instances import SetFamilyInstance, TripartiteWeightedGraph
-from .oracles import Triangle
+from .instances import SetFamilyInstance, Triangle, TripartiteWeightedGraph
 
 
 @dataclass(frozen=True)
@@ -39,21 +38,14 @@ class SetDecodeMap:
 
 
 def _build(g: TripartiteWeightedGraph, output_cap: Optional[int]):
-    na, nb, _nc = g.part_sizes
-    family = [set() for _ in range(na + nb)]
-    for c, a, _w in g.edges_ca:
-        family[a].add(c)
-    for b, c, _w in g.edges_bc:
-        family[na + b].add(c)
+    # The sets are g's C-rows, A's then B's, each read in ascending order.
+    rows_a, rows_b = g.c_rows
+    family = tuple(tuple(c for c in range(row.bit_length()) if row >> c & 1)
+                   for row in rows_a + rows_b)
     edges = tuple(sorted((a, b) for a, b, _w in g.edges_ab))
-    queries = tuple((a, na + b) for a, b in edges)
-    instance = SetFamilyInstance(
-        g.part_sizes[2],
-        tuple(tuple(sorted(s)) for s in family),
-        queries,
-        output_cap,
-    )
-    return instance, SetDecodeMap(edges)
+    queries = tuple((a, len(rows_a) + b) for a, b in edges)
+    return (SetFamilyInstance(g.part_sizes[2], family, queries, output_cap),
+            SetDecodeMap(edges))
 
 
 def sparse_triangle_to_set_disjointness(

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph)
+from .instances import (COLORED_PAIRS, ColoredValuedGraph, IntMatrix,
+                        MINUS_INF, PLUS_INF, SetFamilyInstance,
+                        TripartiteWeightedGraph)
 
 
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-_SIDE_ORDER = ("IJ", "JK", "IK")
 
 
 def _fmt_entry(v: int) -> str:
@@ -52,9 +50,10 @@ def serialize(instance) -> str:
                 lines.append(f"{pair} {u} {v} {w}")
     elif isinstance(instance, ColoredValuedGraph):
         ni, nj, nk = instance.part_sizes
-        sides = ",".join(s for s in _SIDE_ORDER if s in instance.value_sides) or "-"
+        sides = ",".join(s for s in COLORED_PAIRS
+                         if s in instance.value_sides) or "-"
         lines.append(f"CVG {ni} {nj} {nk} {sides}")
-        for pair in _SIDE_ORDER:
+        for pair in COLORED_PAIRS:
             for u, v, c, val in instance.edges(pair):
                 if val is None:
                     lines.append(f"{pair} {u} {v} {c}")
@@ -171,9 +170,9 @@ def _parse_cvg(lines) -> ColoredValuedGraph:
         sides = frozenset()
     else:
         sides = frozenset(toks[4].split(","))
-        if not sides <= set(_SIDE_ORDER):
+        if not sides <= set(COLORED_PAIRS):
             raise ParseError(line_no, f"bad value sides {toks[4]!r}")
-    buckets: dict = {"IJ": [], "JK": [], "IK": []}
+    buckets: dict = {pair: [] for pair in COLORED_PAIRS}
     for line_no, toks in lines[1:]:
         pair = toks[0]
         if pair not in buckets:

@@ -24,10 +24,8 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Optional
 
-from .instances import TripartiteWeightedGraph
-from .oracles import Triangle
+from .instances import Triangle, TripartiteWeightedGraph, ceil_log2
 from .rng import RngStream
-from .zero_triangle import ceil_log2
 
 DetectionSolver = Callable[[TripartiteWeightedGraph], dict[tuple[int, int], bool]]
 UniqueSolver = Callable[[TripartiteWeightedGraph],

@@ -20,8 +20,9 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .instances import TripartiteWeightedGraph, UsageFailure
-from .oracles import Triangle, _weight_maps, triangle_list_bf
+from .instances import (Triangle, TripartiteWeightedGraph, UsageFailure,
+                        ceil_log2)
+from .oracles import triangle_list_bf
 from .rng import RngStream
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -208,13 +209,6 @@ def default_per_edge_cap(size_c: int, s: int) -> int:
 def default_global_cap(part_sizes: tuple[int, int, int], s: int) -> int:
     na, nb, nc = part_sizes
     return 8100 * na * nb * nc // (s ** 3) + 1
-
-
-def ceil_log2(x: int) -> int:
-    """Smallest t with 2^t >= x, for x >= 1."""
-    if x < 1:
-        raise ValueError("ceil_log2 needs x >= 1")
-    return (x - 1).bit_length()
 
 
 def default_trials(total_vertices: int, multiplier: int = 100) -> int:
@@ -485,15 +479,16 @@ def claim_statistics(
         raise ValueError("planted triple is not a zero triangle of g")
     pa, pb, pc = planted
     planted_vertices = {("A", pa), ("B", pb), ("C", pc)}
+    # The planted edges' places in g: randomize_weights keeps the edge order.
+    at = {p: [e[:2] for e in g.edges(p)].index(uv) for p, uv in
+          (("CA", (pc, pa)), ("BC", (pb, pc)), ("AB", (pa, pb)))}
     per_edge_bound = default_per_edge_cap(g.part_sizes[2], s) - 1
     global_bound = default_global_cap(g.part_sizes, s) - 1
 
     ok1 = ok2 = ok3 = max_fp = max_nz = 0
     for _trial, sheared, rs in _randomized_trials(g, s, trials, rng):
-        w2_ab, w2_bc, w2_ca = _weight_maps(sheared)
-        i = rs.index_of(w2_ca[(pc, pa)])
-        j = rs.index_of(w2_bc[(pb, pc)])
-        k = rs.index_of(w2_ab[(pa, pb)])
+        i, j, k = (rs.index_of(sheared.edges(p)[pos][2])
+                   for p, pos in at.items())
         pruned = build_subinstance(sheared, rs, (i, j, k)).pruned
         ok1 += planted_vertices.isdisjoint(pruned)
 

@@ -31,6 +31,21 @@ def test_digest_reads_key_order_and_non_dict_answers(monkeypatch):
         b"(False, None)").hexdigest()
 
 
+def test_digest_reads_any_mapping_by_its_items(monkeypatch):
+    # A GridAnswers' repr holds its address: two equal answers must still
+    # digest alike, through their items.
+    from fgtri import RngStream, ae_mono_triangle_bf, generate_colored
+    monkeypatch.syspath_prepend(str(TOOL.parent))
+    spec = importlib.util.spec_from_file_location("answer_digest", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    g = generate_colored((3, 3, 3), 2, 80, 4, frozenset(), RngStream(5))
+    first, second = ae_mono_triangle_bf(g), ae_mono_triangle_bf(g)
+    assert first == second and first is not second
+    assert tool.digest(first) == tool.digest(second) == hashlib.sha256(
+        repr(list(first.items())).encode()).hexdigest()
+
+
 def test_listing_ops_give_one_stable_line_each():
     args = ("--workload", "listing-detect", "--seed", "3", "--ops", "3")
     first = _digest_lines(*args)

@@ -617,6 +617,39 @@ def test_value_error_inside_a_product_chain_exits_4(tmp_path, capsys,
                             " together\n")
 
 
+@pytest.mark.parametrize("error", [KeyError("x"), TypeError("bad operand"),
+                                   IndexError("index 3 is out of bounds"),
+                                   MemoryError()])
+def test_any_fault_inside_exits_4_without_a_traceback(error, tmp_path, capsys,
+                                                      monkeypatch):
+    from fgtri import textio
+
+    def broken(_text):
+        raise error
+
+    monkeypatch.setattr(textio, "parse_documents", broken)
+    twg = tmp_path / "g.twg"
+    twg.write_text("TWG 1 1 1\nAB 0 0 1\nBC 0 0 2\nCA 0 0 -3\n")
+    assert main(["solve", "--solver", "zero-bf", "--in", str(twg)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {error!r}\n"
+
+
+def test_interrupts_and_exits_pass_through(tmp_path, monkeypatch):
+    from fgtri import textio
+
+    twg = tmp_path / "g.twg"
+    twg.write_text("TWG 1 1 1\n")
+    for error in (KeyboardInterrupt(), SystemExit(7)):
+        def broken(_text, error=error):
+            raise error
+
+        monkeypatch.setattr(textio, "parse_documents", broken)
+        with pytest.raises(type(error)):
+            main(["solve", "--solver", "zero-bf", "--in", str(twg)])
+
+
 _BAD_INPUTS = {
     "pair.imx": "IMX 2 3\n1 2 3\n4 5 6\nIMX 2 2\n1 2\n3 4\n",
     "int-pair.imx": "IMX 1 1\n2\nIMX 1 1\n3\n",

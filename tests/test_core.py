@@ -1,5 +1,6 @@
 """Domain types, generators, and the text round trip."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -43,6 +44,38 @@ def _blas_threads_after_import(**preset):
 def test_import_defaults_blas_to_one_thread_and_keeps_a_set_value():
     assert _blas_threads_after_import() == ["1", "1", "1"]
     assert _blas_threads_after_import(OMP_NUM_THREADS="2") == ["1", "2", "1"]
+
+
+# The package modules each module may import: shared types and helpers
+# live in ``instances``, so no solver or reduction reaches into the oracles
+# or into another reduction for them. ``cli`` and ``__init__`` are exempt.
+_LAYERS = {
+    "instances": set(), "rng": set(),
+    "generators": {"instances", "rng"},
+    "textio": {"instances"}, "oracles": {"instances"},
+    "fast_solvers": {"instances"}, "products": {"instances"},
+    "setfam": {"instances"},
+    "witness_listing": {"instances", "rng"}, "monoeq": {"instances", "rng"},
+    "zero_triangle": {"instances", "oracles", "rng"},
+}
+
+
+def _package_imports(path: Path) -> set:
+    """The package modules that a module imports by relative imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module
+                         else (alias.name for alias in node.names))
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    package = Path(fgtri.__file__).parent
+    imports = {path.stem: _package_imports(path)
+               for path in package.glob("*.py")
+               if path.stem not in ("cli", "__init__")}
+    assert imports == _LAYERS
 
 
 # ------------------------------------------------------------ invariants

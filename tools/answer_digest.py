@@ -8,7 +8,8 @@ default the tree this script lives in). Operation i runs on
 ``WORKLOADS[W].case(seed, i)`` with the workload's own inner solver, as in
 ``perfbench/run.py``, untimed and unchecked. Each output line is
 ``i <hex digest>``, the digest taken over ``repr(list(answer.items()))`` for
-a dict answer, so key order counts, and over ``repr(answer)`` otherwise. Two
+a mapping answer (a dict or a ``GridAnswers``, whose own repr holds its
+address), so key order counts, and over ``repr(answer)`` otherwise. Two
 trees give the same answers when ``diff`` finds no line that differs.
 ``--ops`` must be positive: a run that prints no line would agree with any
 other.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 from bench_pairs import positive
@@ -27,7 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def digest(answer) -> str:
-    text = repr(list(answer.items()) if isinstance(answer, dict) else answer)
+    text = repr(list(answer.items()) if isinstance(answer, Mapping)
+                else answer)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
