@@ -34,16 +34,17 @@ from .zero_triangle import (ClaimStatistics, RandomizationData, RangeSplit,
                             zero_triangle_via_global_listing,
                             zero_triangle_via_listing)
 from .witness_listing import (listing_via_detection, listing_via_unique,
+                              seeded_listing_via_detection,
                               unique_listing_via_detection)
 from .monoeq import (CASE_BLOWN_PART, CASE_TAGS, CASE_VALUE_SIDES,
                      CombinedMonoInstance, ExpandedCase, case_of,
                      combine_sparse_into_mono, expand_values,
                      solve_ae_monoeq, solve_combined, split_cases)
-from .products import (composite_color, exists_dom_via_min_le,
-                       exists_eq_via_min_eq, max_le_via_monoeq,
-                       max_min_product, min_eq_via_monoeq, min_le_via_monoeq,
-                       min_witness_via_max_min, mono_eq_via_mono_min_eq,
-                       mono_min_eq_via_mono_eq, mono_min_le_via_monoeq)
+from .products import (exists_dom_via_min_le, exists_eq_via_min_eq,
+                       max_le_via_monoeq, max_min_product, min_eq_via_monoeq,
+                       min_le_via_monoeq, min_witness_via_max_min,
+                       mono_eq_via_mono_min_eq, mono_min_eq_via_mono_eq,
+                       mono_min_le_via_monoeq)
 from .setfam import (SetDecodeMap, listing_to_set_intersection,
                      sparse_triangle_to_set_disjointness)
 

@@ -31,9 +31,10 @@ from . import generators, oracles, products, setfam, textio, witness_listing
 from . import monoeq as monoeq_mod
 from . import zero_triangle as zt
 from .fast_solvers import ae_mono_triangle_fast, ae_sparse_triangle_fast
-from .instances import (CASE_VALUE_SIDES, COLORED_PAIRS, ColoredValuedGraph,
-                        IntMatrix, PLUS_INF, SetFamilyInstance,
-                        TripartiteWeightedGraph, UsageFailure)
+from .instances import (_PAIR_PARTS, CASE_VALUE_SIDES, COLORED_PAIRS,
+                        WEIGHTED_PAIRS, ColoredValuedGraph, IntMatrix,
+                        PLUS_INF, SetFamilyInstance, TripartiteWeightedGraph,
+                        UsageFailure)
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -204,22 +205,8 @@ _SOLVERS = {
 }
 
 
-def _detect_lister(graph, cap):
-    # Deterministic stream derived from the subinstance itself, so the
-    # lister is a pure function of its arguments regardless of call order.
-    digest = 0
-    for ch in textio.serialize(graph).encode("utf-8"):
-        digest = (digest * 1099511628211 + ch) & ((1 << 63) - 1)
-    rng = RngStream(digest, ("detect-lister",))
-    # No edge has more triangles than its common C-neighborhood, so capping
-    # there is lossless; the subsampling lister's round count grows with
-    # cap^2, and pipeline caps are far beyond what sparse subinstances hold.
-    # The graph's C-rows, built here, serve the listing below too.
-    rows_a, rows_b = graph.c_rows
-    widest = max(((rows_a[a] & rows_b[b]).bit_count()
-                  for a, b, _w in graph.edges_ab), default=0)
-    return witness_listing.listing_via_detection(
-        graph, min(cap, widest), ae_sparse_triangle_fast, rng)
+_detect_lister = partial(witness_listing.seeded_listing_via_detection,
+                         detection_solver=ae_sparse_triangle_fast)
 
 
 def _tiles(total: int, width: int):
@@ -229,13 +216,13 @@ def _tiles(total: int, width: int):
 def _tile_graph(g: TripartiteWeightedGraph, spans):
     """Induced subgraph on one (A, B, C) block triple, reindexed to the
     block origins; a tile of a validated graph keeps its invariants."""
-    def cut(edges, p, q):
-        (p_lo, p_hi), (q_lo, q_hi) = spans[p], spans[q]
-        return tuple((u - p_lo, v - q_lo, w) for u, v, w in edges
+    def cut(pair):
+        (p_lo, p_hi), (q_lo, q_hi) = (spans[i] for i in _PAIR_PARTS[pair])
+        return tuple((u - p_lo, v - q_lo, w) for u, v, w in g.edges(pair)
                      if p_lo <= u < p_hi and q_lo <= v < q_hi)
     return TripartiteWeightedGraph._trusted(
-        tuple(hi - lo for lo, hi in spans), cut(g.edges_ab, 0, 1),
-        cut(g.edges_bc, 1, 2), cut(g.edges_ca, 2, 0), g.weight_modulus)
+        tuple(hi - lo for lo, hi in spans), *map(cut, WEIGHTED_PAIRS),
+        g.weight_modulus)
 
 
 def _iterate_tiles(tile: str, g, rng, once):
@@ -569,8 +556,8 @@ def cmd_bench(args) -> int:
                 inst = colored
                 if not on_colored:
                     inst = TripartiteWeightedGraph._trusted(
-                        graph.part_sizes, graph.edges_ab, graph.edges_bc,
-                        graph.edges_ca, graph.weight_modulus)
+                        graph.part_sizes, *map(graph.edges, WEIGHTED_PAIRS),
+                        graph.weight_modulus)
                 samples.append(time_once(partial(fn, inst)))
             samples.sort()
             rows.append({"solver": solver, "n": n,

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .instances import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
-                        SetFamilyInstance, TripartiteWeightedGraph, UsageFailure)
+from .instances import (_PAIR_PARTS, WEIGHTED_PAIRS, ColoredValuedGraph,
+                        IntMatrix, MINUS_INF, PLUS_INF, SetFamilyInstance,
+                        TripartiteWeightedGraph, UsageFailure)
 from .rng import RngStream
 
 
@@ -34,38 +35,31 @@ def generate_tripartite(
     """
     if weight_bound < 1:
         raise UsageFailure("weight_bound must be >= 1")
-    na, nb, nc = balanced_split(n)
-    if plant_zero and min(na, nb, nc) == 0:
+    sizes = balanced_split(n)
+    if plant_zero and min(sizes) == 0:
         raise UsageFailure("cannot plant a zero triangle with an empty part")
 
+    # Per pair u -> v, in WEIGHTED_PAIRS order, edge (u, v) at u * |V| + v.
     wstream = rng.child("weights")
-    edges_ab = [(a, b, wstream.randint(-weight_bound, weight_bound))
-                for a in range(na) for b in range(nb)]
-    edges_bc = [(b, c, wstream.randint(-weight_bound, weight_bound))
-                for b in range(nb) for c in range(nc)]
-    edges_ca = [(c, a, wstream.randint(-weight_bound, weight_bound))
-                for c in range(nc) for a in range(na)]
+    edges = {pair: [(u, v, wstream.randint(-weight_bound, weight_bound))
+                    for u in range(sizes[pu]) for v in range(sizes[pv])]
+             for pair in WEIGHTED_PAIRS for pu, pv in [_PAIR_PARTS[pair]]}
 
     planted = None
     if plant_zero:
         pstream = rng.child("plant")
-        a = pstream.randrange(na)
-        b = pstream.randrange(nb)
-        c = pstream.randrange(nc)
+        planted = tuple(pstream.randrange(size) for size in sizes)
         w_ab = pstream.randint(-weight_bound, weight_bound)
         # Constrain the second draw so the closing weight stays in range.
         lo = max(-weight_bound, -weight_bound - w_ab)
         hi = min(weight_bound, weight_bound - w_ab)
         w_bc = pstream.randint(lo, hi)
-        w_ca = -(w_ab + w_bc)
-        edges_ab[a * nb + b] = (a, b, w_ab)
-        edges_bc[b * nc + c] = (b, c, w_bc)
-        edges_ca[c * na + a] = (c, a, w_ca)
-        planted = (a, b, c)
+        for pair, w in zip(WEIGHTED_PAIRS, (w_ab, w_bc, -(w_ab + w_bc))):
+            pu, pv = _PAIR_PARTS[pair]
+            u, v = planted[pu], planted[pv]
+            edges[pair][u * sizes[pv] + v] = (u, v, w)
 
-    g = TripartiteWeightedGraph((na, nb, nc), tuple(edges_ab),
-                                tuple(edges_bc), tuple(edges_ca))
-    return g, planted
+    return TripartiteWeightedGraph(sizes, *edges.values()), planted
 
 
 def generate_sparse_tripartite(
@@ -77,19 +71,18 @@ def generate_sparse_tripartite(
     """Unbalanced tripartite graph keeping each edge with the given percent."""
     if not 0 <= keep_percent <= 100:
         raise UsageFailure("keep_percent must be in [0, 100]")
-    na, nb, nc = sizes
     estream = rng.child("edges")
 
-    def draw(nu, nv):
+    def draw(pair):
         out = []
-        for u in range(nu):
-            for v in range(nv):
+        pu, pv = _PAIR_PARTS[pair]
+        for u in range(sizes[pu]):
+            for v in range(sizes[pv]):
                 if estream.bernoulli(keep_percent, 100):
                     out.append((u, v, estream.randint(-weight_bound, weight_bound)))
-        return tuple(out)
+        return out
 
-    return TripartiteWeightedGraph((na, nb, nc), draw(na, nb), draw(nb, nc),
-                                   draw(nc, na))
+    return TripartiteWeightedGraph(sizes, *map(draw, WEIGHTED_PAIRS))
 
 
 def generate_colored(

@@ -1,7 +1,7 @@
 """Domain types shared by every solver and reduction, and the names that
 several layers read: ``Triangle``, ``ceil_log2``, the colored solvers'
-answer type ``GridAnswers``, the colored pair order and the two-sided
-equality cases' value sides.
+answer type ``GridAnswers``, the weighted and colored pair orders, the
+parts each pair joins and the two-sided equality cases' value sides.
 
 The domain types are frozen dataclasses. Values are validated at the boundary:
 ``textio.parse``, the generators and the public constructors check every
@@ -63,8 +63,10 @@ _PAIR_PARTS = {
     "IJ": (0, 1), "JK": (1, 2), "IK": (0, 2),
 }
 
-# The colored pairs in text and probe-grid order, and each two-sided
-# equality case's value sides: case A shares part K, B part J, C part I.
+# The weighted pairs in field and text order, the colored pairs in field,
+# text and probe-grid order, and each two-sided equality case's value
+# sides: case A shares part K, B part J, C part I.
+WEIGHTED_PAIRS = ("AB", "BC", "CA")
 COLORED_PAIRS = ("IJ", "JK", "IK")
 CASE_VALUE_SIDES = {tag: frozenset(sides) for tag, sides in (
     ("A", ("IK", "JK")), ("B", ("IJ", "JK")), ("C", ("IJ", "IK")))}
@@ -87,8 +89,9 @@ def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
         if len(e) != arity:
             raise ValueError(f"{pair} edge {e!r}: expected {arity} fields")
         u, v = e[0], e[1]
-        if not (0 <= u < nu and 0 <= v < nv):
-            raise ValueError(f"{pair} edge ({u},{v}) out of range {nu}x{nv}")
+        if not (_int64(u) and _int64(v) and 0 <= u < nu and 0 <= v < nv):
+            raise ValueError(f"{pair} edge ({u!r},{v!r}) is not an integer "
+                             f"pair in range {nu}x{nv}")
         if (u, v) in seen:
             raise ValueError(f"duplicate {pair} edge ({u},{v})")
         seen.add((u, v))
@@ -128,20 +131,20 @@ class TripartiteWeightedGraph:
         object.__setattr__(self, "part_sizes", tuple(self.part_sizes))
         if len(self.part_sizes) != 3 or any(s < 0 for s in self.part_sizes):
             raise ValueError("part_sizes must be three non-negative counts")
-        object.__setattr__(self, "edges_ab", tuple(map(tuple, self.edges_ab)))
-        object.__setattr__(self, "edges_bc", tuple(map(tuple, self.edges_bc)))
-        object.__setattr__(self, "edges_ca", tuple(map(tuple, self.edges_ca)))
-        for pair, edges in (("AB", self.edges_ab), ("BC", self.edges_bc),
-                            ("CA", self.edges_ca)):
+        modulus = self.weight_modulus
+        if modulus is not None and modulus <= 0:
+            raise ValueError("weight_modulus must be positive")
+        for pair in WEIGHTED_PAIRS:
+            field = f"edges_{pair.lower()}"
+            edges = tuple(map(tuple, getattr(self, field)))
+            object.__setattr__(self, field, edges)
             _check_edges(pair, edges, self.part_sizes, 3)
-        if self.weight_modulus is not None:
-            if self.weight_modulus <= 0:
-                raise ValueError("weight_modulus must be positive")
-            for edges in (self.edges_ab, self.edges_bc, self.edges_ca):
-                for u, v, w in edges:
-                    if not 0 <= w < self.weight_modulus:
-                        raise ValueError(
-                            f"weight {w} outside [0, {self.weight_modulus})")
+            for u, v, w in edges:  # weights are unbounded without a modulus
+                if not (isinstance(w, Integral)
+                        and (modulus is None or 0 <= w < modulus)):
+                    raise ValueError(f"{pair} edge ({u},{v}): weight {w!r} is "
+                                     "not an integer" + ("" if modulus is None
+                                     else f" in [0, {modulus})"))
 
     @classmethod
     def _trusted(cls, part_sizes, edges_ab, edges_bc, edges_ca,
@@ -214,7 +217,7 @@ class TripartiteWeightedGraph:
                 tuple([r & mask for r in rows_b]))
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int], ...]:
-        return {"AB": self.edges_ab, "BC": self.edges_bc, "CA": self.edges_ca}[pair]
+        return getattr(self, f"edges_{pair.lower()}")
 
     @property
     def edge_count(self) -> int:
@@ -224,11 +227,8 @@ class TripartiteWeightedGraph:
             r.bit_count() for rows in self.c_rows for r in rows)
 
     def max_abs_weight(self) -> int:
-        best = 0
-        for edges in (self.edges_ab, self.edges_bc, self.edges_ca):
-            for _, _, w in edges:
-                best = max(best, abs(w))
-        return best
+        return max((abs(w) for pair in WEIGHTED_PAIRS
+                    for _u, _v, w in self.edges(pair)), default=0)
 
 
 def _int64(x) -> bool:
@@ -269,8 +269,8 @@ class ColoredValuedGraph:
 
     ``value_sides`` names the part-pairs whose edges carry a value; an edge
     has a value exactly when its pair is listed there. Colors are opaque
-    64-bit integers (composite colors use the injective pairing c*M + tag),
-    and so are values.
+    64-bit integers (the product searches' composite colours are
+    (c << w) + tag, for tags below 2^w), and so are values.
     """
 
     part_sizes: tuple[int, int, int]
@@ -331,8 +331,7 @@ class ColoredValuedGraph:
         return tuple(zip(us.tolist(), vs.tolist(), col[us, vs].tolist(), vals))
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int, Optional[int]], ...]:
-        return getattr(self, {"IJ": "edges_ij", "JK": "edges_jk",
-                              "IK": "edges_ik"}[pair])
+        return getattr(self, f"edges_{pair.lower()}")
 
     @property
     def edge_count(self) -> int:

@@ -27,13 +27,13 @@ rank bit t the answer rank is the prefix, a 1 and t open bits, so its
 inner search makes t calls. No value is shifted and no sentinel ever needs
 incrementing.
 
-Every instance is built from grids by ``_probe_graph``. A monochromatic
-search renumbers g's colours densely first, so that the composites
-colour * bound + tag stay inside int64; a search scales its base colours
-by the bound once, and a level's probe adds the tags shifted right by the
-level. Only grids reach the solver, so no edge tuple is built unless the
-solver reads one. Each level reads the hits at the live cells in one pass:
-one index into a ``GridAnswers``' I x J grid, else one lookup per (u, v).
+Every instance is built from grids by ``_probe_graph``, in one colour
+format: (colour << w) + tag, for tags below 2^w. A monochromatic search
+renumbers g's colours densely first, so that these stay inside int64; a
+search shifts its base colours once, and a level's probe adds the tags.
+Only grids reach the solver, so no edge tuple is built unless the solver
+reads one. Each level reads the hits at the live cells in one pass: one
+index into a ``GridAnswers``' I x J grid, else one lookup per (u, v).
 
 Passing an ``instrument`` callable exposes the searches for verification
 (test mode asserts the bracketing invariant against brute force). Each
@@ -61,13 +61,6 @@ from .instances import (CASE_VALUE_SIDES, COLORED_PAIRS, ColoredValuedGraph,
 MonoeqSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 MonoEqProductSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 Instrument = Optional[Callable[[dict], None]]
-
-
-def composite_color(base, tag, tag_bound: int):
-    """Injective pairing of base colors with bounded tags, elementwise."""
-    if np.logical_or(tag < 0, tag >= tag_bound).any():
-        raise ValueError(f"tag {tag} outside [0, {tag_bound})")
-    return base * tag_bound + tag
 
 
 def _ranks(pres, grids, pairs):
@@ -187,7 +180,9 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
         live, pre = _eq_search(sizes, pres, base, rank["IK"], rank["JK"],
                                mode, eq_solver, instrument)
         best[live] = pre[live]
-    for bit in range(ceil_log2(max(1, len(distinct)))):
+    bits = ceil_log2(max(1, len(distinct)))  # every tag is below 2^bits
+    scaled = {p: base[p] << bits for p in COLORED_PAIRS}
+    for bit in range(bits):
         cut = {"IJ": pres["IJ"],
                "IK": pres["IK"] & ((rank["IK"] >> bit) % 2 == 0),
                "JK": pres["JK"] & ((rank["JK"] >> bit) % 2 == 1)}
@@ -197,7 +192,7 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
         if not live.any():
             continue
         cut = {**cut, "IJ": live}
-        col = {p: composite_color(base[p], t, len(distinct))
+        col = {p: scaled[p] + t
                for p, t in (("IJ", pre), ("JK", jk_cut), ("IK", ik_cut))}
         est = (pre << (bit + 1)) | (1 << bit)
 

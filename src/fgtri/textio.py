@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .instances import (COLORED_PAIRS, ColoredValuedGraph, IntMatrix,
-                        MINUS_INF, PLUS_INF, SetFamilyInstance,
+from .instances import (COLORED_PAIRS, WEIGHTED_PAIRS, ColoredValuedGraph,
+                        IntMatrix, MINUS_INF, PLUS_INF, SetFamilyInstance,
                         TripartiteWeightedGraph)
 
 
@@ -45,7 +45,7 @@ def serialize(instance) -> str:
         if instance.weight_modulus is not None:
             header += f" MOD {instance.weight_modulus}"
         lines.append(header)
-        for pair in ("AB", "BC", "CA"):
+        for pair in WEIGHTED_PAIRS:
             for u, v, w in instance.edges(pair):
                 lines.append(f"{pair} {u} {v} {w}")
     elif isinstance(instance, ColoredValuedGraph):
@@ -151,14 +151,12 @@ def _parse_twg(lines) -> TripartiteWeightedGraph:
     elif len(toks) != 4:
         raise ParseError(line_no, "TWG header needs 3 sizes and optional MOD p")
     sizes = tuple(_int(t, line_no, "part size") for t in toks[1:4])
-    buckets: dict = {"AB": [], "BC": [], "CA": []}
+    buckets: dict = {pair: [] for pair in WEIGHTED_PAIRS}
     for line_no, toks in lines[1:]:
         if toks[0] not in buckets or len(toks) != 4:
             raise ParseError(line_no, f"expected 'AB|BC|CA u v w', got {' '.join(toks)!r}")
         buckets[toks[0]].append(tuple(_int(t, line_no, "edge field") for t in toks[1:]))
-    return TripartiteWeightedGraph(sizes, tuple(buckets["AB"]),
-                                   tuple(buckets["BC"]), tuple(buckets["CA"]),
-                                   modulus)
+    return TripartiteWeightedGraph(sizes, *buckets.values(), modulus)
 
 
 def _parse_cvg(lines) -> ColoredValuedGraph:
@@ -184,8 +182,7 @@ def _parse_cvg(lines) -> ColoredValuedGraph:
         u, v, c = (_int(t, line_no, "edge field") for t in toks[1:4])
         val = _int(toks[4], line_no, "value") if valued else None
         buckets[pair].append((u, v, c, val))
-    return ColoredValuedGraph(sizes, tuple(buckets["IJ"]), tuple(buckets["JK"]),
-                              tuple(buckets["IK"]), sides)
+    return ColoredValuedGraph(sizes, *buckets.values(), sides)
 
 
 def _parse_imx(lines) -> IntMatrix:

@@ -8,7 +8,8 @@ the adjacency, so a returned triangle is never wrong. Listing-via-unique
 then samples geometric C-subsets across stages so that whatever the true
 per-edge triangle count, some stage isolates triangles one at a time. An
 edge stops being sent once it holds the lowest min(cap, count) triangles
-its C-rows name, since its answer can no longer change.
+its C-rows name, since its answer can no longer change. Their composition
+seeded from the graph itself is the zero reduction's detection lister.
 
 Both keep part sizes and degrees intact: subgraphs drop edges, never
 reindex vertices. The subgraphs are O(1) C-restrictions: they carry their
@@ -26,6 +27,7 @@ from typing import Callable, Optional
 
 from .instances import Triangle, TripartiteWeightedGraph, ceil_log2
 from .rng import RngStream
+from .textio import serialize
 
 DetectionSolver = Callable[[TripartiteWeightedGraph], dict[tuple[int, int], bool]]
 UniqueSolver = Callable[[TripartiteWeightedGraph],
@@ -170,3 +172,24 @@ def listing_via_detection(
         return unique_listing_via_detection(sub, detection_solver)
 
     return listing_via_unique(g, per_edge_cap, unique, rng)
+
+
+def seeded_listing_via_detection(
+    g: TripartiteWeightedGraph,
+    per_edge_cap: int,
+    detection_solver: DetectionSolver,
+) -> dict[tuple[int, int], list[Triangle]]:
+    """``listing_via_detection`` on a stream seeded from an FNV digest of
+    g's text, so the lister is a pure function of its arguments whatever
+    the call order. The cap is cut to g's widest common C-neighbourhood,
+    which bounds every edge's triangle count, so the cut loses nothing and
+    spares the subsampling rounds, whose count grows with cap^2."""
+    digest = 0
+    for ch in serialize(g).encode("utf-8"):
+        digest = (digest * 1099511628211 + ch) & ((1 << 63) - 1)
+    rows_a, rows_b = g.c_rows
+    widest = max(((rows_a[a] & rows_b[b]).bit_count()
+                  for a, b, _w in g.edges_ab), default=0)
+    return listing_via_detection(g, min(per_edge_cap, widest),
+                                 detection_solver,
+                                 RngStream(digest, ("detect-lister",)))

@@ -20,8 +20,8 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .instances import (Triangle, TripartiteWeightedGraph, UsageFailure,
-                        ceil_log2)
+from .instances import (_PAIR_PARTS, WEIGHTED_PAIRS, Triangle,
+                        TripartiteWeightedGraph, UsageFailure, ceil_log2)
 from .oracles import triangle_list_bf
 from .rng import RngStream
 
@@ -146,9 +146,9 @@ def randomize_weights(
 ) -> TripartiteWeightedGraph:
     """Shear the weights so that triangle sums scale by the multiplier.
 
-    New weights (all mod p): AB gets x*w - y_b + y_a, BC gets x*w - y_c + y_b,
-    CA gets x*w - y_a + y_c. Around any triangle the offsets telescope, so
-    the w'-sum is x times the w-sum; zero triangles are preserved whenever
+    New weights (all mod p): each pair's edge u -> v gets x*w - y_v + y_u,
+    so AB gets x*w - y_b + y_a. Around any triangle the offsets telescope,
+    so the w'-sum is x times the w-sum; zero triangles are preserved whenever
     x != 0. The weights w may be integers or residues mod p: both shear to
     the same residues.
     """
@@ -156,17 +156,16 @@ def randomize_weights(
         raise ValueError("graph weights must be integers or live in F_p")
     p = rd.prime
     x = rd.multiplier
-    ya, yb, yc = rd.offsets
-    if (len(ya), len(yb), len(yc)) != g.part_sizes:
+    if tuple(map(len, rd.offsets)) != g.part_sizes:
         raise ValueError("offset lengths must match part sizes")
-    edges_ab = tuple([(a, b, (x * w - yb[b] + ya[a]) % p)
-                      for a, b, w in g.edges_ab])
-    edges_bc = tuple([(b, c, (x * w - yc[c] + yb[b]) % p)
-                      for b, c, w in g.edges_bc])
-    edges_ca = tuple([(c, a, (x * w - ya[a] + yc[c]) % p)
-                      for c, a, w in g.edges_ca])
-    return TripartiteWeightedGraph._trusted(g.part_sizes, edges_ab, edges_bc,
-                                            edges_ca, p)
+
+    def shear(pair):
+        yu, yv = (rd.offsets[part] for part in _PAIR_PARTS[pair])
+        return tuple([(u, v, (x * w - yv[v] + yu[u]) % p)
+                      for u, v, w in g.edges(pair)])
+
+    return TripartiteWeightedGraph._trusted(
+        g.part_sizes, *map(shear, WEIGHTED_PAIRS), p)
 
 
 def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
@@ -216,10 +215,10 @@ def default_trials(total_vertices: int, multiplier: int = 100) -> int:
 
 
 def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
-    """gp's AB, BC and CA edges split by the range of their mod-p weight:
-    entry r of a pair's tuple holds, in input order, its edges in the
-    0-based range r. Built in one pass and cached on gp for the last split
-    it was asked about."""
+    """gp's edges split by the range of their mod-p weight, one tuple per
+    pair in ``WEIGHTED_PAIRS`` order: entry r of a pair's tuple holds, in
+    input order, its edges in the 0-based range r. Built in one pass and
+    cached on gp for the last split it was asked about."""
     cached = gp.__dict__.get("_range_index")
     # The trial loop passes the same split for every triple: the identity
     # test spares it the dataclass comparison.
@@ -227,9 +226,9 @@ def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
         return cached[1]
     starts = _later_starts(rs)
     index = []
-    for edges in (gp.edges_ab, gp.edges_bc, gp.edges_ca):
+    for pair in WEIGHTED_PAIRS:
         buckets = [[] for _ in range(rs.count)]
-        for edge in edges:
+        for edge in gp.edges(pair):
             buckets[bisect_right(starts, edge[2])].append(edge)
         index.append(tuple(map(tuple, buckets)))
     index = tuple(index)
@@ -237,17 +236,24 @@ def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
     return index
 
 
+def _triple_graph(gp: TripartiteWeightedGraph, rs: RangeSplit, triple):
+    """gp's subgraph of the range triple (i, j, k), over gp's cached buckets:
+    its AB weights in L_k, BC in L_j and CA in L_i (the triple reversed)."""
+    (ab, bc, ca), (i, j, k) = _range_index(gp, rs), triple
+    return TripartiteWeightedGraph._trusted(
+        gp.part_sizes, ab[k - 1], bc[j - 1], ca[i - 1], rs.prime)
+
+
 @lru_cache(maxsize=64)
 def _biting_caps(part_sizes, s, caps):
     """The (pair, end, part, cap) of each endpoint whose cap toward the
-    other end's part P is below |P|, pairs numbered AB 0, BC 1, CA 2 (caps
-    in that order): a degree toward P is at most |P|, so no other cap can
-    prune, and an empty result means nothing is pruned."""
-    sizes = dict(zip("ABC", part_sizes))
+    other end's part P is below |P|, pairs and caps in ``WEIGHTED_PAIRS``
+    order: a degree toward P is at most |P|, so no other cap can prune, and
+    an empty result means nothing is pruned."""
     biting = []
-    for pos, (pair, cap) in enumerate(zip(("AB", "BC", "CA"), caps)):
+    for pos, (pair, cap) in enumerate(zip(WEIGHTED_PAIRS, caps)):
         for end in (0, 1):
-            toward = sizes[pair[1 - end]]
+            toward = part_sizes[_PAIR_PARTS[pair][1 - end]]
             limit = default_degree_cap(toward, s) if cap is None else cap
             if limit < toward:
                 biting.append((pos, end, pair[end], limit))
@@ -282,33 +288,27 @@ def build_subinstance(
     """
     if gp.weight_modulus != rs.prime:
         raise ValueError("subinstance selection needs mod-p weights")
-    i, j, k = triple
     s = rs.count
-    for idx in (i, j, k):
+    for idx in triple:
         if not 1 <= idx <= s:
             raise ValueError(f"range id {idx} outside 1..{s}")
-    ab, bc, ca = _range_index(gp, rs)
-    sel_ab, sel_bc, sel_ca = selected = ab[k - 1], bc[j - 1], ca[i - 1]
+    # A subset of gp's edges keeps gp's invariants, so no re-validation.
+    graph = _triple_graph(gp, rs, triple)
     biting = _biting_caps(gp.part_sizes, s,
                           (degree_cap_ab, degree_cap_bc, degree_cap_ca))
-    # A subset of gp's edges keeps gp's invariants, so no re-validation.
     if not biting:
-        return SubinstanceReport(TripartiteWeightedGraph._trusted(
-            gp.part_sizes, sel_ab, sel_bc, sel_ca, rs.prime), ())
+        return SubinstanceReport(graph, ())
+    selected = tuple(map(graph.edges, WEIGHTED_PAIRS))
     doomed: set[tuple[str, int]] = set()
     for pos, end, part, cap in biting:
         degree = Counter(edge[end] for edge in selected[pos])
         doomed.update((part, v) for v, d in degree.items() if d > cap)
 
-    if doomed:
-        sel_ab = tuple([(a, b, w) for a, b, w in sel_ab
-                        if ("A", a) not in doomed and ("B", b) not in doomed])
-        sel_bc = tuple([(b, c, w) for b, c, w in sel_bc
-                        if ("B", b) not in doomed and ("C", c) not in doomed])
-        sel_ca = tuple([(c, a, w) for c, a, w in sel_ca
-                        if ("C", c) not in doomed and ("A", a) not in doomed])
-    graph = TripartiteWeightedGraph._trusted(
-        gp.part_sizes, sel_ab, sel_bc, sel_ca, rs.prime)
+    if doomed:  # a pair's name spells the parts of its two ends
+        graph = TripartiteWeightedGraph._trusted(gp.part_sizes, *(
+            tuple([e for e in edges if (pair[0], e[0]) not in doomed
+                   and (pair[1], e[1]) not in doomed])
+            for pair, edges in zip(WEIGHTED_PAIRS, selected)), rs.prime)
     return SubinstanceReport(graph, tuple(sorted(doomed)))
 
 
@@ -328,8 +328,8 @@ def _zero_filter(g: TripartiteWeightedGraph):
     vertex in a dict per part, so an index outside its part, such as -1,
     reads as a missing edge."""
     w_ab, w_bc, w_ca = rows = {}, {}, {}
-    for row, edges in zip(rows, (g.edges_ab, g.edges_bc, g.edges_ca)):
-        for u, v, w in edges:
+    for row, pair in zip(rows, WEIGHTED_PAIRS):
+        for u, v, w in g.edges(pair):
             row.setdefault(u, {})[v] = w
     edge_of, tris_of = itemgetter(0), itemgetter(1)
 
@@ -480,21 +480,21 @@ def claim_statistics(
     pa, pb, pc = planted
     planted_vertices = {("A", pa), ("B", pb), ("C", pc)}
     # The planted edges' places in g: randomize_weights keeps the edge order.
-    at = {p: [e[:2] for e in g.edges(p)].index(uv) for p, uv in
-          (("CA", (pc, pa)), ("BC", (pb, pc)), ("AB", (pa, pb)))}
+    at = [[e[:2] for e in g.edges(pair)].index(
+        tuple(planted[part] for part in _PAIR_PARTS[pair]))
+        for pair in WEIGHTED_PAIRS]
     per_edge_bound = default_per_edge_cap(g.part_sizes[2], s) - 1
     global_bound = default_global_cap(g.part_sizes, s) - 1
 
     ok1 = ok2 = ok3 = max_fp = max_nz = 0
     for _trial, sheared, rs in _randomized_trials(g, s, trials, rng):
-        i, j, k = (rs.index_of(sheared.edges(p)[pos][2])
-                   for p, pos in at.items())
-        pruned = build_subinstance(sheared, rs, (i, j, k)).pruned
+        # The planted edges' range ids, reversed: see _triple_graph.
+        triple = tuple(rs.index_of(sheared.edges(pair)[pos][2])
+                       for pair, pos in zip(WEIGHTED_PAIRS, at))[::-1]
+        pruned = build_subinstance(sheared, rs, triple).pruned
         ok1 += planted_vertices.isdisjoint(pruned)
 
-        ab, bc, ca = _range_index(sheared, rs)
-        lists = triangle_list_bf(TripartiteWeightedGraph._trusted(
-            g.part_sizes, ab[k - 1], bc[j - 1], ca[i - 1], rs.prime))
+        lists = triangle_list_bf(_triple_graph(sheared, rs, triple))
         on_edge, edge_hits = zero_triangles({(pa, pb): lists[(pa, pb)]})
         false_pos = on_edge - len(edge_hits)
         listed, hits = zero_triangles(lists)

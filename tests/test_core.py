@@ -55,7 +55,7 @@ _LAYERS = {
     "textio": {"instances"}, "oracles": {"instances"},
     "fast_solvers": {"instances"}, "products": {"instances"},
     "setfam": {"instances"},
-    "witness_listing": {"instances", "rng"}, "monoeq": {"instances", "rng"},
+    "witness_listing": {"instances", "rng", "textio"}, "monoeq": {"instances", "rng"},
     "zero_triangle": {"instances", "oracles", "rng"},
 }
 
@@ -76,6 +76,33 @@ def test_each_module_imports_only_the_layers_below_it():
                for path in package.glob("*.py")
                if path.stem not in ("cli", "__init__")}
     assert imports == _LAYERS
+
+
+def _literal_keys(node) -> set:
+    """The constants that a tuple, list or set literal holds, or that key
+    a dict literal."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        items = node.elts
+    elif isinstance(node, ast.Dict):
+        items = node.keys
+    else:
+        return set()
+    return {item.value for item in items if isinstance(item, ast.Constant)}
+
+
+def test_only_instances_spells_the_weighted_pair_layout():
+    """The AB/BC/CA order and the parts each pair joins are said once, in
+    ``instances`` (``WEIGHTED_PAIRS``, ``_PAIR_PARTS``); every other module
+    loops over them. The oracles are exempt: they stay independent. The
+    products' one colour-tag format has no public pairing function."""
+    package = Path(fgtri.__file__).parent
+    spelled = sorted(
+        (path.stem, node.lineno) for path in package.glob("*.py")
+        if path.stem not in ("instances", "oracles")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if {"AB", "BC", "CA"} <= _literal_keys(node))
+    assert spelled == []
+    assert "composite_color" not in fgtri.__all__
 
 
 # ------------------------------------------------------------ invariants
@@ -141,6 +168,30 @@ def test_twg_modulus_bounds_weights():
     g = TripartiteWeightedGraph((1, 1, 0), edges_ab=((0, 0, 4),),
                                 weight_modulus=5)
     assert g.weight_modulus == 5
+
+
+@pytest.mark.parametrize("edge", [(0.5, 1, 3), (0, 1.0, 3), (0, "1", 3),
+                                  (None, 1, 3), (0, 1, "7"), (0, 1, None),
+                                  (0, 1, 1.5)])
+def test_twg_rejects_non_integer_endpoints_and_weights(edge):
+    # A float endpoint passes a range check, and a solver fails on it later.
+    for pair in ("edges_ab", "edges_bc", "edges_ca"):
+        for modulus in (None, 5):
+            with pytest.raises(ValueError, match="not an integer"):
+                TripartiteWeightedGraph((2, 2, 2), **{pair: (edge,)},
+                                        weight_modulus=modulus)
+
+
+def test_twg_weights_stay_unbounded_without_a_modulus():
+    big = TripartiteWeightedGraph((1, 1, 1), ((0, 0, -10 ** 30),),
+                                  ((0, 0, 10 ** 30),), ((0, 0, 0),))
+    assert big.max_abs_weight() == 10 ** 30
+
+
+def test_cvg_rejects_non_integer_endpoints():
+    for u, v in ((0.0, 0), (0, 0.5), ("0", 0), (0, None)):
+        with pytest.raises(ValueError, match="not an integer"):
+            ColoredValuedGraph((1, 1, 1), edges_ij=((u, v, 1, None),))
 
 
 def test_cvg_value_side_discipline():

@@ -9,7 +9,7 @@ import pytest
 
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF, RngStream,
                    ae_mono_triangle_fast, ae_monoeq_triangle_bf,
-                   ceil_log2, composite_color,
+                   ceil_log2,
                    exists_dom_via_min_le, exists_eq_via_min_eq,
                    generate_colored, generate_matrix, max_le_via_monoeq,
                    max_min_product, min_eq_via_monoeq, min_le_via_monoeq,
@@ -276,17 +276,6 @@ def test_mono_searches_take_colors_near_the_int64_limits():
 
 
 # ------------------------------------------------------------ discretization
-
-def test_composite_color_injective():
-    seen = {}
-    for base in range(-3, 4):
-        for tag in range(5):
-            key = composite_color(base, tag, 5)
-            assert key not in seen
-            seen[key] = (base, tag)
-    with pytest.raises(ValueError):
-        composite_color(1, 5, 5)
-
 
 def test_rank_compression_preserves_order_and_equality():
     from fgtri.products import _ranked

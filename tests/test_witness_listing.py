@@ -7,8 +7,8 @@ from fgtri import (RandomizationData, RngStream, TripartiteWeightedGraph,
                    ae_sparse_triangle_bf, ae_sparse_triangle_fast,
                    generate_sparse_tripartite, generate_tripartite,
                    listing_via_detection, listing_via_unique,
-                   randomize_weights, triangle_list_bf,
-                   unique_listing_via_detection)
+                   randomize_weights, seeded_listing_via_detection,
+                   triangle_list_bf, unique_listing_via_detection)
 from fgtri.witness_listing import _bit_masks, _restrict_c
 from fgtri.zero_triangle import ceil_log2
 
@@ -219,6 +219,42 @@ def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
     assert len(made) > 100
     assert not any({"edges_bc", "edges_ca", "c_rows"} & set(sub.__dict__)
                    for sub in made)
+
+
+def test_edges_of_a_pair_derive_only_that_pair():
+    # A restriction derives its BC and CA tuples on first read, so reading
+    # one pair must not derive the other.
+    g = generate_sparse_tripartite((4, 5, 6), 60, 9, RngStream(3))
+    for mask in (0, 0b101101, (1 << 6) - 1):
+        want = _validated(g, mask)
+        sub = _restrict_c(g, mask)
+        assert sub.edges("AB") == want.edges_ab
+        assert not {"edges_bc", "edges_ca"} & set(sub.__dict__)
+        assert sub.edges("CA") == want.edges_ca
+        assert "edges_bc" not in sub.__dict__
+        assert sub.edges("BC") == want.edges_bc
+
+
+def test_seeded_listing_is_a_pure_capped_listing():
+    # The stream comes from the graph's text, so equal graphs get equal
+    # lists whatever was listed before; each edge gets min(cap, count) of
+    # its triangles, all of them once the cap is past every count.
+    for seed in range(6):
+        g = generate_sparse_tripartite((5, 6, 5 + seed), 50, 3,
+                                       RngStream(seed, ("seeded",)))
+        full = triangle_list_bf(g)
+        for cap in (1, 2, 50):
+            got = seeded_listing_via_detection(g, cap,
+                                               ae_sparse_triangle_fast)
+            assert got.keys() == full.keys()
+            assert all(len(got[e]) == min(cap, len(tris))
+                       and set(got[e]) <= set(tris)
+                       for e, tris in full.items())
+            assert cap < 50 or got == full
+            assert got == seeded_listing_via_detection(
+                TripartiteWeightedGraph(g.part_sizes, g.edges_ab, g.edges_bc,
+                                        g.edges_ca), cap,
+                ae_sparse_triangle_bf)
 
 
 def _reference_listing(g, cap, unique_solver, rng):

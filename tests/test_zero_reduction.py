@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 
+from fgtri import zero_triangle as zt
 from fgtri import (RandomizationData, RangeSplit, RngStream,
                    TripartiteWeightedGraph,
                    build_subinstance, claim_statistics, default_degree_cap,
@@ -621,6 +622,53 @@ def test_trial_loop_reads_answers_in_sorted_edge_order():
         zero_edges = {tri[:2] for tris in answers[-1].values()
                       for tri in tris if triangle_weight_sum(g, tri) == 0}
         assert len(zero_edges) > 1
+
+
+def test_zero_pipelines_list_each_zero_triple_once_per_trial():
+    """A trial without a hit makes one lister call per range triple that
+    can hold a zero triangle, in enumeration order, each triple once:
+    len(enumerate_zero_triples(rs)) calls, at most min(s, 3) s^2, since
+    -(L_i + L_j) meets at most three ranges. No call follows the first
+    call whose answer holds a zero triangle."""
+    checked_trials = hits = 0
+    for seed in range(10):
+        planted = seed % 2 == 1  # with weights far apart, only then a hit
+        g, _ = generate_tripartite(9 + seed, 50 if planted else 10 ** 6,
+                                   planted, RngStream(seed, ("formula",)))
+        for s in (1, 2, 3, 4, 6):
+            splits = [rs for _t, _g, rs in zt._randomized_trials(
+                g, s, 3, RngStream(seed))]
+            for pipeline, lister in ((zero_triangle_via_listing, bf_lister),
+                                     (zero_triangle_via_global_listing,
+                                      bf_global_lister)):
+                calls, records = [], []
+
+                def counted(graph, cap):
+                    lists = lister(graph, cap)
+                    calls.append(any(triangle_weight_sum(g, tri) == 0
+                                     for tris in lists.values()
+                                     for tri in tris))
+                    return lists
+
+                found, _w = pipeline(g, s, counted, 3, RngStream(seed),
+                                     report_sink=records.append)
+                assert len(calls) == len(records)
+                assert (True in calls) == found
+                if found:  # the first hit ends the run
+                    assert calls.index(True) == len(calls) - 1
+                    hits += 1
+                for trial, rs in enumerate(splits):
+                    listed = [tuple(r["triple"]) for r in records
+                              if r["trial"] == trial]
+                    if found and trial == records[-1]["trial"]:
+                        assert listed == enumerate_zero_triples(rs)[
+                            :len(listed)]
+                        break
+                    assert listed == enumerate_zero_triples(rs)
+                    assert len(set(listed)) == len(listed) <= min(s, 3) * s * s
+                    checked_trials += 1
+    # Every unplanted run lists all its trials, every planted one hits.
+    assert (checked_trials, hits) == (150, 50)
 
 
 def _pipeline_traffic(run):
