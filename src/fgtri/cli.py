@@ -205,8 +205,9 @@ _SOLVERS = {
 }
 
 
-_detect_lister = partial(witness_listing.seeded_listing_via_detection,
-                         detection_solver=ae_sparse_triangle_fast)
+def _detect_lister(g: TripartiteWeightedGraph, per_edge_cap: int):
+    return witness_listing.seeded_listing_via_detection(
+        g, per_edge_cap, ae_sparse_triangle_fast)
 
 
 def _tiles(total: int, width: int):

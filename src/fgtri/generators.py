@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .instances import (_PAIR_PARTS, WEIGHTED_PAIRS, ColoredValuedGraph,
-                        IntMatrix, MINUS_INF, PLUS_INF, SetFamilyInstance,
-                        TripartiteWeightedGraph, UsageFailure)
+from .instances import (_PAIR_PARTS, COLORED_PAIRS, WEIGHTED_PAIRS,
+                        ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
+                        SetFamilyInstance, TripartiteWeightedGraph,
+                        UsageFailure)
 from .rng import RngStream
 
 
@@ -39,11 +40,15 @@ def generate_tripartite(
     if plant_zero and min(sizes) == 0:
         raise UsageFailure("cannot plant a zero triangle with an empty part")
 
-    # Per pair u -> v, in WEIGHTED_PAIRS order, edge (u, v) at u * |V| + v.
     wstream = rng.child("weights")
-    edges = {pair: [(u, v, wstream.randint(-weight_bound, weight_bound))
-                    for u in range(sizes[pu]) for v in range(sizes[pv])]
-             for pair in WEIGHTED_PAIRS for pu, pv in [_PAIR_PARTS[pair]]}
+
+    def draw(pair):
+        pu, pv = _PAIR_PARTS[pair]
+        return [(u, v, wstream.randint(-weight_bound, weight_bound))
+                for u in range(sizes[pu]) for v in range(sizes[pv])]
+
+    # Per pair u -> v, in WEIGHTED_PAIRS order, edge (u, v) at u * |V| + v.
+    edges = {pair: draw(pair) for pair in WEIGHTED_PAIRS}
 
     planted = None
     if plant_zero:
@@ -103,25 +108,19 @@ def generate_colored(
     estream = rng.child("edges")
     sides = frozenset(value_sides)
 
-    def draw(pair, nu, nv):
+    def draw(pair):
         valued = pair in sides
+        pu, pv = _PAIR_PARTS[pair]
         out = []
-        for u in range(nu):
-            for v in range(nv):
+        for u in range(sizes[pu]):
+            for v in range(sizes[pv]):
                 if estream.bernoulli(keep_percent, 100):
                     color = estream.randrange(num_colors)
                     value = estream.randrange(value_range) if valued else None
                     out.append((u, v, color, value))
         return tuple(out)
 
-    ni, nj, nk = sizes
-    return ColoredValuedGraph(
-        (ni, nj, nk),
-        draw("IJ", ni, nj),
-        draw("JK", nj, nk),
-        draw("IK", ni, nk),
-        sides,
-    )
+    return ColoredValuedGraph(sizes, *map(draw, COLORED_PAIRS), sides)
 
 
 def generate_matrix(

@@ -64,10 +64,12 @@ _PAIR_PARTS = {
 }
 
 # The weighted pairs in field and text order, the colored pairs in field,
-# text and probe-grid order, and each two-sided equality case's value
-# sides: case A shares part K, B part J, C part I.
+# text and probe-grid order, each pair's edge field, and each two-sided
+# equality case's value sides: case A shares part K, B part J, C part I.
 WEIGHTED_PAIRS = ("AB", "BC", "CA")
 COLORED_PAIRS = ("IJ", "JK", "IK")
+_WEIGHTED_FIELDS = {pair: f"edges_{pair.lower()}" for pair in WEIGHTED_PAIRS}
+_COLORED_FIELDS = {pair: f"edges_{pair.lower()}" for pair in COLORED_PAIRS}
 CASE_VALUE_SIDES = {tag: frozenset(sides) for tag, sides in (
     ("A", ("IK", "JK")), ("B", ("IJ", "JK")), ("C", ("IJ", "IK")))}
 
@@ -89,7 +91,10 @@ def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
         if len(e) != arity:
             raise ValueError(f"{pair} edge {e!r}: expected {arity} fields")
         u, v = e[0], e[1]
-        if not (_int64(u) and _int64(v) and 0 <= u < nu and 0 <= v < nv):
+        # The exact-type test first: the ABC test alone triples the cost.
+        if not ((type(u) is int or isinstance(u, Integral))
+                and (type(v) is int or isinstance(v, Integral))
+                and 0 <= u < nu and 0 <= v < nv):
             raise ValueError(f"{pair} edge ({u!r},{v!r}) is not an integer "
                              f"pair in range {nu}x{nv}")
         if (u, v) in seen:
@@ -134,13 +139,12 @@ class TripartiteWeightedGraph:
         modulus = self.weight_modulus
         if modulus is not None and modulus <= 0:
             raise ValueError("weight_modulus must be positive")
-        for pair in WEIGHTED_PAIRS:
-            field = f"edges_{pair.lower()}"
+        for pair, field in _WEIGHTED_FIELDS.items():
             edges = tuple(map(tuple, getattr(self, field)))
             object.__setattr__(self, field, edges)
             _check_edges(pair, edges, self.part_sizes, 3)
             for u, v, w in edges:  # weights are unbounded without a modulus
-                if not (isinstance(w, Integral)
+                if not ((type(w) is int or isinstance(w, Integral))
                         and (modulus is None or 0 <= w < modulus)):
                     raise ValueError(f"{pair} edge ({u},{v}): weight {w!r} is "
                                      "not an integer" + ("" if modulus is None
@@ -217,7 +221,7 @@ class TripartiteWeightedGraph:
                 tuple([r & mask for r in rows_b]))
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int], ...]:
-        return getattr(self, f"edges_{pair.lower()}")
+        return getattr(self, _WEIGHTED_FIELDS[pair])
 
     @property
     def edge_count(self) -> int:
@@ -288,8 +292,7 @@ class ColoredValuedGraph:
             raise ValueError(f"bad value_sides {sorted(sides)}")
         object.__setattr__(self, "value_sides", sides)
         cells, values = {}, {}
-        for pair in COLORED_PAIRS:
-            field = f"edges_{pair.lower()}"
+        for pair, field in _COLORED_FIELDS.items():
             edges = tuple(map(tuple, getattr(self, field)))
             object.__setattr__(self, field, edges)
             _check_edges(pair, edges, self.part_sizes, 4)
@@ -331,7 +334,7 @@ class ColoredValuedGraph:
         return tuple(zip(us.tolist(), vs.tolist(), col[us, vs].tolist(), vals))
 
     def edges(self, pair: str) -> tuple[tuple[int, int, int, Optional[int]], ...]:
-        return getattr(self, f"edges_{pair.lower()}")
+        return getattr(self, _COLORED_FIELDS[pair])
 
     @property
     def edge_count(self) -> int:

@@ -194,6 +194,17 @@ def test_cvg_rejects_non_integer_endpoints():
             ColoredValuedGraph((1, 1, 1), edges_ij=((u, v, 1, None),))
 
 
+def test_edges_of_an_unknown_pair_raise_key_error():
+    twg = TripartiteWeightedGraph((1, 1, 1), edges_ab=((0, 0, 1),))
+    cvg = ColoredValuedGraph((1, 1, 1), edges_ij=((0, 0, 1, None),))
+    assert twg.edges("AB") == ((0, 0, 1),)
+    assert cvg.edges("IJ") == ((0, 0, 1, None),)
+    for g, bad in ((twg, ("ab", "IJ", "BA", "")), (cvg, ("ij", "AB", "JI", ""))):
+        for pair in bad:
+            with pytest.raises(KeyError):
+                g.edges(pair)
+
+
 def test_cvg_value_side_discipline():
     with pytest.raises(ValueError):
         ColoredValuedGraph((1, 1, 1), edges_ij=((0, 0, 1, 5),),
