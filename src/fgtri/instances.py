@@ -83,6 +83,14 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _part_sizes(sizes) -> tuple:
+    sizes = tuple(sizes)
+    if len(sizes) != 3 or not all((type(s) is int or isinstance(s, Integral))
+                                  and s >= 0 for s in sizes):
+        raise ValueError("part_sizes must be three non-negative integers")
+    return sizes
+
+
 def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
     pu, pv = _PAIR_PARTS[pair]
     nu, nv = part_sizes[pu], part_sizes[pv]
@@ -133,12 +141,10 @@ class TripartiteWeightedGraph:
     weight_modulus: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "part_sizes", tuple(self.part_sizes))
-        if len(self.part_sizes) != 3 or any(s < 0 for s in self.part_sizes):
-            raise ValueError("part_sizes must be three non-negative counts")
+        object.__setattr__(self, "part_sizes", _part_sizes(self.part_sizes))
         modulus = self.weight_modulus
-        if modulus is not None and modulus <= 0:
-            raise ValueError("weight_modulus must be positive")
+        if not (modulus is None or isinstance(modulus, Integral) and modulus > 0):
+            raise ValueError("weight_modulus must be a positive integer")
         for pair, field in _WEIGHTED_FIELDS.items():
             edges = tuple(map(tuple, getattr(self, field)))
             object.__setattr__(self, field, edges)
@@ -284,9 +290,7 @@ class ColoredValuedGraph:
     value_sides: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "part_sizes", tuple(self.part_sizes))
-        if len(self.part_sizes) != 3 or any(s < 0 for s in self.part_sizes):
-            raise ValueError("part_sizes must be three non-negative counts")
+        object.__setattr__(self, "part_sizes", _part_sizes(self.part_sizes))
         sides = frozenset(self.value_sides)
         if not sides <= set(COLORED_PAIRS):
             raise ValueError(f"bad value_sides {sorted(sides)}")

@@ -11,12 +11,13 @@ The generator is SplitMix64 evaluated in counter mode: output i is a pure
 function of (derived key, i). All arithmetic is masked 64-bit integer math,
 so sequences are identical across platforms and Python builds.
 ``child_masks`` runs the same math on numpy ``uint64`` arrays, which wrap
-mod 2^64 exactly as the masked Python ints do.
+mod 2^64 as the masked Python ints do: the parent's key XOR a block's cached
+read-only label hashes, each child's hits read as little-endian 64-bit words.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +51,13 @@ def _label_hash(label: "int | str") -> int:
     if isinstance(label, str):
         return _fnv1a(b"s" + label.encode("utf-8"))
     raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
+
+
+@lru_cache(maxsize=64)
+def _label_hashes(start: int, n: int) -> np.ndarray:
+    hashes = np.fromiter(map(_label_hash, range(start, start + n)), np.uint64)
+    hashes.flags.writeable = False
+    return hashes
 
 
 class RngStream:
@@ -100,15 +108,16 @@ class RngStream:
         is 0: each bit is kept with probability 2^-bits. The parent's
         counter does not move.
         """
-        if bits < 1:
-            raise ValueError("child_masks() requires bits >= 1")
-        keys = _mix64(np.array([self._key ^ _label_hash(i) for i in
-                                range(start, start + n)], dtype=np.uint64))
+        if bits < 1 or n < 0 or count < 0:
+            raise ValueError("child_masks() requires bits >= 1, n, count >= 0")
+        keys = _mix64(_label_hashes(start, n) ^ np.uint64(self._key))
         steps = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
         # randrange(2^bits) masks each draw to its low bits and never rejects.
-        hits = (_mix64(keys[:, None] + steps) & ((1 << bits) - 1)) == 0
-        rows = np.packbits(hits, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+        hits = np.zeros((n, 64 * max(1, -(-count // 64))), dtype=bool)
+        hits[:, :count] = (_mix64(keys[:, None] + steps) & ((1 << bits) - 1)) == 0
+        words = np.packbits(hits, axis=1, bitorder="little").view("<u8")
+        return reduce(lambda high, low: [h << 64 | w for h, w in zip(high, low)],
+                      words.T[::-1].tolist())
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive."""

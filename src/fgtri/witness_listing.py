@@ -25,6 +25,8 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Optional
 
+import numpy as np
+
 from .instances import Triangle, TripartiteWeightedGraph, ceil_log2
 from .rng import RngStream
 from .textio import serialize
@@ -45,6 +47,15 @@ def _bit_masks(nc: int) -> tuple[int, ...]:
                  for bit in range((nc - 1).bit_length()))
 
 
+def _low_bits(m: int, k: int) -> list[int]:
+    """The lowest min(k, popcount) set bits of m, low to high, one mask each."""
+    out = []
+    while m and len(out) < k:
+        out.append(m & -m)
+        m &= m - 1
+    return out
+
+
 def unique_listing_via_detection(
     g: TripartiteWeightedGraph,
     detection_solver: DetectionSolver,
@@ -58,13 +69,11 @@ def unique_listing_via_detection(
     may assemble a bogus index, which the final check rejects: it ANDs g's
     source rows and mask (``_masked_rows``) at each A x B edge only.
     """
-    nc = g.part_sizes[2]
-    ab_edges = [(a, b) for a, b, _w in g.edges_ab]
-    if nc == 0:
-        return {edge: None for edge in ab_edges}
+    candidate = dict.fromkeys([(a, b) for a, b, _w in g.edges_ab], 0)
+    if g.part_sizes[2] == 0:
+        return dict.fromkeys(candidate)
 
-    candidate = dict.fromkeys(ab_edges, 0)
-    for bit, mask in enumerate(_bit_masks(nc)):
+    for bit, mask in enumerate(_bit_masks(g.part_sizes[2])):
         answers = detection_solver(_restrict_c(g, mask))
         for edge in filter(answers.get, candidate):
             candidate[edge] |= 1 << bit
@@ -101,9 +110,8 @@ def listing_via_unique(
     triangles are verified against g before being kept, and each edge's
     list is returned sorted and truncated to the cap.
     """
-    ab_edges = [(a, b) for a, b, _w in g.edges_ab]
-    if per_edge_cap <= 0 or not ab_edges:
-        return {edge: [] for edge in ab_edges}
+    if per_edge_cap <= 0 or not g.edges_ab:
+        return {(a, b): [] for a, b, _w in g.edges_ab}
 
     nc = g.part_sizes[2]
     n = sum(g.part_sizes)
@@ -114,15 +122,12 @@ def listing_via_unique(
     # Per edge, the C-mask of its triangles found so far, and the lowest
     # min(cap, count) bits of its common mask: holding those settles it.
     found = dict.fromkeys(common, 0)
-    target = {e: m ^ reduce(lambda r, _: r & (r - 1),
-                            range(min(per_edge_cap, m.bit_count())), m)
-              for e, m in common.items()}
-    closing = {e[:2]: (e, m) for e, m in zip(g.edges_ab, common.values())
-               if m}
+    target = {e: sum(_low_bits(m, per_edge_cap)) for e, m in common.items()}
+    closing = {e[:2]: (e, m) for e, m in zip(g.edges_ab, common.values()) if m}
     # The C-vertices with a BC and a CA edge.
     closable = reduce(or_, rows_a, 0) & reduce(or_, rows_b, 0)
 
-    unsaturated = len(ab_edges)
+    unsaturated = len(common)
     seen = {0}
     for stage in range(1, stages + 1):
         draws = rng.child("stage", stage, "iter")
@@ -156,9 +161,9 @@ def listing_via_unique(
         if unsaturated == 0 or not closing:
             break
 
-    return {(a, b): [(a, b, c) for c in range(found[a, b].bit_length())
-                     if found[a, b] >> c & 1][:per_edge_cap]
-            for a, b in ab_edges}
+    return {(a, b): [(a, b, low.bit_length() - 1)
+                     for low in _low_bits(m, per_edge_cap)]
+            for (a, b), m in found.items()}
 
 
 def listing_via_detection(
@@ -179,14 +184,16 @@ def seeded_listing_via_detection(
     per_edge_cap: int,
     detection_solver: DetectionSolver,
 ) -> dict[tuple[int, int], list[Triangle]]:
-    """``listing_via_detection`` on a stream seeded from an FNV digest of
-    g's text, so the lister is a pure function of its arguments whatever
-    the call order. The cap is cut to g's widest common C-neighbourhood,
-    which bounds every edge's triangle count, so the cut loses nothing and
-    spares the subsampling rounds, whose count grows with cap^2."""
-    digest = 0
-    for ch in serialize(g).encode("utf-8"):
-        digest = (digest * 1099511628211 + ch) & ((1 << 63) - 1)
+    """``listing_via_detection`` on a stream seeded from the polynomial hash
+    h = h * p + byte mod 2^63 of g's text (p the 64-bit FNV prime; summed
+    as byte i * p^(len-1-i) in wrapping uint64), so the lister is a pure
+    function of its arguments whatever the call order. The cap is cut to
+    g's widest common C-neighbourhood, which bounds every edge's count: the
+    cut loses nothing and spares subsampling rounds, which grow as cap^2."""
+    text = np.frombuffer(serialize(g).encode("utf-8"), np.uint8)
+    powers = np.full(len(text), 1099511628211, np.uint64)
+    powers[:1] = 1
+    digest = int((np.cumprod(powers) * text[::-1]).sum()) & ((1 << 63) - 1)
     rows_a, rows_b = g.c_rows
     widest = max(((rows_a[a] & rows_b[b]).bit_count()
                   for a, b, _w in g.edges_ab), default=0)

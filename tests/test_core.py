@@ -182,6 +182,24 @@ def test_twg_rejects_non_integer_endpoints_and_weights(edge):
                                         weight_modulus=modulus)
 
 
+@pytest.mark.parametrize("sizes", [(2.0, 2, 2), (2, 2, 0.5), ("2", 2, 2),
+                                   (2, None, 2), (2, -1, 2), (2, 2)])
+def test_graphs_reject_part_sizes_that_are_not_counts(sizes):
+    # A float size passed before: its graph failed later (edge_count raised
+    # TypeError, and serialize wrote a size that parse rejects).
+    with pytest.raises(ValueError, match="part_sizes"):
+        TripartiteWeightedGraph(sizes, ((0, 0, 1),))
+    with pytest.raises(ValueError, match="part_sizes"):
+        ColoredValuedGraph(sizes)
+
+
+@pytest.mark.parametrize("modulus", [7.5, 5.0, "5", 0, -3])
+def test_twg_rejects_a_modulus_that_is_not_a_positive_integer(modulus):
+    with pytest.raises(ValueError, match="weight_modulus"):
+        TripartiteWeightedGraph((1, 1, 1), ((0, 0, 1),),
+                                weight_modulus=modulus)
+
+
 def test_twg_weights_stay_unbounded_without_a_modulus():
     big = TripartiteWeightedGraph((1, 1, 1), ((0, 0, -10 ** 30),),
                                   ((0, 0, 10 ** 30),), ((0, 0, 0),))

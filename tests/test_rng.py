@@ -119,11 +119,16 @@ def _scalar_masks(stream, n, count, bits, start=0):
 def _mask_shapes(bits):
     # Every count from 0 to 130 (across the 64-bit word edge) with small n,
     # then n from 0 to 300 with counts on and off that edge, at shifting
-    # child offsets.
+    # child offsets. Label hashes are cached per (start, n) block: the
+    # next-to-last block starts past every block drawn before, and the last
+    # repeats the n = 300 block under another parent key (the tests key
+    # their streams by count).
     for count in range(131):
         yield (count + bits) % 7, count, 13 * count
     for n in range(0, 301, 20):
         yield n, (64, 65, 1, 130, 3)[n // 20 % 5], 1000 * bits
+    yield 40, 200, 10 ** 6 + bits
+    yield 300, 65, 1000 * bits
 
 
 @pytest.mark.parametrize("bits", range(1, 7))
@@ -150,10 +155,37 @@ def test_sample_mask_leaves_stream_where_scalar_loop_does(bits):
         assert batched.next_u64() == scalar.next_u64() == untouched.next_u64()
 
 
+def test_one_block_under_two_parent_keys_equals_the_scalar_loop():
+    # A cached block holds label hashes only: the parent's key is applied
+    # per call, so the second parent's masks are its own.
+    first, second = RngStream(21, ("a",)), RngStream(21, ("b",))
+    masks = [s.child_masks(96, 70, 2, 512) for s in (first, second)]
+    assert masks[0] != masks[1]
+    assert masks == [_scalar_masks(s, 96, 70, 2, 512)
+                     for s in (first, second)]
+
+
+def test_cached_label_hashes_are_read_only():
+    from fgtri.rng import _label_hashes
+    RngStream(4).child_masks(8, 5, 1, 77)
+    hashes = _label_hashes(77, 8)
+    assert not hashes.flags.writeable
+    with pytest.raises(ValueError):
+        hashes[0] = 0
+
+
 def test_child_masks_rejects_bits_below_one():
     for bits in (0, -1):
         with pytest.raises(ValueError):
             RngStream(3).child_masks(4, 4, bits)
+
+
+def test_child_masks_rejects_negative_sizes():
+    # The padded hit grid has no shape for them; the scalar loop read a
+    # negative n or count as an empty range.
+    for n, count in ((-1, 4), (4, -1)):
+        with pytest.raises(ValueError, match="n, count >= 0"):
+            RngStream(3).child_masks(n, count, 1)
 
 
 def test_bool_label_raises_after_int_label_is_cached():

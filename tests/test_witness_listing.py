@@ -1,5 +1,6 @@
 """Listing-from-detection reductions (witness recovery and subsampling)."""
 
+from functools import reduce
 from time import perf_counter
 
 from fgtri import witness_listing
@@ -9,7 +10,8 @@ from fgtri import (RandomizationData, RngStream, TripartiteWeightedGraph,
                    listing_via_detection, listing_via_unique,
                    randomize_weights, seeded_listing_via_detection,
                    triangle_list_bf, unique_listing_via_detection)
-from fgtri.witness_listing import _bit_masks, _restrict_c
+from fgtri.textio import serialize
+from fgtri.witness_listing import _bit_masks, _low_bits, _restrict_c
 from fgtri.zero_triangle import ceil_log2
 
 
@@ -255,6 +257,48 @@ def test_seeded_listing_is_a_pure_capped_listing():
                 TripartiteWeightedGraph(g.part_sizes, g.edges_ab, g.edges_bc,
                                         g.edges_ca), cap,
                 ae_sparse_triangle_bf)
+
+
+def test_low_bits_equal_the_reduce_target_and_the_scanned_list():
+    # The reference expressions: an edge's settling target cleared the
+    # lowest set bit min(cap, popcount) times in a reduce, and its list
+    # scanned every index below the top bit, then sliced to the cap.
+    rng = RngStream(5, ("low-bits",))
+    for trial in range(600):
+        width = (1, 8, 24, 64, 65, 130, 300)[trial % 7]
+        m = rng.next_u64() >> rng.randrange(64)
+        for _ in range(width // 64):
+            m = m << 64 | rng.next_u64()
+        m &= (1 << width) - 1
+        for cap in (0, 1, 2, 3, m.bit_count(), m.bit_count() + 5, 10 ** 7):
+            target = m ^ reduce(lambda r, _: r & (r - 1),
+                                range(min(cap, m.bit_count())), m)
+            listed = [c for c in range(m.bit_length()) if m >> c & 1][:cap]
+            low = _low_bits(m, cap)
+            assert sum(low) == target
+            assert [b.bit_length() - 1 for b in low] == listed
+
+
+def test_seeded_stream_is_the_polynomial_hash_of_the_text(monkeypatch):
+    # The seed equals the byte loop h = h * p + byte mod 2^63.
+    seeds = []
+    real = witness_listing.listing_via_detection
+
+    def spy(g, cap, detector, rng):
+        seeds.append(rng.master_seed)
+        return real(g, cap, detector, rng)
+
+    monkeypatch.setattr(witness_listing, "listing_via_detection", spy)
+    graphs = [TripartiteWeightedGraph((0, 0, 0)),
+              generate_tripartite(144, 16, True, RngStream(3))[0]]
+    graphs += [generate_sparse_tripartite((4, 5, 6), 20 * i, 2, RngStream(i))
+               for i in range(4)]
+    for g in graphs:
+        want = 0
+        for byte in serialize(g).encode("utf-8"):
+            want = (want * 1099511628211 + byte) & ((1 << 63) - 1)
+        seeded_listing_via_detection(g, 1, ae_sparse_triangle_fast)
+        assert seeds.pop() == want
 
 
 def _reference_listing(g, cap, unique_solver, rng):
