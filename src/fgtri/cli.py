@@ -515,13 +515,9 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-_BENCH_SOLVERS = {  # name -> (solver, whether it takes the colored instance)
-    "ae-sparse-bf": (oracles.ae_sparse_triangle_bf, False),
-    "ae-sparse-fast": (ae_sparse_triangle_fast, False),
-    "ae-mono-bf": (oracles.ae_mono_triangle_bf, True),
-    "ae-mono-fast": (ae_mono_triangle_fast, True),
-    "zero-bf": (oracles.zero_triangle_bf, False),
-}
+# The ``_SOLVERS`` rows that bench times.
+_BENCH_SOLVERS = ("ae-sparse-bf", "ae-sparse-fast", "ae-mono-bf",
+                  "ae-mono-fast", "zero-bf")
 
 
 def cmd_bench(args) -> int:
@@ -549,17 +545,17 @@ def cmd_bench(args) -> int:
             generators.balanced_split(n), 4, 60, 8,
             frozenset(), rng.child("colored", n))
         for solver in solvers:
-            fn, on_colored = _BENCH_SOLVERS[solver]
+            row = _SOLVERS[solver]
             samples = []
             for _ in range(args.reps):
                 # A fresh copy per rep, built outside the timed region, so
                 # no rep reads C-rows that an earlier rep cached.
                 inst = colored
-                if not on_colored:
+                if row.input == _TWG:
                     inst = TripartiteWeightedGraph._trusted(
                         graph.part_sizes, *map(graph.edges, WEIGHTED_PAIRS),
                         graph.weight_modulus)
-                samples.append(time_once(partial(fn, inst)))
+                samples.append(time_once(partial(row.run, args, None, inst)))
             samples.sort()
             rows.append({"solver": solver, "n": n,
                          "median_ms": round(samples[len(samples) // 2], 3),

@@ -1,11 +1,11 @@
 """Fast answers to the two inner all-edges triangle questions.
 
 The sparse solver is the light half of the Alon-Yuster-Zwick degree split
-on its own: one AND of the graph's packed C-rows and C-mask per A x B edge.
-The rows (one OR per BC and CA edge) are built once per graph and carried
-unchanged into its C-restrictions, which keep one composed mask, so the
-many restricted graphs of the listing reduction are answered without
-touching their BC and CA edges or ANDing a row no edge reads.
+on its own: one AND of the graph's ``c_rows``, packed C-rows and C-mask,
+per A x B edge. The rows (one OR per BC and CA edge) are built once per
+graph and carried unchanged into its C-restrictions, which keep one
+composed mask, so the many restricted graphs of the listing reduction are
+answered without touching their BC and CA edges or ANDing a row no edge reads.
 
 The monochromatic solver takes the per-colour products of
 Vassilevska-Williams-Yuster as one batched float32 BLAS product per pair
@@ -30,7 +30,7 @@ def ae_sparse_triangle_fast(
     g: TripartiteWeightedGraph,
 ) -> dict[tuple[int, int], bool]:
     """For each A x B edge (a, b), whether some c completes a triangle."""
-    rows_a, rows_b, mask = g._masked_rows
+    rows_a, rows_b, mask = g.c_rows
     return {(a, b): rows_a[a] & rows_b[b] & mask != 0
             for a, b, _w in g.edges_ab}
 

@@ -22,6 +22,17 @@ def balanced_split(n: int) -> tuple[int, int, int]:
     return ((n + 2) // 3, (n + 1) // 3, n // 3)
 
 
+def _kept_cells(sizes, pair: str, keep_percent: int, stream: RngStream):
+    """The pair's (u, v) cells, row-major, each kept with ``keep_percent``.
+    Lazy: the caller draws a kept cell's fields from ``stream`` before the
+    next cell's coin."""
+    if not 0 <= keep_percent <= 100:
+        raise UsageFailure("keep_percent must be in [0, 100]")
+    pu, pv = _PAIR_PARTS[pair]
+    return ((u, v) for u in range(sizes[pu]) for v in range(sizes[pv])
+            if stream.bernoulli(keep_percent, 100))
+
+
 def generate_tripartite(
     n: int,
     weight_bound: int,
@@ -74,20 +85,11 @@ def generate_sparse_tripartite(
     rng: RngStream,
 ) -> TripartiteWeightedGraph:
     """Unbalanced tripartite graph keeping each edge with the given percent."""
-    if not 0 <= keep_percent <= 100:
-        raise UsageFailure("keep_percent must be in [0, 100]")
     estream = rng.child("edges")
-
-    def draw(pair):
-        out = []
-        pu, pv = _PAIR_PARTS[pair]
-        for u in range(sizes[pu]):
-            for v in range(sizes[pv]):
-                if estream.bernoulli(keep_percent, 100):
-                    out.append((u, v, estream.randint(-weight_bound, weight_bound)))
-        return out
-
-    return TripartiteWeightedGraph(sizes, *map(draw, WEIGHTED_PAIRS))
+    return TripartiteWeightedGraph(sizes, *(
+        [(u, v, estream.randint(-weight_bound, weight_bound))
+         for u, v in _kept_cells(sizes, pair, keep_percent, estream)]
+        for pair in WEIGHTED_PAIRS))
 
 
 def generate_colored(
@@ -103,22 +105,15 @@ def generate_colored(
         raise UsageFailure("need at least one color")
     if value_sides and value_range < 1:
         raise UsageFailure("value_range must be >= 1 when any side is valued")
-    if not 0 <= keep_percent <= 100:
-        raise UsageFailure("keep_percent must be in [0, 100]")
     estream = rng.child("edges")
     sides = frozenset(value_sides)
 
     def draw(pair):
         valued = pair in sides
-        pu, pv = _PAIR_PARTS[pair]
-        out = []
-        for u in range(sizes[pu]):
-            for v in range(sizes[pv]):
-                if estream.bernoulli(keep_percent, 100):
-                    color = estream.randrange(num_colors)
-                    value = estream.randrange(value_range) if valued else None
-                    out.append((u, v, color, value))
-        return tuple(out)
+        return tuple((u, v, estream.randrange(num_colors),
+                      estream.randrange(value_range) if valued else None)
+                     for u, v in _kept_cells(sizes, pair, keep_percent,
+                                             estream))
 
     return ColoredValuedGraph(sizes, *map(draw, COLORED_PAIRS), sides)
 

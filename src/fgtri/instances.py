@@ -17,14 +17,14 @@ colours and values must fit in 64 bits. ``_trusted`` takes grids only,
 and derives the edge tuples on first read, row-major over the present
 cells, so an instance that only reaches an oracle never builds them. An
 integer matrix keeps one read-only int64 grid likewise and derives
-``entries`` from it on first read. A tripartite graph carries packed C-rows
-(per A-vertex the C-mask of its CA edges, per B-vertex that of its BC
-edges), derived on first read.
-A C-restriction (``_trusted_restriction``) is O(1): it keeps its source's
-unrestricted rows and one composed C-mask, and derives its own rows (the
-AND) and its BC and CA tuples (by filtering its parent's) only on first
-read, so the listing reduction's many restricted graphs copy no row and no
-edge tuple unless a reader asks; the hot readers AND the mask per edge.
+``entries`` from it on first read. A tripartite graph carries its packed
+C-rows in one form, ``c_rows = (rows_a, rows_b, mask)``: per A-vertex the
+C-bits of its CA edges, per B-vertex those of its BC edges, and the C-mask
+that every reader ANDs where it reads; derived on first read.
+A C-restriction (``_trusted_restriction``) is O(1): it stores its source's
+row tuples with one composed C-mask, and derives its BC and CA tuples (by
+filtering its parent's) only on first read, so the listing reduction's
+many restricted graphs copy no row and no edge tuple unless a reader asks.
 Equality, hashing, repr and text output see only the fields.
 
 Vertex indices are 0-based within each part; triangles are always reported in
@@ -83,10 +83,16 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
+def _is_int(x) -> bool:
+    """Whether x is an integer and not a bool (``True`` would be written
+    as text that ``parse`` rejects). The exact-type test comes first: the
+    ABC test alone triples the cost."""
+    return type(x) is int or isinstance(x, Integral) and type(x) is not bool
+
+
 def _part_sizes(sizes) -> tuple:
     sizes = tuple(sizes)
-    if len(sizes) != 3 or not all((type(s) is int or isinstance(s, Integral))
-                                  and s >= 0 for s in sizes):
+    if len(sizes) != 3 or not all(_is_int(s) and s >= 0 for s in sizes):
         raise ValueError("part_sizes must be three non-negative integers")
     return sizes
 
@@ -99,10 +105,7 @@ def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
         if len(e) != arity:
             raise ValueError(f"{pair} edge {e!r}: expected {arity} fields")
         u, v = e[0], e[1]
-        # The exact-type test first: the ABC test alone triples the cost.
-        if not ((type(u) is int or isinstance(u, Integral))
-                and (type(v) is int or isinstance(v, Integral))
-                and 0 <= u < nu and 0 <= v < nv):
+        if not (_is_int(u) and _is_int(v) and 0 <= u < nu and 0 <= v < nv):
             raise ValueError(f"{pair} edge ({u!r},{v!r}) is not an integer "
                              f"pair in range {nu}x{nv}")
         if (u, v) in seen:
@@ -143,15 +146,14 @@ class TripartiteWeightedGraph:
     def __post_init__(self):
         object.__setattr__(self, "part_sizes", _part_sizes(self.part_sizes))
         modulus = self.weight_modulus
-        if not (modulus is None or isinstance(modulus, Integral) and modulus > 0):
+        if not (modulus is None or _is_int(modulus) and modulus > 0):
             raise ValueError("weight_modulus must be a positive integer")
         for pair, field in _WEIGHTED_FIELDS.items():
             edges = tuple(map(tuple, getattr(self, field)))
             object.__setattr__(self, field, edges)
             _check_edges(pair, edges, self.part_sizes, 3)
             for u, v, w in edges:  # weights are unbounded without a modulus
-                if not ((type(w) is int or isinstance(w, Integral))
-                        and (modulus is None or 0 <= w < modulus)):
+                if not (_is_int(w) and (modulus is None or 0 <= w < modulus)):
                     raise ValueError(f"{pair} edge ({u},{v}): weight {w!r} is "
                                      "not an integer" + ("" if modulus is None
                                      else f" in [0, {modulus})"))
@@ -180,19 +182,18 @@ class TripartiteWeightedGraph:
         order) of its AB edges when given; a subset of g's edges keeps g's
         invariants, so nothing is re-validated.
 
-        O(1): the restriction's ``_masked_rows`` are g's rows with g's mask
-        ANDed with ``keep_mask``; its ``c_rows`` (the AND) are derived on
-        first read. Its ``__dict__`` holds no ``edges_bc`` or ``edges_ca``,
-        only g and the mask, from which ``_derive`` filters g's tuples on
-        first read.
+        O(1): the restriction's ``c_rows`` are g's row tuples themselves
+        with g's mask ANDed with ``keep_mask``. Its ``__dict__`` holds no
+        ``edges_bc`` or ``edges_ca``, only g and the mask, from which
+        ``_derive`` filters g's tuples on first read.
         """
-        rows_a, rows_b, mask = g._masked_rows
+        rows_a, rows_b, mask = g.c_rows
         sub = object.__new__(cls)
         sub.__dict__.update(
             part_sizes=g.part_sizes,
             edges_ab=g.edges_ab if edges_ab is None else edges_ab,
             weight_modulus=g.weight_modulus,
-            _masked_rows=(rows_a, rows_b, mask & keep_mask),
+            c_rows=(rows_a, rows_b, mask & keep_mask),
             _restricted=(g, keep_mask))
         return sub
 
@@ -204,11 +205,13 @@ class TripartiteWeightedGraph:
         return tuple(e for e in getattr(parent, name) if mask >> e[at] & 1)
 
     @cached_property
-    def _masked_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(rows_a, rows_b, mask): ``c_rows`` are these rows ANDed with the
-        C-mask. An unrestricted graph builds its rows (one OR per BC and CA
-        edge) with the mask of all of C; a C-restriction keeps its source's
-        rows, so no mask has a bit at or above |C|."""
+    def c_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Packed C-rows (rows_a, rows_b, mask): per A-vertex the C-bits of
+        its CA edges, per B-vertex those of its BC edges, and the C-mask
+        that every reader ANDs with them. An unrestricted graph builds its
+        rows (one OR per BC and CA edge) with the mask of all of C; a
+        C-restriction keeps its source's rows, so no mask has a bit at or
+        above |C|."""
         na, nb, nc = self.part_sizes
         rows_a, rows_b = [0] * na, [0] * nb
         for c, a, _w in self.edges_ca:
@@ -217,15 +220,6 @@ class TripartiteWeightedGraph:
             rows_b[b] |= 1 << c
         return tuple(rows_a), tuple(rows_b), (1 << nc) - 1
 
-    @cached_property
-    def c_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Packed C-rows: per A-vertex the C-mask of its CA edges, per
-        B-vertex the C-mask of its BC edges. Derived on first read from
-        ``_masked_rows`` and kept in ``__dict__``."""
-        rows_a, rows_b, mask = self._masked_rows
-        return (tuple([r & mask for r in rows_a]),
-                tuple([r & mask for r in rows_b]))
-
     def edges(self, pair: str) -> tuple[tuple[int, int, int], ...]:
         return getattr(self, _WEIGHTED_FIELDS[pair])
 
@@ -233,8 +227,9 @@ class TripartiteWeightedGraph:
     def edge_count(self) -> int:
         # One row bit per BC and CA edge (no edge is repeated), so a
         # C-restriction counts without deriving its tuples.
+        rows_a, rows_b, mask = self.c_rows
         return len(self.edges_ab) + sum(
-            r.bit_count() for rows in self.c_rows for r in rows)
+            (r & mask).bit_count() for r in rows_a + rows_b)
 
     def max_abs_weight(self) -> int:
         return max((abs(w) for pair in WEIGHTED_PAIRS
@@ -242,8 +237,7 @@ class TripartiteWeightedGraph:
 
 
 def _int64(x) -> bool:
-    return ((type(x) is int or isinstance(x, Integral))
-            and -(1 << 63) <= x < 1 << 63)
+    return _is_int(x) and -(1 << 63) <= x < 1 << 63
 
 
 def _colored_grids(part_sizes, cells, values=None):
@@ -388,8 +382,8 @@ class IntMatrix:
     entries: tuple[int, ...] = _Derived()
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("rows and cols must be non-negative")
+        if not all(_is_int(n) and n >= 0 for n in (self.rows, self.cols)):
+            raise ValueError("rows and cols must be non-negative integers")
         object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
@@ -447,18 +441,22 @@ class SetFamilyInstance:
     def __post_init__(self):
         object.__setattr__(self, "family",
                            tuple(tuple(s) for s in self.family))
-        object.__setattr__(self, "queries",
-                           tuple((int(a), int(b)) for a, b in self.queries))
-        if self.universe_size < 0:
-            raise ValueError("universe_size must be non-negative")
+        queries = tuple(map(tuple, self.queries))
+        if not (_is_int(self.universe_size) and self.universe_size >= 0):
+            raise ValueError("universe_size must be a non-negative integer")
         for idx, members in enumerate(self.family):
             if len(set(members)) != len(members):
                 raise ValueError(f"set {idx} has duplicate elements")
             for e in members:
-                if not 0 <= e < self.universe_size:
-                    raise ValueError(f"set {idx}: element {e} outside universe")
-        for a, b in self.queries:
-            if not (0 <= a < len(self.family) and 0 <= b < len(self.family)):
-                raise ValueError(f"query ({a},{b}) indexes outside the family")
-        if self.output_cap is not None and self.output_cap < 0:
-            raise ValueError("output_cap must be >= 0 or None")
+                if not (_is_int(e) and 0 <= e < self.universe_size):
+                    raise ValueError(f"set {idx}: element {e!r} is not an "
+                                     "integer in the universe")
+        for a, b in queries:
+            if not all(_is_int(x) and 0 <= x < len(self.family) for x in (a, b)):
+                raise ValueError(f"query ({a!r},{b!r}) is not a pair of "
+                                 "family indices")
+        object.__setattr__(self, "queries",
+                           tuple((int(a), int(b)) for a, b in queries))
+        cap = self.output_cap
+        if not (cap is None or _is_int(cap) and cap >= 0):
+            raise ValueError("output_cap must be a non-negative integer or None")

@@ -39,9 +39,9 @@ class SetDecodeMap:
 
 def _build(g: TripartiteWeightedGraph, output_cap: Optional[int]):
     # The sets are g's C-rows, A's then B's, each read in ascending order.
-    rows_a, rows_b = g.c_rows
+    rows_a, rows_b, mask = g.c_rows
     family = tuple(tuple(c for c in range(row.bit_length()) if row >> c & 1)
-                   for row in rows_a + rows_b)
+                   for row in [r & mask for r in rows_a + rows_b])
     edges = tuple(sorted((a, b) for a, b, _w in g.edges_ab))
     queries = tuple((a, len(rows_a) + b) for a, b in edges)
     return (SetFamilyInstance(g.part_sizes[2], family, queries, output_cap),

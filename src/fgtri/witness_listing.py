@@ -12,10 +12,10 @@ its C-rows name, since its answer can no longer change. Their composition
 seeded from the graph itself is the zero reduction's detection lister.
 
 Both keep part sizes and degrees intact: subgraphs drop edges, never
-reindex vertices. The subgraphs are O(1) C-restrictions: they carry their
-source's unrestricted packed C-rows and one composed C-mask. Both halves
-verify and select edges from the rows, and the unique half ANDs the mask
-only at the A x B edges it checks, so with a detector that does the same
+reindex vertices. The subgraphs are O(1) C-restrictions: their ``c_rows``
+hold their source's packed C-rows and one composed C-mask. Both halves
+verify and select edges from the rows, ANDing the mask only at the A x B
+edges they read, so with a detector that does the same
 (``ae_sparse_triangle_fast``) no row and no BC or CA tuple is ever copied.
 """
 
@@ -67,7 +67,7 @@ def unique_listing_via_detection(
     O(1) C-restriction of g. An edge in exactly one triangle reads off its
     C-vertex's bits from the answers; edges in zero or several triangles
     may assemble a bogus index, which the final check rejects: it ANDs g's
-    source rows and mask (``_masked_rows``) at each A x B edge only.
+    C-rows and C-mask (``c_rows``) at each A x B edge only.
     """
     candidate = dict.fromkeys([(a, b) for a, b, _w in g.edges_ab], 0)
     if g.part_sizes[2] == 0:
@@ -80,7 +80,7 @@ def unique_listing_via_detection(
 
     # c closes (a, b) when bit c is set in both C-rows and in the mask; no
     # mask has a bit at or above |C|.
-    rows_a, rows_b, mask = g._masked_rows
+    rows_a, rows_b, mask = g.c_rows
     return {(a, b): (a, b, c) if (rows_a[a] & rows_b[b] & mask) >> c & 1
             else None for (a, b), c in candidate.items()}
 
@@ -117,15 +117,15 @@ def listing_via_unique(
     n = sum(g.part_sizes)
     stages = ceil_log2((nc + 2) ** 3)  # = ceil(3 log2(nc + 2))
     iterations = 4 * per_edge_cap * per_edge_cap * ceil_log2(n + 2)
-    rows_a, rows_b = g.c_rows
-    common = {(a, b): rows_a[a] & rows_b[b] for a, b, _w in g.edges_ab}
+    rows_a, rows_b, in_c = g.c_rows
+    common = {(a, b): rows_a[a] & rows_b[b] & in_c for a, b, _w in g.edges_ab}
     # Per edge, the C-mask of its triangles found so far, and the lowest
     # min(cap, count) bits of its common mask: holding those settles it.
     found = dict.fromkeys(common, 0)
     target = {e: sum(_low_bits(m, per_edge_cap)) for e, m in common.items()}
     closing = {e[:2]: (e, m) for e, m in zip(g.edges_ab, common.values()) if m}
     # The C-vertices with a BC and a CA edge.
-    closable = reduce(or_, rows_a, 0) & reduce(or_, rows_b, 0)
+    closable = reduce(or_, rows_a, 0) & reduce(or_, rows_b, 0) & in_c
 
     unsaturated = len(common)
     seen = {0}
@@ -194,8 +194,8 @@ def seeded_listing_via_detection(
     powers = np.full(len(text), 1099511628211, np.uint64)
     powers[:1] = 1
     digest = int((np.cumprod(powers) * text[::-1]).sum()) & ((1 << 63) - 1)
-    rows_a, rows_b = g.c_rows
-    widest = max(((rows_a[a] & rows_b[b]).bit_count()
+    rows_a, rows_b, mask = g.c_rows
+    widest = max(((rows_a[a] & rows_b[b] & mask).bit_count()
                   for a, b, _w in g.edges_ab), default=0)
     return listing_via_detection(g, min(per_edge_cap, widest),
                                  detection_solver,

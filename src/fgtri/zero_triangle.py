@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Optional
 
@@ -86,24 +86,24 @@ class RangeSplit:
         if not 1 <= self.count <= self.prime:
             raise ValueError("need 1 <= s <= p")
 
+    @cached_property
+    def _starts(self) -> tuple[int, ...]:
+        """The starts of L_2..L_s: ``bisect_right`` on them maps a residue
+        in [0, p) to the 0-based position of its range."""
+        base, extra = divmod(self.prime, self.count)
+        return tuple(r * base + min(r, extra) for r in range(1, self.count))
+
     @property
     def ranges(self) -> tuple[tuple[int, int], ...]:
         """The ranges in order, as inclusive (lo, hi) pairs."""
-        base, extra = divmod(self.prime, self.count)
-        starts = [r * base + min(r, extra) for r in range(self.count + 1)]
-        return tuple((lo, nxt - 1) for lo, nxt in zip(starts, starts[1:]))
+        bounds = (0, *self._starts, self.prime)
+        return tuple((lo, nxt - 1) for lo, nxt in zip(bounds, bounds[1:]))
 
     def index_of(self, residue: int) -> int:
         """1-based id of the range containing the residue."""
         if not 0 <= residue < self.prime:
             raise ValueError(f"residue {residue} outside [0, {self.prime})")
-        return bisect_right(_later_starts(self), residue) + 1
-
-
-def _later_starts(rs: RangeSplit) -> list[int]:
-    """The starts of ranges L_2..L_s, so that ``bisect_right`` on them maps
-    a residue in [0, p) to the 0-based position of its range."""
-    return [lo for lo, _hi in rs.ranges[1:]]
+        return bisect_right(self._starts, residue) + 1
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
     """
     p = rs.prime
     s = rs.count
-    starts = _later_starts(rs)
+    starts = rs._starts
     ranges = rs.ranges
     out = []
     for i in range(1, s + 1):
@@ -224,7 +224,7 @@ def _range_index(gp: TripartiteWeightedGraph, rs: RangeSplit):
     # test spares it the dataclass comparison.
     if cached is not None and (cached[0] is rs or cached[0] == rs):
         return cached[1]
-    starts = _later_starts(rs)
+    starts = rs._starts
     index = []
     for pair in WEIGHTED_PAIRS:
         buckets = [[] for _ in range(rs.count)]

@@ -273,22 +273,37 @@ def test_bench_table_shape(tmp_path):
 
 def test_bench_times_each_rep_on_a_graph_without_cached_rows(tmp_path,
                                                              monkeypatch):
-    # The fast sparse solver caches the graph's C-rows (and the rows with
-    # their C-mask); a rep that found either cached would time only the
-    # per-edge AND.
+    # The fast sparse solver caches the graph's C-rows and C-mask; a rep
+    # that found them cached would time only the per-edge AND.
     graphs, cached = [], []
 
     def spy(g):
         graphs.append(g)
-        cached.append(bool({"c_rows", "_masked_rows"} & set(g.__dict__)))
+        cached.append("c_rows" in g.__dict__)
         return ae_sparse_triangle_fast(g)
 
-    monkeypatch.setitem(cli._BENCH_SOLVERS, "ae-sparse-fast", (spy, False))
+    monkeypatch.setitem(cli._SOLVERS, "ae-sparse-fast",
+                        cli._SOLVERS["ae-sparse-fast"]._replace(
+                            run=cli._plain(spy)))
     assert main(["bench", "--sizes", "12,9", "--solvers", "ae-sparse-fast",
                  "--reps", "3", "--seed", "2",
                  "--out", str(tmp_path / "bench.json")]) == 0
     assert cached == [False] * 6
     assert len(set(map(id, graphs))) == 6
+
+
+def test_bench_runs_each_solver_on_the_instance_its_input_names(tmp_path):
+    # The weighted solvers get the weighted graph, the colored ones the
+    # colored graph; a _SOLVERS row outside the bench list is unknown.
+    names = ["ae-sparse-bf", "ae-sparse-fast", "ae-mono-bf", "ae-mono-fast",
+             "zero-bf"]
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--sizes", "9", "--solvers", ",".join(names),
+                 "--reps", "1", "--seed", "4", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["solver"] for row in rows] == names
+    assert main(["bench", "--sizes", "9", "--solvers", "list-bf",
+                 "--seed", "4", "--out", str(out)]) == 2
 
 
 def test_bench_empty_sweep_ok(tmp_path):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,19 @@ def test_only_instances_spells_the_weighted_pair_layout():
     assert "composite_color" not in fgtri.__all__
 
 
+def test_only_instances_tests_for_integral():
+    """The integer rule (an Integral, not a bool) is said once, in
+    ``instances._is_int``; no other module calls ``isinstance(x, Integral)``."""
+    package = Path(fgtri.__file__).parent
+    callers = [
+        path.stem for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and "Integral" in ast.dump(node.args[1])]
+    assert callers == ["instances"]
+
+
 # ------------------------------------------------------------ invariants
 
 _EDGE_FIELDS = {"IJ": "edges_ij", "JK": "edges_jk", "IK": "edges_ik"}
@@ -172,7 +186,8 @@ def test_twg_modulus_bounds_weights():
 
 @pytest.mark.parametrize("edge", [(0.5, 1, 3), (0, 1.0, 3), (0, "1", 3),
                                   (None, 1, 3), (0, 1, "7"), (0, 1, None),
-                                  (0, 1, 1.5)])
+                                  (0, 1, 1.5), (True, 0, 5), (0, True, 5),
+                                  (0, 0, False)])
 def test_twg_rejects_non_integer_endpoints_and_weights(edge):
     # A float endpoint passes a range check, and a solver fails on it later.
     for pair in ("edges_ab", "edges_bc", "edges_ca"):
@@ -183,7 +198,8 @@ def test_twg_rejects_non_integer_endpoints_and_weights(edge):
 
 
 @pytest.mark.parametrize("sizes", [(2.0, 2, 2), (2, 2, 0.5), ("2", 2, 2),
-                                   (2, None, 2), (2, -1, 2), (2, 2)])
+                                   (2, None, 2), (2, -1, 2), (2, 2),
+                                   (2, True, 1)])
 def test_graphs_reject_part_sizes_that_are_not_counts(sizes):
     # A float size passed before: its graph failed later (edge_count raised
     # TypeError, and serialize wrote a size that parse rejects).
@@ -193,7 +209,7 @@ def test_graphs_reject_part_sizes_that_are_not_counts(sizes):
         ColoredValuedGraph(sizes)
 
 
-@pytest.mark.parametrize("modulus", [7.5, 5.0, "5", 0, -3])
+@pytest.mark.parametrize("modulus", [7.5, 5.0, "5", 0, -3, True])
 def test_twg_rejects_a_modulus_that_is_not_a_positive_integer(modulus):
     with pytest.raises(ValueError, match="weight_modulus"):
         TripartiteWeightedGraph((1, 1, 1), ((0, 0, 1),),
@@ -207,7 +223,8 @@ def test_twg_weights_stay_unbounded_without_a_modulus():
 
 
 def test_cvg_rejects_non_integer_endpoints():
-    for u, v in ((0.0, 0), (0, 0.5), ("0", 0), (0, None)):
+    for u, v in ((0.0, 0), (0, 0.5), ("0", 0), (0, None), (True, 0),
+                 (0, False)):
         with pytest.raises(ValueError, match="not an integer"):
             ColoredValuedGraph((1, 1, 1), edges_ij=((u, v, 1, None),))
 
@@ -243,7 +260,7 @@ def test_cvg_colors_and_values_fit_in_int64():
     assert (pres[0, 0], col[0, 0], val[0, 0]) == (True, top, bottom)
     for color, value in ((top + 1, 0), (bottom - 1, 0), (0, top + 1),
                          (0, bottom - 1), (1.5, 0), (0, 2.0), ("1", 0),
-                         (None, 0), (0, "5")):
+                         (None, 0), (0, "5"), (True, 0), (0, False)):
         with pytest.raises(ValueError):
             ColoredValuedGraph((1, 1, 1), edges_ij=((0, 0, color, value),),
                                value_sides=frozenset({"IJ"}))
@@ -295,7 +312,7 @@ def test_matrix_shape_and_sentinel_guard():
     assert m.transpose().to_rows()[1][0] == PLUS_INF
 
 
-@pytest.mark.parametrize("entry", [1.5, "3", None])
+@pytest.mark.parametrize("entry", [1.5, "3", None, True])
 def test_matrix_rejects_non_integer_entries(entry):
     # A 1.5 would be truncated on the way into the int64 grid.
     with pytest.raises(ValueError, match="is not an integer"):
@@ -312,6 +329,40 @@ def test_set_family_validation():
         SetFamilyInstance(2, ((0, 2),), ())
     with pytest.raises(ValueError):
         SetFamilyInstance(2, ((0,),), ((0, 1),))
+
+
+@pytest.mark.parametrize("rows,cols", [(1.0, 1), (True, 1), (1, "1"),
+                                       (1, None)])
+def test_matrix_rejects_counts_that_are_not_counts(rows, cols):
+    # A float or bool count failed inside numpy with a TypeError.
+    with pytest.raises(ValueError, match="rows and cols"):
+        IntMatrix(rows, cols, (5,))
+
+
+@pytest.mark.parametrize("fields,name", [
+    ((2.5, ((0,),), ()), "universe_size"),
+    ((True, ((0,),), ()), "universe_size"),
+    ((2, ((0.5,),), ()), "element"),
+    ((2, ((True,),), ()), "element"),
+    ((2, ((0,),), ((0.7, "0"),)), "query"),
+    ((2, ((0,),), ((0, 0.0),)), "query"),
+    ((2, ((0,),), ((False, 0),)), "query"),
+    ((2, ((0,),), (), 1.5), "output_cap"),
+    ((2, ((0,),), (), True), "output_cap"),
+])
+def test_set_family_rejects_fields_that_are_not_integers(fields, name):
+    # Each was accepted (a query through int(), so (0.7, "0") read (0, 0)),
+    # and its text failed parse.
+    with pytest.raises(ValueError, match=name):
+        SetFamilyInstance(*fields)
+
+
+def test_set_family_and_matrix_take_numpy_integers():
+    one, zero = np.int64(1), np.int32(0)
+    s = SetFamilyInstance(np.int64(2), ((zero, one),), ((zero, zero),), one)
+    assert s.queries == ((0, 0),) and type(s.queries[0][0]) is int
+    assert parse(serialize(s)) == s
+    assert IntMatrix(one, np.int16(2), (zero, 7)).to_rows() == [[0, 7]]
 
 
 # ------------------------------------------------------------ generators

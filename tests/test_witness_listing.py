@@ -139,6 +139,12 @@ def _validated(g, mask, edges_ab=None):
         g.weight_modulus)
 
 
+def _anded_rows(g):
+    """g's C-rows each ANDed with its C-mask: the rows its edges hold."""
+    rows_a, rows_b, mask = g.c_rows
+    return (tuple(r & mask for r in rows_a), tuple(r & mask for r in rows_b))
+
+
 def test_restrict_c_equals_the_validated_graph_of_its_fields():
     # Rows are read before the edge tuples, so they are the source's rows
     # ANDed with the mask, not rows rebuilt from derived tuples.
@@ -155,7 +161,7 @@ def test_restrict_c_equals_the_validated_graph_of_its_fields():
             mask = draw.randrange(1 << nc)
             sub = _restrict_c(g, mask)
             want = _validated(g, mask)
-            assert sub.c_rows == want.c_rows
+            assert _anded_rows(sub) == _anded_rows(want)
             assert sub.edge_count == want.edge_count == sum(
                 map(len, (want.edges_ab, want.edges_bc, want.edges_ca)))
             assert "edges_bc" not in sub.__dict__
@@ -170,7 +176,7 @@ def test_restrict_c_equals_the_validated_graph_of_its_fields():
             for source in (_restrict_c(g, mask), sub):
                 subsub = _restrict_c(source, inner, ab)
                 want = _validated(g, mask & inner, ab)
-                assert subsub.c_rows == want.c_rows
+                assert _anded_rows(subsub) == _anded_rows(want)
                 assert subsub == want
 
 
@@ -199,14 +205,30 @@ def test_detector_and_unique_listing_on_nested_restrictions():
             assert (unique_listing_via_detection(sub, ae_sparse_triangle_fast)
                     == unique_listing_via_detection(want,
                                                     ae_sparse_triangle_bf))
-            assert "c_rows" not in sub.__dict__
+            assert sub.c_rows[:2] == g.c_rows[:2]
             assert sub == want
+
+
+def test_restrictions_keep_the_source_rows_and_compose_the_mask():
+    # The O(1) restriction: at each depth its c_rows hold the unrestricted
+    # source's row tuples themselves and the AND of every mask on the way.
+    g = generate_sparse_tripartite((6, 7, 9), 50, 9, RngStream(41))
+    rows_a, rows_b, full = g.c_rows
+    draw = RngStream(42, ("depths",))
+    for _trial in range(20):
+        sub, mask = g, full
+        for _depth in range(3):
+            keep = draw.randrange(1 << 10)
+            sub, mask = _restrict_c(sub, keep), mask & keep
+            got_a, got_b, got_mask = sub.__dict__["c_rows"]
+            assert got_a is rows_a and got_b is rows_b
+            assert got_mask == mask
 
 
 def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
     # Both halves and the fast detector read the source's C-rows and the
     # composed mask only, so no restricted graph ever copies its BC and CA
-    # edges or ANDs its full C-rows: a restriction stays O(1).
+    # edges or its C-rows: a restriction stays O(1).
     made = []
 
     def recorded(g, mask, edges_ab=None):
@@ -219,8 +241,10 @@ def test_fast_listing_derives_no_bc_or_ca_tuples(monkeypatch):
     got = listing_via_detection(g, 3, ae_sparse_triangle_fast, RngStream(5))
     assert got == triangle_list_bf(g, per_edge_cap=3)
     assert len(made) > 100
-    assert not any({"edges_bc", "edges_ca", "c_rows"} & set(sub.__dict__)
+    assert not any({"edges_bc", "edges_ca"} & set(sub.__dict__)
                    for sub in made)
+    assert all(sub.c_rows[0] is g.c_rows[0] and sub.c_rows[1] is g.c_rows[1]
+               for sub in made)
 
 
 def test_edges_of_a_pair_derive_only_that_pair():

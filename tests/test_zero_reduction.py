@@ -186,21 +186,29 @@ def test_range_index_lookup():
         assert lo <= residue <= hi
 
 
+def scanned_index(rs, residue):
+    """The 1-based id of the range holding the residue, by a scan of
+    ``ranges`` (whose tiling the split tests pin), not by bisection."""
+    return next(r for r, (lo, hi) in enumerate(rs.ranges, 1)
+                if lo <= residue <= hi)
+
+
 def brute_zero_triples(p, s):
     rs = RangeSplit(p, s)
-    found = set()
-    for a in range(p):
-        for b in range(p):
-            c = (-a - b) % p
-            found.add((rs.index_of(a), rs.index_of(b), rs.index_of(c)))
-    return found
+    home = [scanned_index(rs, residue) for residue in range(p)]
+    return {(home[a], home[b], home[(-a - b) % p])
+            for a in range(p) for b in range(p)}
 
 
 @pytest.mark.parametrize("p,s", [(11, 1), (11, 2), (13, 4), (29, 5), (53, 8),
                                  (17, 17), (31, 3)])
 def test_enumerate_zero_triples_matches_brute_force(p, s):
-    got = enumerate_zero_triples(RangeSplit(p, s))
-    assert len(set(got)) == len(got)
+    rs = RangeSplit(p, s)
+    assert [rs.index_of(r) for r in range(p)] == [
+        scanned_index(rs, r) for r in range(p)]
+    got = enumerate_zero_triples(rs)
+    # The trial loop takes the first hit, so the order is part of the answer.
+    assert got == sorted(set(got))
     assert set(got) == brute_zero_triples(p, s)
 
 
