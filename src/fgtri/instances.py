@@ -94,23 +94,28 @@ def _part_sizes(sizes) -> tuple:
     sizes = tuple(sizes)
     if len(sizes) != 3 or not all(_is_int(s) and s >= 0 for s in sizes):
         raise ValueError("part_sizes must be three non-negative integers")
-    return sizes
+    return tuple(map(int, sizes))
 
 
-def _check_edges(pair: str, edges, part_sizes, arity: int) -> None:
+def _check_edges(pair: str, edges, part_sizes, arity: int) -> bool:
+    """Check each edge; return whether every endpoint is already an int."""
     pu, pv = _PAIR_PARTS[pair]
     nu, nv = part_sizes[pu], part_sizes[pv]
     seen = set()
+    plain = True
     for e in edges:
         if len(e) != arity:
             raise ValueError(f"{pair} edge {e!r}: expected {arity} fields")
         u, v = e[0], e[1]
-        if not (_is_int(u) and _is_int(v) and 0 <= u < nu and 0 <= v < nv):
+        plain = plain and type(u) is int and type(v) is int
+        if not ((plain or _is_int(u) and _is_int(v))
+                and 0 <= u < nu and 0 <= v < nv):
             raise ValueError(f"{pair} edge ({u!r},{v!r}) is not an integer "
                              f"pair in range {nu}x{nv}")
         if (u, v) in seen:
             raise ValueError(f"duplicate {pair} edge ({u},{v})")
         seen.add((u, v))
+    return plain
 
 
 class _Derived:
@@ -148,15 +153,20 @@ class TripartiteWeightedGraph:
         modulus = self.weight_modulus
         if not (modulus is None or _is_int(modulus) and modulus > 0):
             raise ValueError("weight_modulus must be a positive integer")
+        if modulus is not None:
+            object.__setattr__(self, "weight_modulus", modulus := int(modulus))
         for pair, field in _WEIGHTED_FIELDS.items():
             edges = tuple(map(tuple, getattr(self, field)))
-            object.__setattr__(self, field, edges)
-            _check_edges(pair, edges, self.part_sizes, 3)
+            plain = _check_edges(pair, edges, self.part_sizes, 3)
             for u, v, w in edges:  # weights are unbounded without a modulus
-                if not (_is_int(w) and (modulus is None or 0 <= w < modulus)):
+                plain = plain and type(w) is int
+                if not ((plain or _is_int(w))
+                        and (modulus is None or 0 <= w < modulus)):
                     raise ValueError(f"{pair} edge ({u},{v}): weight {w!r} is "
                                      "not an integer" + ("" if modulus is None
                                      else f" in [0, {modulus})"))
+            object.__setattr__(self, field, edges if plain else tuple(
+                tuple(map(int, e)) for e in edges))
 
     @classmethod
     def _trusted(cls, part_sizes, edges_ab, edges_bc, edges_ca,

@@ -15,25 +15,24 @@ Both rank-compress the values first (order- and equality-preserving, so
 comparisons transfer), then narrow each I x J cell level by level in one
 skeleton, ``_bisect``: a level-l estimate is a multiple of 2^l bracketing
 the true answer in [estimate, estimate + 2^l), and one solver call per
-level decides which half survives. Each search hands it a
-``probe(level)`` that builds that level's instance. An equality search
-runs over one rank beyond its values, so a cell with no match ends on its
-``miss`` rank: 2^levels - 1 for min, 0 for max.
+level, read through one flat index of the live cells, decides which half
+survives. An equality search runs over one rank beyond its values, so a
+cell with no match ends on its ``miss`` rank: 2^levels - 1 for min, 0
+for max.
 
 A <=-search runs over the J x K ranks, and each of its steps takes each
 cell's best common prefix from an equality search. At the equality step
 that prefix is the whole answer rank, so the step makes no inner call. At
 rank bit t the answer rank is the prefix, a 1 and t open bits, so its
-inner search makes t calls. No value is shifted and no sentinel ever needs
-incrementing.
+inner search makes t calls; no value is shifted or sentinel incremented.
 
-Every instance is built from grids by ``_probe_graph``, in one colour
-format: (colour << w) + tag, for tags below 2^w. A monochromatic search
-renumbers g's colours densely first, so that these stay inside int64; a
-search shifts its base colours once, and a level's probe adds the tags.
-Only grids reach the solver, so no edge tuple is built unless the solver
-reads one. Each level reads the hits at the live cells in one pass: one
-index into a ``GridAnswers``' I x J grid, else one lookup per (u, v).
+Each search hands ``_bisect`` a ``probe(level)``: a trusted graph over
+grid dicts, in one colour format, (colour << w) + tag for tags below 2^w
+(a monochromatic search renumbers g's colours densely first, so these
+stay inside int64). What its levels share is set up once per search: the
+presence and value grids, the shifted base colours and every level's
+tags (a <=-search's rank cuts, for all bits), so a probe is a few grid
+operations, and no edge tuple is built unless the solver reads one.
 
 Passing an ``instrument`` callable exposes the searches for verification
 (test mode asserts the bracketing invariant against brute force). Each
@@ -42,9 +41,9 @@ grids: ``pres`` and ``base`` by pair, tags ``ik`` and ``jk``, the prefix
 grid ``pre`` (None in an equality search) and ``jk_val``. A live cell's
 answer is the least (``mode`` "min") or greatest ``jk_val`` over the k
 that close a triangle of one base colour with ``ik`` == ``jk``
-(== ``pre``), or ``miss`` if none does. A "level" event per level carries the ``estimates`` and
-``active`` grids. The grids are the search's own, so an instrument only
-reads them.
+(== ``pre``), or ``miss`` if none does. A "level" event per level carries
+the ``estimates`` and ``active`` grids. The grids are the search's own,
+so an instrument only reads them.
 """
 
 from __future__ import annotations
@@ -63,18 +62,21 @@ MonoEqProductSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 Instrument = Optional[Callable[[dict], None]]
 
 
-def _ranks(pres, grids, pairs):
+def _ranks(pres, grids, pairs, small=False):
     """The sorted distinct entries of ``grids`` on the present cells of
-    ``pairs``, and each of those grids as ranks among them (0 off its
-    present cells)."""
-    distinct = sorted({x for p in pairs for x in grids[p][pres[p]].tolist()})
-    return distinct, {p: np.where(pres[p], np.searchsorted(distinct, grids[p]),
-                                  0) for p in pairs}
+    ``pairs``, an int64 array, and each of those grids as ranks among them
+    (0 off its present cells). ``small`` entries are small non-negative
+    integers, such as ranks cut to their high bits, found by counting."""
+    present = np.concatenate([grids[p][pres[p]] for p in pairs])
+    distinct = (np.bincount(present).nonzero()[0] if small else
+                np.array(sorted(set(present.tolist())), np.int64))
+    return distinct, {p: np.where(pres[p], distinct.searchsorted(grids[p]), 0)
+                      for p in pairs}
 
 
 def _unrank(distinct, ranks, hit):
     """The values of rank ``ranks`` where ``hit``, 0 elsewhere."""
-    return np.array([*distinct, 0], np.int64)[np.where(hit, ranks, -1)]
+    return np.concatenate((distinct, [0]))[np.where(hit, ranks, -1)]
 
 
 def _bisect(live, est, probe, solver, instrument, start):
@@ -82,69 +84,65 @@ def _bisect(live, est, probe, solver, instrument, start):
 
     The grid ``est`` holds, at each cell of the Boolean grid ``live``, a
     multiple of 2^levels at or below its answer, and ends on the answer;
-    ``start["levels"]`` is that level count.
-    At each level the solver answers ``probe(level)`` per I x J cell, read
-    on a ``GridAnswers``' I x J grid or as ``answers[(u, v)]``: whether the
-    lower half of the cell's bracket holds a match (mode "min") or its
-    upper half does (mode "max"). A min search that misses, or a max
-    search that hits, moves into the upper half. ``instrument`` gets
+    ``start["levels"]`` is that level count. At each level the solver
+    answers ``probe(level)`` per I x J cell: whether the lower half of the
+    cell's bracket holds a match (mode "min") or its upper half does (mode
+    "max"). A min search that misses, or a max search that hits, moves
+    into the upper half. Each level reads the hits (a ``GridAnswers``' I x J
+    grid, else ``answers[(u, v)]``) and bumps ``est``, a fresh C-ordered
+    grid, through one flat index of the live cells. ``instrument`` gets
     ``start`` as the start event and, after each level, the ``est`` and
     ``live`` grids themselves.
     """
     if instrument is not None:
         instrument({"kind": "start", **start})
-    cells = live.nonzero()
+    cells, flat = np.flatnonzero(live), est.reshape(-1)
+    miss = start["mode"] == "min"
     for level in range(start["levels"] - 1, -1, -1):
         answers = solver(probe(level))
         if isinstance(answers, GridAnswers):
-            hits = answers.hits["IJ"][cells]
+            hits = answers.hits["IJ"].take(cells)
         else:
-            hits = np.fromiter(map(answers.__getitem__, _listed(cells)),
-                               bool, cells[0].size)
-        up = hits != (start["mode"] == "min")
-        est[tuple(c[up] for c in cells)] += 1 << level
+            hits = np.fromiter(map(answers.__getitem__, _listed(
+                np.divmod(cells, live.shape[1]))), bool, cells.size)
+        flat[cells[hits != miss]] += 1 << level
         if instrument is not None:
             instrument({"kind": "level", "op": start["op"], "level": level,
                         "estimates": est, "active": live})
 
 
-def _probe_graph(part_sizes, sides, grids):
-    """A trusted probe from (presence, colour, value) grids for IJ, JK and
-    IK, value None on an unvalued pair; edges are derived only if read."""
-    arrays = ({}, {}, {})
-    for pair, (pres, col, val) in zip(COLORED_PAIRS, grids):
-        for kind, grid in zip(arrays, (pres, col, val)):
-            kind[pair] = np.zeros_like(col) if grid is None else grid
-    return ColoredValuedGraph._trusted(part_sizes, sides, arrays)
-
-
-def _eq_search(sizes, pres, base, ik, jk, mode, solver, instrument):
+def _eq_search(sizes, pres, base, ik, jk, mode, solver, instrument,
+               small=False):
     """The (min, =) or (max, =) search over case-A grids: per present I x J
     cell, the least or greatest v that some k closes into a triangle of one
     ``base`` colour whose I x K and J x K values are both v.
 
-    Values become ranks among the present IK and JK cells, shifted up by
-    one for max, and the levels leave room for one rank beyond them. The
-    level-l instance colours each edge with (base colour, tag >> l), the
-    I x J tag being the half probed, and keeps the full tags as values, so a
-    positive answer means a full match inside that half. Returns the grid
-    of cells with a match and the values found there (0 elsewhere).
+    Values become ranks among the present IK and JK cells (``small``: see
+    ``_ranks``), shifted up by one for max, and the levels leave room for
+    one rank beyond them. The level-l instance colours each edge with
+    (base colour, tag >> l), the I x J tag being the half probed, and keeps
+    the full tags as values, so a positive answer means a full match inside
+    that half. Returns the grid of cells with a match and the values found
+    there (0 elsewhere).
     """
-    distinct, tag = _ranks(pres, {"IK": ik, "JK": jk}, ("IK", "JK"))
+    distinct, tag = _ranks(pres, {"JK": jk, "IK": ik}, ("JK", "IK"), small)
     upper = int(mode == "max")
     tag = {p: t + upper for p, t in tag.items()}
     live = pres["IJ"]
     levels = ceil_log2(len(distinct) + 1) if live.any() else 0
     miss = 0 if upper else (1 << levels) - 1
-    # Every tag is below 2^levels, so base << levels leaves room for it.
-    col = {p: base[p] << levels for p in COLORED_PAIRS}
+    # Every tag is below 2^levels, so base << levels leaves room for it;
+    # est is a multiple of 2^(level + 1), so (est >> level) | upper adds.
+    at = np.arange(levels)[:, None, None]
+    ij = (base["IJ"] << levels) + upper
+    col = {p: (base[p] << levels) + (tag[p] >> at) for p in ("JK", "IK")}
     est = np.zeros(sizes[:2], np.int64)
+    vals = {"IJ": np.zeros(sizes[:2], np.int64), **tag}
 
     def probe(level):
-        return _probe_graph(sizes, CASE_VALUE_SIDES["A"], (
-            (live, col["IJ"] + ((est >> level) | upper), None),
-            *((pres[p], col[p] + (tag[p] >> level), tag[p])
-              for p in ("JK", "IK"))))
+        return ColoredValuedGraph._trusted(sizes, CASE_VALUE_SIDES["A"], (
+            pres, {"IJ": ij + (est >> level), "JK": col["JK"][level],
+                   "IK": col["IK"][level]}, vals))
 
     _bisect(live, est, probe, solver, instrument, {
         "op": f"{mode}_eq", "mode": mode, "levels": levels, "pres": pres,
@@ -176,19 +174,22 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
     pick = np.maximum if upper else np.minimum
     none = -1 if upper else len(distinct)   # beyond every rank
     best = np.full(sizes[:2], none, np.int64)
-    if distinct:
+    if len(distinct):
         live, pre = _eq_search(sizes, pres, base, rank["IK"], rank["JK"],
-                               mode, eq_solver, instrument)
+                               mode, eq_solver, instrument, True)
         best[live] = pre[live]
     bits = ceil_log2(max(1, len(distinct)))  # every tag is below 2^bits
     scaled = {p: base[p] << bits for p in COLORED_PAIRS}
+    at = np.arange(bits + 1)[:, None, None]
+    ik_at, jk_at = rank["IK"] >> at, rank["JK"] >> at
+    ik_in = pres["IK"] & (ik_at[:-1] % 2 == 0)
+    jk_in = pres["JK"] & (jk_at[:-1] % 2 == 1)
+    no_val = np.zeros(ik.shape, np.int64)
     for bit in range(bits):
-        cut = {"IJ": pres["IJ"],
-               "IK": pres["IK"] & ((rank["IK"] >> bit) % 2 == 0),
-               "JK": pres["JK"] & ((rank["JK"] >> bit) % 2 == 1)}
-        ik_cut, jk_cut = rank["IK"] >> (bit + 1), rank["JK"] >> (bit + 1)
+        cut = {"IJ": pres["IJ"], "JK": jk_in[bit], "IK": ik_in[bit]}
+        ik_cut, jk_cut = ik_at[bit + 1], jk_at[bit + 1]
         live, pre = _eq_search(sizes, cut, base, ik_cut, jk_cut, mode,
-                               eq_solver, instrument)
+                               eq_solver, instrument, True)
         if not live.any():
             continue
         cut = {**cut, "IJ": live}
@@ -197,10 +198,9 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
         est = (pre << (bit + 1)) | (1 << bit)
 
         def probe(level):
-            return _probe_graph(sizes, CASE_VALUE_SIDES["B"], (
-                (live, col["IJ"], (est >> level) | upper),
-                (cut["JK"], col["JK"], rank["JK"] >> level),
-                (cut["IK"], col["IK"], None)))
+            return ColoredValuedGraph._trusted(sizes, CASE_VALUE_SIDES["B"], (
+                cut, col, {"IJ": (est >> level) | upper, "JK": jk_at[level],
+                           "IK": no_val}))
 
         _bisect(live, est, probe, solver, instrument, {
             "op": f"{mode}_le_inner", "mode": mode, "levels": bit,

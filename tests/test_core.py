@@ -15,9 +15,10 @@ import fgtri
 from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF,
                    RngStream, SetFamilyInstance, TripartiteWeightedGraph,
                    ae_mono_triangle_bf, ae_mono_triangle_fast,
-                   ae_monoeq_triangle_bf,
-                   balanced_split, generate_colored, generate_matrix,
-                   generate_set_family, generate_sparse_tripartite,
+                   ae_monoeq_triangle_bf, ae_sparse_triangle_bf,
+                   ae_sparse_triangle_fast, balanced_split, generate_colored,
+                   generate_matrix, generate_set_family,
+                   generate_sparse_tripartite,
                    generate_tripartite, parse, parse_documents, serialize,
                    triangle_weight_sum, zero_triangle_bf)
 from fgtri.oracles import _colored_arrays
@@ -363,6 +364,32 @@ def test_set_family_and_matrix_take_numpy_integers():
     assert s.queries == ((0, 0),) and type(s.queries[0][0]) is int
     assert parse(serialize(s)) == s
     assert IntMatrix(one, np.int16(2), (zero, 7)).to_rows() == [[0, 7]]
+
+
+def test_numpy_endpoints_and_weights_are_stored_as_ints():
+    # 1 << np.int64(69) wraps in 64 bits: the packed C-rows and the
+    # oracles' C-masks lost C-vertex 69, so the bf detector missed the
+    # triangle (0, 0, 69) and the fast one raised OverflowError.
+    c = np.int64(69)
+    g = TripartiteWeightedGraph((1, 1, 70), ((0, 0, np.int32(1)),),
+                                ((0, c, 1),), ((c, 0, np.int64(1)),))
+    assert ae_sparse_triangle_bf(g) == {(0, 0): True}
+    assert ae_sparse_triangle_fast(g) == {(0, 0): True}
+    assert all(type(x) is int for pair in ("AB", "BC", "CA")
+               for e in g.edges(pair) for x in e)
+    assert g == TripartiteWeightedGraph((1, 1, 70), ((0, 0, 1),),
+                                        ((0, 69, 1),), ((69, 0, 1),))
+
+
+def test_numpy_part_sizes_and_modulus_are_stored_as_ints():
+    g = TripartiteWeightedGraph((np.int64(1), 1, np.int64(70)), ((0, 0, 1),),
+                                ((0, 69, 1),), ((69, 0, 1),), np.int64(5))
+    assert ae_sparse_triangle_bf(g) == {(0, 0): True}
+    assert ae_sparse_triangle_fast(g) == {(0, 0): True}
+    assert [type(x) for x in (*g.part_sizes, g.weight_modulus)] == [int] * 4
+    assert parse(serialize(g)) == g
+    h = ColoredValuedGraph((np.int64(1), 1, np.int16(2)))
+    assert [type(x) for x in h.part_sizes] == [int] * 3
 
 
 # ------------------------------------------------------------ generators

@@ -1,6 +1,7 @@
 """Product reductions against the enumeration oracles, plus the bracketing
 instrumentation the binary searches expose."""
 
+import hashlib
 from collections import Counter
 from types import SimpleNamespace
 
@@ -507,6 +508,81 @@ def test_solver_traffic_is_pinned():
         "mono-min-eq": (10, 202), "mono-eq": (10, 202),
         "mono-min-le": (25, 388),
     }
+
+
+def _probe_digest():
+    """One SHA-256 over every probe the traffic battery sends its inner
+    solvers, in call order: part sizes, value sides, presence grids, and
+    colours and values on the present cells only."""
+    digest = hashlib.sha256()
+
+    def record(inner):
+        def run(g):
+            pres, col, val = _colored_arrays(g)
+            seen = [g.part_sizes, sorted(g.value_sides)]
+            for pair in ("IJ", "JK", "IK"):
+                here = pres[pair]
+                seen.append((pair, np.flatnonzero(here).tolist(),
+                             col[pair][here].tolist(),
+                             val[pair][here].tolist()
+                             if pair in g.value_sides else None))
+            digest.update(repr(seen).encode())
+            return inner(g)
+        return run
+
+    for instances, run in _REDUCTIONS.values():
+        for x in instances:
+            run(x, record)
+    return digest.hexdigest()
+
+
+def test_probe_sequence_is_pinned():
+    """What each product reduction asks its inner solvers, probe by probe,
+    over the traffic battery: a faster search must send the same
+    instances in the same order, not just the same number of edges."""
+    assert _probe_digest() == (
+        "72f21867e37fcefb9eeb536b927cd20bc9112795961740ce6c6ad7298f32fcfe")
+
+
+def _cell_keyed(answers):
+    """``answers`` as a plain dict keyed (u, v), I x J edges only."""
+    return {key[-2:]: hit for key, hit in answers.items()
+            if len(key) == 2 or key[0] == "IJ"}
+
+
+def _pair_keyed(answers):
+    """``answers`` as a plain dict keyed (pair, u, v)."""
+    return {key if len(key) == 3 else ("IJ", *key): hit
+            for key, hit in answers.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCTIONS))
+def test_searches_read_any_mapping_keyed_by_cell(name):
+    """A search reads a ``GridAnswers`` through its I x J grid and any other
+    mapping as answers[(u, v)]: a plain dict so keyed gives the same
+    products, and one keyed (pair, u, v) raises ``KeyError`` at its first
+    call."""
+    instances, run = _REDUCTIONS[name]
+    raised = 0
+    for x in instances:
+        want = run(x, lambda inner: inner)
+        assert run(x, lambda inner: lambda g: _cell_keyed(inner(g))) == want
+        calls = []
+
+        def keyed(inner):
+            def solve(g):
+                calls.append(g)
+                return _pair_keyed(inner(g))
+            return solve
+
+        try:
+            run(x, keyed)
+        except KeyError:
+            raised += 1
+            assert len(calls) == 1
+        else:
+            assert calls == []
+    assert raised > 0
 
 
 # ------------------------------------------------------------ trusted probes
