@@ -18,6 +18,7 @@ that ran out of retries or a ``KeyError`` from a fault inside; only
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -82,26 +83,22 @@ def cmd_gen(args) -> int:
     if args.type == "zero-triangle":
         graph, planted = generators.generate_tripartite(
             args.n, args.weight_bound, args.plant, rng)
-        text = textio.serialize(graph)
+        docs = [graph]
     elif args.type == "colored":
-        sizes = generators.balanced_split(args.n)
-        graph = generators.generate_colored(
-            sizes, args.colors, args.density, args.value_range,
-            _VALUE_SIDES[args.value_sides], rng)
-        text = textio.serialize(graph)
+        docs = [generators.generate_colored(
+            generators.balanced_split(args.n), args.colors, args.density,
+            args.value_range, _VALUE_SIDES[args.value_sides], rng)]
     elif args.type == "product":
         lo, hi = -args.weight_bound, args.weight_bound
         if args.kind == "min-witness":
             lo, hi = 0, 1
-        a = generators.generate_matrix(args.n, args.n, lo, hi, rng.child("a"))
-        b = generators.generate_matrix(args.n, args.n, lo, hi, rng.child("b"))
-        text = textio.serialize(a) + textio.serialize(b)
+        docs = [generators.generate_matrix(args.n, args.n, lo, hi,
+                                           rng.child(side)) for side in "ab"]
     else:  # sets; argparse restricts the choices
-        inst = generators.generate_set_family(
+        docs = [generators.generate_set_family(
             args.universe, args.family, args.max_set, args.queries, rng,
-            args.cap)
-        text = textio.serialize(inst)
-    _write_text(args.out, text)
+            args.cap)]
+    _write_text(args.out, "".join(map(textio.serialize, docs)))
     if planted is not None:
         print(f"PLANTED {planted[0]} {planted[1]} {planted[2]}")
     return EXIT_OK
@@ -233,17 +230,13 @@ def _iterate_tiles(tile: str, g, rng, once):
     sizes = tile.split(",")
     if len(sizes) != 3 or not all(tok.isdecimal() and int(tok) for tok in sizes):
         raise UsageFailure(f"tile sizes must be three positive counts: {tile}")
-    ta, tb, tc = map(int, sizes)
-    na, nb, nc = g.part_sizes
-    for ia, a_span in enumerate(_tiles(na, ta)):
-        for ib, b_span in enumerate(_tiles(nb, tb)):
-            for ic, c_span in enumerate(_tiles(nc, tc)):
-                found, witness = once(_tile_graph(g, (a_span, b_span, c_span)),
-                                      rng.child("tile", ia, ib, ic))
-                if found:
-                    a, b, c = witness
-                    return True, (a + a_span[0], b + b_span[0],
-                                  c + c_span[0])
+    blocks = (enumerate(_tiles(n, int(t)))
+              for n, t in zip(g.part_sizes, sizes))
+    for triple in itertools.product(*blocks):
+        index, spans = zip(*triple)
+        found, witness = once(_tile_graph(g, spans), rng.child("tile", *index))
+        if found:
+            return True, tuple(v + lo for v, (lo, _hi) in zip(witness, spans))
     return False, None
 
 

@@ -1,11 +1,11 @@
 """Fast answers to the two inner all-edges triangle questions.
 
 The sparse solver is the light half of the Alon-Yuster-Zwick degree split
-on its own: one AND of the graph's ``c_rows``, packed C-rows and C-mask,
-per A x B edge. The rows (one OR per BC and CA edge) are built once per
-graph and carried unchanged into its C-restrictions, which keep one
-composed mask, so the many restricted graphs of the listing reduction are
-answered without touching their BC and CA edges or ANDing a row no edge reads.
+on its own: per A x B edge one AND of ``c_rows`` (packed C-rows, C-mask), as
+in ``ae_sparse_triangle_bf``; on the fresh graphs ``fgtri bench`` times it
+ties or loses. It wins where rows are reused: they are built once per graph
+(one OR per BC and CA edge) and pass unchanged into C-restrictions with one
+composed mask, so listing-reduction calls skip BC and CA edges and unread rows.
 
 The monochromatic solver takes the per-colour products of
 Vassilevska-Williams-Yuster as one batched float32 BLAS product per pair

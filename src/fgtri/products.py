@@ -58,7 +58,6 @@ from .instances import (CASE_VALUE_SIDES, COLORED_PAIRS, ColoredValuedGraph,
 
 # AE-MonoEq triangle, MonoEq product: a GridAnswers or dict keyed (u, v).
 MonoeqSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
-MonoEqProductSolver = Callable[[ColoredValuedGraph], GridAnswers | dict]
 Instrument = Optional[Callable[[dict], None]]
 
 
@@ -211,20 +210,24 @@ def _le_search(sizes, pres, base, ik, jk, mode, solver, eq_solver,
     return hit, _unrank(distinct, best, hit)
 
 
-def _matrix_grids(a: IntMatrix, b: IntMatrix):
-    """The case-A grids of A x B as a one-colour graph: every cell present,
-    base colour 0, I x K values A and J x K values B transposed."""
+def _inner(a: IntMatrix, b: IntMatrix) -> int:
+    """The inner dimension that A's columns and B's rows share."""
     if a.cols != b.rows:
         raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    sizes = (a.rows, b.cols, a.cols)
+    return a.cols
+
+
+def _on_matrices(a, b, search, mode, *solvers, empty) -> IntMatrix:
+    """The product matrix of ``search`` over the case-A grids of A x B as a
+    one-colour graph (every cell present, base colour 0, I x K values A and
+    J x K values B transposed): the value found where the search hits,
+    ``empty`` elsewhere."""
+    sizes = (a.rows, b.cols, _inner(a, b))
     shapes = {"IJ": sizes[:2], "JK": sizes[1:], "IK": (a.rows, a.cols)}
-    return (sizes, {p: np.ones(s, bool) for p, s in shapes.items()},
-            {p: np.zeros(s, np.int64) for p, s in shapes.items()},
-            a._grid, b._grid.T)
-
-
-def _matrix(hit, found, empty) -> IntMatrix:
-    """The product matrix: ``found`` where ``hit``, ``empty`` elsewhere."""
+    hit, found = search(
+        sizes, {p: np.ones(s, bool) for p, s in shapes.items()},
+        {p: np.zeros(s, np.int64) for p, s in shapes.items()},
+        a._grid, b._grid.T, mode, *solvers)
     return IntMatrix._trusted(np.where(hit, found, empty))
 
 
@@ -235,22 +238,22 @@ def min_eq_via_monoeq(
 ) -> IntMatrix:
     """Exact (min, =)-product through one equality-triangle call per level;
     entries with no match decode to PLUS_INF."""
-    return _matrix(*_eq_search(*_matrix_grids(a, b), "min", monoeq_solver,
-                               instrument), PLUS_INF)
+    return _on_matrices(a, b, _eq_search, "min", monoeq_solver, instrument,
+                        empty=PLUS_INF)
 
 
 def min_le_via_monoeq(a, b, monoeq_solver, instrument: Instrument = None):
     """Exact (min, <=)-product: split by the highest differing bit, find the
     common prefix with the (min, =) search, then binary-search the
     smallest qualifying right-side entry; combine by entry-wise min."""
-    return _matrix(*_le_search(*_matrix_grids(a, b), "min", monoeq_solver,
-                               monoeq_solver, instrument), PLUS_INF)
+    return _on_matrices(a, b, _le_search, "min", monoeq_solver, monoeq_solver,
+                        instrument, empty=PLUS_INF)
 
 
 def max_le_via_monoeq(a, b, monoeq_solver, instrument: Instrument = None):
     """Mirror of the (min, <=) reduction with max-side binary searches."""
-    return _matrix(*_le_search(*_matrix_grids(a, b), "max", monoeq_solver,
-                               monoeq_solver, instrument), MINUS_INF)
+    return _on_matrices(a, b, _le_search, "max", monoeq_solver, monoeq_solver,
+                        instrument, empty=MINUS_INF)
 
 
 MatrixSolver = Callable[[IntMatrix, IntMatrix], IntMatrix]
@@ -278,9 +281,7 @@ def min_witness_via_max_min(a: IntMatrix, b: IntMatrix,
     PLUS_INF."""
     if not all(np.isin(m._grid, (0, 1)).all() for m in (a, b)):
         raise UsageFailure("min witness needs Boolean matrices")
-    if a.cols != b.rows:
-        raise UsageFailure(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    n = a.cols
+    n = _inner(a, b)
     score = n - 1 - np.arange(n, dtype=np.int64)   # 0-based k scores n-1-k
     scored = max_min_solver(
         IntMatrix._trusted(np.where(a._grid == 1, score, MINUS_INF)),
@@ -312,18 +313,17 @@ def exists_dom_via_min_le(a, b, min_le_solver: MatrixSolver) -> IntMatrix:
     return _finite(min_le_solver(*_ranked(a, b)))
 
 
-def _case_a_grids(g: ColoredValuedGraph):
-    """g's presence grids, its colours renumbered densely from 0 (colours
-    are opaque, so composites of the renumbered ones with small tags stay
-    far inside int64) and its value grids."""
+def _on_case_a(g: ColoredValuedGraph, search, *solvers) -> dict:
+    """The min ``search`` over g's presence grids, its colours renumbered
+    densely from 0 (colours are opaque, so composites of the renumbered ones
+    with small tags stay far inside int64) and its value grids: per I x J
+    edge, row-major, the value found or PLUS_INF."""
     if g.value_sides != CASE_VALUE_SIDES["A"]:
         raise UsageFailure("expected a case-A instance (values on IK and JK)")
     pres, col, val = _colored_arrays(g)
-    return pres, _ranks(pres, col, COLORED_PAIRS)[1], val
-
-
-def _on_edges(pres, hit, found) -> dict[tuple[int, int], int]:
-    """Per I x J edge, row-major, the value found or PLUS_INF."""
+    dense = _ranks(pres, col, COLORED_PAIRS)[1]
+    hit, found = search(g.part_sizes, pres, dense, val["IK"], val["JK"],
+                        "min", *solvers)
     cells = pres["IJ"].nonzero()
     return dict(zip(_listed(cells),
                     np.where(hit, found, PLUS_INF)[cells].tolist()))
@@ -331,16 +331,13 @@ def _on_edges(pres, hit, found) -> dict[tuple[int, int], int]:
 
 def mono_min_eq_via_mono_eq(
     g: ColoredValuedGraph,
-    mono_eq_solver: MonoEqProductSolver,
+    mono_eq_solver: MonoeqSolver,
     instrument: Instrument = None,
 ) -> dict[tuple[int, int], int]:
     """Monochromatic (min, =)-product from Boolean monochromatic-equality
     product calls: each level recolors edges with (original color, value
     prefix) composites and halves the bracket."""
-    pres, dense, val = _case_a_grids(g)
-    return _on_edges(pres, *_eq_search(
-        g.part_sizes, pres, dense, val["IK"], val["JK"], "min",
-        mono_eq_solver, instrument))
+    return _on_case_a(g, _eq_search, mono_eq_solver, instrument)
 
 
 def mono_eq_via_mono_min_eq(
@@ -359,14 +356,12 @@ def mono_eq_via_mono_min_eq(
 def mono_min_le_via_monoeq(
     g: ColoredValuedGraph,
     monoeq_solver: MonoeqSolver,
-    mono_eq_solver: MonoEqProductSolver,
+    mono_eq_solver: MonoeqSolver,
     instrument: Instrument = None,
 ) -> dict[tuple[int, int], int]:
     """Monochromatic (min, <=)-product: per highest-differing-bit, the
     smallest common prefix comes from the monochromatic (min, =) machinery,
     and equality-triangle calls with values on I x J and J x K then
     binary-search the smallest qualifying J x K value."""
-    pres, dense, val = _case_a_grids(g)
-    return _on_edges(pres, *_le_search(
-        g.part_sizes, pres, dense, val["IK"], val["JK"], "min",
-        monoeq_solver, mono_eq_solver, instrument))
+    return _on_case_a(g, _le_search, monoeq_solver, mono_eq_solver,
+                      instrument)

@@ -28,12 +28,8 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _fmt_entry(v: int) -> str:
-    if v == PLUS_INF:
-        return "inf"
-    if v == MINUS_INF:
-        return "-inf"
-    return str(v)
+# The matrix entries written and read by name.
+_SENTINELS = {"inf": PLUS_INF, "-inf": MINUS_INF}
 
 
 def serialize(instance) -> str:
@@ -61,9 +57,10 @@ def serialize(instance) -> str:
                     lines.append(f"{pair} {u} {v} {c} {val}")
     elif isinstance(instance, IntMatrix):
         lines.append(f"IMX {instance.rows} {instance.cols}")
+        names = {v: name for name, v in _SENTINELS.items()}
         if instance.cols > 0:  # zero-width rows would be blank lines
             for row in instance.to_rows():
-                lines.append(" ".join(_fmt_entry(v) for v in row))
+                lines.append(" ".join(names.get(v, str(v)) for v in row))
     elif isinstance(instance, SetFamilyInstance):
         header = f"SFI {instance.universe_size} {len(instance.family)} {len(instance.queries)}"
         if instance.output_cap is not None:
@@ -85,14 +82,6 @@ def _int(tok: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"bad {what} {tok!r}") from None
 
 
-def _entry(tok: str, line_no: int) -> int:
-    if tok == "inf":
-        return PLUS_INF
-    if tok == "-inf":
-        return MINUS_INF
-    return _int(tok, line_no, "matrix entry")
-
-
 def _numbered_lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,7 +94,7 @@ def parse_documents(text: str) -> list:
     out = []
     pending: list[tuple[int, list[str]]] = []
     for line_no, toks in _numbered_lines(text):
-        if toks[0] in ("TWG", "CVG", "IMX", "SFI") and pending:
+        if toks[0] in _PARSERS and pending:
             out.append(_parse_block(pending))
             pending = []
         pending.append((line_no, toks))
@@ -126,21 +115,14 @@ def parse(text: str):
 
 def _parse_block(lines: list[tuple[int, list[str]]]):
     line_no, toks = lines[0]
-    kind = toks[0]
+    if toks[0] not in _PARSERS:
+        raise ParseError(line_no, f"unknown document type {toks[0]!r}")
     try:
-        if kind == "TWG":
-            return _parse_twg(lines)
-        if kind == "CVG":
-            return _parse_cvg(lines)
-        if kind == "IMX":
-            return _parse_imx(lines)
-        if kind == "SFI":
-            return _parse_sfi(lines)
+        return _PARSERS[toks[0]](lines)
     except ParseError:
         raise
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from None
-    raise ParseError(line_no, f"unknown document type {kind!r}")
 
 
 def _parse_twg(lines) -> TripartiteWeightedGraph:
@@ -201,7 +183,8 @@ def _parse_imx(lines) -> IntMatrix:
     for row_line_no, toks in lines[1:]:
         if len(toks) != cols:
             raise ParseError(row_line_no, f"row needs {cols} entries, got {len(toks)}")
-        entries.extend(_entry(t, row_line_no) for t in toks)
+        entries.extend(_SENTINELS[t] if t in _SENTINELS
+                       else _int(t, row_line_no, "matrix entry") for t in toks)
     return IntMatrix(rows, cols, tuple(entries))
 
 
@@ -240,3 +223,8 @@ def _parse_sfi(lines) -> SetFamilyInstance:
                          f"header promises {n_queries} queries, found {len(queries)}")
     return SetFamilyInstance(universe, filled, tuple(queries), cap)
 
+
+# Each document kind's header keyword and parser; a line that starts with a
+# keyword starts a new document.
+_PARSERS = {"TWG": _parse_twg, "CVG": _parse_cvg, "IMX": _parse_imx,
+            "SFI": _parse_sfi}

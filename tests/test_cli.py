@@ -174,6 +174,58 @@ def test_reduce_tiled_iteration_finds_planted_triangle(tmp_path, capsys):
     assert triangle_weight_sum(g, (a, b, c)) == 0
 
 
+def test_reduce_tiled_iteration_without_a_hit_prints_none(tmp_path, capsys):
+    twg = tmp_path / "nz.twg"
+    main(["gen", "--type", "zero-triangle", "--n", "15", "--weight-bound",
+          "1000000", "--seed", "13", "--out", str(twg)])
+    from fgtri import parse, zero_triangle_bf
+    assert zero_triangle_bf(parse(twg.read_text())) is None
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", "zero-via-listing", "--s", "2",
+                 "--tile", "4,4,4", "--trials", "2", "--seed", "5",
+                 "--check", "--in", str(twg)]) == 0
+    assert capsys.readouterr() == ("NONE\n", "check: ok\n")
+
+
+def test_solve_check_mismatch_exits_1_after_writing(tmp_path, capsys,
+                                                    monkeypatch):
+    twg = tmp_path / "g.twg"
+    main(["gen", "--type", "zero-triangle", "--n", "12", "--seed", "1",
+          "--out", str(twg)])
+
+    def flipped(g):
+        answers = ae_sparse_triangle_fast(g)
+        first = min(answers)
+        answers[first] = not answers[first]
+        return answers
+
+    monkeypatch.setitem(cli._SOLVERS, "ae-sparse-fast",
+                        cli._SOLVERS["ae-sparse-fast"]._replace(
+                            run=lambda _args, _kind, g: flipped(g)))
+    capsys.readouterr()
+    out = tmp_path / "answers"
+    assert main(["solve", "--solver", "ae-sparse-fast", "--check",
+                 "--in", str(twg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "check: MISMATCH against brute oracle\n"
+    from fgtri import parse
+    assert out.read_text() == cli._format_sparse_answers(
+        flipped(parse(twg.read_text())))
+
+
+def test_listing_check_with_a_blind_detector_exits_1(tmp_path, capsys,
+                                                     monkeypatch):
+    twg = tmp_path / "g.twg"
+    main(["gen", "--type", "zero-triangle", "--n", "12", "--seed", "1",
+          "--out", str(twg)])
+    inners = cli._PIPELINES["listing-via-detection"].inners
+    monkeypatch.setitem(inners, "sparse-bf", lambda g: dict.fromkeys(
+        [(a, b) for a, b, _w in g.edges_ab], False))
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", "listing-via-detection", "--check",
+                 "--seed", "4", "--in", str(twg), "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == "check: MISMATCH against brute oracle\n"
+
+
 def test_reduce_monoeq_pipeline_check(tmp_path):
     cvg = tmp_path / "c.cvg"
     main(["gen", "--type", "colored", "--n", "9", "--value-sides", "all",

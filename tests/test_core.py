@@ -516,3 +516,48 @@ def test_parse_documents_concatenated_matrices():
     b = IntMatrix.from_rows([[3], [4]])
     docs = parse_documents(serialize(a) + serialize(b))
     assert docs == [a, b]
+
+
+_SFI = "SFI 4 1 0\n"
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("", 0, "empty document"),
+    ("# only a comment\n", 0, "empty document"),
+    ("IMX 0 0\nIMX 0 0\n", 0, "expected one document, found 2"),
+    ("XYZ 1 2 3\n", 1, "unknown document type 'XYZ'"),
+    ("TWG 1 1\n", 1, "TWG header needs 3 sizes and optional MOD p"),
+    ("TWG 1 1 x\n", 1, "bad part size 'x'"),
+    ("TWG 1 1 1\nXY 0 0 1\n", 2, "expected 'AB|BC|CA u v w', got 'XY 0 0 1'"),
+    ("TWG 1 1 1\nAB 5 0 1\n", 1,
+     "AB edge (5,0) is not an integer pair in range 1x1"),
+    ("CVG 1 1 1\n", 1, "CVG header needs 3 sizes and value sides"),
+    ("CVG 1 1 1 IJ,XX\n", 1, "bad value sides 'IJ,XX'"),
+    ("CVG 1 1 1 -\nAB 0 0 1\n", 2, "expected IJ|JK|IK edge, got 'AB'"),
+    ("CVG 1 1 1 IJ\nIJ 0 0 1\n", 2, "IJ edge needs 4 fields"),
+    ("IMX 1\n", 1, "IMX header needs rows and cols"),
+    ("IMX 2 1\n5\n", 1, "IMX expects 2 row lines, got 1"),
+    ("IMX 1 2\n5\n", 2, "row needs 2 entries, got 1"),
+    ("IMX 1 1\nnan\n", 2, "bad matrix entry 'nan'"),
+    ("SFI 4 1\n", 1, "SFI header needs |U| |F| q and optional CAP T"),
+    (_SFI + "S 0 1 2\n", 2, "set line must look like 'S i : e1 e2 ...'"),
+    (_SFI + "S 1 : 0\n", 2, "set index 1 out of range"),
+    (_SFI + "S 0 : 0\nS 0 : 1\n", 3, "set 0 defined twice"),
+    ("SFI 4 1 1\nQ 0\n", 2, "query line must look like 'Q i j'"),
+    (_SFI + "X 0\n", 2, "expected S or Q line, got 'X'"),
+    ("SFI 4 1 2\nS 0 : 1\nQ 0 0\n", 1, "header promises 2 queries, found 1"),
+])
+def test_each_parse_error_names_its_line_and_fault(text, line_no, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line_no, str(err.value)) == (
+        line_no, f"line {line_no}: {message}")
+
+
+def test_a_parse_error_exits_3_with_its_line(tmp_path, capsys):
+    from fgtri.cli import main
+    bad = tmp_path / "bad.twg"
+    bad.write_text("TWG 1 1 1\nAB 0 0 1\nXY 0 0 1\n")
+    assert main(["solve", "--solver", "zero-bf", "--in", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        "parse error: line 3: expected 'AB|BC|CA u v w', got 'XY 0 0 1'\n")

@@ -19,6 +19,7 @@ from fgtri import (ColoredValuedGraph, IntMatrix, MINUS_INF, PLUS_INF, RngStream
                    mono_product_bf, product_bf)
 from fgtri.oracles import (MAX_LE, MAX_MIN, MIN_EQ, MIN_LE, MIN_WITNESS,
                            MONO_EQ, MONO_MIN_EQ, MONO_MIN_LE, _colored_arrays)
+from fgtri.instances import UsageFailure
 from fgtri.textio import serialize
 
 monoeq_bf = ae_monoeq_triangle_bf
@@ -127,6 +128,15 @@ def test_min_witness_battery():
         b = generate_matrix(m, c, 0, 1, rng.child("b"))
         assert min_witness_via_max_min(a, b, max_min) == \
             product_bf(a, b, MIN_WITNESS)
+
+
+def test_min_witness_rejects_inner_dimensions_that_differ():
+    def max_min(_a, _b):
+        raise AssertionError("no Max-Min call is needed")
+
+    a, b = IntMatrix.from_rows([[1, 0, 1]]), IntMatrix.from_rows([[1], [0]])
+    with pytest.raises(UsageFailure, match="^inner dimensions differ: 3 vs 2$"):
+        min_witness_via_max_min(a, b, max_min)
 
 
 def test_exists_projections():

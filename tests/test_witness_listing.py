@@ -1,5 +1,6 @@
 """Listing-from-detection reductions (witness recovery and subsampling)."""
 
+from collections import Counter
 from functools import reduce
 from time import perf_counter
 
@@ -75,6 +76,16 @@ def test_unique_equals_capped_listing_when_edges_have_one_triangle():
         out = unique_listing_via_detection(g, ae_sparse_triangle_fast)
         want = {e: (v[0] if v else None) for e, v in truth.items()}
         assert out == want
+
+
+def test_unique_without_c_vertices_answers_none_and_detects_nothing():
+    g = TripartiteWeightedGraph((2, 2, 0), ((0, 0, 1), (1, 1, 2)))
+
+    def detector(_sub):
+        raise AssertionError("no detection call is needed")
+
+    assert unique_listing_via_detection(g, detector) == {(0, 0): None,
+                                                         (1, 1): None}
 
 
 def test_listing_cap_zero_returns_empty_lists():
@@ -534,3 +545,32 @@ def test_listing_work_per_edge_does_not_grow_with_the_cap():
                                 RngStream(7))
     assert perf_counter() - start < 5.0
     assert list(got.items()) == list(want.items())
+
+
+def test_listing_drops_the_triangles_a_unique_solver_invents():
+    # Wherever the honest answer is None, the liar names a triangle of
+    # another edge, a C-vertex out of range, or one outside the edge's
+    # common C-mask, and adds a key that is no edge: none may be kept.
+    g = generate_sparse_tripartite((5, 5, 6), 60, 2, RngStream(17))
+    na, nb, nc = g.part_sizes
+    closing = {edge: {c for _a, _b, c in tris}
+               for edge, tris in triangle_list_bf(g).items()}
+    lies = Counter()
+
+    def liar(sub):
+        answers = _fast_unique(sub)
+        for (a, b), tri in answers.items():
+            outside = sorted(set(range(nc)) - closing[(a, b)])
+            kind = ("key", "range", "mask")[sum(lies.values()) % 3]
+            if tri is not None or (kind == "mask" and not outside):
+                continue
+            lies[kind] += 1
+            answers[(a, b)] = {"key": (a, (b + 1) % nb, min(closing[(a, b)])),
+                               "range": (a, b, (nc, -1)[lies[kind] % 2]),
+                               "mask": (a, b, outside[0])}[kind]
+        lies["stray"] += 1
+        return {**answers, (na, 0): (na, 0, 0)}
+
+    honest = listing_via_unique(g, 3, _fast_unique, RngStream(8))
+    assert listing_via_unique(g, 3, liar, RngStream(8)) == honest
+    assert min(lies[k] for k in ("key", "range", "mask", "stray")) > 0

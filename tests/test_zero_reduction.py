@@ -526,6 +526,18 @@ def test_global_pipeline_mirrors_per_edge_pipeline():
         assert found and triangle_weight_sum(g, witness) == 0
 
 
+@pytest.mark.parametrize("g", [
+    TripartiteWeightedGraph((0, 2, 2), edges_bc=((0, 0, 0),)),
+    TripartiteWeightedGraph((2, 0, 2), edges_ca=((0, 0, 0),)),
+    TripartiteWeightedGraph((2, 2, 0), edges_ab=((0, 0, 0),))])
+def test_zero_pipelines_with_an_empty_part_call_no_lister(g):
+    def lister(_graph, _cap):
+        raise AssertionError("no listing call is needed")
+
+    for run in (zero_triangle_via_listing, zero_triangle_via_global_listing):
+        assert run(g, 2, lister, trials=3, rng=RngStream(1)) == (False, None)
+
+
 def test_pipeline_report_sink_records_subinstances():
     g, _ = generate_tripartite(12, 20, True, RngStream(3))
     records = []
