@@ -31,7 +31,6 @@ from .zero_triangle import (ClaimStatistics, RandomizationData, RangeSplit,
                             default_trials, draw_randomization,
                             enumerate_zero_triples, is_prime,
                             pick_prime, randomize_weights,
-                            zero_triangle_via_global_listing,
                             zero_triangle_via_listing)
 from .witness_listing import (listing_via_detection, listing_via_unique,
                               seeded_listing_via_detection,

@@ -240,20 +240,32 @@ def _iterate_tiles(tile: str, g, rng, once):
     return False, None
 
 
-def _run_zero(reduction, args, lister, rng, sink, g):
+def _is_zero_triangle(g: TripartiteWeightedGraph, tri) -> bool:
+    try:
+        return oracles.triangle_weight_sum(g, tri) == 0
+    except KeyError:  # an edge of tri is missing from g
+        return False
+
+
+def _run_zero(cap_rule, args, lister, rng, sink, g):
+    """A zero pipeline; cap_rule(part_sizes, s) is the lister's cap per
+    graph or --tile block, or None for the per-edge default."""
     def once(graph, stream):
         trials = args.trials if args.trials is not None \
             else zt.default_trials(sum(graph.part_sizes), args.trial_multiplier)
-        return reduction(graph, args.s, lister, trials, stream,
-                         report_sink=sink)
+        cap = cap_rule and cap_rule(graph.part_sizes, args.s)
+        return zt.zero_triangle_via_listing(graph, args.s, lister, trials,
+                                            stream, cap, sink)
 
     if args.tile is None:
         found, witness = once(g, rng)
     else:
         found, witness = _iterate_tiles(args.tile, g, rng, once)
-    # Hits are re-verified, so only a missed triangle can fail the check.
+    # Hits are re-verified, so a correct run fails the check only by a
+    # missed triangle; the witness is checked too, against g's own weights.
     return (_format_witness(witness if found else None),
-            lambda: found == (oracles.zero_triangle_bf(g) is not None))
+            lambda: found == (oracles.zero_triangle_bf(g) is not None)
+            and (not found or _is_zero_triangle(g, witness)))
 
 
 def _run_listing(args, detector, rng, sink, g):
@@ -261,12 +273,12 @@ def _run_listing(args, detector, rng, sink, g):
     sink({"pipeline": args.pipeline, "edges": len(lists),
           "triangles": sum(len(v) for v in lists.values())})
 
-    def check():
-        for edge, tris in oracles.triangle_list_bf(g).items():
-            got = lists.get(edge, [])
-            if len(got) != min(args.cap, len(tris)) or not set(got) <= set(tris):
-                return False
-        return True
+    def check():  # each list sorted, free of repeats and of the right size
+        truth = oracles.triangle_list_bf(g)
+        return lists.keys() == truth.keys() and all(
+            got == sorted(set(got)) and set(got) <= set(truth[edge])
+            and len(got) == min(args.cap, len(truth[edge]))
+            for edge, got in lists.items())
     return _format_lists(lists), check
 
 
@@ -340,11 +352,11 @@ _PIPELINES = {
     "zero-via-listing": _Pipeline(
         _TWG, {"bf-lister": oracles.triangle_list_bf,
                "detect-lister": _detect_lister},
-        partial(_run_zero, zt.zero_triangle_via_listing)),
+        partial(_run_zero, None)),
     "zero-via-global-listing": _Pipeline(
         _TWG, {"bf-lister": lambda graph, cap: oracles.triangle_list_bf(
             graph, global_cap=cap)},
-        partial(_run_zero, zt.zero_triangle_via_global_listing)),
+        partial(_run_zero, zt.default_global_cap)),
     "listing-via-detection": _Pipeline(
         _TWG, {"sparse-bf": oracles.ae_sparse_triangle_bf,
                "sparse-fast": ae_sparse_triangle_fast}, _run_listing),

@@ -420,14 +420,6 @@ class IntMatrix:
     def _derive(self, name):
         return tuple(self._grid.ravel().tolist())
 
-    @staticmethod
-    def from_rows(rows: "list[list[int]]") -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return IntMatrix(r, c, tuple(v for row in rows for v in row))
-
     def to_rows(self) -> "list[list[int]]":
         return self._grid.tolist()
 

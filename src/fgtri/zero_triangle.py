@@ -377,17 +377,36 @@ def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:
                          f" not residues mod {g.weight_modulus}")
 
 
-def _run_trials(g, s, lister, cap, trials, rng, report_sink):
-    """Shared trial loop: list each range triple's subinstance, re-verify its
-    triangles against g's weights in one pass over the lister's answer;
-    stop at a hit, the first in sorted edge order."""
+def zero_triangle_via_listing(
+    g: TripartiteWeightedGraph,
+    s: int,
+    listing_solver: ListingSolver,
+    trials: int,
+    rng: RngStream,
+    cap: Optional[int] = None,
+    report_sink: Optional[Callable[[dict], None]] = None,
+) -> tuple[bool, Optional[Triangle]]:
+    """Decide Zero Triangle through an all-edges listing solver.
+
+    Each trial lists each range triple's subinstance under ``cap``, the cap
+    the lister takes: per edge by default, ``default_per_edge_cap(|C|, s)``;
+    a global lister's caller passes ``default_global_cap(part_sizes, s)``.
+    Every listed triangle is re-verified against g's weights, so a True
+    verdict is sound unconditionally and carries a witness whose weights
+    sum to zero, the first hit in sorted edge order. Complete with
+    overwhelming empirical probability over the given number of
+    independent trials when a zero triangle exists.
+    """
+    _check_inputs(g, s)
+    if cap is None:
+        cap = default_per_edge_cap(g.part_sizes[2], s)
     if min(g.part_sizes) == 0 or trials <= 0:
         return False, None
     zero_triangles = _zero_filter(g)
     for trial, sheared, rs in _randomized_trials(g, s, trials, rng):
         for triple in enumerate_zero_triples(rs):
             report = build_subinstance(sheared, rs, triple)
-            listed, hits = zero_triangles(lister(report.graph, cap))
+            listed, hits = zero_triangles(listing_solver(report.graph, cap))
             if report_sink is not None:
                 report_sink({"trial": trial, "triple": list(triple),
                              "edges_kept": report.graph.edge_count,
@@ -396,45 +415,6 @@ def _run_trials(g, s, lister, cap, trials, rng, report_sink):
             if hits:
                 return True, hits[0]
     return False, None
-
-
-def zero_triangle_via_listing(
-    g: TripartiteWeightedGraph,
-    s: int,
-    listing_solver: ListingSolver,
-    trials: int,
-    rng: RngStream,
-    per_edge_cap: Optional[int] = None,
-    report_sink: Optional[Callable[[dict], None]] = None,
-) -> tuple[bool, Optional[Triangle]]:
-    """Decide Zero Triangle through an all-edges listing solver.
-
-    Sound unconditionally: a True verdict carries a witness whose original
-    weights sum to zero (every listed triangle is re-verified). Complete
-    with overwhelming empirical probability over the given number of
-    independent trials when a zero triangle exists.
-    """
-    _check_inputs(g, s)
-    cap = per_edge_cap if per_edge_cap is not None \
-        else default_per_edge_cap(g.part_sizes[2], s)
-    return _run_trials(g, s, listing_solver, cap, trials, rng, report_sink)
-
-
-def zero_triangle_via_global_listing(
-    g: TripartiteWeightedGraph,
-    s: int,
-    global_listing_solver: ListingSolver,
-    trials: int,
-    rng: RngStream,
-    global_cap: Optional[int] = None,
-    report_sink: Optional[Callable[[dict], None]] = None,
-) -> tuple[bool, Optional[Triangle]]:
-    """Same pipeline against a globally-capped listing solver."""
-    _check_inputs(g, s)
-    cap = global_cap if global_cap is not None \
-        else default_global_cap(g.part_sizes, s)
-    return _run_trials(g, s, global_listing_solver, cap, trials, rng,
-                       report_sink)
 
 
 @dataclass(frozen=True)

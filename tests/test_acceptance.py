@@ -104,8 +104,7 @@ def test_criterion_03_reduction_completeness():
         g, planted = f.generate_tripartite(n, 60, True, rng.child("g"))
         cap = f.default_per_edge_cap(g.part_sizes[2], 4)
         found, witness = f.zero_triangle_via_listing(
-            g, 4, bf_lister, trials=trials, rng=rng.child("run"),
-            per_edge_cap=cap)
+            g, 4, bf_lister, trials=trials, rng=rng.child("run"), cap=cap)
         if found and f.triangle_weight_sum(g, witness) == 0:
             hits += 1
     report("criterion 3 (reduction completeness)", hits >= 199,

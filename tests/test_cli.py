@@ -2,10 +2,11 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from fgtri import TripartiteWeightedGraph, cli
+from fgtri import TripartiteWeightedGraph, cli, witness_listing
 from fgtri.cli import main
 from fgtri.fast_solvers import ae_sparse_triangle_fast
 
@@ -223,6 +224,58 @@ def test_listing_check_with_a_blind_detector_exits_1(tmp_path, capsys,
     capsys.readouterr()
     assert main(["reduce", "--pipeline", "listing-via-detection", "--check",
                  "--seed", "4", "--in", str(twg), "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == "check: MISMATCH against brute oracle\n"
+
+
+@pytest.mark.parametrize("lie", ["repeat", "reversed", "stray key"])
+def test_listing_check_rejects_a_malformed_list(capsys, monkeypatch, lie):
+    """--check fails a listing whose lists have the right sizes and hold
+    only the oracle's triangles but repeat one, are out of order, or come
+    with a key that is no A x B edge of the input."""
+    honest = witness_listing.listing_via_detection
+
+    def lister(g, cap, detector, rng):
+        lists = honest(g, cap, detector, rng)
+        edge = min(e for e, tris in lists.items() if len(tris) > 1)
+        if lie == "repeat":
+            lists[edge] = lists[edge][:1] + lists[edge][:-1]
+        elif lie == "reversed":
+            lists[edge] = lists[edge][::-1]
+        else:
+            lists[(99, 99)] = []
+        return lists
+
+    monkeypatch.setattr(witness_listing, "listing_via_detection", lister)
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", "listing-via-detection", "--cap",
+                 "2", "--check", "--seed", "4", "--in",
+                 str(Path(__file__).parent / "golden" / "gen-zero-free.out"),
+                 "--out", os.devnull]) == 1
+    assert capsys.readouterr().err == "check: MISMATCH against brute oracle\n"
+
+
+@pytest.mark.parametrize("pipeline",
+                         ["zero-via-listing", "zero-via-global-listing"])
+@pytest.mark.parametrize("move", ["nonzero", "outside"])
+def test_zero_check_rejects_a_witness_that_is_no_zero_triangle(
+        tmp_path, capsys, monkeypatch, pipeline, move):
+    """--check fails a zero pipeline with the right verdict whose printed
+    witness, moved off as a wrong --tile offset would move it, is a
+    triangle with a nonzero sum or names a C-vertex past the part."""
+    twg = tmp_path / "p.twg"
+    main(["gen", "--type", "zero-triangle", "--n", "24", "--plant",
+          "--weight-bound", "1000000", "--seed", "19", "--out", str(twg)])
+    honest = cli._iterate_tiles
+
+    def misplaced(tile, g, rng, once):
+        found, (a, b, c) = honest(tile, g, rng, once)
+        return found, (a, b, (c + 1) % 8 if move == "nonzero" else c + 8)
+
+    monkeypatch.setattr(cli, "_iterate_tiles", misplaced)
+    capsys.readouterr()
+    assert main(["reduce", "--pipeline", pipeline, "--s", "2", "--tile",
+                 "4,4,4", "--trials", "40", "--seed", "3", "--check",
+                 "--in", str(twg), "--out", os.devnull]) == 1
     assert capsys.readouterr().err == "check: MISMATCH against brute oracle\n"
 
 

@@ -120,6 +120,46 @@ def test_only_instances_tests_for_integral():
     assert callers == ["instances"]
 
 
+def _names_in(paths) -> set:
+    """Every identifier that the modules at paths read, call or import."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    """Each public top-level function or class of the package, and each
+    public method, is named somewhere besides its own ``def`` or ``class``
+    line: in a package module other than ``__init__`` (whose re-exports do
+    not count), in ``perfbench/`` or in ``tools/``. Library code that only
+    tests call is dead weight."""
+    package = Path(fgtri.__file__).parent
+    root = package.parents[1]
+    modules = [path for path in package.glob("*.py")
+               if path.stem != "__init__"]
+    named = _names_in(modules + [*root.glob("perfbench/*.py"),
+                                 *root.glob("tools/*.py")])
+    defined = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.stem, f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+    assert len(defined) > 150
+    assert [(module, qualified) for module, qualified, name in defined
+            if not name.startswith("_") and name not in named] == []
+
+
 # ------------------------------------------------------------ invariants
 
 _EDGE_FIELDS = {"IJ": "edges_ij", "JK": "edges_jk", "IK": "edges_ik"}
@@ -308,7 +348,7 @@ def test_matrix_shape_and_sentinel_guard():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(ValueError):
         IntMatrix(1, 1, (PLUS_INF + 1,))
-    m = IntMatrix.from_rows([[1, PLUS_INF], [MINUS_INF, -4]])
+    m = IntMatrix(2, 2, (1, PLUS_INF, MINUS_INF, -4))
     assert m.to_rows()[0][1] == PLUS_INF
     assert m.transpose().to_rows()[1][0] == PLUS_INF
 
@@ -512,8 +552,8 @@ def test_parse_rejects_unknown_header():
 
 
 def test_parse_documents_concatenated_matrices():
-    a = IntMatrix.from_rows([[1, 2]])
-    b = IntMatrix.from_rows([[3], [4]])
+    a = IntMatrix(1, 2, (1, 2))
+    b = IntMatrix(2, 1, (3, 4))
     docs = parse_documents(serialize(a) + serialize(b))
     assert docs == [a, b]
 
@@ -561,3 +601,68 @@ def test_a_parse_error_exits_3_with_its_line(tmp_path, capsys):
     assert main(["solve", "--solver", "zero-bf", "--in", str(bad)]) == 3
     assert capsys.readouterr().err == (
         "parse error: line 3: expected 'AB|BC|CA u v w', got 'XY 0 0 1'\n")
+
+
+# ------------------------------------------------------------ argument guards
+
+_ONE = TripartiteWeightedGraph((1, 1, 1))
+_MOD5 = TripartiteWeightedGraph((1, 1, 1), weight_modulus=5)
+_USAGE = fgtri.instances.UsageFailure
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: generate_tripartite(3, 0, False, RngStream(1)), _USAGE,
+     "weight_bound must be >= 1"),
+    (lambda: generate_colored((1, 1, 1), 0, 50, 1, frozenset(), RngStream(1)),
+     _USAGE, "need at least one color"),
+    (lambda: generate_colored((1, 1, 1), 1, 50, 0, frozenset({"IJ"}),
+                              RngStream(1)),
+     _USAGE, "value_range must be >= 1 when any side is valued"),
+    (lambda: fgtri.ceil_log2(0), ValueError, "ceil_log2 needs x >= 1"),
+    (lambda: TripartiteWeightedGraph((1, 1, 1), edges_ab=((0, 0),)),
+     ValueError, "AB edge (0, 0): expected 3 fields"),
+    (lambda: ColoredValuedGraph((1, 1, 1), value_sides={"XY"}), ValueError,
+     "bad value_sides ['XY']"),
+    (lambda: SetFamilyInstance(4, ((1, 1),), ()), ValueError,
+     "set 0 has duplicate elements"),
+    (lambda: fgtri.CombinedMonoInstance((), ()).decode([None]), ValueError,
+     "answers do not align with the instances"),
+    (lambda: fgtri.mono_product_bf(ColoredValuedGraph((1, 1, 1)), "nope"),
+     _USAGE, "unknown mono product kind 'nope'"),
+    (lambda: fgtri.product_bf(IntMatrix(1, 1, (0,)), IntMatrix(1, 1, (0,)),
+                              "nope"),
+     _USAGE, "unknown product kind 'nope'"),
+    (lambda: fgtri.set_queries_bf(SetFamilyInstance(1, (), ()), "nope"),
+     _USAGE, "unknown set query mode 'nope'"),
+    (lambda: RngStream(1).child(1.5), TypeError,
+     "stream labels must be int or str, got float"),
+    (lambda: RngStream(1).randrange(0), ValueError,
+     "randrange() requires n >= 1"),
+    (lambda: RngStream(1).randint(2, 1), ValueError,
+     "randint() requires lo <= hi"),
+    (lambda: fgtri.SetDecodeMap(((0, 0),)).decode_disjointness([]),
+     ValueError, "answers do not align with the queries"),
+    (lambda: fgtri.SetDecodeMap(((0, 0),)).decode_intersection([]),
+     ValueError, "answers do not align with the queries"),
+    (lambda: fgtri.RangeSplit(5, 2).index_of(5), ValueError,
+     "residue 5 outside [0, 5)"),
+    (lambda: fgtri.pick_prime(0, RngStream(1)), ValueError,
+     "max_abs_weight must be >= 1"),
+    (lambda: fgtri.randomize_weights(
+        _ONE, fgtri.RandomizationData(5, 1, ((0,), (0,), ()))),
+     ValueError, "offset lengths must match part sizes"),
+    (lambda: fgtri.build_subinstance(_ONE, fgtri.RangeSplit(5, 1), (1, 1, 1)),
+     ValueError, "subinstance selection needs mod-p weights"),
+    (lambda: fgtri.build_subinstance(_MOD5, fgtri.RangeSplit(5, 1),
+                                     (1, 1, 2)),
+     ValueError, "range id 2 outside 1..1"),
+])
+def test_each_argument_guard_raises_its_message(call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (kind, message)
+
+
+def test_a_stream_repr_names_its_seed_and_path():
+    assert repr(RngStream(255, ("a", 2))) == (
+        "RngStream(seed=0x00000000000000ff, path=('a', 2))")

@@ -259,30 +259,30 @@ def test_monoeq_single_valued_side_never_matches():
 # ------------------------------------------------------ matrix products
 
 def test_product_hand_cases():
-    a = IntMatrix.from_rows([[1, 2], [3, 1]])
-    b = IntMatrix.from_rows([[1, 3], [2, 1]])
+    a = IntMatrix(2, 2, (1, 2, 3, 1))
+    b = IntMatrix(2, 2, (1, 3, 2, 1))
     c = product_bf(a, b, MIN_EQ)
     assert c.to_rows()[0][0] == 1  # both k match; min of {1, 2}
-    zeros = IntMatrix.from_rows([[0, 0], [0, 0]])
-    ones = IntMatrix.from_rows([[1, 1], [1, 1]])
+    zeros = IntMatrix(2, 2, (0, 0, 0, 0))
+    ones = IntMatrix(2, 2, (1, 1, 1, 1))
     assert all(v == PLUS_INF for v in product_bf(zeros, ones, MIN_EQ).entries)
-    assert product_bf(IntMatrix.from_rows([[1]]),
-                      IntMatrix.from_rows([[2]]), MAX_MIN).entries == (1,)
-    assert product_bf(IntMatrix.from_rows([[1]]),
-                      IntMatrix.from_rows([[1]]), MIN_WITNESS).entries == (1,)
-    assert product_bf(IntMatrix.from_rows([[0]]),
-                      IntMatrix.from_rows([[1]]), MIN_WITNESS).entries == (PLUS_INF,)
+    assert product_bf(IntMatrix(1, 1, (1,)),
+                      IntMatrix(1, 1, (2,)), MAX_MIN).entries == (1,)
+    assert product_bf(IntMatrix(1, 1, (1,)),
+                      IntMatrix(1, 1, (1,)), MIN_WITNESS).entries == (1,)
+    assert product_bf(IntMatrix(1, 1, (0,)),
+                      IntMatrix(1, 1, (1,)), MIN_WITNESS).entries == (PLUS_INF,)
 
 
 def test_product_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        product_bf(IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1, 2]]),
+        product_bf(IntMatrix(1, 2, (1, 2)), IntMatrix(1, 2, (1, 2)),
                    MIN_EQ)
 
 
 def test_min_witness_requires_boolean():
     with pytest.raises(ValueError):
-        product_bf(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[1]]),
+        product_bf(IntMatrix(1, 1, (2,)), IntMatrix(1, 1, (1,)),
                    MIN_WITNESS)
 
 

@@ -49,10 +49,10 @@ def random_pair(seed, max_n=5, lo=-9, hi=9, inf=False):
 # ------------------------------------------------------------ min_eq
 
 def test_min_eq_hand_cases():
-    one = IntMatrix.from_rows([[7]])
+    one = IntMatrix(1, 1, (7,))
     assert min_eq_via_monoeq(one, one, monoeq_bf).entries == (7,)
-    a = IntMatrix.from_rows([[1, 2], [3, 1]])
-    b = IntMatrix.from_rows([[1, 3], [2, 1]])
+    a = IntMatrix(2, 2, (1, 2, 3, 1))
+    b = IntMatrix(2, 2, (1, 3, 2, 1))
     got = min_eq_via_monoeq(a, b, monoeq_bf)
     assert got == product_bf(a, b, MIN_EQ)
     assert got.to_rows()[0][0] == 1
@@ -67,19 +67,19 @@ def test_min_eq_battery_including_sentinels():
 # ------------------------------------------------------------ min_le / max_le
 
 def test_min_le_hand_cases():
-    five = IntMatrix.from_rows([[5]])
+    five = IntMatrix(1, 1, (5,))
     assert min_le_via_monoeq(five, five, monoeq_bf).entries == (5,)
-    assert min_le_via_monoeq(IntMatrix.from_rows([[7]]),
-                             IntMatrix.from_rows([[3]]),
+    assert min_le_via_monoeq(IntMatrix(1, 1, (7,)),
+                             IntMatrix(1, 1, (3,)),
                              monoeq_bf).entries == (PLUS_INF,)
 
 
 def test_max_le_hand_cases():
-    assert max_le_via_monoeq(IntMatrix.from_rows([[1]]),
-                             IntMatrix.from_rows([[4]]),
+    assert max_le_via_monoeq(IntMatrix(1, 1, (1,)),
+                             IntMatrix(1, 1, (4,)),
                              monoeq_bf).entries == (4,)
-    assert max_le_via_monoeq(IntMatrix.from_rows([[5]]),
-                             IntMatrix.from_rows([[4]]),
+    assert max_le_via_monoeq(IntMatrix(1, 1, (5,)),
+                             IntMatrix(1, 1, (4,)),
                              monoeq_bf).entries == (MINUS_INF,)
 
 
@@ -93,12 +93,12 @@ def test_le_products_battery():
 # ------------------------------------------------------------ max_min et al.
 
 def test_max_min_hand_cases():
-    assert max_min_product(IntMatrix.from_rows([[1]]),
-                           IntMatrix.from_rows([[2]]),
+    assert max_min_product(IntMatrix(1, 1, (1,)),
+                           IntMatrix(1, 1, (2,)),
                            min_le_chain).entries == (1,)
     # A row of huge values: the min saturates at B, so the row is B's max.
-    a = IntMatrix.from_rows([[500, 500]])
-    b = IntMatrix.from_rows([[3], [9]])
+    a = IntMatrix(1, 2, (500, 500))
+    b = IntMatrix(2, 1, (3, 9))
     assert max_min_product(a, b, min_le_chain).entries == (9,)
 
 
@@ -110,13 +110,13 @@ def test_max_min_battery():
 
 
 def test_min_witness_hand_cases():
-    one = IntMatrix.from_rows([[1]])
+    one = IntMatrix(1, 1, (1,))
     max_min = lambda a, b: max_min_product(a, b, min_le_chain)
     assert min_witness_via_max_min(one, one, max_min).entries == (1,)
-    assert min_witness_via_max_min(IntMatrix.from_rows([[0]]),
+    assert min_witness_via_max_min(IntMatrix(1, 1, (0,)),
                                    one, max_min).entries == (PLUS_INF,)
     with pytest.raises(ValueError):
-        min_witness_via_max_min(IntMatrix.from_rows([[2]]), one, max_min)
+        min_witness_via_max_min(IntMatrix(1, 1, (2,)), one, max_min)
 
 
 def test_min_witness_battery():
@@ -134,14 +134,14 @@ def test_min_witness_rejects_inner_dimensions_that_differ():
     def max_min(_a, _b):
         raise AssertionError("no Max-Min call is needed")
 
-    a, b = IntMatrix.from_rows([[1, 0, 1]]), IntMatrix.from_rows([[1], [0]])
+    a, b = IntMatrix(1, 3, (1, 0, 1)), IntMatrix(2, 1, (1, 0))
     with pytest.raises(UsageFailure, match="^inner dimensions differ: 3 vs 2$"):
         min_witness_via_max_min(a, b, max_min)
 
 
 def test_exists_projections():
     # A match whose value is PLUS_INF is still a match.
-    one = lambda v: IntMatrix.from_rows([[v]])
+    one = lambda v: IntMatrix(1, 1, (v,))
     pairs = [(one(-1), one(PLUS_INF)), (one(PLUS_INF), one(PLUS_INF))]
     for seed in range(15):
         pairs.append(random_pair(seed + 400, max_n=4))
@@ -291,8 +291,8 @@ def test_mono_searches_take_colors_near_the_int64_limits():
 def test_rank_compression_preserves_order_and_equality():
     from fgtri.products import _ranked
     values = [5, -3, 5, PLUS_INF, 0, MINUS_INF, -3]
-    a = IntMatrix.from_rows([values[:4], values[3:]])
-    b = IntMatrix.from_rows([[v] for v in values])
+    a = IntMatrix(2, 4, values[:4] + values[3:])
+    b = IntMatrix(7, 1, values)
     ra, rb = _ranked(a, b)
     assert (ra.rows, ra.cols, rb.rows, rb.cols) == (2, 4, 7, 1)
     pairs = [*zip(a.entries, ra.entries), *zip(b.entries, rb.entries)]

@@ -16,8 +16,7 @@ from fgtri import (RandomizationData, RangeSplit, RngStream,
                    generate_tripartite, is_prime, pick_prime,
                    randomize_weights,
                    triangle_list_bf, triangle_weight_sum,
-                   zero_triangle_bf, zero_triangle_via_global_listing,
-                   zero_triangle_via_listing)
+                   zero_triangle_bf, zero_triangle_via_listing)
 
 
 def trial_division_prime(n: int) -> bool:
@@ -490,7 +489,7 @@ def test_pipeline_degenerate_parameters_match_brute_force():
         g = generate_sparse_tripartite((4, 4, 4), 70, 4, RngStream(seed))
         found, witness = zero_triangle_via_listing(
             g, 1, bf_lister, trials=1, rng=RngStream(seed).child("run"),
-            per_edge_cap=10**9)
+            cap=10**9)
         assert found == (zero_triangle_bf(g) is not None)
         if found:
             assert triangle_weight_sum(g, witness) == 0
@@ -521,8 +520,9 @@ def test_pipeline_completeness_on_planted_instances():
 def test_global_pipeline_mirrors_per_edge_pipeline():
     for seed in range(8):
         g, planted = generate_tripartite(18, 30, True, RngStream(40 + seed))
-        found, witness = zero_triangle_via_global_listing(
-            g, 2, bf_global_lister, trials=30, rng=RngStream(seed).child("y"))
+        found, witness = zero_triangle_via_listing(
+            g, 2, bf_global_lister, trials=30, rng=RngStream(seed).child("y"),
+            cap=zt.default_global_cap(g.part_sizes, 2))
         assert found and triangle_weight_sum(g, witness) == 0
 
 
@@ -534,8 +534,10 @@ def test_zero_pipelines_with_an_empty_part_call_no_lister(g):
     def lister(_graph, _cap):
         raise AssertionError("no listing call is needed")
 
-    for run in (zero_triangle_via_listing, zero_triangle_via_global_listing):
-        assert run(g, 2, lister, trials=3, rng=RngStream(1)) == (False, None)
+    for cap in (None, zt.default_global_cap(g.part_sizes, 2)):
+        assert zero_triangle_via_listing(g, 2, lister, trials=3,
+                                         rng=RngStream(1), cap=cap) \
+            == (False, None)
 
 
 def test_pipeline_report_sink_records_subinstances():
@@ -599,8 +601,9 @@ def test_pipelines_reject_what_a_lying_lister_reports():
             for run in (
                     lambda: zero_triangle_via_listing(
                         g, 2, lister, 2, RngStream(seed)),
-                    lambda: zero_triangle_via_global_listing(
-                        g, 2, lister, 2, RngStream(seed))):
+                    lambda: zero_triangle_via_listing(
+                        g, 2, lister, 2, RngStream(seed),
+                        zt.default_global_cap(g.part_sizes, 2))):
                 calls.clear()
                 found, witness = run()
                 assert calls
@@ -620,9 +623,9 @@ def test_trial_loop_reads_answers_in_sorted_edge_order():
     gets the same verdict, witness and report records: the loop reads each
     answer in sorted edge order, not in the lister's key order."""
     g, _ = generate_tripartite(18, 10, True, RngStream(4))
-    for pipeline, honest in ((zero_triangle_via_listing, bf_lister),
-                             (zero_triangle_via_global_listing,
-                              bf_global_lister)):
+    for cap, honest in ((None, bf_lister),
+                        (zt.default_global_cap(g.part_sizes, 2),
+                         bf_global_lister)):
         runs = []
         for reverse in (False, True):
             answers, records = [], []
@@ -632,8 +635,9 @@ def test_trial_loop_reads_answers_in_sorted_edge_order():
                 answers.append(lists)
                 return dict(reversed(lists.items())) if reverse else lists
 
-            verdict = pipeline(g, 2, lister, 3, RngStream(4).child("run"),
-                               report_sink=records.append)
+            verdict = zero_triangle_via_listing(
+                g, 2, lister, 3, RngStream(4).child("run"), cap,
+                report_sink=records.append)
             runs.append((verdict, records))
         assert runs[0] == runs[1]
         assert runs[0][0][0] and len(runs[0][1]) > 1
@@ -658,9 +662,9 @@ def test_zero_pipelines_list_each_zero_triple_once_per_trial():
         for s in (1, 2, 3, 4, 6):
             splits = [rs for _t, _g, rs in zt._randomized_trials(
                 g, s, 3, RngStream(seed))]
-            for pipeline, lister in ((zero_triangle_via_listing, bf_lister),
-                                     (zero_triangle_via_global_listing,
-                                      bf_global_lister)):
+            for cap, lister in ((None, bf_lister),
+                                (zt.default_global_cap(g.part_sizes, s),
+                                 bf_global_lister)):
                 calls, records = [], []
 
                 def counted(graph, cap):
@@ -670,8 +674,9 @@ def test_zero_pipelines_list_each_zero_triple_once_per_trial():
                                      for tri in tris))
                     return lists
 
-                found, _w = pipeline(g, s, counted, 3, RngStream(seed),
-                                     report_sink=records.append)
+                found, _w = zero_triangle_via_listing(
+                    g, s, counted, 3, RngStream(seed), cap,
+                    report_sink=records.append)
                 assert len(calls) == len(records)
                 assert (True in calls) == found
                 if found:  # the first hit ends the run
@@ -727,11 +732,12 @@ def test_zero_pipeline_traffic_is_pinned():
             got.append(_pipeline_traffic(
                 lambda counted, sink: zero_triangle_via_listing(
                     g, s, counted(bf_lister), 3, RngStream(seed),
-                    per_edge_cap=cap, report_sink=sink)))
+                    cap=cap, report_sink=sink)))
             got.append(_pipeline_traffic(
-                lambda counted, sink: zero_triangle_via_global_listing(
+                lambda counted, sink: zero_triangle_via_listing(
                     g, s, counted(bf_global_lister), 3, RngStream(seed),
-                    global_cap=cap and 2, report_sink=sink)))
+                    cap=2 if cap else zt.default_global_cap(g.part_sizes, s),
+                    report_sink=sink)))
     # Per run: lister calls, summed edges_kept, pruned, listed and hits,
     # then the verdict and witness. For each graph the first two rows use
     # the default caps and the next two cap per edge at 1 and globally at
@@ -805,8 +811,7 @@ def test_range_count_below_one_is_a_value_error(s):
     with pytest.raises(ValueError, match="range count"):
         zero_triangle_via_listing(g, s, bf_lister, 3, RngStream(19))
     with pytest.raises(ValueError, match="range count"):
-        zero_triangle_via_global_listing(g, s, bf_global_lister, 3,
-                                         RngStream(19))
+        zero_triangle_via_listing(g, s, bf_global_lister, 3, RngStream(19))
     with pytest.raises(ValueError, match="range count"):
         claim_statistics(g, planted, s, 3, RngStream(19))
 
@@ -825,8 +830,9 @@ def test_modular_graphs_are_rejected_before_any_trial():
         raise AssertionError("no subinstance may be listed")
 
     runs = (lambda: zero_triangle_via_listing(g, 1, lister, 3, RngStream(1)),
-            lambda: zero_triangle_via_global_listing(g, 1, lister, 3,
-                                                     RngStream(1)),
+            lambda: zero_triangle_via_listing(
+                g, 1, lister, 3, RngStream(1),
+                zt.default_global_cap(g.part_sizes, 1)),
             lambda: claim_statistics(g, (0, 0, 0), 1, 3, RngStream(1)))
     for run in runs:
         with pytest.raises(ValueError, match="integer weights"):
