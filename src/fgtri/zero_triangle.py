@@ -197,17 +197,23 @@ def enumerate_zero_triples(rs: RangeSplit) -> list[tuple[int, int, int]]:
     return out
 
 
+def _range_count(s: int) -> int:
+    if s < 1:  # the default caps and bounds divide by s^2 and s^3
+        raise UsageFailure(f"range count s must be at least 1, got {s}")
+    return s
+
+
 def default_degree_cap(dest_size: int, s: int) -> int:
     return 100 * dest_size // s + 200
 
 
 def default_per_edge_cap(size_c: int, s: int) -> int:
-    return 900 * size_c // (s * s) + 1
+    return 900 * size_c // _range_count(s) ** 2 + 1
 
 
 def default_global_cap(part_sizes: tuple[int, int, int], s: int) -> int:
     na, nb, nc = part_sizes
-    return 8100 * na * nb * nc // (s ** 3) + 1
+    return 8100 * na * nb * nc // _range_count(s) ** 3 + 1
 
 
 def default_trials(total_vertices: int, multiplier: int = 100) -> int:
@@ -334,8 +340,7 @@ def _zero_filter(g: TripartiteWeightedGraph):
     edge_of, tris_of = itemgetter(0), itemgetter(1)
 
     def zero_triangles(lists):
-        listed = 0
-        hits = []
+        listed, hits = 0, []
         for edge, tris in filter(tris_of, lists.items()):
             listed += len(tris)
             for tri in tris:
@@ -367,9 +372,7 @@ def _randomized_trials(g, s, trials, rng):
 
 
 def _check_inputs(g: TripartiteWeightedGraph, s: int) -> None:
-    # The default caps and bounds divide by s^2 and s^3.
-    if s < 1:
-        raise UsageFailure(f"range count s must be at least 1, got {s}")
+    _range_count(s)
     # Hits are re-verified as integer sums equal to 0, which is not what a
     # zero triangle means under a modulus.
     if g.weight_modulus is not None:
@@ -388,18 +391,17 @@ def zero_triangle_via_listing(
 ) -> tuple[bool, Optional[Triangle]]:
     """Decide Zero Triangle through an all-edges listing solver.
 
-    Each trial lists each range triple's subinstance under ``cap``, the cap
-    the lister takes: per edge by default, ``default_per_edge_cap(|C|, s)``;
-    a global lister's caller passes ``default_global_cap(part_sizes, s)``.
-    Every listed triangle is re-verified against g's weights, so a True
-    verdict is sound unconditionally and carries a witness whose weights
-    sum to zero, the first hit in sorted edge order. Complete with
-    overwhelming empirical probability over the given number of
-    independent trials when a zero triangle exists.
+    Each trial lists each range triple's subinstance under ``cap``: per
+    edge by default, ``default_per_edge_cap(|C|, s)``. A global lister
+    needs its cap passed, such as ``default_global_cap(part_sizes, s)``,
+    or the per-edge number caps the whole call. Every listed triangle is
+    re-verified against g's weights, so a True verdict is sound and
+    carries a zero-sum witness, the first hit in sorted edge order.
+    Complete with overwhelming empirical probability over the given
+    number of independent trials when a zero triangle exists.
     """
     _check_inputs(g, s)
-    if cap is None:
-        cap = default_per_edge_cap(g.part_sizes[2], s)
+    cap = default_per_edge_cap(g.part_sizes[2], s) if cap is None else cap
     if min(g.part_sizes) == 0 or trials <= 0:
         return False, None
     zero_triangles = _zero_filter(g)

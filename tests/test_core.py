@@ -646,6 +646,10 @@ _USAGE = fgtri.instances.UsageFailure
      ValueError, "answers do not align with the queries"),
     (lambda: fgtri.RangeSplit(5, 2).index_of(5), ValueError,
      "residue 5 outside [0, 5)"),
+    (lambda: fgtri.default_per_edge_cap(4, 0), _USAGE,
+     "range count s must be at least 1, got 0"),
+    (lambda: fgtri.default_global_cap((4, 4, 4), -1), _USAGE,
+     "range count s must be at least 1, got -1"),
     (lambda: fgtri.pick_prime(0, RngStream(1)), ValueError,
      "max_abs_weight must be >= 1"),
     (lambda: fgtri.randomize_weights(

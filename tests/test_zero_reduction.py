@@ -811,7 +811,8 @@ def test_range_count_below_one_is_a_value_error(s):
     with pytest.raises(ValueError, match="range count"):
         zero_triangle_via_listing(g, s, bf_lister, 3, RngStream(19))
     with pytest.raises(ValueError, match="range count"):
-        zero_triangle_via_listing(g, s, bf_global_lister, 3, RngStream(19))
+        zero_triangle_via_listing(g, s, bf_global_lister, 3, RngStream(19),
+                                  cap=zt.default_global_cap(g.part_sizes, s))
     with pytest.raises(ValueError, match="range count"):
         claim_statistics(g, planted, s, 3, RngStream(19))
 
